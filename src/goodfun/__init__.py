@@ -16,7 +16,7 @@ from .constants import Constants, load_constants, save_constants
 from .quadrature import (AlgebraicEnvelope, CubicExpEnvelope, HotSpot,
                          Integrand, QuadResult, integrate_finite, integrate_tail)
 from .good import HBounds, HValue, bounds_H, eval_G, eval_G_any_order, eval_H, eval_Q
-from .anger import (AngerParams, anger_J, anger_diag_asym, anger_reflected_asym,
+from .anger import (anger_J, anger_diag_asym, anger_reflected_asym,
                     anger_shifted_asym)
 from .phase import (AmplitudeBounds, PhaseProblem, check_hypotheses,
                     expansion_with_conjugation, substitution_tau,

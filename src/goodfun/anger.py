@@ -19,40 +19,26 @@ and frozen in the constants file; the theory proves only their existence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .constants import (GAMMA_THIRD, GAMMA_TWO_THIRDS, SQRT3, Constants,
                         get_constants)
-from .core import DomainError, EvalResult, QuadConfig, cos_pi, sin_pi
+from .core import (DomainError, EvalResult, QuadConfig, cos_pi, require_above,
+                   require_finite, sin_pi)
 from .quadrature import Integrand, integrate_finite
 
-__all__ = ["AngerParams", "anger_J", "anger_diag_asym", "anger_reflected_asym",
+__all__ = ["anger_J", "anger_diag_asym", "anger_reflected_asym",
            "anger_shifted_asym"]
 
 _K_MAX = 10 ** 6
 
 
-@dataclass(frozen=True)
-class AngerParams:
-    """Order nu, argument x, and an integer order shift k with |k| <= 1e6."""
-
-    nu: float
-    x: float
-    k: int = 0
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.nu) and math.isfinite(self.x)):
-            raise DomainError(f"nu and x must be finite, got {self.nu}, {self.x}")
-        if abs(self.k) > _K_MAX:
-            raise DomainError(f"|k| must be <= {_K_MAX}, got {self.k}")
-
-
 def anger_J(nu: float, x: float, cfg: Optional[QuadConfig] = None) -> EvalResult:
     """Oracle value of J_nu(x) by adaptive quadrature."""
-    AngerParams(nu, x)
+    require_finite("nu", nu)
+    require_finite("x", x)
 
     def fn(th: np.ndarray) -> np.ndarray:
         return np.cos(nu * th - x * np.sin(th))
@@ -63,14 +49,9 @@ def anger_J(nu: float, x: float, cfg: Optional[QuadConfig] = None) -> EvalResult
                       method="oracle", converged=res.converged)
 
 
-def _require_x(x: float) -> None:
-    if not (math.isfinite(x) and x > 2.0):
-        raise DomainError(f"asymptotic form requires x > 2, got {x}")
-
-
 def anger_diag_asym(x: float, constants: Optional[Constants] = None) -> EvalResult:
     """One-term approximation of J_x(x); error estimate C_diag/x."""
-    _require_x(x)
+    require_above("x", x, 2.0)
     c = get_constants(constants)
     value = SQRT3 / (6.0 * math.pi) * GAMMA_THIRD * (6.0 / x) ** (1.0 / 3.0)
     return EvalResult(value=value, error_estimate=c.c_anger_diag / x, method="asymptotic")
@@ -78,7 +59,7 @@ def anger_diag_asym(x: float, constants: Optional[Constants] = None) -> EvalResu
 
 def anger_reflected_asym(x: float, constants: Optional[Constants] = None) -> EvalResult:
     """One-term approximation of J_x(-x); error estimate C_ref/x."""
-    _require_x(x)
+    require_above("x", x, 2.0)
     c = get_constants(constants)
     value = GAMMA_THIRD / (3.0 * math.pi) * (6.0 / x) ** (1.0 / 3.0) * cos_pi(x - 1.0 / 6.0)
     return EvalResult(value=value, error_estimate=c.c_anger_reflected / x, method="asymptotic")
@@ -90,8 +71,9 @@ def anger_shifted_asym(x: float, k: int,
 
     For k = 0 this reduces exactly to the reflected form.
     """
-    _require_x(x)
-    AngerParams(x, x, k)
+    require_above("x", x, 2.0)
+    if not abs(k) <= _K_MAX:  # also refuses NaN
+        raise DomainError(f"|k| must be <= {_K_MAX}, got {k}")
     c = get_constants(constants)
     sign = -1.0 if k % 2 else 1.0
     t1 = GAMMA_THIRD * (6.0 / x) ** (1.0 / 3.0) * cos_pi(x - 1.0 / 6.0)

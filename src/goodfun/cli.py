@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -68,10 +69,13 @@ class RunManifest:
         return json.dumps(dataclasses.asdict(self), sort_keys=True, indent=2)
 
 
-def _write_table(path: Path, header: Sequence[str], rows: List[Sequence[str]],
-                 manifest: RunManifest, as_json: bool) -> None:
+def _write_table(args, command: str, parameters: Dict[str, object], cfg: QuadConfig,
+                 header: Sequence[str], rows: List[Sequence[str]]) -> Path:
+    """Write the table (``--out``, else ``<command>.csv``/``.json``) and its manifest."""
+    manifest = RunManifest.build(command, parameters, cfg, _constants_path(args))
+    path = Path(args.out or f"{command}.{'json' if args.json else 'csv'}")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        if as_json:
+        if args.json:
             fh.write(json.dumps([dict(zip(header, row)) for row in rows],
                                 indent=2) + "\n")
         else:
@@ -80,27 +84,18 @@ def _write_table(path: Path, header: Sequence[str], rows: List[Sequence[str]],
                 fh.write(",".join(row) + "\n")
     Path(str(path) + ".manifest.json").write_text(manifest.to_json() + "\n",
                                                   encoding="utf-8")
+    return path
 
 
 def _cfg_from_args(args) -> QuadConfig:
-    kw = {}
-    if args.tol is not None:
-        kw["abs_tol"] = args.tol
-    if getattr(args, "rel_tol", None) is not None:
-        kw["rel_tol"] = args.rel_tol
-    if getattr(args, "max_panels", None) is not None:
-        kw["max_panels"] = args.max_panels
-    return QuadConfig(**kw)
+    kw = {"abs_tol": args.tol, "rel_tol": args.rel_tol, "max_panels": args.max_panels}
+    return QuadConfig(**{k: v for k, v in kw.items() if v is not None})
 
 
 def _constants_path(args) -> Path:
     if args.constants_file:
         return Path(args.constants_file)
     return constants_mod.default_constants_path()
-
-
-def _load_constants(args) -> Constants:
-    return load_constants(_constants_path(args))
 
 
 def _parallel_map(fn, items, threads: int):
@@ -126,14 +121,12 @@ def cmd_eval(args) -> int:
         inputs = {"gamma": args.gamma, "rho": args.rho, "x": args.x}
         r = eval_G(GoodParams(args.gamma, args.rho, args.x), cfg)
         value, err, method, converged = r.value, r.error_estimate, r.method, r.converged
-    elif fn == "Q":
+    else:  # Q; argparse restricts --fn to G, Q and H
         if args.gamma is None or args.xi is None or args.x is None:
             raise DomainError("eval --fn Q requires --gamma, --xi and --x")
         inputs = {"gamma": args.gamma, "xi": args.xi, "x": args.x}
         r = eval_Q(GoodParams(args.gamma, 1.0, args.x, xi=args.xi), cfg)
         value, err, method, converged = r.value, r.error_estimate, r.method, r.converged
-    else:
-        raise DomainError(f"unknown function {args.fn!r}; expected G, Q or H")
     manifest = RunManifest.build("eval", {"fn": fn, **inputs}, cfg, _constants_path(args))
     record = {
         "function": fn,
@@ -158,26 +151,24 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _parse_range(text: str, name: str):
+def _log_grid(text: str, name: str, points: int) -> np.ndarray:
+    """``points`` log-spaced values over the positive range ``LO:HI``."""
     try:
         lo_s, _, hi_s = text.partition(":")
         lo, hi = float(lo_s), float(hi_s)
     except ValueError as exc:
         raise DomainError(f"{name} must look like LO:HI, got {text!r}") from exc
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise DomainError(f"{name} must satisfy LO < HI, got {text!r}")
-    return lo, hi
+    if not (0.0 < lo < hi and math.isfinite(hi)):
+        raise DomainError(f"{name} must satisfy 0 < LO < HI, got {text!r}")
+    if points < 2:
+        raise DomainError(f"--points must be >= 2, got {points}")
+    return np.geomspace(lo, hi, points)
 
 
 def cmd_compare(args) -> int:
     cfg = _cfg_from_args(args)
-    consts = _load_constants(args)
-    lo, hi = _parse_range(args.x_range, "--x-range")
-    if args.points < 2:
-        raise DomainError(f"--points must be >= 2, got {args.points}")
-    if lo <= 0:
-        raise DomainError("--x-range must be positive for compare")
-    xs = np.geomspace(lo, hi, args.points)
+    consts = load_constants(_constants_path(args))
+    xs = _log_grid(args.x_range, "--x-range", args.points)
 
     def row(x: float):
         oracle = eval_H(float(x), args.rho, cfg)
@@ -199,11 +190,8 @@ def cmd_compare(args) -> int:
         rows.append([_fmt(x), _fmt(args.rho), _fmt(regime.s), _fmt(regime.u),
                      regime.kind.value, _fmt(oracle.h), _fmt(approx.value),
                      _fmt(approx.error_estimate), _fmt(err_actual), flag])
-    manifest = RunManifest.build(
-        "compare", {"rho": args.rho, "x_range": args.x_range, "points": args.points},
-        cfg, _constants_path(args))
-    out = Path(args.out or ("compare.json" if args.json else "compare.csv"))
-    _write_table(out, header, rows, manifest, as_json=args.json)
+    out = _write_table(args, "compare", {"rho": args.rho, "x_range": args.x_range,
+                                         "points": args.points}, cfg, header, rows)
     print(f"wrote {out} ({len(rows)} rows); max err_actual/err_claimed = {worst:.6g}")
     if flagged and not args.best_effort:
         return EXIT_TOLERANCE
@@ -216,30 +204,19 @@ def cmd_zeros(args) -> int:
     header = ["x_zero", "bracket_lo", "bracket_hi", "rho", "residual", "method"]
     rows = [[_fmt(r.x_zero), _fmt(r.bracket[0]), _fmt(r.bracket[1]), _fmt(r.rho),
              _fmt(r.residual), r.method] for r in records]
-    manifest = RunManifest.build(
-        "zeros", {"rho": args.rho, "xmin": args.xmin, "xmax": args.xmax},
-        cfg, _constants_path(args))
-    out = Path(args.out or ("zeros.json" if args.json else "zeros.csv"))
-    _write_table(out, header, rows, manifest, as_json=args.json)
+    out = _write_table(args, "zeros", {"rho": args.rho, "xmin": args.xmin,
+                                       "xmax": args.xmax}, cfg, header, rows)
     print(f"wrote {out} ({len(rows)} zeros)")
     return EXIT_OK
 
 
 def cmd_scan(args) -> int:
     cfg = _cfg_from_args(args)
-    consts = _load_constants(args)
-    lo, hi = _parse_range(args.rho_range, "--rho-range")
-    if args.points < 2:
-        raise DomainError(f"--points must be >= 2, got {args.points}")
-    if lo <= 0:
-        raise DomainError("--rho-range must be positive")
-    rhos = np.geomspace(lo, hi, args.points)
-
-    def row(rho: float):
-        r = corollary_path_main(args.alpha, args.eta, rho, cfg, consts)
-        return r
-
-    results = _parallel_map(row, [float(r) for r in rhos], args.threads)
+    consts = load_constants(_constants_path(args))
+    rhos = _log_grid(args.rho_range, "--rho-range", args.points)
+    path_main = functools.partial(corollary_path_main, args.alpha, args.eta,
+                                  cfg=cfg, constants=consts)
+    results = _parallel_map(path_main, [float(r) for r in rhos], args.threads)
     header = ["rho", "x", "alpha", "eta", "s", "u", "regime", "main_term",
               "err_claimed"]
     rows = []
@@ -248,11 +225,9 @@ def cmd_scan(args) -> int:
                      _fmt(args.alpha), _fmt(args.eta), _fmt(r.regime.s),
                      _fmt(r.regime.u), r.regime.kind.value, _fmt(r.value),
                      _fmt(r.error_estimate)])
-    manifest = RunManifest.build(
-        "scan", {"alpha": args.alpha, "eta": args.eta, "rho_range": args.rho_range,
-                 "points": args.points}, cfg, _constants_path(args))
-    out = Path(args.out or ("scan.json" if args.json else "scan.csv"))
-    _write_table(out, header, rows, manifest, as_json=args.json)
+    out = _write_table(args, "scan", {"alpha": args.alpha, "eta": args.eta,
+                                      "rho_range": args.rho_range,
+                                      "points": args.points}, cfg, header, rows)
     print(f"wrote {out} ({len(rows)} rows)")
     return EXIT_OK
 
@@ -283,29 +258,35 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="goodfun",
         description="Good's special functions: quadrature oracle and asymptotics.")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=None,
-                        help="absolute quadrature tolerance (default 1e-12)")
-    common.add_argument("--rel-tol", type=float, default=None,
-                        help="relative quadrature tolerance (default 1e-10)")
-    common.add_argument("--max-panels", type=int, default=None,
-                        help="panel budget (default 200000)")
-    common.add_argument("--constants-file", default=None,
-                        help="calibrated constants file (else $GOODFUN_CONSTANTS, "
-                             "else the packaged file)")
-    common.add_argument("--out", default=None, help="output file path")
-    common.add_argument("--best-effort", action="store_true",
-                        help="exit 0 even when a tolerance was not reached")
-    fmt = common.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true",
-                     help="JSON output (default for eval)")
-    fmt.add_argument("--csv", action="store_true",
-                     help="CSV output (default for tables)")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker threads for table rows (output order is fixed)")
+    # flag groups; each subcommand takes only the groups it honours
+    files = argparse.ArgumentParser(add_help=False)
+    files.add_argument("--constants-file", default=None,
+                       help="calibrated constants file (else $GOODFUN_CONSTANTS, "
+                            "else the packaged file)")
+    files.add_argument("--out", default=None, help="output file path")
+    quad = argparse.ArgumentParser(add_help=False)
+    quad.add_argument("--tol", type=float, default=None,
+                      help="absolute quadrature tolerance (default 1e-12)")
+    quad.add_argument("--rel-tol", type=float, default=None,
+                      help="relative quadrature tolerance (default 1e-10)")
+    quad.add_argument("--max-panels", type=int, default=None,
+                      help="panel budget (default 200000)")
+    fmt = argparse.ArgumentParser(add_help=False)
+    group = fmt.add_mutually_exclusive_group()
+    group.add_argument("--json", action="store_true",
+                       help="JSON output (default for eval)")
+    group.add_argument("--csv", action="store_true",
+                       help="CSV output (default for tables)")
+    best_effort = argparse.ArgumentParser(add_help=False)
+    best_effort.add_argument("--best-effort", action="store_true",
+                             help="exit 0 even when a tolerance was not reached")
+    threads = argparse.ArgumentParser(add_help=False)
+    threads.add_argument("--threads", type=int, default=1,
+                         help="worker threads for table rows (output order is fixed)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("eval", parents=[common], help="evaluate G, Q or H")
+    p = sub.add_parser("eval", parents=[files, quad, fmt, best_effort],
+                       help="evaluate G, Q or H")
     p.add_argument("--fn", required=True, choices=["G", "Q", "H", "g", "q", "h"])
     p.add_argument("--gamma", type=float)
     p.add_argument("--rho", type=float)
@@ -313,20 +294,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xi", type=float)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("compare", parents=[common],
+    p = sub.add_parser("compare", parents=[files, quad, fmt, best_effort, threads],
                        help="oracle vs asymptotic table over an x range")
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--x-range", required=True, help="LO:HI (log-spaced)")
     p.add_argument("--points", type=int, default=50)
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("zeros", parents=[common], help="zero table of H(., rho)")
+    p = sub.add_parser("zeros", parents=[files, quad, fmt], help="zero table of H(., rho)")
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--xmin", type=float, required=True)
     p.add_argument("--xmax", type=float, required=True)
     p.set_defaults(func=cmd_zeros)
 
-    p = sub.add_parser("scan", parents=[common],
+    p = sub.add_parser("scan", parents=[files, quad, fmt, threads],
                        help="main-term table along x = eta * rho^-alpha")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--eta", type=float, required=True)
@@ -334,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=20)
     p.set_defaults(func=cmd_scan)
 
-    p = sub.add_parser("calibrate", parents=[common],
+    p = sub.add_parser("calibrate", parents=[files],
                        help="re-run the remainder-constant sweep and rewrite "
                             "the constants file")
     p.add_argument("--quick", action="store_true", help="documented subgrid")

@@ -20,7 +20,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional, Union
 
-from .core import DomainError
+from .core import DomainError, require_above
 
 # Gamma function at the two thirds, as >=20 significant digit literals
 # (kept as literals rather than pulling in a gamma implementation for two
@@ -64,9 +64,7 @@ class Constants:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            v = getattr(self, f.name)
-            if not (math.isfinite(v) and v > 0.0):
-                raise DomainError(f"constant {f.name} must be finite and > 0, got {v!r}")
+            require_above(f"constant {f.name}", getattr(self, f.name), 0.0)
 
 
 def default_constants_path() -> Path:

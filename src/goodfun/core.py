@@ -27,6 +27,9 @@ __all__ = [
     "Regime",
     "EvalResult",
     "validate",
+    "require_finite",
+    "require_above",
+    "require_at_least",
     "cos_pi",
     "sin_pi",
 ]
@@ -56,10 +59,27 @@ class HypothesisViolated(GoodFunError):
     """A numerically checked hypothesis of an expansion failed."""
 
 
-def _require_finite(name: str, value: float) -> float:
+def require_finite(name: str, value: float) -> float:
+    """Return ``float(value)``; raise :class:`DomainError` naming it if not finite."""
     value = float(value)
     if not math.isfinite(value):
         raise DomainError(f"{name} must be finite, got {value!r}")
+    return value
+
+
+def require_above(name: str, value: float, bound: float) -> float:
+    """Return ``float(value)`` if it is finite and > bound strictly."""
+    value = require_finite(name, value)
+    if not value > bound:
+        raise DomainError(f"{name} must be > {bound} strictly, got {value!r}")
+    return value
+
+
+def require_at_least(name: str, value: float, bound: float) -> float:
+    """Return ``float(value)`` if it is finite and >= bound."""
+    value = require_finite(name, value)
+    if not value >= bound:
+        raise DomainError(f"{name} must be >= {bound}, got {value!r}")
     return value
 
 
@@ -83,17 +103,11 @@ def validate(params: GoodParams) -> GoodParams:
     Raises :class:`DomainError` naming the violated constraint otherwise.
     Idempotent by construction.
     """
-    gamma = _require_finite("gamma", params.gamma)
-    rho = _require_finite("rho", params.rho)
-    _require_finite("x", params.x)
-    if gamma < 0.0:
-        raise DomainError(f"gamma must be >= 0, got {gamma}")
-    if rho <= 0.0:
-        raise DomainError(f"rho must be > 0 strictly, got {rho}")
+    require_at_least("gamma", params.gamma, 0.0)
+    require_above("rho", params.rho, 0.0)
+    require_finite("x", params.x)
     if params.xi is not None:
-        xi = _require_finite("xi", params.xi)
-        if xi <= 1.0:
-            raise DomainError(f"xi must be > 1 strictly, got {xi}")
+        require_above("xi", params.xi, 1.0)
     return params
 
 
@@ -106,10 +120,6 @@ class QuadConfig:
     max_panels
         Hard cap on the number of panels; when hit, results are returned
         with an honest error estimate and ``converged=False``.
-    endpoint_scale
-        Geometric refinement near declared hot spots stops at panels of
-        length ``endpoint_scale * width`` (width is the hot-spot scale,
-        e.g. rho for the Good integrands).
     oscillation_panel_factor
         A priori cap on panel length as a fraction of the oscillation
         period ``2*pi/(1 + osc_frequency)``.  This is deliberately not
@@ -119,16 +129,11 @@ class QuadConfig:
     abs_tol: float = 1e-12
     rel_tol: float = 1e-10
     max_panels: int = 200_000
-    endpoint_scale: float = 0.25
     oscillation_panel_factor: float = 0.25
 
     def __post_init__(self) -> None:
-        for name in ("abs_tol", "rel_tol", "endpoint_scale", "oscillation_panel_factor"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0.0):
-                raise DomainError(f"QuadConfig.{name} must be finite and > 0, got {v!r}")
-        if self.max_panels <= 0:
-            raise DomainError(f"QuadConfig.max_panels must be > 0, got {self.max_panels}")
+        for name in ("abs_tol", "rel_tol", "max_panels", "oscillation_panel_factor"):
+            require_above(f"QuadConfig.{name}", getattr(self, name), 0.0)
 
 
 class RegimeKind(Enum):
@@ -185,25 +190,25 @@ class EvalResult:
             raise DomainError("only asymptotic results may carry a regime tag")
 
 
-def cos_pi(x: float) -> float:
-    """cos(pi*x) with exact argument reduction modulo 2.
+def _reduce_mod2(x: float) -> float:
+    """x reduced exactly into [-1, 1] modulo 2.
 
-    fmod(x, 2) is exact in binary64, so this stays accurate for huge x
-    where pi*x itself cannot be represented to full precision.
+    fmod(x, 2) is exact in binary64, so pi times the result stays accurate
+    for huge x where pi*x itself cannot be represented to full precision.
     """
     r = math.fmod(x, 2.0)
     if r > 1.0:
         r -= 2.0
     elif r < -1.0:
         r += 2.0
-    return math.cos(math.pi * r)
+    return r
+
+
+def cos_pi(x: float) -> float:
+    """cos(pi*x) with exact argument reduction modulo 2."""
+    return math.cos(math.pi * _reduce_mod2(x))
 
 
 def sin_pi(x: float) -> float:
     """sin(pi*x) with exact argument reduction modulo 2."""
-    r = math.fmod(x, 2.0)
-    if r > 1.0:
-        r -= 2.0
-    elif r < -1.0:
-        r += 2.0
-    return math.sin(math.pi * r)
+    return math.sin(math.pi * _reduce_mod2(x))

@@ -23,12 +23,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .core import (DomainError, EvalResult, GoodParams, PrecisionError,
-                   QuadConfig, cos_pi, sin_pi, validate)
+                   QuadConfig, cos_pi, require_above, require_finite, sin_pi,
+                   validate)
 from .quadrature import HotSpot, Integrand, integrate_finite
 
 __all__ = ["HValue", "HBounds", "eval_G", "eval_G_any_order", "eval_Q",
@@ -48,10 +49,6 @@ class HValue:
     err: float
     converged: bool = True
 
-    @classmethod
-    def from_complex(cls, h_complex: complex, err: float, converged: bool) -> "HValue":
-        return cls(h=h_complex.real, h_complex=h_complex, err=err, converged=converged)
-
 
 class HBounds(NamedTuple):
     """A-priori bounds: |H| <= b0, |dH/dx| <= bx, |dH/drho| <= brho."""
@@ -61,15 +58,30 @@ class HBounds(NamedTuple):
     brho: float
 
 
-def _check_rho(rho: float, allow_tiny_rho: bool) -> None:
+_HALF_PI = math.pi / 2.0
+
+_Fn = Callable[[np.ndarray], np.ndarray]
+
+
+def _fold(fn_left: _Fn, fn_right: _Fn, freq_left: float, freq_right: float,
+          rho: float, cfg: Optional[QuadConfig],
+          allow_tiny_rho: bool) -> Tuple[complex, float, bool]:
+    """(1/pi) int_0^pi as two halves on [0, pi/2], the right one folded.
+
+    ``fn_right`` takes u = pi - th.  Both halves peak at u = 0 with width
+    rho.  Returns (value, error estimate, converged).
+    """
+    require_above("rho", rho, 0.0)
     if rho < RHO_MIN and not allow_tiny_rho:
         raise PrecisionError(
             f"rho = {rho} is below {RHO_MIN}; the integrand peak ~1/rho^2 "
             "exhausts binary64 headroom (pass allow_tiny_rho=True to override)"
         )
-
-
-_HALF_PI = math.pi / 2.0
+    spots = (HotSpot(0.0, rho),)
+    left = integrate_finite(Integrand(fn_left, freq_left, spots), 0.0, _HALF_PI, cfg)
+    right = integrate_finite(Integrand(fn_right, freq_right, spots), 0.0, _HALF_PI, cfg)
+    return ((left.value + right.value) / math.pi, (left.err + right.err) / math.pi,
+            left.converged and right.converged)
 
 
 def eval_G(p: GoodParams, cfg: Optional[QuadConfig] = None, *,
@@ -87,11 +99,8 @@ def eval_G_any_order(gamma: float, rho: float, x: float,
     The defining integral extends verbatim to negative order; the Q-G
     relation needs it at gamma - 1 when gamma < 1.
     """
-    if not (math.isfinite(gamma) and math.isfinite(x)):
-        raise DomainError(f"gamma and x must be finite, got {gamma}, {x}")
-    if not (math.isfinite(rho) and rho > 0.0):
-        raise DomainError(f"rho must be > 0 strictly, got {rho}")
-    _check_rho(rho, allow_tiny_rho)
+    require_finite("gamma", gamma)
+    require_finite("x", x)
     rho2 = rho * rho
     cg, sg = cos_pi(gamma), sin_pi(gamma)
 
@@ -106,12 +115,9 @@ def eval_G_any_order(gamma: float, rho: float, x: float,
         return (cg * np.cos(w) + sg * np.sin(w)) / (rho2 + s * s)
 
     freq = 0.5 * (abs(gamma) + abs(x))
-    spots = (HotSpot(0.0, rho),)
-    left = integrate_finite(Integrand(fn_left, freq, spots), 0.0, _HALF_PI, cfg)
-    right = integrate_finite(Integrand(fn_right, freq, spots), 0.0, _HALF_PI, cfg)
-    return EvalResult(value=(left.value.real + right.value.real) / math.pi,
-                      error_estimate=(left.err + right.err) / math.pi,
-                      method="oracle", converged=left.converged and right.converged)
+    value, err, converged = _fold(fn_left, fn_right, freq, freq, rho, cfg, allow_tiny_rho)
+    return EvalResult(value=value.real, error_estimate=err, method="oracle",
+                      converged=converged)
 
 
 def eval_Q(p: GoodParams, cfg: Optional[QuadConfig] = None) -> EvalResult:
@@ -136,11 +142,7 @@ def eval_Q(p: GoodParams, cfg: Optional[QuadConfig] = None) -> EvalResult:
 def eval_H(x: float, rho: float, cfg: Optional[QuadConfig] = None, *,
            allow_tiny_rho: bool = False) -> HValue:
     """Evaluate the restricted Good function H(x, rho) = Re calH(x, rho)."""
-    if not math.isfinite(x):
-        raise DomainError(f"x must be finite, got {x}")
-    if not (math.isfinite(rho) and rho > 0.0):
-        raise DomainError(f"rho must be > 0 strictly, got {rho}")
-    _check_rho(rho, allow_tiny_rho)
+    require_finite("x", x)
     rho2 = rho * rho
     phase_pi = complex(cos_pi(x), sin_pi(x))  # e^{i pi x}, reduced exactly mod 2
 
@@ -153,17 +155,14 @@ def eval_H(x: float, rho: float, cfg: Optional[QuadConfig] = None, *,
         s = np.sin(u)
         return phase_pi * np.exp(1j * x * (s - u)) / (rho2 + s * s)
 
-    spots = (HotSpot(0.0, rho),)
-    left = integrate_finite(Integrand(fn_left, abs(x), spots), 0.0, _HALF_PI, cfg)
-    right = integrate_finite(Integrand(fn_right, 0.5 * abs(x), spots), 0.0, _HALF_PI, cfg)
-    return HValue.from_complex((left.value + right.value) / math.pi,
-                               (left.err + right.err) / math.pi,
-                               left.converged and right.converged)
+    value, err, converged = _fold(fn_left, fn_right, abs(x), 0.5 * abs(x), rho, cfg,
+                                  allow_tiny_rho)
+    return HValue(h=value.real, h_complex=value, err=err, converged=converged)
 
 
 def bounds_H(x: float, rho: float) -> HBounds:
     """Explicit bounds on |H|, |dH/dx| and |dH/drho| (x plays no role)."""
-    if not (math.isfinite(rho) and rho > 0.0):
-        raise DomainError(f"rho must be > 0 strictly, got {rho}")
+    require_finite("x", x)
+    require_above("rho", rho, 0.0)
     b0 = min(1.0 / (rho * rho), math.pi / (2.0 * rho))
     return HBounds(b0=b0, bx=math.pi * b0, brho=(2.0 / rho) * b0)

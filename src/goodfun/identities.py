@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .anger import anger_J
-from .core import DomainError, EvalResult, GoodParams, QuadConfig
+from .core import (DomainError, EvalResult, GoodParams, QuadConfig, require_above,
+                   require_at_least, require_finite)
 from .good import eval_G, eval_G_any_order
 
 __all__ = ["SeriesTruncation", "SeriesSum", "ode_residual", "series_partial_sum",
@@ -41,8 +42,7 @@ class SeriesTruncation:
     def for_params(cls, rho: float, K: int) -> "SeriesTruncation":
         if K < 2 or K % 2 != 0:
             raise DomainError(f"K must be an even integer >= 2, got {K}")
-        if not (math.isfinite(rho) and rho > 0.0):
-            raise DomainError(f"rho must be > 0 strictly, got {rho}")
+        require_above("rho", rho, 0.0)
         beta = math.sqrt(1.0 + rho * rho)
         t = math.log(rho + beta)
         tail = 2.0 / (rho * beta) * math.exp(-(K + 2) * t) / (1.0 - math.exp(-2.0 * t))
@@ -60,8 +60,7 @@ def ode_residual(gamma: float, rho: float, x: float, h_step: float,
 
     Decays like O(h^2) until the quadrature-noise floor O(err/h^2).
     """
-    if not (math.isfinite(h_step) and h_step > 0.0):
-        raise DomainError(f"h_step must be > 0, got {h_step}")
+    require_above("h_step", h_step, 0.0)
     g = lambda xx: eval_G(GoodParams(gamma, rho, xx), cfg).value
     second = (g(x + h_step) - 2.0 * g(x) + g(x - h_step)) / (h_step * h_step)
     j = anger_J(gamma, -x, cfg).value
@@ -79,6 +78,8 @@ def series_partial_sum(gamma: float, rho: float, x: float, K: int,
     verbatim.
     """
     trunc = SeriesTruncation.for_params(rho, K)
+    require_finite("gamma", gamma)
+    require_finite("x", x)
     total = anger_J(gamma, -x, cfg).value
     for k in range(2, K + 1, 2):
         w = math.exp(-k * trunc.t_param)
@@ -97,10 +98,8 @@ def q_from_g(gamma: float, xi: float, x: float,
     For gamma < 1 the gamma - 1 term has negative order and is evaluated
     directly from the defining integral.
     """
-    if not (math.isfinite(xi) and xi > 1.0):
-        raise DomainError(f"xi must be > 1 strictly, got {xi}")
-    if not (math.isfinite(gamma) and gamma >= 0.0):
-        raise DomainError(f"gamma must be >= 0, got {gamma}")
+    require_above("xi", xi, 1.0)
+    require_at_least("gamma", gamma, 0.0)
     rho = math.sqrt(xi * xi - 1.0)
     g0 = eval_G_any_order(gamma, rho, x, cfg)
     gp = eval_G_any_order(gamma + 1.0, rho, x, cfg)

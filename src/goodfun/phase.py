@@ -31,7 +31,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .constants import GAMMA_THIRD, GAMMA_TWO_THIRDS, Constants, get_constants
-from .core import DomainError, HypothesisViolated
+from .core import DomainError, HypothesisViolated, require_above
 
 __all__ = ["AmplitudeBounds", "PhaseProblem", "check_hypotheses",
            "two_term_expansion", "expansion_with_conjugation", "substitution_tau"]
@@ -70,8 +70,7 @@ class PhaseProblem:
     bounds: AmplitudeBounds
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.b) and self.b > 0.0):
-            raise DomainError(f"b must be finite and > 0, got {self.b}")
+        require_above("b", self.b, 0.0)
 
 
 def _fd_derivatives(psi, scale: float) -> Tuple[float, float, float, float, float]:
@@ -122,8 +121,7 @@ def check_hypotheses(prob: PhaseProblem, tol: float = _HYP_TOL) -> None:
 def two_term_expansion(prob: PhaseProblem, x: float,
                        constants: Optional[Constants] = None) -> Tuple[complex, float]:
     """Return (main, rest_bound) of the expansion at x > 2."""
-    if not (math.isfinite(x) and x > 2.0):
-        raise DomainError(f"two_term_expansion requires x > 2, got {x}")
+    require_above("x", x, 2.0)
     check_hypotheses(prob)
     c = get_constants(constants)
     f0 = complex(np.asarray(prob.f(np.array([0.0])))[0])

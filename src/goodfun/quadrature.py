@@ -32,7 +32,8 @@ from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .core import DomainError, EnvelopeViolated, NumericalError, QuadConfig
+from .core import (EnvelopeViolated, NumericalError, QuadConfig, require_above,
+                   require_finite)
 
 __all__ = [
     "HotSpot",
@@ -92,6 +93,9 @@ _WG = np.array([
 _CHUNK_PANELS = 200_000   # ~3M integrand evaluations per chunk
 _MAX_ROUNDS = 500
 _EPS = float(np.finfo(np.float64).eps)
+# geometric refinement toward a hot spot stops at panels of length
+# _ENDPOINT_SCALE * width (width is the hot-spot scale, e.g. rho)
+_ENDPOINT_SCALE = 0.25
 
 
 @dataclass(frozen=True)
@@ -295,11 +299,11 @@ def _subdivide(points: Sequence[float], cap: float, max_panels: int):
     return np.unique(np.concatenate(edges)), ok
 
 
-def _hot_spot_points(f: Integrand, a: float, b: float, cfg: QuadConfig) -> list:
+def _hot_spot_points(f: Integrand, a: float, b: float) -> list:
     length = b - a
     pts = []
     for hs in f.hot_spots:
-        w = hs.width * cfg.endpoint_scale
+        w = hs.width * _ENDPOINT_SCALE
         if not (w > 0.0) or w >= length:
             continue
         w = max(w, length * 1e-14)  # keep the ladder finite for tiny widths
@@ -321,12 +325,10 @@ def integrate_finite(f: Integrand, a: float, b: float,
     value and estimate returned are still the honest best effort).
     """
     cfg = cfg or QuadConfig()
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise DomainError(f"integration bounds must be finite, got [{a}, {b}]")
-    if not a < b:
-        raise DomainError(f"integration requires a < b, got [{a}, {b}]")
+    require_finite("a", a)
+    require_above("b", b, a)
     cap = _osc_cap(f.osc_frequency, cfg)
-    points = sorted(set([a, b] + _hot_spot_points(f, a, b, cfg)))
+    points = sorted(set([a, b] + _hot_spot_points(f, a, b)))
     edges, mesh_ok = _subdivide(points, cap, cfg.max_panels)
     return _adaptive(f.fn, edges, cfg, mesh_ok)
 
@@ -377,7 +379,7 @@ def integrate_tail(g: Integrand, envelope: Envelope,
         if big_t > 1.0:
             points += list(np.geomspace(1.0, big_t, max(2, int(4 * math.log2(big_t)) + 1))[1:])
     tail = envelope.tail(big_t)
-    spots = _hot_spot_points(g, 0.0, big_t, cfg)
+    spots = _hot_spot_points(g, 0.0, big_t)
     edges, mesh_ok = _subdivide(sorted(set(points + spots)), cap, cfg.max_panels)
     res = _adaptive(_checked(g.fn, envelope), edges, cfg, mesh_ok and not truncated)
     return QuadResult(res.value, res.err + tail, res.converged, res.panels)

@@ -32,7 +32,8 @@ import numpy as np
 
 from .constants import GAMMA_THIRD, Constants, get_constants
 from .core import (DomainError, EvalResult, NumericalError, QuadConfig, Regime,
-                   RegimeKind, cos_pi, sin_pi)
+                   RegimeKind, cos_pi, require_above, require_at_least,
+                   require_finite, sin_pi)
 from .good import eval_H
 from .quadrature import (AlgebraicEnvelope, CubicExpEnvelope, Integrand,
                          QuadResult, integrate_tail)
@@ -80,8 +81,7 @@ def rotated_cubic_integral(rate: float, cfg: Optional[QuadConfig] = None) -> Qua
     rotated integrand is non-oscillatory.  rate = 0 falls back to the
     algebraic envelope.
     """
-    if not (math.isfinite(rate) and rate >= 0.0):
-        raise DomainError(f"rate must be >= 0, got {rate}")
+    require_at_least("rate", rate, 0.0)
 
     def fn(t: np.ndarray) -> np.ndarray:
         denom = 1.0 + _ROT * t * t
@@ -102,8 +102,7 @@ def rotated_cubic_integral(rate: float, cfg: Optional[QuadConfig] = None) -> Qua
 
 def cubic_tail(lam: float, cfg: Optional[QuadConfig] = None) -> CubicTailIntegral:
     """Evaluate V(lam) = int_0^inf exp(i lam t^3/6)/(1+t^2) dt for lam >= 0."""
-    if not (math.isfinite(lam) and lam >= 0.0):
-        raise DomainError(f"cubic_tail requires lam >= 0, got {lam}")
+    require_at_least("lam", lam, 0.0)
     if lam == 0.0:
         # arctangent integral, exactly pi/2
         return CubicTailIntegral(lam=0.0, value=complex(math.pi / 2.0), c_mod=math.pi / 2.0,
@@ -116,8 +115,7 @@ def cubic_tail(lam: float, cfg: Optional[QuadConfig] = None) -> CubicTailIntegra
 
 def i_lambda_oracle(lam: float, cfg: Optional[QuadConfig] = None) -> QuadResult:
     """Rotated-contour value of I(lam) = int_0^inf exp(i lam u^3)/(1+u^2) du."""
-    if not (math.isfinite(lam) and lam > 0.0):
-        raise DomainError(f"i_lambda_oracle requires lam > 0, got {lam}")
+    require_above("lam", lam, 0.0)
     return rotated_cubic_integral(lam, cfg)
 
 
@@ -127,8 +125,7 @@ def i_lambda_asym(lam: float) -> Tuple[complex, float]:
     The bound is explicit (not calibrated): it comes from
     |1/(1 + e^{i pi/3} t^2) - 1| <= t^2 on the rotated ray.
     """
-    if not (math.isfinite(lam) and lam > 0.0):
-        raise DomainError(f"i_lambda_asym requires lam > 0, got {lam}")
+    require_above("lam", lam, 0.0)
     main = _ROT_HALF * GAMMA_THIRD / (3.0 * lam ** (1.0 / 3.0))
     return main, 1.0 / (3.0 * lam)
 
@@ -136,10 +133,8 @@ def i_lambda_asym(lam: float) -> Tuple[complex, float]:
 def h_asym_large(x: float, rho: float,
                  constants: Optional[Constants] = None) -> EvalResult:
     """Large-s approximation of H; error estimate C_large/(x rho^4)."""
-    if not (math.isfinite(x) and x > 2.0):
-        raise DomainError(f"h_asym_large requires x > 2, got {x}")
-    if not (math.isfinite(rho) and rho > 0.0):
-        raise DomainError(f"rho must be > 0 strictly, got {rho}")
+    require_above("x", x, 2.0)
+    require_above("rho", rho, 0.0)
     c = get_constants(constants)
     value = (GAMMA_THIRD / (3.0 * math.pi * rho * rho)
              * cos_pi(x - 1.0 / 6.0) * (6.0 / x) ** (1.0 / 3.0))
@@ -151,12 +146,8 @@ def h_asym_large(x: float, rho: float,
 def h_asym_small(x: float, rho: float, cfg: Optional[QuadConfig] = None,
                  constants: Optional[Constants] = None) -> EvalResult:
     """Small-rho approximation of H; error estimate the O(1) constant C_small."""
-    if not (math.isfinite(x) and x > 0.0):
-        raise DomainError(f"h_asym_small requires x > 0, got {x}")
-    if not (math.isfinite(rho) and rho > 0.0):
-        raise DomainError(f"rho must be > 0 strictly, got {rho}")
+    regime = classify(x, rho, constants)  # validates x > 0 and rho > 0
     c = get_constants(constants)
-    regime = classify(x, rho, constants)
     tail = cubic_tail(regime.s, cfg)
     # Re{ e^{-i pi x} V } with exact mod-2 reduction of the phase
     osc = cos_pi(x) * tail.value.real + sin_pi(x) * tail.value.imag
@@ -167,22 +158,21 @@ def h_asym_small(x: float, rho: float, cfg: Optional[QuadConfig] = None,
 
 def classify(x: float, rho: float, constants: Optional[Constants] = None) -> Regime:
     """Classify (x, rho) into the asymptotic regime used by h_approx."""
-    if not (math.isfinite(x) and x > 0.0 and math.isfinite(rho) and rho > 0.0):
-        raise DomainError(f"classify requires positive finite inputs, got x={x}, rho={rho}")
+    require_above("x", x, 0.0)
+    require_above("rho", rho, 0.0)
     c = get_constants(constants)
-    u = x * rho
-    s = (u * rho) * rho
+    r = Regime.diagnostics(RegimeKind.FIXED_POINT, x, rho)
     if x <= 2.0:
-        kind = RegimeKind.FIXED_POINT
-    elif s >= c.s_hi or rho >= c.rho_cut:
+        return r
+    if r.s >= c.s_hi or rho >= c.rho_cut:
         kind = RegimeKind.LARGE_S
-    elif s > c.s_lo:
+    elif r.s > c.s_lo:
         kind = RegimeKind.CRITICAL_S
-    elif u >= c.u_hi:
+    elif r.u >= c.u_hi:
         kind = RegimeKind.SMALL_S_LARGE_U
     else:
         kind = RegimeKind.FINITE_U
-    return Regime(kind=kind, s=s, u=u)
+    return Regime(kind=kind, s=r.s, u=r.u)
 
 
 def h_approx(x: float, rho: float, cfg: Optional[QuadConfig] = None,
@@ -216,14 +206,15 @@ def corollary_path_main(alpha: float, eta: float, rho: float,
     quadrature oracle.  eta = 0 is accepted for alpha <= 3 as the
     degenerate limit of the bottom rows (x = 0).
     """
-    if not (math.isfinite(alpha) and alpha > 0.0):
-        raise DomainError(f"alpha must be > 0, got {alpha}")
-    if not (math.isfinite(eta) and eta >= 0.0):
-        raise DomainError(f"eta must be >= 0, got {eta}")
-    if not (math.isfinite(rho) and rho > 0.0):
-        raise DomainError(f"rho must be > 0 strictly, got {rho}")
+    require_above("alpha", alpha, 0.0)
+    require_at_least("eta", eta, 0.0)
+    require_above("rho", rho, 0.0)
     c = get_constants(constants)
-    x = eta * rho ** (-alpha)
+    try:
+        x = eta * rho ** (-alpha)
+    except OverflowError:  # rho**-alpha beyond binary64
+        x = math.inf
+    require_finite("x", x)
     if x <= 2.0 and eta > 0.0:
         raise DomainError(f"path point x = eta*rho^-alpha = {x} is not > 2; "
                           "take rho small enough")

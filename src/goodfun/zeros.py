@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .core import DomainError, QuadConfig
+from .core import DomainError, QuadConfig, require_above
 from .good import eval_H
 
 __all__ = ["ZeroRecord", "find_zeros"]
@@ -28,6 +28,8 @@ __all__ = ["ZeroRecord", "find_zeros"]
 logger = logging.getLogger(__name__)
 
 _SUBSCAN = 8  # coarse points per bracket when checking for extra sign changes
+_ZERO_TOL = 1e-9        # residual |H(x0)| above _ZERO_TOL + err is logged
+_BRACKET_WIDTH = 1e-10  # bisection stops once the bracket is this narrow
 
 
 @dataclass(frozen=True)
@@ -48,8 +50,8 @@ class ZeroRecord:
             raise DomainError(f"x_zero {self.x_zero} outside bracket {self.bracket}")
 
 
-def _bisect(h, lo: float, hi: float, f_lo: float, width: float) -> float:
-    while hi - lo > width:
+def _bisect(h, lo: float, hi: float, f_lo: float) -> float:
+    while hi - lo > _BRACKET_WIDTH:
         mid = 0.5 * (lo + hi)
         f_mid = h(mid)
         if f_mid == 0.0:
@@ -62,13 +64,11 @@ def _bisect(h, lo: float, hi: float, f_lo: float, width: float) -> float:
 
 
 def find_zeros(rho: float, x_min: float, x_max: float,
-               cfg: Optional[QuadConfig] = None, *, zero_tol: float = 1e-9,
-               bracket_width: float = 1e-10) -> List[ZeroRecord]:
+               cfg: Optional[QuadConfig] = None) -> List[ZeroRecord]:
     """Locate zeros of H(., rho) on [x_min, x_max]; see the module docstring."""
-    if not (math.isfinite(rho) and rho > 0.0):
-        raise DomainError(f"rho must be > 0 strictly, got {rho}")
-    if not (2.0 < x_min < x_max):
-        raise DomainError(f"need 2 < x_min < x_max, got [{x_min}, {x_max}]")
+    require_above("rho", rho, 0.0)
+    require_above("x_min", x_min, 2.0)
+    require_above("x_max", x_max, x_min)
     k_lo = math.ceil(x_min - 1.0 / 6.0)
     k_hi = math.floor(x_max - 1.0 / 6.0)
     if k_hi < k_lo:
@@ -107,12 +107,12 @@ def find_zeros(rho: float, x_min: float, x_max: float,
         for i in range(_SUBSCAN):
             if (fsub[i] > 0.0) == (fsub[i + 1] > 0.0):
                 continue
-            x0 = _bisect(h, sub[i], sub[i + 1], fsub[i], bracket_width)
+            x0 = _bisect(h, sub[i], sub[i + 1], fsub[i])
             if not x_min <= x0 <= x_max:
                 continue
             hv = eval_H(x0, rho, cfg)
             residual = abs(hv.h)
-            if residual > zero_tol + hv.err:
+            if residual > _ZERO_TOL + hv.err:
                 logger.warning("residual %.3e above zero_tol+err at x=%.12g", residual, x0)
             records.append(ZeroRecord(x_zero=x0, bracket=(xa, xb), rho=rho,
                                       residual=residual))

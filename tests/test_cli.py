@@ -225,3 +225,34 @@ def test_constants_env_override(tmp_path, capsys, monkeypatch):
     finally:
         monkeypatch.delenv("GOODFUN_CONSTANTS")
         constants_mod.clear_cache()
+
+
+def test_scan_tiny_rho_is_a_domain_error(tmp_path, capsys):
+    code, _, err = run(capsys, "scan", "--alpha", "2", "--eta", "1",
+                       "--rho-range", "1e-200:1e-199",
+                       "--out", str(tmp_path / "s.csv"))
+    assert code == 2
+    assert "x must be finite" in err
+
+
+_VALID = {
+    "calibrate": ["--quick"],
+    "zeros": ["--rho", "1", "--xmin", "10", "--xmax", "13"],
+    "eval": ["--fn", "H", "--x", "0", "--rho", "1"],
+    "scan": ["--alpha", "2", "--eta", "1", "--rho-range", "1e-3:1e-2"],
+}
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("calibrate", "--tol=1e-3"), ("calibrate", "--rel-tol=1e-3"),
+    ("calibrate", "--max-panels=10"), ("calibrate", "--best-effort"),
+    ("calibrate", "--json"), ("calibrate", "--csv"), ("calibrate", "--threads=8"),
+    ("zeros", "--threads=2"), ("zeros", "--best-effort"),
+    ("eval", "--threads=2"), ("scan", "--best-effort"),
+])
+def test_subcommands_reject_flags_they_ignore(command, flag, tmp_path, capsys):
+    # --out keeps a parser that wrongly accepts the flag off the packaged files
+    with pytest.raises(SystemExit) as exc:
+        main([command, *_VALID[command], "--out", str(tmp_path / "out"), flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -42,8 +42,6 @@ def test_quad_config_rejects_nonpositive():
         QuadConfig(abs_tol=0.0)
     with pytest.raises(DomainError):
         QuadConfig(max_panels=0)
-    with pytest.raises(DomainError):
-        QuadConfig(endpoint_scale=-1.0)
 
 
 def test_regime_diagnostics_consistent():

@@ -202,6 +202,14 @@ def test_corollary_domain_errors():
         corollary_path_main(-1.0, 1.0, 1e-2)
 
 
+def test_corollary_refuses_path_point_beyond_binary64():
+    # rho**-alpha overflows binary64; the point x is refused, not a crash
+    with pytest.raises(DomainError, match="^x must be finite"):
+        corollary_path_main(2.0, 1.0, 1e-200)
+    with pytest.raises(DomainError, match="^x must be finite"):
+        corollary_path_main(0.5, 1e300, 1e-30)  # eta * rho**-alpha overflows
+
+
 def test_large_law_prefactor_resolution():
     # the doubled prefactor variant is ruled out by the oracle
     x, rho = 1e4, 1.0
