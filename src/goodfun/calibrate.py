@@ -32,19 +32,6 @@ __all__ = ["calibrate", "good_amplitude_problem",
 # values are constant-free during sweeps; only error fields would use these
 _PROVISIONAL = Constants(1, 1, 1, 1, 1, 1)
 
-# oracle evaluations at x >= 2e5 use looser targets and a larger panel
-# budget; the claimed error stays far below the O(1) bounds measured
-_BIG_X = 2e5
-_BIG_CFG = QuadConfig(abs_tol=1e-6, rel_tol=1e-7, max_panels=8_000_000,
-                      oscillation_panel_factor=0.5)
-
-
-def _h_cfg(x: float, cfg: Optional[QuadConfig]) -> QuadConfig:
-    if cfg is not None:
-        return cfg
-    return _BIG_CFG if x >= _BIG_X else QuadConfig()
-
-
 def good_amplitude_problem(rho: float) -> PhaseProblem:
     """PhaseProblem for the Good amplitude 1/(rho^2 + sin^2 t) on [0, pi].
 
@@ -140,7 +127,7 @@ def sweep_h_large(rhos: Sequence[float], xs: Sequence[float],
     worst = 0.0
     for rho in rhos:
         for x in xs:
-            h = eval_H(x, rho, _h_cfg(x, cfg)).h
+            h = eval_H(x, rho, cfg).h
             a = h_asym_large(x, rho, _PROVISIONAL).value
             worst = max(worst, x * rho ** 4 * abs(h - a))
     return worst
@@ -161,7 +148,7 @@ def sweep_h_small(points: Sequence[Tuple[float, float, str]],
                   cfg: Optional[QuadConfig] = None) -> float:
     worst = 0.0
     for x, rho, kind in points:
-        h = eval_H(x, rho, _h_cfg(x, cfg)).h
+        h = eval_H(x, rho, cfg).h
         worst = max(worst, abs(h - _case_value(kind, x, rho)))
     return worst
 

@@ -318,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate", parents=[files],
                        help="re-run the remainder-constant sweep and rewrite "
                             "the constants file")
-    p.add_argument("--quick", action="store_true", help="documented subgrid")
+    p.add_argument("--quick", action="store_true", help="documented subgrid (needs --out)")
     p.set_defaults(func=cmd_calibrate)
     return parser
 
@@ -326,6 +326,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "calibrate" and args.quick and args.out is None:
+        # the subgrid constants sit below the shipped ones; never replace them
+        parser.error("calibrate --quick needs --out (it would overwrite the constants file)")
     try:
         return args.func(args)
     except DomainError as exc:

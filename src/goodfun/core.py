@@ -10,6 +10,7 @@ All types here are immutable values and safe to share between threads.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Union
@@ -132,6 +133,9 @@ class QuadConfig:
     oscillation_panel_factor: float = 0.25
 
     def __post_init__(self) -> None:
+        if not isinstance(self.max_panels, numbers.Integral):
+            raise DomainError(
+                f"QuadConfig.max_panels must be an integer, got {self.max_panels!r}")
         for name in ("abs_tol", "rel_tol", "max_panels", "oscillation_panel_factor"):
             require_above(f"QuadConfig.{name}", getattr(self, name), 0.0)
 

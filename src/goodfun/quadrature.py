@@ -293,10 +293,15 @@ def _subdivide(points: Sequence[float], cap: float, max_panels: int):
         ok = False
         scale = total / max_panels
         counts = np.maximum(1, (counts / scale).astype(np.int64))
-    edges = [points[:1]]
-    for i, n in enumerate(counts):
-        edges.append(np.linspace(points[i], points[i + 1], int(n) + 1)[1:])
-    return np.unique(np.concatenate(edges)), ok
+    # segment i contributes points[i] + j*step_i for j < counts[i], the
+    # arithmetic of np.linspace(points[i], points[i + 1], counts[i] + 1)
+    first = np.repeat(np.cumsum(counts) - counts, counts)
+    j = np.arange(first.size) - first
+    edges = np.append(j * np.repeat(seg / counts, counts) + np.repeat(points[:-1], counts),
+                      points[-1])
+    if not np.all(edges[1:] > edges[:-1]):
+        edges = np.unique(edges)  # a rounded step overtook the segment end
+    return edges, ok
 
 
 def _hot_spot_points(f: Integrand, a: float, b: float) -> list:

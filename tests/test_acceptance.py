@@ -15,7 +15,6 @@ from goodfun import (GoodParams, anger_J, anger_shifted_asym,
                      find_zeros, h_asym_large, h_asym_small, i_lambda_asym,
                      i_lambda_oracle, load_constants, ode_residual, q_from_g,
                      series_partial_sum)
-from goodfun.calibrate import _BIG_CFG
 from goodfun.cli import main as cli_main
 from goodfun.core import cos_pi
 
@@ -111,7 +110,7 @@ def test_criterion_06_critical_regime():
         rho = 1e-2
         for s in [0.5, 1.0, 6.0]:
             x = s / rho ** 3
-            h = eval_H(x, rho, _BIG_CFG).h
+            h = eval_H(x, rho).h
             approx = h_asym_small(x, rho)
             assert abs(h - approx.value) <= CONSTS.c_h_small, s
             v = cubic_tail(approx.regime.s)

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from pathlib import Path
 
 import pytest
 
@@ -52,8 +53,9 @@ def test_eval_missing_parameter_exit_2(capsys):
 
 
 def test_eval_tolerance_exit_3_and_best_effort(capsys):
-    # a starved panel budget cannot honor the anti-aliasing cap
-    argv = ["eval", "--fn", "H", "--x", "1e4", "--rho", "1", "--max-panels", "50"]
+    # a starved panel budget cannot honor the anti-aliasing cap (x below
+    # X_C, where H is integrated on the real axis)
+    argv = ["eval", "--fn", "H", "--x", "90", "--rho", "1", "--max-panels", "50"]
     code, out, _ = run(capsys, *argv)
     assert code == 3
     assert json.loads(out)["converged"] is False
@@ -195,6 +197,16 @@ def test_calibrate_quick_reproduces_committed(tmp_path, capsys):
         assert q <= f * 1.0001, name
         assert q >= f / 10.0, name
     assert "->" in stdout
+
+
+def test_calibrate_quick_without_out_is_a_usage_error(capsys):
+    packaged = Path(constants_mod.__file__).parent / "data" / "constants.txt"
+    before = packaged.read_bytes()
+    with pytest.raises(SystemExit) as exc:
+        main(["calibrate", "--quick"])
+    assert exc.value.code == 2
+    assert "--out" in capsys.readouterr().err
+    assert packaged.read_bytes() == before
 
 
 def test_calibrate_full_reproduces_committed(tmp_path, capsys):

@@ -1,12 +1,16 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goodfun import (DomainError, GoodParams, PrecisionError, QuadConfig,
                      anger_J, bounds_H, eval_G, eval_G_any_order, eval_H,
-                     eval_Q)
+                     eval_Q, h_asym_large)
+from goodfun import good
+from goodfun.good import RHO_MIN, X_C
+from goodfun.quadrature import Integrand
 
 # pinned by independent high-precision quadrature (30-digit working precision)
 G_2_1_3 = 0.339022902852306367
@@ -151,3 +155,66 @@ def test_tiny_rho_refused_by_default():
         eval_H(1.0, 1e-7)
     hv = eval_H(1.0, 1e-7, QuadConfig(), allow_tiny_rho=True)
     assert hv.h != 0.0
+
+
+# -- the complex contour used from |x| = X_C on ------------------------------
+
+@pytest.mark.parametrize("rho", [1e-3, 1e-2, 0.1, 1.0, 2.0])
+@pytest.mark.parametrize("x", [1e2, 1e3, 1e4, 1e5])
+def test_contour_agrees_with_real_axis(x, rho):
+    c_val, c_err, c_ok = good._contour(x, rho, None, False)
+    r_val, r_err, r_ok = good._real_axis(x, rho, None, False)
+    assert c_ok and r_ok
+    assert abs(c_val - r_val) <= c_err + r_err
+
+
+@pytest.mark.parametrize("x", [3e5, 1e9])
+def test_contour_converges_at_large_x(x):
+    hv = eval_H(x, 1.0)
+    assert hv.converged
+    law = h_asym_large(x, 1.0)
+    assert abs(hv.h - law.value) <= law.error_estimate + hv.err
+
+
+@settings(max_examples=20, deadline=None)
+@given(x=st.floats(X_C, 1e7), rho=st.floats(1e-3, 10.0))
+def test_contour_parity(x, rho):
+    a, b = eval_H(-x, rho), eval_H(x, rho)
+    assert a.h == b.h
+    assert a.h_complex == b.h_complex.conjugate()
+    assert a.err == b.err and a.converged and b.converged
+
+
+@pytest.mark.parametrize("rho", [1e-3, 0.1, 1.0, 10.0])
+def test_crossover_is_continuous(rho):
+    below = eval_H(math.nextafter(X_C, 0.0), rho)
+    at = eval_H(X_C, rho)
+    step = X_C - math.nextafter(X_C, 0.0)
+    assert abs(below.h - at.h) <= below.err + at.err + bounds_H(X_C, rho).bx * step
+
+
+def _fevals(monkeypatch, x, rho):
+    count = [0]
+    integrate = good.integrate_finite
+
+    def counting(f, *args):
+        def fn(t):
+            count[0] += np.size(t)
+            return f.fn(t)
+        return integrate(Integrand(fn, f.osc_frequency, f.hot_spots), *args)
+
+    monkeypatch.setattr(good, "integrate_finite", counting)
+    eval_H(x, rho)
+    monkeypatch.undo()
+    return count[0]
+
+
+@pytest.mark.parametrize("rho", [1e-3, 1.0])
+def test_contour_cost_does_not_grow_with_x(monkeypatch, rho):
+    assert _fevals(monkeypatch, 1e7, rho) <= _fevals(monkeypatch, 1e3, rho)
+
+
+@pytest.mark.parametrize("x", [X_C, 1e3, 1e5, 1e7, 1e9])
+def test_connector_bound_is_negligible(x):
+    for rho in np.geomspace(RHO_MIN, 100.0, 41):
+        assert good._connector_bound(x, float(rho)) < 1e-3 * QuadConfig().abs_tol

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from goodfun import quadrature
 from goodfun import (AlgebraicEnvelope, CubicExpEnvelope, EnvelopeViolated,
                      HotSpot, Integrand, NumericalError, QuadConfig,
                      integrate_finite, integrate_tail)
@@ -126,3 +127,36 @@ def test_envelope_within_ten_percent_tolerated():
     g = Integrand(lambda t: 1.05 / (1.0 + t * t))
     res = integrate_tail(g, AlgebraicEnvelope(1.0))
     assert abs(res.value - 1.05 * math.pi / 2.0) <= 1.1 * res.err
+
+
+def _subdivide_by_linspace(points, cap, max_panels):
+    """The per-segment np.linspace mesh that _subdivide must reproduce."""
+    points = np.asarray(points, dtype=np.float64)
+    seg = np.diff(points)
+    counts = np.maximum(1, np.ceil(seg / cap).astype(np.int64))
+    total = int(counts.sum())
+    if total > max_panels:
+        counts = np.maximum(1, (counts / (total / max_panels)).astype(np.int64))
+    edges = [points[:1]]
+    for i, n in enumerate(counts):
+        edges.append(np.linspace(points[i], points[i + 1], int(n) + 1)[1:])
+    return np.unique(np.concatenate(edges)), total <= max_panels
+
+
+@pytest.mark.parametrize("max_panels", [200_000, 50])
+@pytest.mark.parametrize("rho", np.geomspace(1e-6, 100.0, 9))
+@pytest.mark.parametrize("x", [0.0, 1.0, 10.0, 63.0, 99.0, 1e3, 1e4])
+def test_mesh_is_the_linspace_mesh(x, rho, max_panels):
+    # the two halves of the real-axis H fold, as integrate_finite meshes them
+    cfg = QuadConfig(max_panels=max_panels)
+    for freq in (abs(x), 0.5 * abs(x)):
+        f = Integrand(np.cos, freq, (HotSpot(0.0, float(rho)),))
+        points = sorted(set([0.0, math.pi / 2] + quadrature._hot_spot_points(
+            f, 0.0, math.pi / 2)))
+        cap = quadrature._osc_cap(freq, cfg)
+        if not math.isfinite(cap):
+            continue
+        edges, ok = quadrature._subdivide(points, cap, max_panels)
+        ref, ref_ok = _subdivide_by_linspace(points, cap, max_panels)
+        assert ok == ref_ok
+        assert edges.tobytes() == ref.tobytes()

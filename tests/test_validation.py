@@ -4,11 +4,12 @@ import re
 
 import pytest
 
-from goodfun import (DomainError, anger_J, anger_diag_asym, anger_reflected_asym,
-                     anger_shifted_asym, bounds_H, classify, corollary_path_main,
-                     cubic_tail, eval_G_any_order, eval_H, find_zeros, h_asym_large,
-                     h_asym_small, i_lambda_asym, i_lambda_oracle, q_from_g,
-                     series_partial_sum, two_term_expansion)
+from goodfun import (DomainError, QuadConfig, anger_J, anger_diag_asym,
+                     anger_reflected_asym, anger_shifted_asym, bounds_H, classify,
+                     corollary_path_main, cubic_tail, eval_G_any_order, eval_H,
+                     find_zeros, h_asym_large, h_asym_small, i_lambda_asym,
+                     i_lambda_oracle, q_from_g, series_partial_sum,
+                     two_term_expansion)
 from goodfun.calibrate import unit_amplitude_problem
 
 _UNIT = unit_amplitude_problem()
@@ -54,3 +55,13 @@ PARAMS = [
 def test_entry_point_refuses_bad_parameter(fn, kwargs, name, bad):
     with pytest.raises(DomainError, match=rf"^\|?{re.escape(name)}\|? must"):
         fn(**{**kwargs, name: bad})
+
+
+@pytest.mark.parametrize("bad", [30.5, 30.0, "30", math.nan, math.inf])
+def test_quad_config_refuses_non_integer_max_panels(bad):
+    with pytest.raises(DomainError, match=r"^QuadConfig\.max_panels must"):
+        QuadConfig(max_panels=bad)
+
+
+def test_quad_config_accepts_integer_max_panels():
+    assert eval_H(50.0, 1.0, QuadConfig(max_panels=30)).converged is False
