@@ -121,7 +121,7 @@ def _contour_ends(x: float) -> Tuple[complex, complex]:
     on the first ray; near pi, g(pi + t e^{5i pi/6}) ~ pi + i t^3/6, so at
     t = (6 _DECAY/x)^(1/3) on the second.
     """
-    t0 = _DECAY / (2.0 * x * _DIR_0.imag)
+    t0 = (0.5 * _DECAY) / (x * _DIR_0.imag)   # 2 x would overflow near float max
     t_pi = (6.0 * _DECAY / x) ** (1.0 / 3.0)
     return t0 * _DIR_0, t_pi * _DIR_PI
 
@@ -140,8 +140,9 @@ def _connector_bound(x: float, rho: float) -> float:
     s1 = math.sin(-w1.real)                 # sin a1, a1 = pi + Re w1 = Re P1
     decay_0 = x * (p0 + cmath.sin(p0)).imag
     decay_1 = x * _w_minus_sin(w1).imag
-    up = math.exp(-decay_0) / (x * (1.0 + math.cos(a0)) * math.sin(a0)
-                               * math.hypot(math.sinh(h0), rho))
+    # both sides halved (exactly) so that x (1 + cos a0) cannot overflow
+    up = 0.5 * math.exp(-decay_0) / (0.5 * x * (1.0 + math.cos(a0)) * math.sin(a0)
+                                     * math.hypot(math.sinh(h0), rho))
     sh = math.sinh(h1)
     across = math.exp(-decay_1) / math.hypot(sh, rho) * (
         math.exp(-x * sh * math.cos(w1.real)) * math.log(1.0 / math.tan(0.5 * a0))

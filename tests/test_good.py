@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -174,6 +175,21 @@ def test_contour_converges_at_large_x(x):
     assert hv.converged
     law = h_asym_large(x, 1.0)
     assert abs(hv.h - law.value) <= law.error_estimate + hv.err
+
+
+@pytest.mark.parametrize("x", [sys.float_info.max, -sys.float_info.max, 1.7e308, -1.7e308])
+def test_contour_at_the_largest_floats(x):
+    # x is an even integer here, so the large-s law's cos(pi (x - 1/6)) is
+    # cos(pi/6); h_asym_large itself loses that phase at such x
+    hv = eval_H(x, 1.0)
+    law = (math.gamma(1.0 / 3.0) / (3.0 * math.pi) * math.cos(math.pi / 6.0)
+           * (6.0 / abs(x)) ** (1.0 / 3.0))
+    assert hv.converged and math.isfinite(hv.h) and math.isfinite(hv.err)
+    assert abs(hv.h - law) <= hv.err
+    # err is dominated by abs_tol, far above |H| ~ 1e-103: check the digits too
+    assert abs(hv.h - law) <= 1e-6 * law
+    # no term of the connector bound overflows to a silent zero
+    assert good._connector_bound(abs(x), 1.0) == pytest.approx(good._connector_bound(1e300, 1.0))
 
 
 @settings(max_examples=20, deadline=None)
