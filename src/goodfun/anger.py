@@ -19,6 +19,7 @@ and frozen in the constants file; the theory proves only their existence.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Optional
 
 import numpy as np
@@ -61,7 +62,9 @@ def anger_reflected_asym(x: float, constants: Optional[Constants] = None) -> Eva
     """One-term approximation of J_x(-x); error estimate C_ref/x."""
     require_above("x", x, 2.0)
     c = get_constants(constants)
-    value = GAMMA_THIRD / (3.0 * math.pi) * (6.0 / x) ** (1.0 / 3.0) * cos_pi(x - 1.0 / 6.0)
+    # reduce x before the shift: x - 1/6 itself would round at ulp(x)
+    value = (GAMMA_THIRD / (3.0 * math.pi) * (6.0 / x) ** (1.0 / 3.0)
+             * cos_pi(math.fmod(x, 2.0) - 1.0 / 6.0))
     return EvalResult(value=value, error_estimate=c.c_anger_reflected / x, method="asymptotic")
 
 
@@ -72,12 +75,17 @@ def anger_shifted_asym(x: float, k: int,
     For k = 0 this reduces exactly to the reflected form.
     """
     require_above("x", x, 2.0)
-    if not abs(k) <= _K_MAX:  # also refuses NaN
+    if not isinstance(k, numbers.Integral):  # (-1)^k has no meaning otherwise
+        raise DomainError(f"k must be an integer, got {k!r}")
+    if not abs(k) <= _K_MAX:
         raise DomainError(f"|k| must be <= {_K_MAX}, got {k}")
     c = get_constants(constants)
     sign = -1.0 if k % 2 else 1.0
-    t1 = GAMMA_THIRD * (6.0 / x) ** (1.0 / 3.0) * cos_pi(x - 1.0 / 6.0)
-    t2 = k * GAMMA_TWO_THIRDS * (6.0 / x) ** (2.0 / 3.0) * sin_pi(x - 1.0 / 3.0)
-    value = sign / (3.0 * math.pi) * (t1 + t2)
+    r = math.fmod(x, 2.0)
+    # t1 is anger_reflected_asym's value term for term: k = 0 gives it exactly
+    t1 = GAMMA_THIRD / (3.0 * math.pi) * (6.0 / x) ** (1.0 / 3.0) * cos_pi(r - 1.0 / 6.0)
+    t2 = (k * GAMMA_TWO_THIRDS / (3.0 * math.pi) * (6.0 / x) ** (2.0 / 3.0)
+          * sin_pi(r - 1.0 / 3.0))
+    value = sign * (t1 + t2)
     err = c.c_anger_shifted * (1.0 + abs(k) ** 3) / x
     return EvalResult(value=value, error_estimate=err, method="asymptotic")

@@ -13,13 +13,13 @@ shipped file always comes from the full sweep.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from .anger import anger_J, anger_diag_asym, anger_reflected_asym, anger_shifted_asym
 from .constants import Constants
-from .core import QuadConfig, cos_pi
+from .core import cos_pi
 from .good import eval_H
 from .phase import AmplitudeBounds, PhaseProblem, two_term_expansion
 from .quadrature import HotSpot, Integrand, integrate_finite
@@ -69,24 +69,23 @@ def good_amplitude_problem(rho: float) -> PhaseProblem:
                         b=math.pi, bounds=bounds)
 
 
-def sweep_anger_diag(xs: Sequence[float], cfg: Optional[QuadConfig] = None) -> float:
-    return max(xs_val * abs(anger_J(xs_val, xs_val, cfg).value
+def sweep_anger_diag(xs: Sequence[float]) -> float:
+    return max(xs_val * abs(anger_J(xs_val, xs_val).value
                             - anger_diag_asym(xs_val, _PROVISIONAL).value)
                for xs_val in xs)
 
 
-def sweep_anger_reflected(xs: Sequence[float], cfg: Optional[QuadConfig] = None) -> float:
-    return max(x * abs(anger_J(x, -x, cfg).value
+def sweep_anger_reflected(xs: Sequence[float]) -> float:
+    return max(x * abs(anger_J(x, -x).value
                        - anger_reflected_asym(x, _PROVISIONAL).value)
                for x in xs)
 
 
-def sweep_anger_shifted(xs: Sequence[float], ks: Sequence[int],
-                        cfg: Optional[QuadConfig] = None) -> float:
+def sweep_anger_shifted(xs: Sequence[float], ks: Sequence[int]) -> float:
     worst = 0.0
     for x in xs:
         for k in ks:
-            r = abs(anger_J(x + k, -x, cfg).value
+            r = abs(anger_J(x + k, -x).value
                     - anger_shifted_asym(x, k, _PROVISIONAL).value)
             worst = max(worst, x * r / (1.0 + abs(k) ** 3))
     return worst
@@ -100,16 +99,14 @@ def unit_amplitude_problem() -> PhaseProblem:
         b=math.pi, bounds=AmplitudeBounds(1.0, 0.0, 0.0, 0.0))
 
 
-def _phase_oracle(prob: PhaseProblem, x: float, spots: Tuple[HotSpot, ...],
-                  cfg: Optional[QuadConfig]) -> complex:
+def _phase_oracle(prob: PhaseProblem, x: float, spots: Tuple[HotSpot, ...]) -> complex:
     """int_0^b exp(i x psi(t)) f(t) dt by adaptive quadrature."""
     f = Integrand(lambda t: np.exp(1j * x * prob.psi(t)) * prob.f(t),
                   osc_frequency=abs(x), hot_spots=spots)
-    return complex(integrate_finite(f, 0.0, prob.b, cfg).value)
+    return complex(integrate_finite(f, 0.0, prob.b).value)
 
 
-def sweep_phase_engine(rhos: Sequence[float], xs: Sequence[float],
-                       cfg: Optional[QuadConfig] = None) -> float:
+def sweep_phase_engine(rhos: Sequence[float], xs: Sequence[float]) -> float:
     # the Good amplitudes peak at t = pi with width rho; f = 1 has no peak
     cases = [(good_amplitude_problem(rho), (HotSpot(math.pi, rho),)) for rho in rhos]
     cases.append((unit_amplitude_problem(), ()))
@@ -117,17 +114,16 @@ def sweep_phase_engine(rhos: Sequence[float], xs: Sequence[float],
     for prob, spots in cases:
         for x in xs:
             main, _ = two_term_expansion(prob, x, _PROVISIONAL)
-            oracle = _phase_oracle(prob, x, spots, cfg)
+            oracle = _phase_oracle(prob, x, spots)
             worst = max(worst, abs(oracle - main) * x / prob.bounds.total())
     return worst
 
 
-def sweep_h_large(rhos: Sequence[float], xs: Sequence[float],
-                  cfg: Optional[QuadConfig] = None) -> float:
+def sweep_h_large(rhos: Sequence[float], xs: Sequence[float]) -> float:
     worst = 0.0
     for rho in rhos:
         for x in xs:
-            h = eval_H(x, rho, cfg).h
+            h = eval_H(x, rho).h
             a = h_asym_large(x, rho, _PROVISIONAL).value
             worst = max(worst, x * rho ** 4 * abs(h - a))
     return worst
@@ -135,7 +131,7 @@ def sweep_h_large(rhos: Sequence[float], xs: Sequence[float],
 
 def _case_value(kind: str, x: float, rho: float) -> float:
     if kind == "full":
-        return h_asym_small(x, rho, QuadConfig(), _PROVISIONAL).value
+        return h_asym_small(x, rho, constants=_PROVISIONAL).value
     if kind == "case_ii":
         return cos_pi(x) / (2.0 * rho)
     if kind == "case_iii":
@@ -144,11 +140,10 @@ def _case_value(kind: str, x: float, rho: float) -> float:
     raise ValueError(kind)
 
 
-def sweep_h_small(points: Sequence[Tuple[float, float, str]],
-                  cfg: Optional[QuadConfig] = None) -> float:
+def sweep_h_small(points: Sequence[Tuple[float, float, str]]) -> float:
     worst = 0.0
     for x, rho, kind in points:
-        h = eval_H(x, rho, cfg).h
+        h = eval_H(x, rho).h
         worst = max(worst, abs(h - _case_value(kind, x, rho)))
     return worst
 
@@ -190,14 +185,18 @@ def _freeze(x: float) -> float:
     return math.ceil(v / scale) * scale
 
 
-def calibrate(quick: bool = False, cfg: Optional[QuadConfig] = None) -> Constants:
-    """Run the sweeps and return freshly calibrated constants."""
+def calibrate(quick: bool = False) -> Constants:
+    """Run the sweeps and return freshly calibrated constants.
+
+    Every oracle call uses the default ``QuadConfig``: the constants are
+    defined for that configuration only.
+    """
     g = _grids(quick)
     return Constants(
-        c_anger_diag=_freeze(sweep_anger_diag(g["anger_xs"], cfg)),
-        c_anger_reflected=_freeze(sweep_anger_reflected(g["anger_xs"], cfg)),
-        c_anger_shifted=_freeze(sweep_anger_shifted(g["shift_xs"], g["shift_ks"], cfg)),
-        c_phase_engine=_freeze(sweep_phase_engine(g["engine_rhos"], g["engine_xs"], cfg)),
-        c_h_large=_freeze(sweep_h_large(g["large_rhos"], g["large_xs"], cfg)),
-        c_h_small=_freeze(sweep_h_small(g["small_pts"], cfg)),
+        c_anger_diag=_freeze(sweep_anger_diag(g["anger_xs"])),
+        c_anger_reflected=_freeze(sweep_anger_reflected(g["anger_xs"])),
+        c_anger_shifted=_freeze(sweep_anger_shifted(g["shift_xs"], g["shift_ks"])),
+        c_phase_engine=_freeze(sweep_phase_engine(g["engine_rhos"], g["engine_xs"])),
+        c_h_large=_freeze(sweep_h_large(g["large_rhos"], g["large_xs"])),
+        c_h_small=_freeze(sweep_h_small(g["small_pts"])),
     )

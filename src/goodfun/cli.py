@@ -14,9 +14,7 @@ Exit codes: 0 ok, 2 domain error, 3 tolerance failure (suppressed by
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
-import functools
 import hashlib
 import json
 import math
@@ -98,13 +96,6 @@ def _constants_path(args) -> Path:
     return constants_mod.default_constants_path()
 
 
-def _parallel_map(fn, items, threads: int):
-    if threads <= 1:
-        return [fn(it) for it in items]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, items))
-
-
 def cmd_eval(args) -> int:
     cfg = _cfg_from_args(args)
     fn = args.fn.upper()
@@ -169,23 +160,18 @@ def cmd_compare(args) -> int:
     cfg = _cfg_from_args(args)
     consts = load_constants(_constants_path(args))
     xs = _log_grid(args.x_range, "--x-range", args.points)
-
-    def row(x: float):
-        oracle = eval_H(float(x), args.rho, cfg)
-        approx = h_approx(float(x), args.rho, cfg, consts)
-        regime = classify(float(x), args.rho, consts)
-        err_actual = abs(oracle.h - approx.value)
-        flag = "" if (oracle.converged and approx.converged) else "TOL"
-        return (oracle, approx, regime, err_actual, flag)
-
-    results = _parallel_map(row, [float(x) for x in xs], args.threads)
     header = ["x", "rho", "s", "u", "regime", "oracle", "approx",
               "err_claimed", "err_actual", "flag"]
     rows = []
     worst = 0.0
     flagged = False
-    for x, (oracle, approx, regime, err_actual, flag) in zip(xs, results):
+    for x in map(float, xs):
+        oracle = eval_H(x, args.rho, cfg)
+        approx = h_approx(x, args.rho, cfg, consts)
+        regime = classify(x, args.rho, consts)
+        err_actual = abs(oracle.h - approx.value)
         worst = max(worst, err_actual / approx.error_estimate)
+        flag = "" if (oracle.converged and approx.converged) else "TOL"
         flagged = flagged or bool(flag)
         rows.append([_fmt(x), _fmt(args.rho), _fmt(regime.s), _fmt(regime.u),
                      regime.kind.value, _fmt(oracle.h), _fmt(approx.value),
@@ -214,14 +200,12 @@ def cmd_scan(args) -> int:
     cfg = _cfg_from_args(args)
     consts = load_constants(_constants_path(args))
     rhos = _log_grid(args.rho_range, "--rho-range", args.points)
-    path_main = functools.partial(corollary_path_main, args.alpha, args.eta,
-                                  cfg=cfg, constants=consts)
-    results = _parallel_map(path_main, [float(r) for r in rhos], args.threads)
     header = ["rho", "x", "alpha", "eta", "s", "u", "regime", "main_term",
               "err_claimed"]
     rows = []
-    for rho, r in zip(rhos, results):
-        rows.append([_fmt(rho), _fmt(args.eta * float(rho) ** (-args.alpha)),
+    for rho in map(float, rhos):
+        r = corollary_path_main(args.alpha, args.eta, rho, cfg=cfg, constants=consts)
+        rows.append([_fmt(rho), _fmt(args.eta * rho ** (-args.alpha)),
                      _fmt(args.alpha), _fmt(args.eta), _fmt(r.regime.s),
                      _fmt(r.regime.u), r.regime.kind.value, _fmt(r.value),
                      _fmt(r.error_estimate)])
@@ -280,9 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     best_effort = argparse.ArgumentParser(add_help=False)
     best_effort.add_argument("--best-effort", action="store_true",
                              help="exit 0 even when a tolerance was not reached")
-    threads = argparse.ArgumentParser(add_help=False)
-    threads.add_argument("--threads", type=int, default=1,
-                         help="worker threads for table rows (output order is fixed)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eval", parents=[files, quad, fmt, best_effort],
@@ -294,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xi", type=float)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("compare", parents=[files, quad, fmt, best_effort, threads],
+    p = sub.add_parser("compare", parents=[files, quad, fmt, best_effort],
                        help="oracle vs asymptotic table over an x range")
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--x-range", required=True, help="LO:HI (log-spaced)")
@@ -307,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xmax", type=float, required=True)
     p.set_defaults(func=cmd_zeros)
 
-    p = sub.add_parser("scan", parents=[files, quad, fmt, threads],
+    p = sub.add_parser("scan", parents=[files, quad, fmt],
                        help="main-term table along x = eta * rho^-alpha")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--eta", type=float, required=True)

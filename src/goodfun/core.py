@@ -114,29 +114,24 @@ def validate(params: GoodParams) -> GoodParams:
 
 @dataclass(frozen=True)
 class QuadConfig:
-    """Quadrature tolerances and mesh-control knobs.
+    """Quadrature tolerances and the panel budget.
 
     abs_tol, rel_tol
         Target absolute / relative error for an integral.
     max_panels
         Hard cap on the number of panels; when hit, results are returned
         with an honest error estimate and ``converged=False``.
-    oscillation_panel_factor
-        A priori cap on panel length as a fraction of the oscillation
-        period ``2*pi/(1 + osc_frequency)``.  This is deliberately not
-        error-driven, to avoid aliasing traps at large frequencies.
     """
 
     abs_tol: float = 1e-12
     rel_tol: float = 1e-10
     max_panels: int = 200_000
-    oscillation_panel_factor: float = 0.25
 
     def __post_init__(self) -> None:
         if not isinstance(self.max_panels, numbers.Integral):
             raise DomainError(
                 f"QuadConfig.max_panels must be an integer, got {self.max_panels!r}")
-        for name in ("abs_tol", "rel_tol", "max_panels", "oscillation_panel_factor"):
+        for name in ("abs_tol", "rel_tol", "max_panels"):
             require_above(f"QuadConfig.{name}", getattr(self, name), 0.0)
 
 

@@ -82,14 +82,12 @@ def _require_rho(rho: float, allow_tiny_rho: bool) -> None:
 
 
 def _fold(fn_left: _Fn, fn_right: _Fn, freq_left: float, freq_right: float,
-          rho: float, cfg: Optional[QuadConfig],
-          allow_tiny_rho: bool) -> Tuple[complex, float, bool]:
+          rho: float, cfg: Optional[QuadConfig]) -> Tuple[complex, float, bool]:
     """(1/pi) int_0^pi as two halves on [0, pi/2], the right one folded.
 
     ``fn_right`` takes u = pi - th.  Both halves peak at u = 0 with width
     rho.  Returns (value, error estimate, converged).
     """
-    _require_rho(rho, allow_tiny_rho)
     spots = (HotSpot(0.0, rho),)
     left = integrate_finite(Integrand(fn_left, freq_left, spots), 0.0, _HALF_PI, cfg)
     right = integrate_finite(Integrand(fn_right, freq_right, spots), 0.0, _HALF_PI, cfg)
@@ -150,8 +148,7 @@ def _connector_bound(x: float, rho: float) -> float:
     return (up + across) / math.pi
 
 
-def _contour(x: float, rho: float, cfg: Optional[QuadConfig],
-             allow_tiny_rho: bool) -> Tuple[complex, float, bool]:
+def _contour(x: float, rho: float, cfg: Optional[QuadConfig]) -> Tuple[complex, float, bool]:
     """calH(x, rho) for x >= X_C along a contour in the upper half-plane.
 
     The phase g(th) = th + sin th has two critical places on [0, pi]: the
@@ -175,7 +172,6 @@ def _contour(x: float, rho: float, cfg: Optional[QuadConfig],
     The geometry this relies on (Re P0 < pi/2 < Re P1, Im P0 < Im P1)
     holds for every x >= X_C.
     """
-    _require_rho(rho, allow_tiny_rho)
     rho2 = rho * rho
     p0, w1 = _contour_ends(x)
 
@@ -220,6 +216,7 @@ def eval_G_any_order(gamma: float, rho: float, x: float,
     """
     require_finite("gamma", gamma)
     require_finite("x", x)
+    _require_rho(rho, allow_tiny_rho)
     rho2 = rho * rho
     cg, sg = cos_pi(gamma), sin_pi(gamma)
 
@@ -234,7 +231,7 @@ def eval_G_any_order(gamma: float, rho: float, x: float,
         return (cg * np.cos(w) + sg * np.sin(w)) / (rho2 + s * s)
 
     freq = 0.5 * (abs(gamma) + abs(x))
-    value, err, converged = _fold(fn_left, fn_right, freq, freq, rho, cfg, allow_tiny_rho)
+    value, err, converged = _fold(fn_left, fn_right, freq, freq, rho, cfg)
     return EvalResult(value=value.real, error_estimate=err, method="oracle",
                       converged=converged)
 
@@ -258,8 +255,7 @@ def eval_Q(p: GoodParams, cfg: Optional[QuadConfig] = None) -> EvalResult:
                       method="oracle", converged=res.converged)
 
 
-def _real_axis(x: float, rho: float, cfg: Optional[QuadConfig],
-               allow_tiny_rho: bool) -> Tuple[complex, float, bool]:
+def _real_axis(x: float, rho: float, cfg: Optional[QuadConfig]) -> Tuple[complex, float, bool]:
     """calH(x, rho) by the fold on the real axis; cost grows like |x|."""
     rho2 = rho * rho
     phase_pi = complex(cos_pi(x), sin_pi(x))  # e^{i pi x}, reduced exactly mod 2
@@ -273,7 +269,7 @@ def _real_axis(x: float, rho: float, cfg: Optional[QuadConfig],
         s = np.sin(u)
         return phase_pi * np.exp(1j * x * (s - u)) / (rho2 + s * s)
 
-    return _fold(fn_left, fn_right, abs(x), 0.5 * abs(x), rho, cfg, allow_tiny_rho)
+    return _fold(fn_left, fn_right, abs(x), 0.5 * abs(x), rho, cfg)
 
 
 def eval_H(x: float, rho: float, cfg: Optional[QuadConfig] = None, *,
@@ -284,12 +280,13 @@ def eval_H(x: float, rho: float, cfg: Optional[QuadConfig] = None, *,
     calH(-x) = conj(calH(x)); smaller |x| along the real axis.
     """
     require_finite("x", x)
+    _require_rho(rho, allow_tiny_rho)
     if abs(x) >= X_C:
-        value, err, converged = _contour(abs(x), rho, cfg, allow_tiny_rho)
+        value, err, converged = _contour(abs(x), rho, cfg)
         if x < 0:
             value = value.conjugate()
     else:
-        value, err, converged = _real_axis(x, rho, cfg, allow_tiny_rho)
+        value, err, converged = _real_axis(x, rho, cfg)
     return HValue(h=value.real, h_complex=value, err=err, converged=converged)
 
 

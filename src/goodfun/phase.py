@@ -99,15 +99,15 @@ def _fd_derivatives(psi, scale: float) -> Tuple[float, float, float, float, floa
     return p0, d1, d2, d3, d4
 
 
-def check_hypotheses(prob: PhaseProblem, tol: float = _HYP_TOL) -> None:
-    """Raise HypothesisViolated unless the normalized-phase conditions hold."""
+def check_hypotheses(prob: PhaseProblem) -> None:
+    """Raise HypothesisViolated unless the normalized-phase conditions hold to 1e-6."""
     scale = max(1.0, prob.b)
     p0, d1, d2, d3, d4 = _fd_derivatives(prob.psi, scale)
     failures = []
     for name, got, want in (("psi(0)", p0, 0.0), ("psi'(0)", d1, 0.0),
                             ("psi''(0)", d2, 0.0), ("psi'''(0)", d3, 1.0),
                             ("psi''''(0)", d4, 0.0)):
-        if abs(got - want) > tol:
+        if abs(got - want) > _HYP_TOL:
             failures.append(f"{name} = {got:.3e}, expected {want}")
     grid = np.linspace(prob.b / 1000.0, prob.b * (1.0 - 1.0 / 1000.0), 999)
     dpsi = np.asarray(prob.psi_prime(grid))

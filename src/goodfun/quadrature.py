@@ -96,6 +96,10 @@ _EPS = float(np.finfo(np.float64).eps)
 # geometric refinement toward a hot spot stops at panels of length
 # _ENDPOINT_SCALE * width (width is the hot-spot scale, e.g. rho)
 _ENDPOINT_SCALE = 0.25
+# a priori cap on panel length as a fraction of the oscillation period
+# 2*pi/(1 + nu); deliberately not error-driven, to avoid aliasing traps at
+# large frequencies
+_OSC_PANEL_FACTOR = 0.25
 
 
 @dataclass(frozen=True)
@@ -116,8 +120,8 @@ class Integrand:
         domain for valid parameters.
     osc_frequency
         Oscillation scale nu: half the worst-case phase rate.  The mesh
-        caps panels at ``oscillation_panel_factor * 2*pi/(1 + nu)``, so a
-        panel never spans more than about ``2*factor`` periods of the
+        caps panels at ``_OSC_PANEL_FACTOR * 2*pi/(1 + nu)``, so a
+        panel never spans more than about half a period of the
         fastest local oscillation.
     hot_spots
         Peaks toward which the initial mesh refines geometrically.
@@ -268,11 +272,11 @@ def _adaptive(fn, edges: np.ndarray, cfg: QuadConfig, mesh_ok: bool) -> QuadResu
     return QuadResult(total, est, converged and mesh_ok, len(lo))
 
 
-def _osc_cap(osc_frequency: float, cfg: QuadConfig) -> float:
+def _osc_cap(osc_frequency: float) -> float:
     """Panel-length cap from the oscillation scale; unbounded when static."""
     if osc_frequency == 0.0:
         return math.inf
-    return cfg.oscillation_panel_factor * 2.0 * math.pi / (1.0 + abs(osc_frequency))
+    return _OSC_PANEL_FACTOR * 2.0 * math.pi / (1.0 + abs(osc_frequency))
 
 
 def _subdivide(points: Sequence[float], cap: float, max_panels: int):
@@ -332,7 +336,7 @@ def integrate_finite(f: Integrand, a: float, b: float,
     cfg = cfg or QuadConfig()
     require_finite("a", a)
     require_above("b", b, a)
-    cap = _osc_cap(f.osc_frequency, cfg)
+    cap = _osc_cap(f.osc_frequency)
     points = sorted(set([a, b] + _hot_spot_points(f, a, b)))
     edges, mesh_ok = _subdivide(points, cap, cfg.max_panels)
     return _adaptive(f.fn, edges, cfg, mesh_ok)
@@ -370,7 +374,7 @@ def integrate_tail(g: Integrand, envelope: Envelope,
     cfg = cfg or QuadConfig()
     big_t = envelope.cutoff(cfg.abs_tol / 2.0)
     truncated = False
-    cap = _osc_cap(g.osc_frequency, cfg)
+    cap = _osc_cap(g.osc_frequency)
     if g.osc_frequency > 0.0:
         budget_t = 0.5 * cfg.max_panels * cap
         if budget_t < big_t:

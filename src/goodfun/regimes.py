@@ -136,8 +136,9 @@ def h_asym_large(x: float, rho: float,
     require_above("x", x, 2.0)
     require_above("rho", rho, 0.0)
     c = get_constants(constants)
+    # reduce x before the shift: x - 1/6 itself would round at ulp(x)
     value = (GAMMA_THIRD / (3.0 * math.pi * rho * rho)
-             * cos_pi(x - 1.0 / 6.0) * (6.0 / x) ** (1.0 / 3.0))
+             * cos_pi(math.fmod(x, 2.0) - 1.0 / 6.0) * (6.0 / x) ** (1.0 / 3.0))
     return EvalResult(value=value, error_estimate=c.c_h_large / (x * rho ** 4),
                       method="asymptotic",
                       regime=Regime.diagnostics(RegimeKind.LARGE_S, x, rho))
@@ -224,7 +225,7 @@ def corollary_path_main(alpha: float, eta: float, rho: float,
         return h_asym_large(x, rho, constants)
     if alpha == 3.0:
         tail = cubic_tail(eta, cfg)
-        value = tail.c_mod / (math.pi * rho) * cos_pi(x - tail.psi_arg)
+        value = tail.c_mod / (math.pi * rho) * cos_pi(math.fmod(x, 2.0) - tail.psi_arg)
         err = c.c_h_small + tail.err / (math.pi * rho)
         regime = Regime.diagnostics(RegimeKind.CRITICAL_S, x, rho)
     elif alpha > 1.0:

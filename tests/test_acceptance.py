@@ -190,7 +190,7 @@ def test_criterion_12_determinism(tmp_path):
         args = ["compare", "--rho", "1", "--x-range", "1e2:1e3",
                 "--points", "10"]
         assert cli_main(args + ["--out", str(a)]) == 0
-        assert cli_main(args + ["--out", str(b), "--threads", "3"]) == 0
+        assert cli_main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
         ma = json.loads((tmp_path / "a.csv.manifest.json").read_text())
         mb = json.loads((tmp_path / "b.csv.manifest.json").read_text())

@@ -5,7 +5,7 @@ import pytest
 
 from goodfun import (DomainError, anger_J, anger_diag_asym,
                      anger_reflected_asym, anger_shifted_asym, load_constants)
-from goodfun.constants import GAMMA_THIRD
+from goodfun.constants import GAMMA_THIRD, GAMMA_TWO_THIRDS
 
 # pinned by independent high-precision quadrature
 J_3p2_1p5 = 0.00555158604922521878
@@ -74,6 +74,17 @@ def test_reflected_oracle_comparison():
     j = anger_J(x, -x)
     a = anger_reflected_asym(x)
     assert abs(j.value - a.value) <= a.error_estimate + j.error_estimate
+
+
+def test_phase_reduced_before_shift_at_huge_x():
+    # 1e12 is even, so pi (x - 1/6) = pi/12 and pi (x - 1/3) = -pi/12 modulo
+    # 2 pi; forming x - 1/6 first would round at ulp(1e12) ~ 1e-4
+    x = 1e12 + 0.25
+    t1 = GAMMA_THIRD * (6 / x) ** (1 / 3) * math.cos(math.pi / 12)
+    t2 = GAMMA_TWO_THIRDS * (6 / x) ** (2 / 3) * math.sin(-math.pi / 12)
+    assert anger_reflected_asym(x).value == pytest.approx(t1 / (3 * math.pi), rel=1e-14)
+    assert anger_shifted_asym(x, 1).value == pytest.approx(-(t1 + t2) / (3 * math.pi),
+                                                          rel=1e-14)
 
 
 def test_shifted_k0_reduces_to_reflected():

@@ -110,7 +110,7 @@ def test_compare_determinism_and_no_dropped_rows(tmp_path, capsys):
     run(capsys, "compare", "--rho", "0.001", "--x-range", "1e3:1e5",
         "--points", "8", "--out", str(a), "--best-effort")
     run(capsys, "compare", "--rho", "0.001", "--x-range", "1e3:1e5",
-        "--points", "8", "--out", str(b), "--threads", "4", "--best-effort")
+        "--points", "8", "--out", str(b), "--best-effort")
     assert a.read_bytes() == b.read_bytes()
     _, _, rows = _read_csv(a)
     assert len(rows) == 8  # flagged rows are kept, never dropped
@@ -249,6 +249,7 @@ def test_scan_tiny_rho_is_a_domain_error(tmp_path, capsys):
 
 _VALID = {
     "calibrate": ["--quick"],
+    "compare": ["--rho", "1", "--x-range", "1e2:1e3", "--points", "2"],
     "zeros": ["--rho", "1", "--xmin", "10", "--xmax", "13"],
     "eval": ["--fn", "H", "--x", "0", "--rho", "1"],
     "scan": ["--alpha", "2", "--eta", "1", "--rho-range", "1e-3:1e-2"],
@@ -261,6 +262,7 @@ _VALID = {
     ("calibrate", "--json"), ("calibrate", "--csv"), ("calibrate", "--threads=8"),
     ("zeros", "--threads=2"), ("zeros", "--best-effort"),
     ("eval", "--threads=2"), ("scan", "--best-effort"),
+    ("compare", "--threads=2"), ("scan", "--threads=2"),
 ])
 def test_subcommands_reject_flags_they_ignore(command, flag, tmp_path, capsys):
     # --out keeps a parser that wrongly accepts the flag off the packaged files

@@ -148,12 +148,11 @@ def _subdivide_by_linspace(points, cap, max_panels):
 @pytest.mark.parametrize("x", [0.0, 1.0, 10.0, 63.0, 99.0, 1e3, 1e4])
 def test_mesh_is_the_linspace_mesh(x, rho, max_panels):
     # the two halves of the real-axis H fold, as integrate_finite meshes them
-    cfg = QuadConfig(max_panels=max_panels)
     for freq in (abs(x), 0.5 * abs(x)):
         f = Integrand(np.cos, freq, (HotSpot(0.0, float(rho)),))
         points = sorted(set([0.0, math.pi / 2] + quadrature._hot_spot_points(
             f, 0.0, math.pi / 2)))
-        cap = quadrature._osc_cap(freq, cfg)
+        cap = quadrature._osc_cap(freq)
         if not math.isfinite(cap):
             continue
         edges, ok = quadrature._subdivide(points, cap, max_panels)

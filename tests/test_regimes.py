@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -88,15 +89,28 @@ def test_h_asym_large_formula_value():
 
 
 def test_h_asym_large_cosine_zeros():
-    # x = 2/3 + m sits exactly on a zero of cos(pi (x - 1/6))
+    # cos(pi (x - 1/6)) vanishes at 2/3 + m; the double x nearest it sits
+    # delta off, where the law is -(-1)^m P sin(pi delta), |P sin(pi delta)| ~ 1e-15
     for m in [10, 55]:
-        assert abs(h_asym_large(2.0 / 3.0 + m, 1.0).value) < 1e-15
+        x = 2.0 / 3.0 + m
+        delta = float(Fraction(x) - Fraction(2, 3) - m)
+        expected = -(-1) ** m * (GAMMA_THIRD / (3 * math.pi) * (6 / x) ** (1 / 3)
+                                 * math.sin(math.pi * delta))
+        assert abs(h_asym_large(x, 1.0).value - expected) < 1e-16
 
 
 def test_h_asym_large_oracle_comparison():
     x, rho = 1e4, 1.0
     hv = eval_H(x, rho)
     r = h_asym_large(x, rho)
+    assert abs(hv.h - r.value) <= r.error_estimate + hv.err
+
+
+@pytest.mark.parametrize("x", [1e10, 1e12, 1e15])
+def test_h_asym_large_oracle_comparison_at_huge_x(x):
+    # x - 1/6 rounds at ulp(x) here; the law must reduce x modulo 2 first
+    hv = eval_H(x, 1.0)
+    r = h_asym_large(x, 1.0)
     assert abs(hv.h - r.value) <= r.error_estimate + hv.err
 
 
@@ -181,8 +195,10 @@ def test_corollary_alpha_3_uses_cubic_tail():
     x = 1.0 * rho ** (-3.0)
     r = corollary_path_main(3.0, 1.0, rho)
     v = cubic_tail(1.0)
-    from goodfun.core import cos_pi
-    expected = v.c_mod / (math.pi * rho) * cos_pi(x - v.psi_arg)
+    from goodfun.core import cos_pi, sin_pi
+    # cos(pi (x - psi)) expanded, each factor reduced exactly modulo 2
+    expected = v.c_mod / (math.pi * rho) * (cos_pi(x) * cos_pi(v.psi_arg)
+                                            + sin_pi(x) * sin_pi(v.psi_arg))
     assert r.value == pytest.approx(expected, rel=1e-14)
 
 

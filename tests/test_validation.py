@@ -33,7 +33,7 @@ CASES = [
     (anger_diag_asym, {"x": 10.0}, {"x": (2.0, -10.0)}),
     (anger_reflected_asym, {"x": 10.0}, {"x": (2.0, -10.0)}),
     (anger_shifted_asym, {"x": 10.0, "k": 1},
-     {"x": (2.0, -10.0), "k": (10 ** 6 + 1, -(10 ** 6 + 1))}),
+     {"x": (2.0, -10.0), "k": (10 ** 6 + 1, -(10 ** 6 + 1), 1.5, 0.5)}),
     (two_term_expansion, {"prob": _UNIT, "x": 10.0}, {"x": (2.0, -10.0)}),
     (find_zeros, {"rho": 1.0, "x_min": 10.0, "x_max": 13.0},
      {"rho": (0.0, -1.0), "x_min": (2.0, 1.0), "x_max": (10.0, 9.0)}),
