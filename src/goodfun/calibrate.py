@@ -19,10 +19,10 @@ import numpy as np
 
 from .anger import anger_J, anger_diag_asym, anger_reflected_asym, anger_shifted_asym
 from .constants import Constants
-from .core import cos_pi
+from .core import cos_pi, sin_pi
 from .good import eval_H
 from .phase import AmplitudeBounds, PhaseProblem, two_term_expansion
-from .quadrature import HotSpot, Integrand, integrate_finite
+from .quadrature import Integrand, integrate_finite
 from .regimes import h_asym_large, h_asym_small
 
 __all__ = ["calibrate", "good_amplitude_problem",
@@ -99,23 +99,29 @@ def unit_amplitude_problem() -> PhaseProblem:
         b=math.pi, bounds=AmplitudeBounds(1.0, 0.0, 0.0, 0.0))
 
 
-def _phase_oracle(prob: PhaseProblem, x: float, spots: Tuple[HotSpot, ...]) -> complex:
-    """int_0^b exp(i x psi(t)) f(t) dt by adaptive quadrature."""
-    f = Integrand(lambda t: np.exp(1j * x * prob.psi(t)) * prob.f(t),
-                  osc_frequency=abs(x), hot_spots=spots)
-    return complex(integrate_finite(f, 0.0, prob.b).value)
+def _scaled_rest(prob: PhaseProblem, x: float, oracle: complex) -> float:
+    main, _ = two_term_expansion(prob, x, _PROVISIONAL)
+    return abs(oracle - main) * x / prob.bounds.total()
 
 
 def sweep_phase_engine(rhos: Sequence[float], xs: Sequence[float]) -> float:
-    # the Good amplitudes peak at t = pi with width rho; f = 1 has no peak
-    cases = [(good_amplitude_problem(rho), (HotSpot(math.pi, rho),)) for rho in rhos]
-    cases.append((unit_amplitude_problem(), ()))
+    """Worst scaled remainder of the two-term expansion over the grid.
+
+    t = pi - u turns the Good-amplitude integral into
+    pi e^{i pi x} conj(calH(x, rho)), which ``eval_H`` computes; the unit
+    amplitude is integrated on [0, pi] directly.
+    """
     worst = 0.0
-    for prob, spots in cases:
+    for rho in rhos:
+        prob = good_amplitude_problem(rho)
         for x in xs:
-            main, _ = two_term_expansion(prob, x, _PROVISIONAL)
-            oracle = _phase_oracle(prob, x, spots)
-            worst = max(worst, abs(oracle - main) * x / prob.bounds.total())
+            h = eval_H(x, rho).h_complex
+            oracle = math.pi * complex(cos_pi(x), sin_pi(x)) * h.conjugate()
+            worst = max(worst, _scaled_rest(prob, x, oracle))
+    unit = unit_amplitude_problem()
+    for x in xs:
+        f = Integrand(lambda t: np.exp(1j * x * unit.psi(t)), osc_frequency=abs(x))
+        worst = max(worst, _scaled_rest(unit, x, integrate_finite(f, 0.0, math.pi).value))
     return worst
 
 

@@ -39,7 +39,7 @@ __all__ = ["HValue", "HBounds", "eval_G", "eval_G_any_order", "eval_Q",
            "eval_H", "bounds_H", "RHO_MIN", "X_C"]
 
 # Below this rho the integrand peak (~rho**-2) exhausts binary64 headroom;
-# the evaluators refuse by default rather than lose digits silently.
+# the evaluators refuse it rather than lose digits silently.
 RHO_MIN = 1e-6
 
 # From this |x| on, eval_H integrates along the complex contour, whose cost
@@ -72,12 +72,12 @@ _HALF_PI = math.pi / 2.0
 _Fn = Callable[[np.ndarray], np.ndarray]
 
 
-def _require_rho(rho: float, allow_tiny_rho: bool) -> None:
+def _require_rho(rho: float) -> None:
     require_above("rho", rho, 0.0)
-    if rho < RHO_MIN and not allow_tiny_rho:
+    if rho < RHO_MIN:
         raise PrecisionError(
             f"rho = {rho} is below {RHO_MIN}; the integrand peak ~1/rho^2 "
-            "exhausts binary64 headroom (pass allow_tiny_rho=True to override)"
+            "exhausts binary64 headroom"
         )
 
 
@@ -199,16 +199,14 @@ def _contour(x: float, rho: float, cfg: Optional[QuadConfig]) -> Tuple[complex, 
     return value, err, ray_0.converged and ray_pi.converged
 
 
-def eval_G(p: GoodParams, cfg: Optional[QuadConfig] = None, *,
-           allow_tiny_rho: bool = False) -> EvalResult:
+def eval_G(p: GoodParams, cfg: Optional[QuadConfig] = None) -> EvalResult:
     """Evaluate G_{gamma,rho}(x) by adaptive quadrature."""
     p = validate(p)
-    return eval_G_any_order(p.gamma, p.rho, p.x, cfg, allow_tiny_rho=allow_tiny_rho)
+    return eval_G_any_order(p.gamma, p.rho, p.x, cfg)
 
 
 def eval_G_any_order(gamma: float, rho: float, x: float,
-                     cfg: Optional[QuadConfig] = None, *,
-                     allow_tiny_rho: bool = False) -> EvalResult:
+                     cfg: Optional[QuadConfig] = None) -> EvalResult:
     """G for arbitrary real order, including gamma < 0.
 
     The defining integral extends verbatim to negative order; the Q-G
@@ -216,7 +214,7 @@ def eval_G_any_order(gamma: float, rho: float, x: float,
     """
     require_finite("gamma", gamma)
     require_finite("x", x)
-    _require_rho(rho, allow_tiny_rho)
+    _require_rho(rho)
     rho2 = rho * rho
     cg, sg = cos_pi(gamma), sin_pi(gamma)
 
@@ -272,15 +270,14 @@ def _real_axis(x: float, rho: float, cfg: Optional[QuadConfig]) -> Tuple[complex
     return _fold(fn_left, fn_right, abs(x), 0.5 * abs(x), rho, cfg)
 
 
-def eval_H(x: float, rho: float, cfg: Optional[QuadConfig] = None, *,
-           allow_tiny_rho: bool = False) -> HValue:
+def eval_H(x: float, rho: float, cfg: Optional[QuadConfig] = None) -> HValue:
     """Evaluate the restricted Good function H(x, rho) = Re calH(x, rho).
 
     |x| >= X_C is integrated along a complex contour (``_contour``), using
     calH(-x) = conj(calH(x)); smaller |x| along the real axis.
     """
     require_finite("x", x)
-    _require_rho(rho, allow_tiny_rho)
+    _require_rho(rho)
     if abs(x) >= X_C:
         value, err, converged = _contour(abs(x), rho, cfg)
         if x < 0:

@@ -11,10 +11,11 @@ Two entry points:
     pair, whose difference is the per-panel error estimate.
 
 ``integrate_tail``
-    A semi-infinite interval [0, inf) for integrands with a declared decay
-    envelope.  Integrates [0, T] adaptively and bounds the truncated tail
-    analytically from the envelope; the returned error includes both
-    contributions.
+    The semi-infinite interval [0, inf) for an integrand that decays like
+    a declared ``CubicExpEnvelope`` amplitude * exp(-rate t^3), the decay
+    of a cubic phase on its steepest-descent ray.  Integrates [0, T]
+    adaptively and bounds the truncated tail in closed form from the
+    envelope; the returned error includes both contributions.
 
 The error estimate is a heuristic (nested-rule difference, conservatively
 damped), not a rigorous enclosure; it normally overestimates the true
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,7 +39,6 @@ from .core import (EnvelopeViolated, NumericalError, QuadConfig, require_above,
 __all__ = [
     "HotSpot",
     "Integrand",
-    "AlgebraicEnvelope",
     "CubicExpEnvelope",
     "QuadResult",
     "integrate_finite",
@@ -133,24 +133,6 @@ class Integrand:
 
 
 @dataclass(frozen=True)
-class AlgebraicEnvelope:
-    """Decay envelope |g(t)| <= amplitude / (1 + t**2)."""
-
-    amplitude: float
-
-    def bound(self, t: np.ndarray) -> np.ndarray:
-        return self.amplitude / (1.0 + t * t)
-
-    def tail(self, big_t: float) -> float:
-        # integral_T^inf dt/(1+t^2) = pi/2 - arctan(T) = arctan(1/T)
-        return self.amplitude * math.atan(1.0 / big_t)
-
-    def cutoff(self, eps: float) -> float:
-        # arctan(1/T) <= 1/T, so T = amplitude/eps suffices
-        return max(10.0, self.amplitude / eps)
-
-
-@dataclass(frozen=True)
 class CubicExpEnvelope:
     """Decay envelope |g(t)| <= amplitude * exp(-rate * t**3)."""
 
@@ -170,10 +152,7 @@ class CubicExpEnvelope:
         t = (max(math.log(max(self.amplitude, 1.0) / eps), 1.0) / c) ** (1.0 / 3.0)
         for _ in range(4):
             t = (max(math.log(self.amplitude / (eps * 3.0 * c * t * t)), 0.5) / c) ** (1.0 / 3.0)
-        return max(t, 1e-3)
-
-
-Envelope = Union[AlgebraicEnvelope, CubicExpEnvelope]
+        return t
 
 
 class QuadResult(NamedTuple):
@@ -342,7 +321,7 @@ def integrate_finite(f: Integrand, a: float, b: float,
     return _adaptive(f.fn, edges, cfg, mesh_ok)
 
 
-def _checked(fn, envelope: Envelope):
+def _checked(fn, envelope: CubicExpEnvelope):
     def wrapper(t: np.ndarray) -> np.ndarray:
         t = np.asarray(t)
         v = np.asarray(fn(t))
@@ -360,35 +339,25 @@ def _checked(fn, envelope: Envelope):
     return wrapper
 
 
-def integrate_tail(g: Integrand, envelope: Envelope,
+def integrate_tail(g: Integrand, envelope: CubicExpEnvelope,
                    cfg: Optional[QuadConfig] = None) -> QuadResult:
     """Integrate ``g`` over [0, inf) given its declared decay envelope.
 
-    [0, T] is integrated adaptively with T chosen so the analytic tail
-    bound of the envelope meets half the absolute tolerance (T is capped
-    for oscillatory integrands so the mesh fits the panel budget; the
-    tail bound stays in the returned error either way).  Sampled values
-    that exceed the envelope by more than 10% raise
-    :class:`EnvelopeViolated`.
+    [0, T] is integrated adaptively, with T chosen so that the envelope's
+    closed-form tail bound meets half the absolute tolerance; that bound
+    is added to the returned error.  Sampled values that exceed the
+    envelope by more than 10% raise :class:`EnvelopeViolated`.
     """
     cfg = cfg or QuadConfig()
     big_t = envelope.cutoff(cfg.abs_tol / 2.0)
-    truncated = False
-    cap = _osc_cap(g.osc_frequency)
-    if g.osc_frequency > 0.0:
-        budget_t = 0.5 * cfg.max_panels * cap
-        if budget_t < big_t:
-            big_t = budget_t
-            truncated = True
-        points = [0.0, big_t]
-    else:
-        # geometric panels track the decades of an algebraic decay
-        head = min(1.0, big_t)
-        points = list(np.linspace(0.0, head, 9))
-        if big_t > 1.0:
-            points += list(np.geomspace(1.0, big_t, max(2, int(4 * math.log2(big_t)) + 1))[1:])
+    # geometric panels beyond t = 1 track the decades of the decay
+    head = min(1.0, big_t)
+    points = list(np.linspace(0.0, head, 9))
+    if big_t > 1.0:
+        points += list(np.geomspace(1.0, big_t, max(2, int(4 * math.log2(big_t)) + 1))[1:])
     tail = envelope.tail(big_t)
     spots = _hot_spot_points(g, 0.0, big_t)
-    edges, mesh_ok = _subdivide(sorted(set(points + spots)), cap, cfg.max_panels)
-    res = _adaptive(_checked(g.fn, envelope), edges, cfg, mesh_ok and not truncated)
+    edges, mesh_ok = _subdivide(sorted(set(points + spots)), _osc_cap(g.osc_frequency),
+                                cfg.max_panels)
+    res = _adaptive(_checked(g.fn, envelope), edges, cfg, mesh_ok)
     return QuadResult(res.value, res.err + tail, res.converged, res.panels)

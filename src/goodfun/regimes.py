@@ -13,13 +13,13 @@ small rho
     where V(lam) = int_0^inf exp(i lam t^3/6)/(1 + t^2) dt is the
     cubic-tail integral, written V(lam) = C(lam) exp(i pi psi(lam)).
 
-V is always computed on the rotated ray t -> exp(i pi/6) t, where the
-integrand decays like exp(-lam t^3 / 6) and the quadrature is routine;
-oscillatory quadrature on the real axis is never used for it.
+V(lam) = I(lam/6), I(lam) = int_0^inf e^{i lam u^3}/(1+u^2) du, is always
+computed on the rotated ray u -> exp(i pi/6) t (``i_lambda_oracle``),
+where the integrand decays like exp(-lam t^3) and the quadrature is
+routine; oscillatory quadrature on the real axis is never used for it.
 
 The power-law dispatch for paths x = eta * rho**(-alpha) and the
-self-contained asymptotic law for I(lam) = int_0^inf e^{i lam u^3}/(1+u^2) du
-live here as well.
+self-contained asymptotic law for I(lam) live here as well.
 """
 from __future__ import annotations
 
@@ -35,12 +35,10 @@ from .core import (DomainError, EvalResult, NumericalError, QuadConfig, Regime,
                    RegimeKind, cos_pi, require_above, require_at_least,
                    require_finite, sin_pi)
 from .good import eval_H
-from .quadrature import (AlgebraicEnvelope, CubicExpEnvelope, Integrand,
-                         QuadResult, integrate_tail)
+from .quadrature import CubicExpEnvelope, Integrand, QuadResult, integrate_tail
 
-__all__ = ["CubicTailIntegral", "cubic_tail", "rotated_cubic_integral",
-           "i_lambda_oracle", "i_lambda_asym", "h_asym_large", "h_asym_small",
-           "classify", "h_approx", "corollary_path_main"]
+__all__ = ["CubicTailIntegral", "cubic_tail", "i_lambda_oracle", "i_lambda_asym",
+           "h_asym_large", "h_asym_small", "classify", "h_approx", "corollary_path_main"]
 
 
 @dataclass(frozen=True)
@@ -70,53 +68,41 @@ class CubicTailIntegral:
 
 _ROT = cmath.exp(1j * math.pi / 3.0)   # rotated denominator 1 + e^{i pi/3} t^2
 _ROT_HALF = cmath.exp(1j * math.pi / 6.0)
-# |1/(1 + e^{i pi/3} t^2)| = 1/sqrt(1 + t^2 + t^4) <= (2/sqrt(3))/(1 + t^2)
-_ALG_AMPLITUDE = 2.0 / math.sqrt(3.0)
-
-
-def rotated_cubic_integral(rate: float, cfg: Optional[QuadConfig] = None) -> QuadResult:
-    """exp(i pi/6) * int_0^inf exp(-rate t^3) / (1 + e^{i pi/3} t^2) dt.
-
-    Equals int_0^inf exp(i rate u^3)/(1+u^2) du by contour rotation; the
-    rotated integrand is non-oscillatory.  rate = 0 falls back to the
-    algebraic envelope.
-    """
-    require_at_least("rate", rate, 0.0)
-
-    def fn(t: np.ndarray) -> np.ndarray:
-        denom = 1.0 + _ROT * t * t
-        # cannot happen analytically (|denom| >= 1); guards rotation sign bugs
-        if np.any(np.abs(denom) < 0.5):
-            raise NumericalError("rotated denominator dipped below 0.5")
-        if rate == 0.0:
-            return 1.0 / denom
-        return np.exp(-rate * t ** 3) / denom
-
-    if rate == 0.0:
-        envelope = AlgebraicEnvelope(_ALG_AMPLITUDE)
-    else:
-        envelope = CubicExpEnvelope(1.0, rate)
-    res = integrate_tail(Integrand(fn), envelope, cfg)
-    return QuadResult(_ROT_HALF * res.value, res.err, res.converged, res.panels)
 
 
 def cubic_tail(lam: float, cfg: Optional[QuadConfig] = None) -> CubicTailIntegral:
     """Evaluate V(lam) = int_0^inf exp(i lam t^3/6)/(1+t^2) dt for lam >= 0."""
     require_at_least("lam", lam, 0.0)
-    if lam == 0.0:
-        # arctangent integral, exactly pi/2
-        return CubicTailIntegral(lam=0.0, value=complex(math.pi / 2.0), c_mod=math.pi / 2.0,
+    rate = lam / 6.0
+    if rate == 0.0:
+        # the arctangent integral, exactly pi/2; where lam/6 underflows,
+        # V - pi/2 = O(lam^(1/3)) is below 1e-107
+        return CubicTailIntegral(lam=lam, value=complex(math.pi / 2.0), c_mod=math.pi / 2.0,
                                  psi_arg=0.0, err=0.0)
-    res = rotated_cubic_integral(lam / 6.0, cfg)
+    res = i_lambda_oracle(rate, cfg)
     value = complex(res.value)
     return CubicTailIntegral(lam=lam, value=value, c_mod=abs(value),
                              psi_arg=cmath.phase(value) / math.pi, err=res.err)
 
 
 def i_lambda_oracle(lam: float, cfg: Optional[QuadConfig] = None) -> QuadResult:
-    """Rotated-contour value of I(lam) = int_0^inf exp(i lam u^3)/(1+u^2) du."""
+    """I(lam) = int_0^inf exp(i lam u^3)/(1+u^2) du on the rotated ray, lam > 0.
+
+    u = e^{i pi/6} t turns it into
+    e^{i pi/6} int_0^inf exp(-lam t^3) / (1 + e^{i pi/3} t^2) dt,
+    whose integrand does not oscillate and decays like exp(-lam t^3).
+    """
     require_above("lam", lam, 0.0)
-    return rotated_cubic_integral(lam, cfg)
+
+    def fn(t: np.ndarray) -> np.ndarray:
+        denom = 1.0 + _ROT * t * t
+        # cannot happen analytically (|denom| >= 1); guards rotation sign bugs
+        if np.any(np.abs(denom) < 0.5):
+            raise NumericalError("rotated denominator dipped below 0.5")
+        return np.exp(-lam * t ** 3) / denom
+
+    res = integrate_tail(Integrand(fn), CubicExpEnvelope(1.0, lam), cfg)
+    return QuadResult(_ROT_HALF * res.value, res.err, res.converged, res.panels)
 
 
 def i_lambda_asym(lam: float) -> Tuple[complex, float]:

@@ -154,8 +154,6 @@ def test_bounds_h_formulas():
 def test_tiny_rho_refused_by_default():
     with pytest.raises(PrecisionError):
         eval_H(1.0, 1e-7)
-    hv = eval_H(1.0, 1e-7, QuadConfig(), allow_tiny_rho=True)
-    assert hv.h != 0.0
 
 
 # -- the complex contour used from |x| = X_C on ------------------------------

@@ -6,7 +6,7 @@ import pytest
 
 from goodfun import (AmplitudeBounds, DomainError, HotSpot, HypothesisViolated,
                      Integrand, PhaseProblem, anger_diag_asym,
-                     anger_shifted_asym, check_hypotheses,
+                     anger_shifted_asym, check_hypotheses, eval_H,
                      expansion_with_conjugation, integrate_finite,
                      substitution_tau, two_term_expansion)
 from goodfun.calibrate import good_amplitude_problem
@@ -113,7 +113,7 @@ def test_exp_amplitude_reproduces_shifted_anger():
 
 
 @pytest.mark.parametrize("rho", [0.5, 1.0, 2.0])
-@pytest.mark.parametrize("x", [1e2, 1e3, 1e4])
+@pytest.mark.parametrize("x", [37.3, 1e2, 1e3, 1e4])
 def test_good_amplitude_engine_vs_oracle(rho, x):
     prob = good_amplitude_problem(rho)
     main, rest = two_term_expansion(prob, x)
@@ -127,6 +127,10 @@ def test_good_amplitude_engine_vs_oracle(rho, x):
                                      hot_spots=(HotSpot(math.pi, rho),)),
                            0.0, math.pi)
     assert abs(res.value - main) <= rest
+    # t = pi - u: the oracle the calibration sweep takes from eval_H
+    hv = eval_H(x, rho)
+    via_h = math.pi * complex(cos_pi(x), sin_pi(x)) * hv.h_complex.conjugate()
+    assert abs(res.value - via_h) <= res.err + math.pi * hv.err
 
 
 def test_first_term_dominance_trend():
