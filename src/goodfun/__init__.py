@@ -10,12 +10,12 @@ parameter regime, each carrying an explicit error estimate whose constant
 was calibrated against the oracle and frozen.
 """
 from .core import (DomainError, EnvelopeViolated, EvalResult, GoodFunError,
-                   GoodParams, HypothesisViolated, NumericalError,
-                   PrecisionError, QuadConfig, Regime, RegimeKind, validate)
+                   HypothesisViolated, NumericalError, PrecisionError,
+                   QuadConfig, Regime, RegimeKind)
 from .constants import Constants, load_constants, save_constants
 from .quadrature import (CubicExpEnvelope, HotSpot, Integrand, QuadResult,
                          integrate_finite, integrate_tail)
-from .good import HBounds, HValue, bounds_H, eval_G, eval_G_any_order, eval_H, eval_Q
+from .good import HBounds, HValue, bounds_H, eval_G, eval_H, eval_Q
 from .anger import (anger_J, anger_diag_asym, anger_reflected_asym,
                     anger_shifted_asym)
 from .phase import (AmplitudeBounds, PhaseProblem, check_hypotheses,

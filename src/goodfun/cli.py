@@ -28,7 +28,7 @@ import numpy as np
 
 from . import constants as constants_mod
 from .constants import Constants, load_constants, save_constants
-from .core import DomainError, GoodFunError, GoodParams, QuadConfig
+from .core import DomainError, GoodFunError, QuadConfig
 from .calibrate import calibrate
 from .good import eval_G, eval_H, eval_Q
 from .regimes import classify, corollary_path_main, h_approx
@@ -110,13 +110,13 @@ def cmd_eval(args) -> int:
         if args.gamma is None or args.rho is None or args.x is None:
             raise DomainError("eval --fn G requires --gamma, --rho and --x")
         inputs = {"gamma": args.gamma, "rho": args.rho, "x": args.x}
-        r = eval_G(GoodParams(args.gamma, args.rho, args.x), cfg)
+        r = eval_G(args.gamma, args.rho, args.x, cfg)
         value, err, method, converged = r.value, r.error_estimate, r.method, r.converged
     else:  # Q; argparse restricts --fn to G, Q and H
         if args.gamma is None or args.xi is None or args.x is None:
             raise DomainError("eval --fn Q requires --gamma, --xi and --x")
         inputs = {"gamma": args.gamma, "xi": args.xi, "x": args.x}
-        r = eval_Q(GoodParams(args.gamma, 1.0, args.x, xi=args.xi), cfg)
+        r = eval_Q(args.gamma, args.xi, args.x, cfg)
         value, err, method, converged = r.value, r.error_estimate, r.method, r.converged
     manifest = RunManifest.build("eval", {"fn": fn, **inputs}, cfg, _constants_path(args))
     record = {
@@ -168,7 +168,7 @@ def cmd_compare(args) -> int:
     for x in map(float, xs):
         oracle = eval_H(x, args.rho, cfg)
         approx = h_approx(x, args.rho, cfg, consts)
-        regime = classify(x, args.rho, consts)
+        regime = classify(x, args.rho)
         err_actual = abs(oracle.h - approx.value)
         worst = max(worst, err_actual / approx.error_estimate)
         flag = "" if (oracle.converged and approx.converged) else "TOL"
@@ -223,17 +223,12 @@ def cmd_calibrate(args) -> int:
     except (OSError, DomainError):
         old = None
     fresh = calibrate(quick=args.quick)
-    if old is not None:
-        merged = dataclasses.replace(
-            fresh, s_hi=old.s_hi, s_lo=old.s_lo, u_hi=old.u_hi, rho_cut=old.rho_cut)
-    else:
-        merged = fresh
     note = "quick sweep" if args.quick else "full sweep"
-    save_constants(merged, target, note=note)
+    save_constants(fresh, target, note=note)
     constants_mod.clear_cache()
     for f in dataclasses.fields(Constants):
         before = getattr(old, f.name) if old is not None else float("nan")
-        print(f"{f.name}: {before:.6g} -> {getattr(merged, f.name):.6g}")
+        print(f"{f.name}: {before:.6g} -> {getattr(fresh, f.name):.6g}")
     print(f"wrote {target}")
     return EXIT_OK
 

@@ -33,7 +33,7 @@ SQRT3 = math.sqrt(3.0)
 
 @dataclass(frozen=True)
 class Constants:
-    """Calibrated remainder constants and regime thresholds.
+    """Calibrated remainder constants.
 
     c_anger_diag, c_anger_reflected, c_anger_shifted
         Remainder constants of the three Anger asymptotics: the error of
@@ -47,8 +47,6 @@ class Constants:
     c_h_small
         Small-rho approximation of H (and its two limiting case
         formulas): |rest| <= C, an O(1) constant.
-    s_hi, s_lo, u_hi, rho_cut
-        Regime-classifier thresholds on s = x*rho**3, u = x*rho and rho.
     """
 
     c_anger_diag: float
@@ -57,10 +55,6 @@ class Constants:
     c_phase_engine: float
     c_h_large: float
     c_h_small: float
-    s_hi: float = 50.0
-    s_lo: float = 0.02
-    u_hi: float = 50.0
-    rho_cut: float = 0.5
 
     def __post_init__(self) -> None:
         for f in fields(self):
@@ -92,9 +86,7 @@ def parse_constants(text: str) -> Constants:
             values[key] = float(val.strip())
         except ValueError as exc:
             raise DomainError(f"constants file line {lineno}: bad value {val.strip()!r}") from exc
-    required = {"c_anger_diag", "c_anger_reflected", "c_anger_shifted",
-                "c_phase_engine", "c_h_large", "c_h_small"}
-    missing = required - set(values)
+    missing = known - set(values)
     if missing:
         raise DomainError(f"constants file is missing keys: {sorted(missing)}")
     return Constants(**values)

@@ -22,12 +22,10 @@ __all__ = [
     "PrecisionError",
     "EnvelopeViolated",
     "HypothesisViolated",
-    "GoodParams",
     "QuadConfig",
     "RegimeKind",
     "Regime",
     "EvalResult",
-    "validate",
     "require_finite",
     "require_above",
     "require_at_least",
@@ -82,34 +80,6 @@ def require_at_least(name: str, value: float, bound: float) -> float:
     if not value >= bound:
         raise DomainError(f"{name} must be >= {bound}, got {value!r}")
     return value
-
-
-@dataclass(frozen=True)
-class GoodParams:
-    """Parameter set (gamma, rho, x) and optionally xi for the Q function.
-
-    Constraints: gamma >= 0, rho > 0 strictly, x finite, and xi > 1
-    strictly when present.
-    """
-
-    gamma: float
-    rho: float
-    x: float
-    xi: Optional[float] = None
-
-
-def validate(params: GoodParams) -> GoodParams:
-    """Return ``params`` unchanged if every domain constraint holds.
-
-    Raises :class:`DomainError` naming the violated constraint otherwise.
-    Idempotent by construction.
-    """
-    require_at_least("gamma", params.gamma, 0.0)
-    require_above("rho", params.rho, 0.0)
-    require_finite("x", params.x)
-    if params.xi is not None:
-        require_above("xi", params.xi, 1.0)
-    return params
 
 
 @dataclass(frozen=True)

@@ -30,13 +30,12 @@ from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .core import (DomainError, EvalResult, GoodParams, PrecisionError,
-                   QuadConfig, cos_pi, require_above, require_finite, sin_pi,
-                   validate)
+from .core import (EvalResult, PrecisionError, QuadConfig, cos_pi, require_above,
+                   require_at_least, require_finite, sin_pi)
 from .quadrature import HotSpot, Integrand, integrate_finite
 
-__all__ = ["HValue", "HBounds", "eval_G", "eval_G_any_order", "eval_Q",
-           "eval_H", "bounds_H", "RHO_MIN", "X_C"]
+__all__ = ["HValue", "HBounds", "eval_G", "eval_Q", "eval_H", "bounds_H",
+           "RHO_MIN", "X_C"]
 
 # Below this rho the integrand peak (~rho**-2) exhausts binary64 headroom;
 # the evaluators refuse it rather than lose digits silently.
@@ -199,15 +198,9 @@ def _contour(x: float, rho: float, cfg: Optional[QuadConfig]) -> Tuple[complex, 
     return value, err, ray_0.converged and ray_pi.converged
 
 
-def eval_G(p: GoodParams, cfg: Optional[QuadConfig] = None) -> EvalResult:
-    """Evaluate G_{gamma,rho}(x) by adaptive quadrature."""
-    p = validate(p)
-    return eval_G_any_order(p.gamma, p.rho, p.x, cfg)
-
-
-def eval_G_any_order(gamma: float, rho: float, x: float,
-                     cfg: Optional[QuadConfig] = None) -> EvalResult:
-    """G for arbitrary real order, including gamma < 0.
+def eval_G(gamma: float, rho: float, x: float,
+           cfg: Optional[QuadConfig] = None) -> EvalResult:
+    """Evaluate G_{gamma,rho}(x) by adaptive quadrature, for any finite real gamma.
 
     The defining integral extends verbatim to negative order; the Q-G
     relation needs it at gamma - 1 when gamma < 1.
@@ -234,12 +227,12 @@ def eval_G_any_order(gamma: float, rho: float, x: float,
                       converged=converged)
 
 
-def eval_Q(p: GoodParams, cfg: Optional[QuadConfig] = None) -> EvalResult:
-    """Evaluate Q_{gamma,xi}(x) by adaptive quadrature (requires xi > 1)."""
-    p = validate(p)
-    if p.xi is None:
-        raise DomainError("Q requires the xi parameter (xi > 1)")
-    gamma, xi, x = p.gamma, p.xi, p.x
+def eval_Q(gamma: float, xi: float, x: float,
+           cfg: Optional[QuadConfig] = None) -> EvalResult:
+    """Evaluate Q_{gamma,xi}(x) by adaptive quadrature (gamma >= 0, xi > 1)."""
+    require_at_least("gamma", gamma, 0.0)
+    require_above("xi", xi, 1.0)
+    require_finite("x", x)
 
     def fn(th: np.ndarray) -> np.ndarray:
         return np.cos(gamma * th + x * np.sin(th)) / (xi - np.cos(th))

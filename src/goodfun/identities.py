@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .anger import anger_J
-from .core import (DomainError, EvalResult, GoodParams, QuadConfig, require_above,
+from .core import (DomainError, EvalResult, QuadConfig, require_above,
                    require_at_least, require_finite)
-from .good import eval_G, eval_G_any_order
+from .good import eval_G
 
 __all__ = ["SeriesTruncation", "SeriesSum", "ode_residual", "series_partial_sum",
            "q_from_g"]
@@ -61,7 +61,7 @@ def ode_residual(gamma: float, rho: float, x: float, h_step: float,
     Decays like O(h^2) until the quadrature-noise floor O(err/h^2).
     """
     require_above("h_step", h_step, 0.0)
-    g = lambda xx: eval_G(GoodParams(gamma, rho, xx), cfg).value
+    g = lambda xx: eval_G(gamma, rho, xx, cfg).value
     second = (g(x + h_step) - 2.0 * g(x) + g(x - h_step)) / (h_step * h_step)
     j = anger_J(gamma, -x, cfg).value
     return abs(second - rho * rho * g(x) + j)
@@ -101,9 +101,9 @@ def q_from_g(gamma: float, xi: float, x: float,
     require_above("xi", xi, 1.0)
     require_at_least("gamma", gamma, 0.0)
     rho = math.sqrt(xi * xi - 1.0)
-    g0 = eval_G_any_order(gamma, rho, x, cfg)
-    gp = eval_G_any_order(gamma + 1.0, rho, x, cfg)
-    gm = eval_G_any_order(gamma - 1.0, rho, x, cfg)
+    g0 = eval_G(gamma, rho, x, cfg)
+    gp = eval_G(gamma + 1.0, rho, x, cfg)
+    gm = eval_G(gamma - 1.0, rho, x, cfg)
     beta = math.sqrt(1.0 + rho * rho)
     value = beta * g0.value + 0.5 * (gp.value + gm.value)
     err = beta * g0.error_estimate + 0.5 * (gp.error_estimate + gm.error_estimate)

@@ -151,7 +151,12 @@ class CubicExpEnvelope:
         c = self.rate
         t = (max(math.log(max(self.amplitude, 1.0) / eps), 1.0) / c) ** (1.0 / 3.0)
         for _ in range(4):
-            t = (max(math.log(self.amplitude / (eps * 3.0 * c * t * t)), 0.5) / c) ** (1.0 / 3.0)
+            d = eps * 3.0 * c * t * t
+            if d > 0.0 and self.amplitude / d < math.inf:
+                log_q = math.log(self.amplitude / d)
+            else:  # d underflowed: the same logarithm as a sum of logarithms
+                log_q = math.log(self.amplitude / (eps * 3.0)) - math.log(c) - 2.0 * math.log(t)
+            t = (max(log_q, 0.5) / c) ** (1.0 / 3.0)
         return t
 
 

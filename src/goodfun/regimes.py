@@ -13,10 +13,12 @@ small rho
     where V(lam) = int_0^inf exp(i lam t^3/6)/(1 + t^2) dt is the
     cubic-tail integral, written V(lam) = C(lam) exp(i pi psi(lam)).
 
-V(lam) = I(lam/6), I(lam) = int_0^inf e^{i lam u^3}/(1+u^2) du, is always
+V(lam) = I(lam/6), I(lam) = int_0^inf e^{i lam u^3}/(1+u^2) du, is
 computed on the rotated ray u -> exp(i pi/6) t (``i_lambda_oracle``),
 where the integrand decays like exp(-lam t^3) and the quadrature is
 routine; oscillatory quadrature on the real axis is never used for it.
+Below lam ~ 4e-52, where V is within 1e-17 of pi/2, that value is
+returned with its explicit bound instead.
 
 The power-law dispatch for paths x = eta * rho**(-alpha) and the
 self-contained asymptotic law for I(lam) live here as well.
@@ -73,13 +75,13 @@ _ROT_HALF = cmath.exp(1j * math.pi / 6.0)
 def cubic_tail(lam: float, cfg: Optional[QuadConfig] = None) -> CubicTailIntegral:
     """Evaluate V(lam) = int_0^inf exp(i lam t^3/6)/(1+t^2) dt for lam >= 0."""
     require_at_least("lam", lam, 0.0)
-    rate = lam / 6.0
-    if rate == 0.0:
-        # the arctangent integral, exactly pi/2; where lam/6 underflows,
-        # V - pi/2 = O(lam^(1/3)) is below 1e-107
+    # |V - pi/2| <= 3 (lam/12)^(1/3): bound |e^{ia} - 1| by |a| below and
+    # by 2 above t = T, T^3 = 12/lam
+    bound = 3.0 * lam ** (1.0 / 3.0) / 12.0 ** (1.0 / 3.0)
+    if bound <= 1e-17:  # lam <~ 4e-52
         return CubicTailIntegral(lam=lam, value=complex(math.pi / 2.0), c_mod=math.pi / 2.0,
-                                 psi_arg=0.0, err=0.0)
-    res = i_lambda_oracle(rate, cfg)
+                                 psi_arg=0.0, err=bound)
+    res = i_lambda_oracle(lam / 6.0, cfg)
     value = complex(res.value)
     return CubicTailIntegral(lam=lam, value=value, c_mod=abs(value),
                              psi_arg=cmath.phase(value) / math.pi, err=res.err)
@@ -133,7 +135,7 @@ def h_asym_large(x: float, rho: float,
 def h_asym_small(x: float, rho: float, cfg: Optional[QuadConfig] = None,
                  constants: Optional[Constants] = None) -> EvalResult:
     """Small-rho approximation of H; error estimate the O(1) constant C_small."""
-    regime = classify(x, rho, constants)  # validates x > 0 and rho > 0
+    regime = classify(x, rho)  # validates x > 0 and rho > 0
     c = get_constants(constants)
     tail = cubic_tail(regime.s, cfg)
     # Re{ e^{-i pi x} V } with exact mod-2 reduction of the phase
@@ -143,19 +145,30 @@ def h_asym_small(x: float, rho: float, cfg: Optional[QuadConfig] = None,
                       method="asymptotic", regime=regime)
 
 
+# Classifier thresholds on s = x*rho**3, u = x*rho and rho: where each law
+# takes over is a policy choice, not a calibrated number.
+S_HI = 50.0
+S_LO = 0.02
+U_HI = 50.0
+RHO_CUT = 0.5
+
+
 def classify(x: float, rho: float, constants: Optional[Constants] = None) -> Regime:
-    """Classify (x, rho) into the asymptotic regime used by h_approx."""
+    """Classify (x, rho) into the asymptotic regime used by h_approx.
+
+    ``constants`` is accepted and ignored: the thresholds are the module
+    constants above, not calibrated values.
+    """
     require_above("x", x, 0.0)
     require_above("rho", rho, 0.0)
-    c = get_constants(constants)
     r = Regime.diagnostics(RegimeKind.FIXED_POINT, x, rho)
     if x <= 2.0:
         return r
-    if r.s >= c.s_hi or rho >= c.rho_cut:
+    if r.s >= S_HI or rho >= RHO_CUT:
         kind = RegimeKind.LARGE_S
-    elif r.s > c.s_lo:
+    elif r.s > S_LO:
         kind = RegimeKind.CRITICAL_S
-    elif r.u >= c.u_hi:
+    elif r.u >= U_HI:
         kind = RegimeKind.SMALL_S_LARGE_U
     else:
         kind = RegimeKind.FINITE_U
@@ -165,7 +178,7 @@ def classify(x: float, rho: float, constants: Optional[Constants] = None) -> Reg
 def h_approx(x: float, rho: float, cfg: Optional[QuadConfig] = None,
              constants: Optional[Constants] = None) -> EvalResult:
     """Best asymptotic value of H for (x, rho), or the oracle near fixed points."""
-    regime = classify(x, rho, constants)
+    regime = classify(x, rho)
     if regime.kind is RegimeKind.LARGE_S:
         return h_asym_large(x, rho, constants)
     if regime.kind is RegimeKind.FIXED_POINT:

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from goodfun import (GoodParams, anger_J, anger_shifted_asym,
+from goodfun import (anger_J, anger_shifted_asym,
                      bounds_H, cubic_tail, eval_G, eval_H, eval_Q,
                      find_zeros, h_asym_large, h_asym_small, i_lambda_asym,
                      i_lambda_oracle, load_constants, ode_residual, q_from_g,
@@ -150,13 +150,13 @@ def test_criterion_09_identities():
                     ratios.append(r1 / max(r2, 1e-300))
         assert np.median(ratios) >= 20.0  # second-order decay signature
         value, tail = series_partial_sum(2.0, 1.0, 3.0, 40)
-        g = eval_G(GoodParams(2.0, 1.0, 3.0))
+        g = eval_G(2.0, 1.0, 3.0)
         assert abs(value - g.value) <= tail + 2.0 * (g.error_estimate + 1e-9)
         for xi in [1.01, math.sqrt(2.0), 2.0, 10.0]:
             for gamma in [1.0, 2.0, 5.0]:
                 for x in [0.0, 1.0, 10.0, 100.0]:
                     d = abs(q_from_g(gamma, xi, x).value
-                            - eval_Q(GoodParams(gamma, 1.0, x, xi=xi)).value)
+                            - eval_Q(gamma, xi, x).value)
                     assert d <= 1e-9, (xi, gamma, x)
 
 

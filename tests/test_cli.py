@@ -8,7 +8,7 @@ import pytest
 from goodfun import constants as constants_mod
 from goodfun.cli import main
 from goodfun.constants import load_constants
-from goodfun.core import cos_pi
+from goodfun.core import DomainError, cos_pi
 
 
 def run(capsys, *argv):
@@ -239,12 +239,29 @@ def test_constants_env_override(tmp_path, capsys, monkeypatch):
         constants_mod.clear_cache()
 
 
+def test_constants_file_holds_exactly_the_calibrated_keys():
+    text = constants_mod.format_constants(load_constants())
+    with pytest.raises(DomainError, match=r"missing keys: \['c_h_small'\]"):
+        constants_mod.parse_constants(text.replace("c_h_small", "# c_h_small"))
+    # the classifier thresholds are code, not file entries
+    with pytest.raises(DomainError, match="unknown key 's_hi'"):
+        constants_mod.parse_constants(text + "s_hi = 50\n")
+
+
 def test_scan_tiny_rho_is_a_domain_error(tmp_path, capsys):
     code, _, err = run(capsys, "scan", "--alpha", "2", "--eta", "1",
                        "--rho-range", "1e-200:1e-199",
                        "--out", str(tmp_path / "s.csv"))
     assert code == 2
     assert "x must be finite" in err
+
+
+def test_scan_tiny_eta_at_tiny_tolerance(tmp_path, capsys):
+    # V(1e-25) at abs_tol 1e-300: the ray's cut-off must survive an underflow
+    code, _, _ = run(capsys, "scan", "--alpha", "3", "--eta", "1e-25",
+                     "--rho-range", "1e-12:1e-11", "--points", "2", "--tol", "1e-300",
+                     "--out", str(tmp_path / "s.csv"))
+    assert code == 0
 
 
 _VALID = {

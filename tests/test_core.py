@@ -2,39 +2,9 @@ import math
 
 import pytest
 
-from goodfun import (DomainError, EvalResult, GoodParams, NumericalError,
-                     QuadConfig, Regime, RegimeKind, validate)
+from goodfun import (DomainError, EvalResult, NumericalError, QuadConfig, Regime,
+                     RegimeKind)
 from goodfun.core import cos_pi, sin_pi
-
-
-def test_validate_accepts_basic():
-    p = GoodParams(gamma=0.0, rho=1.0, x=0.0)
-    assert validate(p) is p
-
-
-def test_validate_rejects_rho_zero():
-    with pytest.raises(DomainError, match="rho"):
-        validate(GoodParams(gamma=1.0, rho=0.0, x=1.0))
-
-
-def test_validate_rejects_nonfinite_x():
-    with pytest.raises(DomainError, match="x"):
-        validate(GoodParams(gamma=1.0, rho=1.0, x=float("nan")))
-
-
-def test_validate_rejects_negative_gamma():
-    with pytest.raises(DomainError, match="gamma"):
-        validate(GoodParams(gamma=-0.5, rho=1.0, x=0.0))
-
-
-def test_validate_rejects_xi_at_boundary():
-    with pytest.raises(DomainError, match="xi"):
-        validate(GoodParams(gamma=0.0, rho=1.0, x=0.0, xi=1.0))
-
-
-def test_validate_idempotent():
-    p = GoodParams(gamma=2.0, rho=0.5, x=-3.0, xi=1.5)
-    assert validate(validate(p)) == p
 
 
 def test_quad_config_rejects_nonpositive():

@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from goodfun import (DomainError, GoodParams, PrecisionError, QuadConfig,
-                     anger_J, bounds_H, eval_G, eval_G_any_order, eval_H,
-                     eval_Q, h_asym_large)
+from goodfun import (DomainError, PrecisionError, QuadConfig, anger_J, bounds_H,
+                     eval_G, eval_H, eval_Q, h_asym_large)
 from goodfun import good
 from goodfun.good import RHO_MIN, X_C
 from goodfun.quadrature import Integrand
@@ -34,12 +33,12 @@ def test_h_at_zero_closed_form(rho):
 @pytest.mark.parametrize("x,rho", [(3.5, 0.7), (1e3, 1.0)])
 def test_h_equals_g_on_diagonal(x, rho):
     hv = eval_H(x, rho)
-    g = eval_G(GoodParams(gamma=x, rho=rho, x=x))
+    g = eval_G(x, rho, x)
     assert abs(hv.h - g.value) <= hv.err + g.error_estimate + 1e-13
 
 
 def test_g_pinned_value_and_magnitude_bound():
-    r = eval_G(GoodParams(2.0, 1.0, 3.0))
+    r = eval_G(2.0, 1.0, 3.0)
     assert abs(r.value - G_2_1_3) <= max(r.error_estimate, 1e-12)
     # Lemma-style bound min(1/rho^2, pi/(2 rho)) with |cos| <= 1
     assert abs(r.value) <= 1.0
@@ -47,36 +46,34 @@ def test_g_pinned_value_and_magnitude_bound():
 
 def test_g_rejects_invalid_params():
     with pytest.raises(DomainError):
-        eval_G(GoodParams(-1.0, 1.0, 0.0))
-    with pytest.raises(DomainError):
-        eval_G(GoodParams(0.0, -1.0, 0.0))
+        eval_G(0.0, -1.0, 0.0)
 
 
 def test_g_any_order_matches_reflection():
     # negative order is the analytic extension used by the Q-G relation
-    r = eval_G_any_order(-1.0, math.sqrt(3.0), 0.0)
-    r2 = eval_G_any_order(1.0, math.sqrt(3.0), 0.0)
+    r = eval_G(-1.0, math.sqrt(3.0), 0.0)
+    r2 = eval_G(1.0, math.sqrt(3.0), 0.0)
     assert abs(r.value - r2.value) <= r.error_estimate + r2.error_estimate + 1e-14
 
 
 def test_q_closed_forms():
-    r = eval_Q(GoodParams(0.0, 1.0, 0.0, xi=2.0))
+    r = eval_Q(0.0, 2.0, 0.0)
     assert abs(r.value - 1.0 / math.sqrt(3.0)) <= max(r.error_estimate, 1e-12)
     xi = 1e6
-    r = eval_Q(GoodParams(0.0, 1.0, 0.0, xi=xi))
+    r = eval_Q(0.0, xi, 0.0)
     assert abs(r.value - 1.0 / math.sqrt(xi * xi - 1.0)) <= max(r.error_estimate, 1e-15)
 
 
 def test_q_pinned_values():
-    r = eval_Q(GoodParams(1.0, 1.0, 2.0, xi=math.sqrt(2.0)))
+    r = eval_Q(1.0, math.sqrt(2.0), 2.0)
     assert abs(r.value - Q_1_SQRT2_2) <= max(r.error_estimate, 1e-12)
-    r = eval_Q(GoodParams(5.0, 1.0, 10.0, xi=1.01))
+    r = eval_Q(5.0, 1.01, 10.0)
     assert abs(r.value - Q_5_101_10) <= max(r.error_estimate, 1e-11)
 
 
 def test_q_requires_xi():
-    with pytest.raises(DomainError):
-        eval_Q(GoodParams(0.0, 1.0, 0.0))
+    with pytest.raises(DomainError, match="xi"):
+        eval_Q(0.0, 1.0, 0.0)
 
 
 def test_h_pinned_value():

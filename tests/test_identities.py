@@ -2,8 +2,8 @@ import math
 
 import pytest
 
-from goodfun import (DomainError, GoodParams, SeriesTruncation, eval_G,
-                     eval_Q, ode_residual, q_from_g, series_partial_sum)
+from goodfun import (DomainError, SeriesTruncation, eval_G, eval_Q, ode_residual,
+                     q_from_g, series_partial_sum)
 
 
 def test_ode_residual_small_at_canonical_points():
@@ -49,7 +49,7 @@ def test_series_increment_within_tail_bound():
 
 def test_series_matches_oracle_at_k40():
     value, tail = series_partial_sum(2.0, 1.0, 3.0, 40)
-    g = eval_G(GoodParams(2.0, 1.0, 3.0))
+    g = eval_G(2.0, 1.0, 3.0)
     assert abs(value - g.value) <= tail + 1e-8
 
 
@@ -64,20 +64,20 @@ def test_series_cauchy_and_convergent(gamma, rho, x):
             prev_value, prev_tail = previous
             assert abs(value - prev_value) <= prev_tail + 1e-12
         previous = (value, tail)
-    g = eval_G(GoodParams(gamma, rho, x))
+    g = eval_G(gamma, rho, x)
     assert abs(previous[0] - g.value) <= previous[1] + 2.0 * g.error_estimate + 1e-9
 
 
 def test_series_small_rho_needs_more_terms():
     # slower geometric decay at rho = 0.3, still convergent
     value, tail = series_partial_sum(1.0, 0.3, 2.0, 60)
-    g = eval_G(GoodParams(1.0, 0.3, 2.0))
+    g = eval_G(1.0, 0.3, 2.0)
     assert abs(value - g.value) <= tail + 1e-8
 
 
 def test_q_from_g_matches_direct_q():
     r = q_from_g(1.0, math.sqrt(2.0), 2.0)
-    q = eval_Q(GoodParams(1.0, 1.0, 2.0, xi=math.sqrt(2.0)))
+    q = eval_Q(1.0, math.sqrt(2.0), 2.0)
     assert abs(r.value - q.value) <= 1e-10
     assert r.method == "identity"
 
@@ -89,13 +89,13 @@ def test_q_from_g_closed_form_at_origin():
 
 def test_q_from_g_near_singular_xi():
     r = q_from_g(5.0, 1.01, 10.0)
-    q = eval_Q(GoodParams(5.0, 1.0, 10.0, xi=1.01))
+    q = eval_Q(5.0, 1.01, 10.0)
     assert abs(r.value - q.value) <= 10.0 * (r.error_estimate + q.error_estimate)
 
 
 def test_q_from_g_gamma_below_one_uses_negative_order():
     r = q_from_g(0.5, 1.5, 2.0)
-    q = eval_Q(GoodParams(0.5, 1.0, 2.0, xi=1.5))
+    q = eval_Q(0.5, 1.5, 2.0)
     assert abs(r.value - q.value) <= 1e-10
 
 

@@ -111,6 +111,35 @@ def test_tail_cubic_exponential():
     assert res.converged
 
 
+def _plain_cutoff(env, eps):
+    # the cut-off iteration written without its underflow fallback
+    c = env.rate
+    t = (max(math.log(max(env.amplitude, 1.0) / eps), 1.0) / c) ** (1.0 / 3.0)
+    for _ in range(4):
+        t = (max(math.log(env.amplitude / (eps * 3.0 * c * t * t)), 0.5) / c) ** (1.0 / 3.0)
+    return t
+
+
+def test_cubic_cutoff_is_the_plain_formula_where_that_is_finite():
+    plain = fallback = 0
+    for rate in [10.0 ** k for k in range(-300, 301, 15)]:
+        for eps in (5e-13, 5e-301):
+            env = CubicExpEnvelope(1.0, rate)
+            try:
+                expected = _plain_cutoff(env, eps)
+            except (ZeroDivisionError, ValueError):
+                expected = math.inf
+            t = env.cutoff(eps)
+            if math.isfinite(expected):
+                plain += 1
+                assert t == expected, (rate, eps)
+            else:
+                fallback += 1
+            # four fixed-point steps land the tail bound at T on eps, not below it
+            assert math.isfinite(t) and env.tail(t) <= 1.001 * eps, (rate, eps)
+    assert plain and fallback
+
+
 def test_envelope_violation_raises():
     g = Integrand(lambda t: 2.0 * np.exp(-t ** 3 / 6.0))
     with pytest.raises(EnvelopeViolated):

@@ -24,8 +24,25 @@ def test_cubic_tail_at_zero_exact():
     v = cubic_tail(0.0)
     assert v.value == math.pi / 2.0
     assert v.psi_arg == 0.0 and v.c_mod == math.pi / 2.0 and v.err == 0.0
-    # lam/6 underflows to 0: still V = pi/2, not a refusal of I(0)
+    # below lam ~ 4e-52 V is pi/2 within its bound, not a refusal of I(0)
     assert cubic_tail(5e-324).value == math.pi / 2.0
+
+
+@pytest.mark.parametrize("lam", [5e-324, 1e-320, 1e-306, 1e-100, 1e-52])
+def test_cubic_tail_tiny_lambda_within_bound(lam):
+    # |V - pi/2| <= 3 (lam/12)^(1/3), from |e^{ia} - 1| <= min(2, |a|)
+    v = cubic_tail(lam)
+    assert cmath.isfinite(v.value) and 0.0 < v.err <= 1e-17
+    assert abs(v.value - math.pi / 2.0) <= v.err
+
+
+def test_i_lambda_oracle_tiny_tolerance():
+    # eps * 3 * lam underflows to 0 in the ray's cut-off at this tolerance
+    lam = 1e-30
+    res = i_lambda_oracle(lam, QuadConfig(abs_tol=1e-300))
+    assert res.converged and cmath.isfinite(res.value) and math.isfinite(res.err)
+    # I(lam) = V(6 lam), within 3 (lam/2)^(1/3) of pi/2
+    assert abs(res.value - math.pi / 2.0) <= 3.0 * (lam / 2.0) ** (1.0 / 3.0) + res.err
 
 
 @pytest.mark.parametrize("lam,pin", [(1.0, V_1), (6.0, V_6), (100.0, V_100)])

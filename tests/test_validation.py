@@ -6,7 +6,7 @@ import pytest
 
 from goodfun import (DomainError, QuadConfig, anger_J, anger_diag_asym,
                      anger_reflected_asym, anger_shifted_asym, bounds_H, classify,
-                     corollary_path_main, cubic_tail, eval_G_any_order, eval_H,
+                     corollary_path_main, cubic_tail, eval_G, eval_H, eval_Q,
                      find_zeros, h_asym_large, h_asym_small, i_lambda_asym,
                      i_lambda_oracle, q_from_g, series_partial_sum,
                      two_term_expansion)
@@ -18,8 +18,10 @@ _UNIT = unit_amplitude_problem()
 # NaN, +inf and -inf are tried for every listed parameter as well
 CASES = [
     (eval_H, {"x": 10.0, "rho": 1.0}, {"x": (), "rho": (0.0, -1.0)}),
-    (eval_G_any_order, {"gamma": 1.0, "rho": 1.0, "x": 10.0},
+    (eval_G, {"gamma": 1.0, "rho": 1.0, "x": 10.0},
      {"gamma": (), "rho": (0.0, -1.0), "x": ()}),
+    (eval_Q, {"gamma": 1.0, "xi": 2.0, "x": 10.0},
+     {"gamma": (-0.5,), "xi": (1.0, 0.5), "x": ()}),
     (bounds_H, {"x": 10.0, "rho": 1.0}, {"x": (), "rho": (0.0, -1.0)}),
     (h_asym_large, {"x": 10.0, "rho": 1.0}, {"x": (2.0, 1.0), "rho": (0.0, -1.0)}),
     (h_asym_small, {"x": 10.0, "rho": 1e-2}, {"x": (0.0, -1.0), "rho": (0.0, -1.0)}),
