@@ -13,8 +13,8 @@ from .core import (DomainError, EnvelopeViolated, EvalResult, GoodFunError,
                    HypothesisViolated, NumericalError, PrecisionError,
                    QuadConfig, Regime, RegimeKind)
 from .constants import Constants, load_constants, save_constants
-from .quadrature import (CubicExpEnvelope, HotSpot, Integrand, QuadResult,
-                         integrate_finite, integrate_tail)
+from .quadrature import (HotSpot, Integrand, QuadResult, integrate_finite,
+                         integrate_tail)
 from .good import HBounds, HValue, bounds_H, eval_G, eval_H, eval_Q
 from .anger import (anger_J, anger_diag_asym, anger_reflected_asym,
                     anger_shifted_asym)
@@ -24,8 +24,7 @@ from .phase import (AmplitudeBounds, PhaseProblem, check_hypotheses,
 from .regimes import (CubicTailIntegral, classify, corollary_path_main,
                       cubic_tail, h_approx, h_asym_large, h_asym_small,
                       i_lambda_asym, i_lambda_oracle)
-from .identities import (SeriesSum, SeriesTruncation, ode_residual, q_from_g,
-                         series_partial_sum)
+from .identities import SeriesSum, ode_residual, q_from_g, series_partial_sum
 from .zeros import ZeroRecord, find_zeros
 
 __version__ = "0.1.0"

@@ -32,7 +32,7 @@ import numpy as np
 
 from .core import (EvalResult, PrecisionError, QuadConfig, cos_pi, require_above,
                    require_at_least, require_finite, sin_pi)
-from .quadrature import HotSpot, Integrand, integrate_finite
+from .quadrature import HotSpot, Integrand, QuadResult, integrate_finite
 
 __all__ = ["HValue", "HBounds", "eval_G", "eval_Q", "eval_H", "bounds_H",
            "RHO_MIN", "X_C"]
@@ -50,12 +50,15 @@ X_C = 100.0
 
 @dataclass(frozen=True)
 class HValue:
-    """H(x, rho) together with the complex integral it is the real part of."""
+    """H(x, rho) as the real part of the complex integral calH(x, rho)."""
 
-    h: float
     h_complex: complex
     err: float
     converged: bool = True
+
+    @property
+    def h(self) -> float:
+        return self.h_complex.real
 
 
 class HBounds(NamedTuple):
@@ -81,17 +84,17 @@ def _require_rho(rho: float) -> None:
 
 
 def _fold(fn_left: _Fn, fn_right: _Fn, freq_left: float, freq_right: float,
-          rho: float, cfg: Optional[QuadConfig]) -> Tuple[complex, float, bool]:
+          rho: float, cfg: Optional[QuadConfig]) -> QuadResult:
     """(1/pi) int_0^pi as two halves on [0, pi/2], the right one folded.
 
     ``fn_right`` takes u = pi - th.  Both halves peak at u = 0 with width
-    rho.  Returns (value, error estimate, converged).
+    rho.  The panel count is that of both halves.
     """
     spots = (HotSpot(0.0, rho),)
     left = integrate_finite(Integrand(fn_left, freq_left, spots), 0.0, _HALF_PI, cfg)
     right = integrate_finite(Integrand(fn_right, freq_right, spots), 0.0, _HALF_PI, cfg)
-    return ((left.value + right.value) / math.pi, (left.err + right.err) / math.pi,
-            left.converged and right.converged)
+    return QuadResult((left.value + right.value) / math.pi, (left.err + right.err) / math.pi,
+                      left.converged and right.converged, left.panels + right.panels)
 
 
 # The contour runs where |exp(i x g)| <= exp(-_DECAY), g(th) = th + sin th.
@@ -147,7 +150,7 @@ def _connector_bound(x: float, rho: float) -> float:
     return (up + across) / math.pi
 
 
-def _contour(x: float, rho: float, cfg: Optional[QuadConfig]) -> Tuple[complex, float, bool]:
+def _contour(x: float, rho: float, cfg: Optional[QuadConfig]) -> QuadResult:
     """calH(x, rho) for x >= X_C along a contour in the upper half-plane.
 
     The phase g(th) = th + sin th has two critical places on [0, pi]: the
@@ -195,7 +198,8 @@ def _contour(x: float, rho: float, cfg: Optional[QuadConfig]) -> Tuple[complex, 
     phase_pi = complex(cos_pi(x), sin_pi(x))   # e^{i pi x}, reduced exactly mod 2
     value = (_DIR_0 * ray_0.value - phase_pi * _DIR_PI * ray_pi.value) / math.pi
     err = (ray_0.err + ray_pi.err) / math.pi + _connector_bound(x, rho)
-    return value, err, ray_0.converged and ray_pi.converged
+    return QuadResult(value, err, ray_0.converged and ray_pi.converged,
+                      ray_0.panels + ray_pi.panels)
 
 
 def eval_G(gamma: float, rho: float, x: float,
@@ -222,9 +226,9 @@ def eval_G(gamma: float, rho: float, x: float,
         return (cg * np.cos(w) + sg * np.sin(w)) / (rho2 + s * s)
 
     freq = 0.5 * (abs(gamma) + abs(x))
-    value, err, converged = _fold(fn_left, fn_right, freq, freq, rho, cfg)
-    return EvalResult(value=value.real, error_estimate=err, method="oracle",
-                      converged=converged)
+    res = _fold(fn_left, fn_right, freq, freq, rho, cfg)
+    return EvalResult(value=res.value.real, error_estimate=res.err, method="oracle",
+                      converged=res.converged)
 
 
 def eval_Q(gamma: float, xi: float, x: float,
@@ -246,7 +250,7 @@ def eval_Q(gamma: float, xi: float, x: float,
                       method="oracle", converged=res.converged)
 
 
-def _real_axis(x: float, rho: float, cfg: Optional[QuadConfig]) -> Tuple[complex, float, bool]:
+def _real_axis(x: float, rho: float, cfg: Optional[QuadConfig]) -> QuadResult:
     """calH(x, rho) by the fold on the real axis; cost grows like |x|."""
     rho2 = rho * rho
     phase_pi = complex(cos_pi(x), sin_pi(x))  # e^{i pi x}, reduced exactly mod 2
@@ -272,12 +276,12 @@ def eval_H(x: float, rho: float, cfg: Optional[QuadConfig] = None) -> HValue:
     require_finite("x", x)
     _require_rho(rho)
     if abs(x) >= X_C:
-        value, err, converged = _contour(abs(x), rho, cfg)
+        res = _contour(abs(x), rho, cfg)
         if x < 0:
-            value = value.conjugate()
+            res = res._replace(value=res.value.conjugate())
     else:
-        value, err, converged = _real_axis(x, rho, cfg)
-    return HValue(h=value.real, h_complex=value, err=err, converged=converged)
+        res = _real_axis(x, rho, cfg)
+    return HValue(h_complex=res.value, err=res.err, converged=res.converged)
 
 
 def bounds_H(x: float, rho: float) -> HBounds:

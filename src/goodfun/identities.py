@@ -12,7 +12,6 @@ must match, which is how the test suite uses them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .anger import anger_J
@@ -20,33 +19,7 @@ from .core import (DomainError, EvalResult, QuadConfig, require_above,
                    require_at_least, require_finite)
 from .good import eval_G
 
-__all__ = ["SeriesTruncation", "SeriesSum", "ode_residual", "series_partial_sum",
-           "q_from_g"]
-
-
-@dataclass(frozen=True)
-class SeriesTruncation:
-    """Truncation data for the Anger series of G at even index K.
-
-    beta = sqrt(1 + rho^2), t_param = log(rho + beta); the geometric tail
-    bound uses |J_nu| <= 1 (immediate from the defining integral):
-    tail <= (2/(rho*beta)) * exp(-(K+2) t) / (1 - exp(-2t)).
-    """
-
-    K: int
-    beta: float
-    t_param: float
-    tail_bound: float
-
-    @classmethod
-    def for_params(cls, rho: float, K: int) -> "SeriesTruncation":
-        if K < 2 or K % 2 != 0:
-            raise DomainError(f"K must be an even integer >= 2, got {K}")
-        require_above("rho", rho, 0.0)
-        beta = math.sqrt(1.0 + rho * rho)
-        t = math.log(rho + beta)
-        tail = 2.0 / (rho * beta) * math.exp(-(K + 2) * t) / (1.0 - math.exp(-2.0 * t))
-        return cls(K=K, beta=beta, t_param=t, tail_bound=tail)
+__all__ = ["SeriesSum", "ode_residual", "series_partial_sum", "q_from_g"]
 
 
 class SeriesSum(NamedTuple):
@@ -69,22 +42,30 @@ def ode_residual(gamma: float, rho: float, x: float, h_step: float,
 
 def series_partial_sum(gamma: float, rho: float, x: float, K: int,
                        cfg: Optional[QuadConfig] = None) -> SeriesSum:
-    """Partial sum of the Anger series for G_{gamma,rho}(x) through index K.
+    """Partial sum of the Anger series for G_{gamma,rho}(x) through even index K.
 
         G = (1/(rho beta)) ( J_gamma(-x)
-              + sum_{k=2,4,...} exp(-k t) (J_{gamma+k}(-x) + J_{gamma-k}(-x)) )
+              + sum_{k=2,4,...} exp(-k t) (J_{gamma+k}(-x) + J_{gamma-k}(-x)) ),
+        beta = sqrt(1 + rho^2), t = log(rho + beta).
 
+    The geometric tail bound uses |J_nu| <= 1 (immediate from the defining
+    integral): tail <= (2/(rho beta)) exp(-(K+2) t) / (1 - exp(-2t)).
     Shifted orders gamma - k may be negative; the Anger integral extends
     verbatim.
     """
-    trunc = SeriesTruncation.for_params(rho, K)
+    if K < 2 or K % 2 != 0:
+        raise DomainError(f"K must be an even integer >= 2, got {K}")
+    require_above("rho", rho, 0.0)
     require_finite("gamma", gamma)
     require_finite("x", x)
+    beta = math.sqrt(1.0 + rho * rho)
+    t = math.log(rho + beta)
     total = anger_J(gamma, -x, cfg).value
     for k in range(2, K + 1, 2):
-        w = math.exp(-k * trunc.t_param)
+        w = math.exp(-k * t)
         total += w * (anger_J(gamma + k, -x, cfg).value + anger_J(gamma - k, -x, cfg).value)
-    return SeriesSum(value=total / (rho * trunc.beta), tail_bound=trunc.tail_bound)
+    tail = 2.0 / (rho * beta) * math.exp(-(K + 2) * t) / (1.0 - math.exp(-2.0 * t))
+    return SeriesSum(value=total / (rho * beta), tail_bound=tail)
 
 
 def q_from_g(gamma: float, xi: float, x: float,

@@ -11,11 +11,11 @@ Two entry points:
     pair, whose difference is the per-panel error estimate.
 
 ``integrate_tail``
-    The semi-infinite interval [0, inf) for an integrand that decays like
-    a declared ``CubicExpEnvelope`` amplitude * exp(-rate t^3), the decay
-    of a cubic phase on its steepest-descent ray.  Integrates [0, T]
-    adaptively and bounds the truncated tail in closed form from the
-    envelope; the returned error includes both contributions.
+    The semi-infinite interval [0, inf) for an integrand bounded by the
+    envelope exp(-rate t^3) of a declared decay rate, the decay of a cubic
+    phase on its steepest-descent ray.  Integrates [0, T] adaptively and
+    bounds the truncated tail in closed form from the envelope; the
+    returned error includes both contributions.
 
 The error estimate is a heuristic (nested-rule difference, conservatively
 damped), not a rigorous enclosure; it normally overestimates the true
@@ -33,13 +33,12 @@ from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import (EnvelopeViolated, NumericalError, QuadConfig, require_above,
-                   require_finite)
+from .core import (EnvelopeViolated, NumericalError, PrecisionError, QuadConfig,
+                   require_above, require_finite)
 
 __all__ = [
     "HotSpot",
     "Integrand",
-    "CubicExpEnvelope",
     "QuadResult",
     "integrate_finite",
     "integrate_tail",
@@ -130,34 +129,6 @@ class Integrand:
     fn: Callable[[np.ndarray], np.ndarray]
     osc_frequency: float = 0.0
     hot_spots: Tuple[HotSpot, ...] = ()
-
-
-@dataclass(frozen=True)
-class CubicExpEnvelope:
-    """Decay envelope |g(t)| <= amplitude * exp(-rate * t**3)."""
-
-    amplitude: float
-    rate: float
-
-    def bound(self, t: np.ndarray) -> np.ndarray:
-        return self.amplitude * np.exp(-self.rate * t ** 3)
-
-    def tail(self, big_t: float) -> float:
-        # integral_T^inf exp(-c t^3) dt <= exp(-c T^3)/(3 c T^2)
-        c = self.rate
-        return self.amplitude * math.exp(-c * big_t ** 3) / (3.0 * c * big_t ** 2)
-
-    def cutoff(self, eps: float) -> float:
-        c = self.rate
-        t = (max(math.log(max(self.amplitude, 1.0) / eps), 1.0) / c) ** (1.0 / 3.0)
-        for _ in range(4):
-            d = eps * 3.0 * c * t * t
-            if d > 0.0 and self.amplitude / d < math.inf:
-                log_q = math.log(self.amplitude / d)
-            else:  # d underflowed: the same logarithm as a sum of logarithms
-                log_q = math.log(self.amplitude / (eps * 3.0)) - math.log(c) - 2.0 * math.log(t)
-            t = (max(log_q, 0.5) / c) ** (1.0 / 3.0)
-        return t
 
 
 class QuadResult(NamedTuple):
@@ -274,7 +245,11 @@ def _subdivide(points: Sequence[float], cap: float, max_panels: int):
     seg = np.diff(points)
     if not math.isfinite(cap):
         return points, True
-    counts = np.maximum(1, np.ceil(seg / cap).astype(np.int64))
+    with np.errstate(divide="ignore", over="ignore"):  # cap may underflow to 0
+        counts = np.maximum(1.0, np.ceil(seg / cap))
+        if not counts.sum() < 2.0 ** 62:  # inf, or near what int64 holds
+            counts = np.minimum(counts, max_panels + 1)
+    counts = counts.astype(np.int64)
     ok = True
     total = int(counts.sum())
     if total > max_panels:
@@ -326,11 +301,33 @@ def integrate_finite(f: Integrand, a: float, b: float,
     return _adaptive(f.fn, edges, cfg, mesh_ok)
 
 
-def _checked(fn, envelope: CubicExpEnvelope):
+def _tail(rate: float, big_t: float) -> float:
+    """Bound on int_T^inf exp(-rate t^3) dt: exp(-rate T^3)/(3 rate T^2)."""
+    return math.exp(-rate * big_t ** 3) / (3.0 * rate * big_t ** 2)
+
+
+def _cutoff(rate: float, eps: float) -> float:
+    """T where ``_tail(rate, T)`` falls to eps; PrecisionError if 1/eps or T overflows."""
+    if not eps > 0.0 or 1.0 / eps == math.inf:
+        raise PrecisionError(f"tail tolerance {eps!r} has no finite reciprocal")
+    log_q = max(math.log(1.0 / eps), 1.0)
+    for _ in range(5):  # a start value and four fixed-point steps
+        t = (max(log_q, 0.5) / rate) ** (1.0 / 3.0)
+        if t == math.inf:
+            raise PrecisionError(f"tail cut-off for rate {rate!r} overflows binary64")
+        d = eps * 3.0 * rate * t * t
+        if d > 0.0 and 1.0 / d < math.inf:
+            log_q = math.log(1.0 / d)
+        else:  # d underflowed: the same logarithm as a sum of logarithms
+            log_q = math.log(1.0 / (eps * 3.0)) - math.log(rate) - 2.0 * math.log(t)
+    return t
+
+
+def _checked(fn, rate: float):
     def wrapper(t: np.ndarray) -> np.ndarray:
         t = np.asarray(t)
         v = np.asarray(fn(t))
-        env = envelope.bound(t)
+        env = np.exp(-rate * t ** 3)
         mask = env > 1e-280  # skip the check where the envelope underflows
         excess = np.abs(v) - 1.1 * env
         excess[~mask] = -np.inf
@@ -344,25 +341,27 @@ def _checked(fn, envelope: CubicExpEnvelope):
     return wrapper
 
 
-def integrate_tail(g: Integrand, envelope: CubicExpEnvelope,
+def integrate_tail(g: Integrand, rate: float,
                    cfg: Optional[QuadConfig] = None) -> QuadResult:
-    """Integrate ``g`` over [0, inf) given its declared decay envelope.
+    """Integrate ``g`` over [0, inf) given |g(t)| <= exp(-rate t^3), rate > 0.
 
     [0, T] is integrated adaptively, with T chosen so that the envelope's
     closed-form tail bound meets half the absolute tolerance; that bound
     is added to the returned error.  Sampled values that exceed the
-    envelope by more than 10% raise :class:`EnvelopeViolated`.
+    envelope by more than 10% raise :class:`EnvelopeViolated`; a T that
+    binary64 cannot hold raises :class:`PrecisionError`.
     """
+    require_above("rate", rate, 0.0)
     cfg = cfg or QuadConfig()
-    big_t = envelope.cutoff(cfg.abs_tol / 2.0)
+    big_t = _cutoff(rate, cfg.abs_tol / 2.0)
     # geometric panels beyond t = 1 track the decades of the decay
     head = min(1.0, big_t)
     points = list(np.linspace(0.0, head, 9))
     if big_t > 1.0:
         points += list(np.geomspace(1.0, big_t, max(2, int(4 * math.log2(big_t)) + 1))[1:])
-    tail = envelope.tail(big_t)
+    tail = _tail(rate, big_t)
     spots = _hot_spot_points(g, 0.0, big_t)
     edges, mesh_ok = _subdivide(sorted(set(points + spots)), _osc_cap(g.osc_frequency),
                                 cfg.max_panels)
-    res = _adaptive(_checked(g.fn, envelope), edges, cfg, mesh_ok)
+    res = _adaptive(_checked(g.fn, rate), edges, cfg, mesh_ok)
     return QuadResult(res.value, res.err + tail, res.converged, res.panels)

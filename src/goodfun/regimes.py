@@ -37,7 +37,7 @@ from .core import (DomainError, EvalResult, NumericalError, QuadConfig, Regime,
                    RegimeKind, cos_pi, require_above, require_at_least,
                    require_finite, sin_pi)
 from .good import eval_H
-from .quadrature import CubicExpEnvelope, Integrand, QuadResult, integrate_tail
+from .quadrature import Integrand, QuadResult, integrate_tail
 
 __all__ = ["CubicTailIntegral", "cubic_tail", "i_lambda_oracle", "i_lambda_asym",
            "h_asym_large", "h_asym_small", "classify", "h_approx", "corollary_path_main"]
@@ -47,25 +47,26 @@ __all__ = ["CubicTailIntegral", "cubic_tail", "i_lambda_oracle", "i_lambda_asym"
 class CubicTailIntegral:
     """V(lam) = int_0^inf exp(i lam t^3/6)/(1+t^2) dt with its polar split.
 
-    c_mod is |V| and psi_arg is arg(V)/pi on the branch (-1, 1] with
-    psi_arg(0) = 0.  Re V > 0 for every lam >= 0, so psi_arg actually
-    lives in (-1/2, 1/2) and the branch never jumps.
+    c_mod is |V| and psi_arg is arg(V)/pi, with psi_arg(0) = 0.  Re V > 0
+    for every lam >= 0, so psi_arg lives in (-1/2, 1/2) and the branch
+    never jumps.
     """
 
     lam: float
     value: complex
-    c_mod: float
-    psi_arg: float
     err: float
 
     def __post_init__(self) -> None:
-        if abs(self.value - self.c_mod * cmath.exp(1j * math.pi * self.psi_arg)) > 1e-12:
-            raise NumericalError("polar reconstruction of the cubic-tail integral "
-                                 "disagrees with its value beyond 1e-12")
         if not self.value.real > 0.0:
             raise NumericalError(f"cubic-tail integral must have Re > 0, got {self.value}")
-        if not -1.0 < self.psi_arg <= 1.0:
-            raise NumericalError(f"psi_arg must lie in (-1, 1], got {self.psi_arg}")
+
+    @property
+    def c_mod(self) -> float:
+        return abs(self.value)
+
+    @property
+    def psi_arg(self) -> float:
+        return cmath.phase(self.value) / math.pi
 
 
 _ROT = cmath.exp(1j * math.pi / 3.0)   # rotated denominator 1 + e^{i pi/3} t^2
@@ -79,12 +80,9 @@ def cubic_tail(lam: float, cfg: Optional[QuadConfig] = None) -> CubicTailIntegra
     # by 2 above t = T, T^3 = 12/lam
     bound = 3.0 * lam ** (1.0 / 3.0) / 12.0 ** (1.0 / 3.0)
     if bound <= 1e-17:  # lam <~ 4e-52
-        return CubicTailIntegral(lam=lam, value=complex(math.pi / 2.0), c_mod=math.pi / 2.0,
-                                 psi_arg=0.0, err=bound)
+        return CubicTailIntegral(lam=lam, value=complex(math.pi / 2.0), err=bound)
     res = i_lambda_oracle(lam / 6.0, cfg)
-    value = complex(res.value)
-    return CubicTailIntegral(lam=lam, value=value, c_mod=abs(value),
-                             psi_arg=cmath.phase(value) / math.pi, err=res.err)
+    return CubicTailIntegral(lam=lam, value=complex(res.value), err=res.err)
 
 
 def i_lambda_oracle(lam: float, cfg: Optional[QuadConfig] = None) -> QuadResult:
@@ -103,7 +101,7 @@ def i_lambda_oracle(lam: float, cfg: Optional[QuadConfig] = None) -> QuadResult:
             raise NumericalError("rotated denominator dipped below 0.5")
         return np.exp(-lam * t ** 3) / denom
 
-    res = integrate_tail(Integrand(fn), CubicExpEnvelope(1.0, lam), cfg)
+    res = integrate_tail(Integrand(fn), lam, cfg)
     return QuadResult(_ROT_HALF * res.value, res.err, res.converged, res.panels)
 
 

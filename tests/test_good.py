@@ -158,10 +158,10 @@ def test_tiny_rho_refused_by_default():
 @pytest.mark.parametrize("rho", [1e-3, 1e-2, 0.1, 1.0, 2.0])
 @pytest.mark.parametrize("x", [1e2, 1e3, 1e4, 1e5])
 def test_contour_agrees_with_real_axis(x, rho):
-    c_val, c_err, c_ok = good._contour(x, rho, None)
-    r_val, r_err, r_ok = good._real_axis(x, rho, None)
-    assert c_ok and r_ok
-    assert abs(c_val - r_val) <= c_err + r_err
+    c = good._contour(x, rho, None)
+    r = good._real_axis(x, rho, None)
+    assert c.converged and r.converged
+    assert abs(c.value - r.value) <= c.err + r.err
 
 
 @pytest.mark.parametrize("x", [3e5, 1e9])

@@ -2,8 +2,7 @@ import math
 
 import pytest
 
-from goodfun import (DomainError, SeriesTruncation, eval_G, eval_Q, ode_residual,
-                     q_from_g, series_partial_sum)
+from goodfun import DomainError, eval_G, eval_Q, ode_residual, q_from_g, series_partial_sum
 
 
 def test_ode_residual_small_at_canonical_points():
@@ -22,17 +21,6 @@ def test_ode_residual_second_order_decay():
 def test_ode_residual_rejects_bad_step():
     with pytest.raises(DomainError):
         ode_residual(1.0, 1.0, 1.0, 0.0)
-
-
-def test_series_truncation_fields():
-    t = SeriesTruncation.for_params(1.0, 10)
-    assert t.beta == math.sqrt(2.0)
-    assert t.t_param == pytest.approx(math.log(1.0 + math.sqrt(2.0)), rel=1e-15)
-    assert t.tail_bound > 0.0
-    with pytest.raises(DomainError):
-        SeriesTruncation.for_params(1.0, 7)
-    with pytest.raises(DomainError):
-        SeriesTruncation.for_params(1.0, 0)
 
 
 def test_series_exact_at_origin():

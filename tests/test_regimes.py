@@ -5,8 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from goodfun import (DomainError, Integrand, QuadConfig, RegimeKind, classify,
-                     corollary_path_main, cubic_tail, eval_H, h_approx,
+from goodfun import (DomainError, Integrand, PrecisionError, QuadConfig, RegimeKind,
+                     classify, corollary_path_main, cubic_tail, eval_H, h_approx,
                      h_asym_large, h_asym_small, i_lambda_asym,
                      i_lambda_oracle, integrate_finite, load_constants)
 from goodfun.constants import GAMMA_THIRD
@@ -34,6 +34,13 @@ def test_cubic_tail_tiny_lambda_within_bound(lam):
     v = cubic_tail(lam)
     assert cmath.isfinite(v.value) and 0.0 < v.err <= 1e-17
     assert abs(v.value - math.pi / 2.0) <= v.err
+
+
+@pytest.mark.parametrize("lam,abs_tol", [(1e-310, 1e-12), (1.0, 1e-310), (1.0, 5e-324)])
+def test_i_lambda_oracle_refuses_a_cutoff_beyond_binary64(lam, abs_tol):
+    # T ~ (log(2/abs_tol)/lam)^(1/3) overflows, or 2/abs_tol does
+    with pytest.raises(PrecisionError):
+        i_lambda_oracle(lam, QuadConfig(abs_tol=abs_tol))
 
 
 def test_i_lambda_oracle_tiny_tolerance():

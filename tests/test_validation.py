@@ -2,13 +2,14 @@
 import math
 import re
 
+import numpy as np
 import pytest
 
-from goodfun import (DomainError, QuadConfig, anger_J, anger_diag_asym,
+from goodfun import (DomainError, Integrand, QuadConfig, anger_J, anger_diag_asym,
                      anger_reflected_asym, anger_shifted_asym, bounds_H, classify,
                      corollary_path_main, cubic_tail, eval_G, eval_H, eval_Q,
                      find_zeros, h_asym_large, h_asym_small, i_lambda_asym,
-                     i_lambda_oracle, q_from_g, series_partial_sum,
+                     i_lambda_oracle, integrate_tail, q_from_g, series_partial_sum,
                      two_term_expansion)
 from goodfun.calibrate import unit_amplitude_problem
 
@@ -31,6 +32,8 @@ CASES = [
     (cubic_tail, {"lam": 1.0}, {"lam": (-1.0,)}),
     (i_lambda_oracle, {"lam": 1.0}, {"lam": (0.0, -1.0)}),
     (i_lambda_asym, {"lam": 1.0}, {"lam": (0.0, -1.0)}),
+    (integrate_tail, {"g": Integrand(lambda t: np.exp(-t ** 3)), "rate": 1.0},
+     {"rate": (0.0, -1.0)}),
     (anger_J, {"nu": 1.0, "x": 10.0}, {"nu": (), "x": ()}),
     (anger_diag_asym, {"x": 10.0}, {"x": (2.0, -10.0)}),
     (anger_reflected_asym, {"x": 10.0}, {"x": (2.0, -10.0)}),
@@ -42,7 +45,7 @@ CASES = [
     (q_from_g, {"gamma": 1.0, "xi": 2.0, "x": 1.0},
      {"gamma": (-0.5,), "xi": (1.0, 0.5), "x": ()}),
     (series_partial_sum, {"gamma": 1.0, "rho": 1.0, "x": 1.0, "K": 2},
-     {"gamma": (), "rho": (0.0, -1.0), "x": ()}),
+     {"gamma": (), "rho": (0.0, -1.0), "x": (), "K": (7, 0, 1.5)}),
 ]
 
 PARAMS = [

@@ -58,7 +58,7 @@ def test_ambiguous_sign_skipped_and_logged(monkeypatch, caplog):
     def noisy(x, rho, cfg=None, **kw):
         hv = real_eval_H(x, rho, cfg, **kw)
         if abs(x - (11.0 + 1.0 / 6.0)) < 1e-12:
-            return type(hv)(h=hv.h, h_complex=hv.h_complex, err=abs(hv.h),
+            return type(hv)(h_complex=hv.h_complex, err=abs(hv.h),
                             converged=hv.converged)
         return hv
 
