@@ -21,10 +21,9 @@ from .anger import (anger_J, anger_diag_asym, anger_reflected_asym,
 from .phase import (AmplitudeBounds, PhaseProblem, check_hypotheses,
                     expansion_with_conjugation, substitution_tau,
                     two_term_expansion)
-from .regimes import (CubicTailIntegral, classify, corollary_path_main,
-                      cubic_tail, h_approx, h_asym_large, h_asym_small,
-                      i_lambda_asym, i_lambda_oracle)
-from .identities import SeriesSum, ode_residual, q_from_g, series_partial_sum
+from .regimes import (classify, corollary_path_main, cubic_tail, h_approx,
+                      h_asym_large, h_asym_small, i_lambda_asym, i_lambda_oracle)
+from .identities import ode_residual, q_from_g, series_partial_sum
 from .zeros import ZeroRecord, find_zeros
 
 __version__ = "0.1.0"

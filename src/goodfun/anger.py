@@ -27,7 +27,7 @@ import numpy as np
 from .constants import (GAMMA_THIRD, GAMMA_TWO_THIRDS, SQRT3, Constants,
                         get_constants)
 from .core import (DomainError, EvalResult, QuadConfig, cos_pi, require_above,
-                   require_finite, sin_pi)
+                   require_finite, require_phase, sin_pi)
 from .quadrature import Integrand, integrate_finite
 
 __all__ = ["anger_J", "anger_diag_asym", "anger_reflected_asym",
@@ -40,6 +40,7 @@ def anger_J(nu: float, x: float, cfg: Optional[QuadConfig] = None) -> EvalResult
     """Oracle value of J_nu(x) by adaptive quadrature."""
     require_finite("nu", nu)
     require_finite("x", x)
+    require_phase("nu*th - x*sin(th)", nu, -x, math.pi)
 
     def fn(th: np.ndarray) -> np.ndarray:
         return np.cos(nu * th - x * np.sin(th))

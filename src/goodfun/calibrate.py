@@ -100,7 +100,7 @@ def unit_amplitude_problem() -> PhaseProblem:
 
 
 def _scaled_rest(prob: PhaseProblem, x: float, oracle: complex) -> float:
-    main, _ = two_term_expansion(prob, x, _PROVISIONAL)
+    main = two_term_expansion(prob, x, _PROVISIONAL).value
     return abs(oracle - main) * x / prob.bounds.total()
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import constants as constants_mod
 from .constants import Constants, load_constants, save_constants
-from .core import DomainError, GoodFunError, QuadConfig
+from .core import DomainError, EvalResult, GoodFunError, QuadConfig
 from .calibrate import calibrate
 from .good import eval_G, eval_H, eval_Q
 from .regimes import classify, corollary_path_main, h_approx
@@ -99,45 +99,42 @@ def _constants_path(args) -> Path:
 def cmd_eval(args) -> int:
     cfg = _cfg_from_args(args)
     fn = args.fn.upper()
-    inputs: Dict[str, object] = {}
     if fn == "H":
         if args.x is None or args.rho is None:
             raise DomainError("eval --fn H requires --x and --rho")
         inputs = {"x": args.x, "rho": args.rho}
         hv = eval_H(args.x, args.rho, cfg)
-        value, err, method, converged = hv.h, hv.err, "oracle", hv.converged
+        r = EvalResult(value=hv.h, error_estimate=hv.err, method="oracle", converged=hv.converged)
     elif fn == "G":
         if args.gamma is None or args.rho is None or args.x is None:
             raise DomainError("eval --fn G requires --gamma, --rho and --x")
         inputs = {"gamma": args.gamma, "rho": args.rho, "x": args.x}
         r = eval_G(args.gamma, args.rho, args.x, cfg)
-        value, err, method, converged = r.value, r.error_estimate, r.method, r.converged
     else:  # Q; argparse restricts --fn to G, Q and H
         if args.gamma is None or args.xi is None or args.x is None:
             raise DomainError("eval --fn Q requires --gamma, --xi and --x")
         inputs = {"gamma": args.gamma, "xi": args.xi, "x": args.x}
         r = eval_Q(args.gamma, args.xi, args.x, cfg)
-        value, err, method, converged = r.value, r.error_estimate, r.method, r.converged
     manifest = RunManifest.build("eval", {"fn": fn, **inputs}, cfg, _constants_path(args))
     record = {
         "function": fn,
         "inputs": inputs,
-        "value": value,
-        "error_estimate": err,
-        "method": method,
-        "converged": converged,
+        "value": r.value,
+        "error_estimate": r.error_estimate,
+        "method": r.method,
+        "converged": r.converged,
         "manifest": dataclasses.asdict(manifest),
     }
     if args.csv:
         header = ["function", "value", "error_estimate", "method", "converged"]
-        row = [fn, _fmt(value), _fmt(err), method, str(converged).lower()]
+        row = [fn, _fmt(r.value), _fmt(r.error_estimate), r.method, str(r.converged).lower()]
         text = ",".join(header) + "\n" + ",".join(row)
     else:
         text = json.dumps(record, sort_keys=True, indent=2)
     print(text)
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")
-    if not converged and not args.best_effort:
+    if not r.converged and not args.best_effort:
         return EXIT_TOLERANCE
     return EXIT_OK
 

@@ -29,6 +29,7 @@ __all__ = [
     "require_finite",
     "require_above",
     "require_at_least",
+    "require_phase",
     "cos_pi",
     "sin_pi",
 ]
@@ -80,6 +81,16 @@ def require_at_least(name: str, value: float, bound: float) -> float:
     if not value >= bound:
         raise DomainError(f"{name} must be >= {bound}, got {value!r}")
     return value
+
+
+def require_phase(what: str, a: float, b: float, length: float) -> None:
+    """Raise :class:`PrecisionError` if the phase ``what`` = a*th + b*sin(th) overflows.
+
+    On [0, length] the terms add where a and b share a sign; else each must stay finite.
+    """
+    ramp = abs(a) * length
+    if (ramp + abs(b) if a * b >= 0.0 else max(ramp, abs(b))) == math.inf:
+        raise PrecisionError(f"the phase {what} overflows binary64 on [0, {length:.4g}]")
 
 
 @dataclass(frozen=True)

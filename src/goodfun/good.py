@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .core import (EvalResult, PrecisionError, QuadConfig, cos_pi, require_above,
-                   require_at_least, require_finite, sin_pi)
+                   require_at_least, require_finite, require_phase, sin_pi)
 from .quadrature import HotSpot, Integrand, QuadResult, integrate_finite
 
 __all__ = ["HValue", "HBounds", "eval_G", "eval_Q", "eval_H", "bounds_H",
@@ -212,6 +212,8 @@ def eval_G(gamma: float, rho: float, x: float,
     require_finite("gamma", gamma)
     require_finite("x", x)
     _require_rho(rho)
+    # gamma*th + x*sin th on one half, gamma*u - x*sin u on the other: one of them adds
+    require_phase("gamma*th +- x*sin(th)", abs(gamma), abs(x), _HALF_PI)
     rho2 = rho * rho
     cg, sg = cos_pi(gamma), sin_pi(gamma)
 
@@ -237,6 +239,7 @@ def eval_Q(gamma: float, xi: float, x: float,
     require_at_least("gamma", gamma, 0.0)
     require_above("xi", xi, 1.0)
     require_finite("x", x)
+    require_phase("gamma*th + x*sin(th)", gamma, x, math.pi)
 
     def fn(th: np.ndarray) -> np.ndarray:
         return np.cos(gamma * th + x * np.sin(th)) / (xi - np.cos(th))

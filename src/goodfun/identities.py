@@ -12,19 +12,15 @@ must match, which is how the test suite uses them.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional
+import numbers
+from typing import Optional
 
 from .anger import anger_J
 from .core import (DomainError, EvalResult, QuadConfig, require_above,
                    require_at_least, require_finite)
 from .good import eval_G
 
-__all__ = ["SeriesSum", "ode_residual", "series_partial_sum", "q_from_g"]
-
-
-class SeriesSum(NamedTuple):
-    value: float
-    tail_bound: float
+__all__ = ["ode_residual", "series_partial_sum", "q_from_g"]
 
 
 def ode_residual(gamma: float, rho: float, x: float, h_step: float,
@@ -41,31 +37,36 @@ def ode_residual(gamma: float, rho: float, x: float, h_step: float,
 
 
 def series_partial_sum(gamma: float, rho: float, x: float, K: int,
-                       cfg: Optional[QuadConfig] = None) -> SeriesSum:
+                       cfg: Optional[QuadConfig] = None) -> EvalResult:
     """Partial sum of the Anger series for G_{gamma,rho}(x) through even index K.
 
         G = (1/(rho beta)) ( J_gamma(-x)
               + sum_{k=2,4,...} exp(-k t) (J_{gamma+k}(-x) + J_{gamma-k}(-x)) ),
         beta = sqrt(1 + rho^2), t = log(rho + beta).
 
-    The geometric tail bound uses |J_nu| <= 1 (immediate from the defining
-    integral): tail <= (2/(rho beta)) exp(-(K+2) t) / (1 - exp(-2t)).
+    The error estimate is the weighted Anger errors plus the geometric tail
+    bound from |J_nu| <= 1: tail <= (2/(rho beta)) exp(-(K+2) t) / (1 - exp(-2t)).
     Shifted orders gamma - k may be negative; the Anger integral extends
     verbatim.
     """
-    if K < 2 or K % 2 != 0:
-        raise DomainError(f"K must be an even integer >= 2, got {K}")
+    if not isinstance(K, numbers.Integral) or K < 2 or K % 2 != 0:
+        raise DomainError(f"K must be an even integer >= 2, got {K!r}")
     require_above("rho", rho, 0.0)
     require_finite("gamma", gamma)
     require_finite("x", x)
     beta = math.sqrt(1.0 + rho * rho)
     t = math.log(rho + beta)
-    total = anger_J(gamma, -x, cfg).value
+    j = anger_J(gamma, -x, cfg)
+    total, err, converged = j.value, j.error_estimate, j.converged
     for k in range(2, K + 1, 2):
         w = math.exp(-k * t)
-        total += w * (anger_J(gamma + k, -x, cfg).value + anger_J(gamma - k, -x, cfg).value)
+        jp, jm = anger_J(gamma + k, -x, cfg), anger_J(gamma - k, -x, cfg)
+        total += w * (jp.value + jm.value)
+        err += w * (jp.error_estimate + jm.error_estimate)
+        converged = converged and jp.converged and jm.converged
     tail = 2.0 / (rho * beta) * math.exp(-(K + 2) * t) / (1.0 - math.exp(-2.0 * t))
-    return SeriesSum(value=total / (rho * beta), tail_bound=tail)
+    return EvalResult(value=total / (rho * beta), error_estimate=tail + err / (rho * beta),
+                      method="identity", converged=converged)
 
 
 def q_from_g(gamma: float, xi: float, x: float,

@@ -25,13 +25,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from .constants import GAMMA_THIRD, GAMMA_TWO_THIRDS, Constants, get_constants
-from .core import DomainError, HypothesisViolated, require_above
+from .core import DomainError, EvalResult, HypothesisViolated, require_above
 
 __all__ = ["AmplitudeBounds", "PhaseProblem", "check_hypotheses",
            "two_term_expansion", "expansion_with_conjugation", "substitution_tau"]
@@ -119,8 +119,8 @@ def check_hypotheses(prob: PhaseProblem) -> None:
 
 
 def two_term_expansion(prob: PhaseProblem, x: float,
-                       constants: Optional[Constants] = None) -> Tuple[complex, float]:
-    """Return (main, rest_bound) of the expansion at x > 2."""
+                       constants: Optional[Constants] = None) -> EvalResult:
+    """The expansion at x > 2: its main term, and C_engine * B_f / x as the error."""
     require_above("x", x, 2.0)
     check_hypotheses(prob)
     c = get_constants(constants)
@@ -129,18 +129,18 @@ def two_term_expansion(prob: PhaseProblem, x: float,
             + cmath.exp(1j * math.pi / 3.0) / 3.0 * GAMMA_TWO_THIRDS
             * (6.0 / x) ** (2.0 / 3.0) * prob.f_prime0)
     rest = c.c_phase_engine * prob.bounds.total() / x
-    return main, rest
+    return EvalResult(value=main, error_estimate=rest, method="asymptotic")
 
 
 def expansion_with_conjugation(prob: PhaseProblem, x: float,
-                               constants: Optional[Constants] = None) -> Tuple[complex, float]:
+                               constants: Optional[Constants] = None) -> EvalResult:
     """Expansion valid for |x| > 2: at negative x it is the conjugate."""
     if x > 2.0:
         return two_term_expansion(prob, x, constants)
     if x < -2.0:
-        main, rest = two_term_expansion(prob, -x, constants)
-        return main.conjugate(), rest
-    raise DomainError(f"expansion requires |x| > 2, got {x}")
+        res = two_term_expansion(prob, -x, constants)
+        return replace(res, value=res.value.conjugate())
+    raise DomainError(f"x must satisfy |x| > 2, got {x!r}")
 
 
 def substitution_tau(psi: Callable[[np.ndarray], np.ndarray], t):

@@ -237,14 +237,14 @@ def _osc_cap(osc_frequency: float) -> float:
 def _subdivide(points: Sequence[float], cap: float, max_panels: int):
     """Split each segment between consecutive points to the panel cap.
 
-    Returns (edges, ok); ok is False when honoring the cap would exceed
-    the panel budget, in which case the mesh is coarsened to fit and the
-    caller must flag the result.
+    Returns (edges, ok); ok is False when the mesh exceeds the panel
+    budget, in which case the caller must flag the result.  A capped mesh
+    is then coarsened to fit; without a cap the points are the mesh.
     """
     points = np.asarray(points, dtype=np.float64)
     seg = np.diff(points)
     if not math.isfinite(cap):
-        return points, True
+        return points, len(seg) <= max_panels
     with np.errstate(divide="ignore", over="ignore"):  # cap may underflow to 0
         counts = np.maximum(1.0, np.ceil(seg / cap))
         if not counts.sum() < 2.0 ** 62:  # inf, or near what int64 holds

@@ -11,7 +11,8 @@ small rho
     H = exp(-2 x rho)/(2 rho)
         + (1/(pi rho)) Re{ exp(-i pi x) * V(x rho^3) } + R,   |R| <= C_small,
     where V(lam) = int_0^inf exp(i lam t^3/6)/(1 + t^2) dt is the
-    cubic-tail integral, written V(lam) = C(lam) exp(i pi psi(lam)).
+    cubic-tail integral; Re V > 0, so V(lam) = C(lam) exp(i pi psi(lam))
+    with C = |V| and psi = arg(V)/pi in (-1/2, 1/2).
 
 V(lam) = I(lam/6), I(lam) = int_0^inf e^{i lam u^3}/(1+u^2) du, is
 computed on the rotated ray u -> exp(i pi/6) t (``i_lambda_oracle``),
@@ -27,8 +28,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -39,50 +39,31 @@ from .core import (DomainError, EvalResult, NumericalError, QuadConfig, Regime,
 from .good import eval_H
 from .quadrature import Integrand, QuadResult, integrate_tail
 
-__all__ = ["CubicTailIntegral", "cubic_tail", "i_lambda_oracle", "i_lambda_asym",
-           "h_asym_large", "h_asym_small", "classify", "h_approx", "corollary_path_main"]
-
-
-@dataclass(frozen=True)
-class CubicTailIntegral:
-    """V(lam) = int_0^inf exp(i lam t^3/6)/(1+t^2) dt with its polar split.
-
-    c_mod is |V| and psi_arg is arg(V)/pi, with psi_arg(0) = 0.  Re V > 0
-    for every lam >= 0, so psi_arg lives in (-1/2, 1/2) and the branch
-    never jumps.
-    """
-
-    lam: float
-    value: complex
-    err: float
-
-    def __post_init__(self) -> None:
-        if not self.value.real > 0.0:
-            raise NumericalError(f"cubic-tail integral must have Re > 0, got {self.value}")
-
-    @property
-    def c_mod(self) -> float:
-        return abs(self.value)
-
-    @property
-    def psi_arg(self) -> float:
-        return cmath.phase(self.value) / math.pi
+__all__ = ["cubic_tail", "i_lambda_oracle", "i_lambda_asym", "h_asym_large",
+           "h_asym_small", "classify", "h_approx", "corollary_path_main"]
 
 
 _ROT = cmath.exp(1j * math.pi / 3.0)   # rotated denominator 1 + e^{i pi/3} t^2
 _ROT_HALF = cmath.exp(1j * math.pi / 6.0)
 
 
-def cubic_tail(lam: float, cfg: Optional[QuadConfig] = None) -> CubicTailIntegral:
-    """Evaluate V(lam) = int_0^inf exp(i lam t^3/6)/(1+t^2) dt for lam >= 0."""
+def cubic_tail(lam: float, cfg: Optional[QuadConfig] = None) -> EvalResult:
+    """Evaluate V(lam) = int_0^inf exp(i lam t^3/6)/(1+t^2) dt (Re V > 0) for lam >= 0.
+
+    Below lam ~ 4e-52 it is pi/2 with its explicit bound, method "asymptotic".
+    """
     require_at_least("lam", lam, 0.0)
     # |V - pi/2| <= 3 (lam/12)^(1/3): bound |e^{ia} - 1| by |a| below and
     # by 2 above t = T, T^3 = 12/lam
     bound = 3.0 * lam ** (1.0 / 3.0) / 12.0 ** (1.0 / 3.0)
     if bound <= 1e-17:  # lam <~ 4e-52
-        return CubicTailIntegral(lam=lam, value=complex(math.pi / 2.0), err=bound)
+        return EvalResult(value=complex(math.pi / 2.0), error_estimate=bound,
+                          method="asymptotic")
     res = i_lambda_oracle(lam / 6.0, cfg)
-    return CubicTailIntegral(lam=lam, value=complex(res.value), err=res.err)
+    if not res.value.real > 0.0:
+        raise NumericalError(f"cubic-tail integral must have Re > 0, got {res.value}")
+    return EvalResult(value=complex(res.value), error_estimate=res.err, method="oracle",
+                      converged=res.converged)
 
 
 def i_lambda_oracle(lam: float, cfg: Optional[QuadConfig] = None) -> QuadResult:
@@ -105,15 +86,18 @@ def i_lambda_oracle(lam: float, cfg: Optional[QuadConfig] = None) -> QuadResult:
     return QuadResult(_ROT_HALF * res.value, res.err, res.converged, res.panels)
 
 
-def i_lambda_asym(lam: float) -> Tuple[complex, float]:
+def i_lambda_asym(lam: float) -> EvalResult:
     """I(lam) = e^{i pi/6} Gamma(1/3)/(3 lam^(1/3)) + R with |R| <= 1/(3 lam).
 
     The bound is explicit (not calibrated): it comes from
     |1/(1 + e^{i pi/3} t^2) - 1| <= t^2 on the rotated ray.
     """
     require_above("lam", lam, 0.0)
+    rest = 1.0 / (3.0 * lam)
+    if rest == math.inf:  # lam <~ 1.9e-309
+        raise DomainError(f"lam must be large enough that 1/(3 lam) is finite, got {lam!r}")
     main = _ROT_HALF * GAMMA_THIRD / (3.0 * lam ** (1.0 / 3.0))
-    return main, 1.0 / (3.0 * lam)
+    return EvalResult(value=main, error_estimate=rest, method="asymptotic")
 
 
 def h_asym_large(x: float, rho: float,
@@ -139,8 +123,9 @@ def h_asym_small(x: float, rho: float, cfg: Optional[QuadConfig] = None,
     # Re{ e^{-i pi x} V } with exact mod-2 reduction of the phase
     osc = cos_pi(x) * tail.value.real + sin_pi(x) * tail.value.imag
     value = math.exp(-2.0 * x * rho) / (2.0 * rho) + osc / (math.pi * rho)
-    return EvalResult(value=value, error_estimate=c.c_h_small + tail.err / (math.pi * rho),
-                      method="asymptotic", regime=regime)
+    return EvalResult(value=value,
+                      error_estimate=c.c_h_small + tail.error_estimate / (math.pi * rho),
+                      method="asymptotic", regime=regime, converged=tail.converged)
 
 
 # Classifier thresholds on s = x*rho**3, u = x*rho and rho: where each law
@@ -220,21 +205,23 @@ def corollary_path_main(alpha: float, eta: float, rho: float,
         if eta == 0.0:
             raise DomainError("eta = 0 is not meaningful for alpha > 3")
         return h_asym_large(x, rho, constants)
+    err, converged = c.c_h_small, True
     if alpha == 3.0:
         tail = cubic_tail(eta, cfg)
-        value = tail.c_mod / (math.pi * rho) * cos_pi(math.fmod(x, 2.0) - tail.psi_arg)
-        err = c.c_h_small + tail.err / (math.pi * rho)
-        regime = Regime.diagnostics(RegimeKind.CRITICAL_S, x, rho)
+        # C(eta) = |V| and psi(eta) = arg(V)/pi
+        psi = cmath.phase(tail.value) / math.pi
+        value = abs(tail.value) / (math.pi * rho) * cos_pi(math.fmod(x, 2.0) - psi)
+        err += tail.error_estimate / (math.pi * rho)
+        converged = tail.converged
+        kind = RegimeKind.CRITICAL_S
     elif alpha > 1.0:
         value = cos_pi(x) / (2.0 * rho)
-        err = c.c_h_small
-        regime = Regime.diagnostics(RegimeKind.SMALL_S_LARGE_U, x, rho)
+        kind = RegimeKind.SMALL_S_LARGE_U
     elif alpha == 1.0:
         value = (math.exp(-2.0 * eta) + cos_pi(x)) / (2.0 * rho)
-        err = c.c_h_small
-        regime = Regime.diagnostics(RegimeKind.FINITE_U, x, rho)
+        kind = RegimeKind.FINITE_U
     else:
         value = (1.0 + cos_pi(x)) / (2.0 * rho)
-        err = c.c_h_small
-        regime = Regime.diagnostics(RegimeKind.FINITE_U, x, rho)
-    return EvalResult(value=value, error_estimate=err, method="asymptotic", regime=regime)
+        kind = RegimeKind.FINITE_U
+    return EvalResult(value=value, error_estimate=err, method="asymptotic",
+                      regime=Regime.diagnostics(kind, x, rho), converged=converged)

@@ -2,9 +2,9 @@ import math
 
 import pytest
 
-from goodfun import (DomainError, EvalResult, NumericalError, QuadConfig, Regime,
-                     RegimeKind)
-from goodfun.core import cos_pi, sin_pi
+from goodfun import (DomainError, EvalResult, NumericalError, PrecisionError, QuadConfig,
+                     Regime, RegimeKind, anger_J, eval_G, eval_Q)
+from goodfun.core import cos_pi, require_phase, sin_pi
 
 
 def test_quad_config_rejects_nonpositive():
@@ -35,6 +35,40 @@ def test_eval_result_validation():
         EvalResult(value=1.0, error_estimate=0.0, method="oracle", regime=r)
     ok = EvalResult(value=1.0, error_estimate=0.0, method="asymptotic", regime=r)
     assert ok.regime is r
+
+
+@pytest.mark.parametrize("a, b, length", [
+    (1e308, 1e308, 1.0),           # the terms add: 2e308
+    (-1e308, -1e308, 1.0),
+    (1e308, 0.0, math.pi),         # the ramp alone: pi * 1e308
+    (-1e308, 1e308, math.pi),      # the terms cancel, but the ramp overflows
+])
+def test_require_phase_refuses_overflow(a, b, length):
+    with pytest.raises(PrecisionError, match="overflows binary64"):
+        require_phase("a*th + b*sin(th)", a, b, length)
+
+
+@pytest.mark.parametrize("a, b, length", [
+    (1e308, -1e308, 1.0),          # they cancel and each term is finite
+    (5e307, -1.5e308, math.pi),
+    (5e307, 5e307, 1.0),
+    (0.0, 1.7e308, math.pi),
+])
+def test_require_phase_accepts_finite_terms(a, b, length):
+    require_phase("a*th + b*sin(th)", a, b, length)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: eval_G(1e308, 1.0, 1e308),
+    lambda: eval_G(1e308, 1.0, -1e308),   # the folded right half adds
+    lambda: eval_Q(1e308, 2.0, 1.0),
+    lambda: anger_J(1e308, 1e308),
+    lambda: anger_J(1e308, 0.0),
+], ids=["eval_G", "eval_G-negative-x", "eval_Q", "anger_J", "anger_J-x=0"])
+def test_oracles_refuse_a_phase_beyond_binary64(call):
+    # before numpy overflows (a RuntimeWarning, then NumericalError)
+    with pytest.raises(PrecisionError, match="overflows binary64"):
+        call()
 
 
 def test_cos_pi_exact_points():

@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from goodfun import DomainError, eval_G, eval_Q, ode_residual, q_from_g, series_partial_sum
+from goodfun import (DomainError, QuadConfig, eval_G, eval_Q, ode_residual, q_from_g,
+                     series_partial_sum)
 
 
 def test_ode_residual_small_at_canonical_points():
@@ -23,22 +24,36 @@ def test_ode_residual_rejects_bad_step():
         ode_residual(1.0, 1.0, 1.0, 0.0)
 
 
+def _tail_bound(rho, K):
+    """The geometric bound on the series terms beyond K, from |J_nu| <= 1."""
+    beta = math.sqrt(1.0 + rho * rho)
+    t = math.log(rho + beta)
+    return 2.0 / (rho * beta) * math.exp(-(K + 2) * t) / (1.0 - math.exp(-2.0 * t))
+
+
 def test_series_exact_at_origin():
     # every shifted Anger term vanishes at x = 0 for nonzero even order
-    value, tail = series_partial_sum(0.0, 1.0, 0.0, 10)
-    assert abs(value - 1.0 / math.sqrt(2.0)) <= 1e-12
+    s = series_partial_sum(0.0, 1.0, 0.0, 10)
+    assert abs(s.value - 1.0 / math.sqrt(2.0)) <= 1e-12
+    assert s.method == "identity" and s.converged
+
+
+def test_series_error_is_tail_plus_anger_errors():
+    s = series_partial_sum(2.0, 1.0, 3.0, 10)
+    tail = _tail_bound(1.0, 10)
+    assert tail <= s.error_estimate <= tail + 1e-12
 
 
 def test_series_increment_within_tail_bound():
-    v1, tail1 = series_partial_sum(2.0, 1.0, 3.0, 10)
-    v2, _ = series_partial_sum(2.0, 1.0, 3.0, 12)
-    assert abs(v2 - v1) <= tail1 + 1e-12
+    v1 = series_partial_sum(2.0, 1.0, 3.0, 10).value
+    v2 = series_partial_sum(2.0, 1.0, 3.0, 12).value
+    assert abs(v2 - v1) <= _tail_bound(1.0, 10) + 1e-12
 
 
 def test_series_matches_oracle_at_k40():
-    value, tail = series_partial_sum(2.0, 1.0, 3.0, 40)
+    s = series_partial_sum(2.0, 1.0, 3.0, 40)
     g = eval_G(2.0, 1.0, 3.0)
-    assert abs(value - g.value) <= tail + 1e-8
+    assert abs(s.value - g.value) <= _tail_bound(1.0, 40) + 1e-8
 
 
 @pytest.mark.parametrize("gamma,rho,x", [(0.0, 1.0, 0.0), (2.0, 1.0, 3.0),
@@ -47,7 +62,7 @@ def test_series_matches_oracle_at_k40():
 def test_series_cauchy_and_convergent(gamma, rho, x):
     previous = None
     for K in (10, 12, 14, 40):
-        value, tail = series_partial_sum(gamma, rho, x, K)
+        value, tail = series_partial_sum(gamma, rho, x, K).value, _tail_bound(rho, K)
         if previous is not None:
             prev_value, prev_tail = previous
             assert abs(value - prev_value) <= prev_tail + 1e-12
@@ -58,9 +73,16 @@ def test_series_cauchy_and_convergent(gamma, rho, x):
 
 def test_series_small_rho_needs_more_terms():
     # slower geometric decay at rho = 0.3, still convergent
-    value, tail = series_partial_sum(1.0, 0.3, 2.0, 60)
+    s = series_partial_sum(1.0, 0.3, 2.0, 60)
     g = eval_G(1.0, 0.3, 2.0)
-    assert abs(value - g.value) <= tail + 1e-8
+    assert abs(s.value - g.value) <= _tail_bound(0.3, 60) + 1e-8
+
+
+def test_series_passes_on_an_unconverged_anger_term():
+    # two panels cannot hold J's oscillation: every term is flagged
+    s = series_partial_sum(1.0, 1.0, 1.0, 4, QuadConfig(max_panels=2))
+    assert not s.converged
+    assert s.error_estimate > _tail_bound(1.0, 4) > 0.0086
 
 
 def test_q_from_g_matches_direct_q():

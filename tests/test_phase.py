@@ -82,10 +82,12 @@ def test_substitution_tau_monotone():
 
 
 def test_unit_amplitude_main_term():
-    main, rest = two_term_expansion(unit_problem(), 1000.0)
+    res = two_term_expansion(unit_problem(), 1000.0)
+    main = res.value
     from goodfun.constants import GAMMA_THIRD
     expected = cmath.exp(1j * math.pi / 6) / 3 * GAMMA_THIRD * (6 / 1000.0) ** (1 / 3)
     assert main == pytest.approx(expected, rel=1e-15)
+    assert res.method == "asymptotic" and res.regime is None and res.converged
     # (1/pi) Re main reproduces the diagonal Anger formula
     assert main.real / math.pi == pytest.approx(anger_diag_asym(1000.0).value,
                                                 rel=1e-14)
@@ -97,8 +99,8 @@ def test_unit_amplitude_oracle():
         Integrand(lambda t: np.exp(1j * x * (t - np.sin(t))), osc_frequency=x),
         0.0, math.pi)
     assert abs(res.value - I_UNIT_1000) <= max(res.err, 1e-11)
-    main, rest = two_term_expansion(unit_problem(), x)
-    assert abs(res.value - main) <= rest
+    exp = two_term_expansion(unit_problem(), x)
+    assert abs(res.value - exp.value) <= exp.error_estimate
 
 
 def test_exp_amplitude_reproduces_shifted_anger():
@@ -106,7 +108,7 @@ def test_exp_amplitude_reproduces_shifted_anger():
     for x in [123.4, 1000.0]:
         phase = complex(cos_pi(x), -sin_pi(x))
         for k in [1, -2, 5]:
-            main, _ = two_term_expansion(exp_problem(k), x)
+            main = two_term_expansion(exp_problem(k), x).value
             value = (-1.0) ** k / math.pi * (phase * main).real
             assert value == pytest.approx(anger_shifted_asym(x, k).value,
                                           rel=1e-12, abs=1e-15)
@@ -116,7 +118,7 @@ def test_exp_amplitude_reproduces_shifted_anger():
 @pytest.mark.parametrize("x", [37.3, 1e2, 1e3, 1e4])
 def test_good_amplitude_engine_vs_oracle(rho, x):
     prob = good_amplitude_problem(rho)
-    main, rest = two_term_expansion(prob, x)
+    exp = two_term_expansion(prob, x)
     rho2 = rho * rho
 
     def fn(t):
@@ -126,7 +128,7 @@ def test_good_amplitude_engine_vs_oracle(rho, x):
     res = integrate_finite(Integrand(fn, osc_frequency=x,
                                      hot_spots=(HotSpot(math.pi, rho),)),
                            0.0, math.pi)
-    assert abs(res.value - main) <= rest
+    assert abs(res.value - exp.value) <= exp.error_estimate
     # t = pi - u: the oracle the calibration sweep takes from eval_H
     hv = eval_H(x, rho)
     via_h = math.pi * complex(cos_pi(x), sin_pi(x)) * hv.h_complex.conjugate()
@@ -148,10 +150,11 @@ def test_first_term_dominance_trend():
 
 def test_conjugation_symmetry():
     prob = good_amplitude_problem(1.0)
-    plus, rest_p = expansion_with_conjugation(prob, 500.0)
-    minus, rest_m = expansion_with_conjugation(prob, -500.0)
-    assert minus == plus.conjugate()
-    assert rest_m == rest_p
+    plus = expansion_with_conjugation(prob, 500.0)
+    minus = expansion_with_conjugation(prob, -500.0)
+    assert minus.value == plus.value.conjugate()
+    assert minus.error_estimate == plus.error_estimate
+    assert minus.method == plus.method == "asymptotic"
 
 
 def test_domain_errors():

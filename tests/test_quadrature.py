@@ -5,7 +5,7 @@ import pytest
 
 from goodfun import quadrature
 from goodfun import (EnvelopeViolated, HotSpot, Integrand, NumericalError, QuadConfig,
-                     anger_J, eval_G, integrate_finite, integrate_tail)
+                     anger_J, eval_G, i_lambda_oracle, integrate_finite, integrate_tail)
 
 # closed forms used as oracles below
 PI_OVER_SQRT2 = 2.221441469079183123  # int_0^pi dth/(1+sin^2 th) = pi/sqrt(2)
@@ -91,6 +91,15 @@ def test_panel_budget_flag():
     f = Integrand(lambda t: np.cos(200.0 * t), osc_frequency=100.0)
     res = integrate_finite(f, 0.0, math.pi, QuadConfig(max_panels=8))
     assert not res.converged
+
+
+def test_panel_budget_flag_without_an_oscillation_cap():
+    # the ray's breakpoints alone (17 panels) exceed a budget of 5
+    assert i_lambda_oracle(1 / 6, QuadConfig(max_panels=5)).converged is False
+    assert i_lambda_oracle(1 / 6, QuadConfig(max_panels=17)).converged is True
+    edges, ok = quadrature._subdivide([0.0, 1.0, 2.0, 3.0], math.inf, 2)
+    assert not ok and edges.tolist() == [0.0, 1.0, 2.0, 3.0]
+    assert quadrature._subdivide([0.0, 1.0, 2.0, 3.0], math.inf, 3)[1]
 
 
 def test_tail_poisson_kernel_frequency():

@@ -23,7 +23,8 @@ CMOD_SCALE_LIMIT = 1.6226514594496686  # 6^(1/3) Gamma(1/3)/3
 def test_cubic_tail_at_zero_exact():
     v = cubic_tail(0.0)
     assert v.value == math.pi / 2.0
-    assert v.psi_arg == 0.0 and v.c_mod == math.pi / 2.0 and v.err == 0.0
+    assert cmath.phase(v.value) == 0.0 and abs(v.value) == math.pi / 2.0
+    assert v.error_estimate == 0.0 and v.method == "asymptotic" and v.converged
     # below lam ~ 4e-52 V is pi/2 within its bound, not a refusal of I(0)
     assert cubic_tail(5e-324).value == math.pi / 2.0
 
@@ -32,8 +33,8 @@ def test_cubic_tail_at_zero_exact():
 def test_cubic_tail_tiny_lambda_within_bound(lam):
     # |V - pi/2| <= 3 (lam/12)^(1/3), from |e^{ia} - 1| <= min(2, |a|)
     v = cubic_tail(lam)
-    assert cmath.isfinite(v.value) and 0.0 < v.err <= 1e-17
-    assert abs(v.value - math.pi / 2.0) <= v.err
+    assert cmath.isfinite(v.value) and 0.0 < v.error_estimate <= 1e-17
+    assert abs(v.value - math.pi / 2.0) <= v.error_estimate
 
 
 @pytest.mark.parametrize("lam,abs_tol", [(1e-310, 1e-12), (1.0, 1e-310), (1.0, 5e-324)])
@@ -55,25 +56,27 @@ def test_i_lambda_oracle_tiny_tolerance():
 @pytest.mark.parametrize("lam,pin", [(1.0, V_1), (6.0, V_6), (100.0, V_100)])
 def test_cubic_tail_pinned_values(lam, pin):
     v = cubic_tail(lam)
-    assert abs(v.value - pin) <= max(v.err, 1e-10)
+    assert abs(v.value - pin) <= max(v.error_estimate, 1e-10)
     assert v.value.real > 0.0
+    assert v.method == "oracle" and v.converged
 
 
 def test_cubic_tail_reconstruction():
     for lam in [0.0, 0.1, 1.0, 6.0, 1e2, 1e4]:
         v = cubic_tail(lam)
-        assert abs(v.value - v.c_mod * cmath.exp(1j * math.pi * v.psi_arg)) <= 1e-12
+        psi = cmath.phase(v.value) / math.pi
+        assert abs(v.value - abs(v.value) * cmath.exp(1j * math.pi * psi)) <= 1e-12
         assert v.value.real > 0.0
 
 
 def test_cubic_tail_large_lambda_trend():
-    # c_mod * lam^(1/3) -> 6^(1/3) Gamma(1/3)/3 and psi_arg -> 1/6
+    # |V| lam^(1/3) -> 6^(1/3) Gamma(1/3)/3 and arg(V)/pi -> 1/6
     lams = [1e2, 1e4, 1e6]
     mod_errs, arg_errs = [], []
     for lam in lams:
         v = cubic_tail(lam)
-        mod_errs.append(abs(v.c_mod * lam ** (1 / 3) - CMOD_SCALE_LIMIT))
-        arg_errs.append(abs(v.psi_arg - 1.0 / 6.0))
+        mod_errs.append(abs(abs(v.value) * lam ** (1 / 3) - CMOD_SCALE_LIMIT))
+        arg_errs.append(abs(cmath.phase(v.value) / math.pi - 1.0 / 6.0))
     assert mod_errs[2] < 5e-4 and arg_errs[2] < 1e-3
     assert mod_errs[0] > mod_errs[1] > mod_errs[2]
     assert arg_errs[0] > arg_errs[1] > arg_errs[2]
@@ -81,8 +84,23 @@ def test_cubic_tail_large_lambda_trend():
 
 def test_cubic_tail_psi_arg_continuity():
     lams = np.geomspace(1e-3, 1e4, 40)
-    args = [cubic_tail(float(l)).psi_arg for l in lams]
+    args = [cmath.phase(cubic_tail(float(l)).value) / math.pi for l in lams]
     assert max(abs(b - a) for a, b in zip(args, args[1:])) < 0.2
+
+
+# tolerances that no tail integral meets within five panels
+_STARVED = QuadConfig(abs_tol=1e-20, rel_tol=1e-20, max_panels=5)
+
+
+@pytest.mark.parametrize("call", [
+    lambda cfg: cubic_tail(100.0, cfg),
+    lambda cfg: h_asym_small(1e5, 0.1, cfg),
+    lambda cfg: h_approx(1e5, 1e-2, cfg),            # CRITICAL_S, s = 0.1
+    lambda cfg: corollary_path_main(3.0, 100.0, 0.1, cfg),
+], ids=["cubic_tail", "h_asym_small", "h_approx", "corollary_path_main"])
+def test_unconverged_cubic_tail_is_passed_on(call):
+    assert call(_STARVED).converged is False
+    assert call(None).converged is True
 
 
 def test_cubic_tail_rejects_negative():
@@ -91,10 +109,11 @@ def test_cubic_tail_rejects_negative():
 
 
 def test_i_lambda_asym_values():
-    main, rest = i_lambda_asym(1000.0)
-    assert abs(main) == pytest.approx(GAMMA_THIRD_OVER_30, rel=1e-15)
-    assert rest == pytest.approx(1.0 / 3000.0, rel=1e-15)
-    assert cmath.phase(main) == pytest.approx(math.pi / 6.0, rel=1e-15)
+    r = i_lambda_asym(1000.0)
+    assert abs(r.value) == pytest.approx(GAMMA_THIRD_OVER_30, rel=1e-15)
+    assert r.error_estimate == pytest.approx(1.0 / 3000.0, rel=1e-15)
+    assert cmath.phase(r.value) == pytest.approx(math.pi / 6.0, rel=1e-15)
+    assert r.method == "asymptotic" and r.regime is None
 
 
 # up to 1e300: the ray's cut-off must shrink like lam^(-1/3), or from
@@ -102,12 +121,13 @@ def test_i_lambda_asym_values():
 @pytest.mark.parametrize("lam", [1e2] + [10.0 ** k for k in range(3, 301, 9)])
 def test_i_lambda_oracle_within_explicit_bound(lam):
     res = i_lambda_oracle(lam)
-    main, rest = i_lambda_asym(lam)
+    law = i_lambda_asym(lam)
     assert res.converged
-    assert abs(res.value - main) <= rest + res.err
+    assert abs(res.value - law.value) <= law.error_estimate + res.err
     v = cubic_tail(6.0 * lam)  # V(lam) = I(lam/6)
-    main, rest = i_lambda_asym(v.lam / 6.0)
-    assert abs(v.value - main) <= rest + v.err
+    law = i_lambda_asym(6.0 * lam / 6.0)
+    assert v.converged
+    assert abs(v.value - law.value) <= law.error_estimate + v.error_estimate
 
 
 def test_h_asym_large_formula_value():
@@ -226,8 +246,9 @@ def test_corollary_alpha_3_uses_cubic_tail():
     v = cubic_tail(1.0)
     from goodfun.core import cos_pi, sin_pi
     # cos(pi (x - psi)) expanded, each factor reduced exactly modulo 2
-    expected = v.c_mod / (math.pi * rho) * (cos_pi(x) * cos_pi(v.psi_arg)
-                                            + sin_pi(x) * sin_pi(v.psi_arg))
+    psi = cmath.phase(v.value) / math.pi
+    expected = abs(v.value) / (math.pi * rho) * (cos_pi(x) * cos_pi(psi)
+                                                 + sin_pi(x) * sin_pi(psi))
     assert r.value == pytest.approx(expected, rel=1e-14)
 
 

@@ -5,10 +5,11 @@ import re
 import numpy as np
 import pytest
 
-from goodfun import (DomainError, Integrand, QuadConfig, anger_J, anger_diag_asym,
-                     anger_reflected_asym, anger_shifted_asym, bounds_H, classify,
-                     corollary_path_main, cubic_tail, eval_G, eval_H, eval_Q,
-                     find_zeros, h_asym_large, h_asym_small, i_lambda_asym,
+from goodfun import (DomainError, EvalResult, Integrand, QuadConfig, anger_J,
+                     anger_diag_asym, anger_reflected_asym, anger_shifted_asym, bounds_H,
+                     classify, corollary_path_main, cubic_tail, eval_G, eval_H, eval_Q,
+                     expansion_with_conjugation,
+                     find_zeros, h_approx, h_asym_large, h_asym_small, i_lambda_asym,
                      i_lambda_oracle, integrate_tail, q_from_g, series_partial_sum,
                      two_term_expansion)
 from goodfun.calibrate import unit_amplitude_problem
@@ -27,11 +28,13 @@ CASES = [
     (h_asym_large, {"x": 10.0, "rho": 1.0}, {"x": (2.0, 1.0), "rho": (0.0, -1.0)}),
     (h_asym_small, {"x": 10.0, "rho": 1e-2}, {"x": (0.0, -1.0), "rho": (0.0, -1.0)}),
     (classify, {"x": 10.0, "rho": 1.0}, {"x": (0.0, -1.0), "rho": (0.0, -1.0)}),
+    (h_approx, {"x": 10.0, "rho": 1e-2}, {"x": (0.0, -1.0), "rho": (0.0, -1.0)}),
     (corollary_path_main, {"alpha": 2.0, "eta": 1.0, "rho": 1e-2},
      {"alpha": (0.0, -1.0), "eta": (-1e-3,), "rho": (0.0, -1.0)}),
     (cubic_tail, {"lam": 1.0}, {"lam": (-1.0,)}),
     (i_lambda_oracle, {"lam": 1.0}, {"lam": (0.0, -1.0)}),
-    (i_lambda_asym, {"lam": 1.0}, {"lam": (0.0, -1.0)}),
+    # below lam ~ 1.9e-309 the bound 1/(3 lam) overflows
+    (i_lambda_asym, {"lam": 1.0}, {"lam": (0.0, -1.0, 1e-309, 5e-324)}),
     (integrate_tail, {"g": Integrand(lambda t: np.exp(-t ** 3)), "rate": 1.0},
      {"rate": (0.0, -1.0)}),
     (anger_J, {"nu": 1.0, "x": 10.0}, {"nu": (), "x": ()}),
@@ -40,12 +43,13 @@ CASES = [
     (anger_shifted_asym, {"x": 10.0, "k": 1},
      {"x": (2.0, -10.0), "k": (10 ** 6 + 1, -(10 ** 6 + 1), 1.5, 0.5)}),
     (two_term_expansion, {"prob": _UNIT, "x": 10.0}, {"x": (2.0, -10.0)}),
+    (expansion_with_conjugation, {"prob": _UNIT, "x": -10.0}, {"x": (2.0, -2.0, 0.0)}),
     (find_zeros, {"rho": 1.0, "x_min": 10.0, "x_max": 13.0},
      {"rho": (0.0, -1.0), "x_min": (2.0, 1.0), "x_max": (10.0, 9.0)}),
     (q_from_g, {"gamma": 1.0, "xi": 2.0, "x": 1.0},
      {"gamma": (-0.5,), "xi": (1.0, 0.5), "x": ()}),
     (series_partial_sum, {"gamma": 1.0, "rho": 1.0, "x": 1.0, "K": 2},
-     {"gamma": (), "rho": (0.0, -1.0), "x": (), "K": (7, 0, 1.5)}),
+     {"gamma": (), "rho": (0.0, -1.0), "x": (), "K": (7, 0, 1.5, 4.0)}),
 ]
 
 PARAMS = [
@@ -60,6 +64,18 @@ PARAMS = [
 def test_entry_point_refuses_bad_parameter(fn, kwargs, name, bad):
     with pytest.raises(DomainError, match=rf"^\|?{re.escape(name)}\|? must"):
         fn(**{**kwargs, name: bad})
+
+
+# every other entry point returns a value with its error as an EvalResult
+_OTHER_RESULT_TYPES = {eval_H, bounds_H, classify, find_zeros, i_lambda_oracle, integrate_tail}
+
+
+@pytest.mark.parametrize("fn, kwargs", [
+    pytest.param(fn, kwargs, id=fn.__name__)
+    for fn, kwargs, _ in CASES if fn not in _OTHER_RESULT_TYPES
+])
+def test_entry_point_returns_eval_result(fn, kwargs):
+    assert isinstance(fn(**kwargs), EvalResult)
 
 
 @pytest.mark.parametrize("bad", [30.5, 30.0, "30", math.nan, math.inf])
