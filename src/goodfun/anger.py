@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from dataclasses import replace
 from typing import Optional
 
 import numpy as np
@@ -60,21 +61,15 @@ def anger_diag_asym(x: float, constants: Optional[Constants] = None) -> EvalResu
 
 
 def anger_reflected_asym(x: float, constants: Optional[Constants] = None) -> EvalResult:
-    """One-term approximation of J_x(-x); error estimate C_ref/x."""
+    """One-term approximation of J_x(-x), the shifted law at k = 0; error estimate C_ref/x."""
     require_above("x", x, 2.0)
     c = get_constants(constants)
-    # reduce x before the shift: x - 1/6 itself would round at ulp(x)
-    value = (GAMMA_THIRD / (3.0 * math.pi) * (6.0 / x) ** (1.0 / 3.0)
-             * cos_pi(math.fmod(x, 2.0) - 1.0 / 6.0))
-    return EvalResult(value=value, error_estimate=c.c_anger_reflected / x, method="asymptotic")
+    return replace(anger_shifted_asym(x, 0, c), error_estimate=c.c_anger_reflected / x)
 
 
 def anger_shifted_asym(x: float, k: int,
                        constants: Optional[Constants] = None) -> EvalResult:
-    """Two-term approximation of J_{x+k}(-x); error C_shift*(1+|k|^3)/x.
-
-    For k = 0 this reduces exactly to the reflected form.
-    """
+    """Two-term approximation of J_{x+k}(-x); error C_shift*(1+|k|^3)/x."""
     require_above("x", x, 2.0)
     if not isinstance(k, numbers.Integral):  # (-1)^k has no meaning otherwise
         raise DomainError(f"k must be an integer, got {k!r}")
@@ -82,8 +77,8 @@ def anger_shifted_asym(x: float, k: int,
         raise DomainError(f"|k| must be <= {_K_MAX}, got {k}")
     c = get_constants(constants)
     sign = -1.0 if k % 2 else 1.0
+    # reduce x before the shift: x - 1/6 itself would round at ulp(x)
     r = math.fmod(x, 2.0)
-    # t1 is anger_reflected_asym's value term for term: k = 0 gives it exactly
     t1 = GAMMA_THIRD / (3.0 * math.pi) * (6.0 / x) ** (1.0 / 3.0) * cos_pi(r - 1.0 / 6.0)
     t2 = (k * GAMMA_TWO_THIRDS / (3.0 * math.pi) * (6.0 / x) ** (2.0 / 3.0)
           * sin_pi(r - 1.0 / 3.0))

@@ -1,8 +1,9 @@
 """Remainder-constant calibration sweeps.
 
 The asymptotic laws in this package come with remainders of proven order
-but unknown constant.  Calibration measures the worst scaled remainder of
-each law against the quadrature oracle over a fixed desk-scale grid and
+but unknown constant; at C = 1 a law's ``error_estimate`` is its remainder
+scale.  Calibration measures the worst |oracle - law| / (error at C = 1),
+``compare``'s err_actual/err_claimed, over a fixed desk-scale grid and
 freezes twice that maximum (a 2x safety margin) into the constants file.
 Everything here is deterministic, so re-running the sweep on an unchanged
 code base reproduces the shipped file exactly.
@@ -19,7 +20,7 @@ import numpy as np
 
 from .anger import anger_J, anger_diag_asym, anger_reflected_asym, anger_shifted_asym
 from .constants import Constants
-from .core import cos_pi, sin_pi
+from .core import EvalResult, cos_pi, sin_pi
 from .good import eval_H
 from .phase import AmplitudeBounds, PhaseProblem, two_term_expansion
 from .quadrature import Integrand, integrate_finite
@@ -29,8 +30,20 @@ __all__ = ["calibrate", "good_amplitude_problem",
            "sweep_anger_diag", "sweep_anger_reflected", "sweep_anger_shifted",
            "sweep_phase_engine", "sweep_h_large", "sweep_h_small"]
 
-# values are constant-free during sweeps; only error fields would use these
-_PROVISIONAL = Constants(1, 1, 1, 1, 1, 1)
+# every constant 1: a law's error_estimate is then its remainder scale
+_UNIT = Constants(1, 1, 1, 1, 1, 1)
+
+
+def _ratio(oracle: complex, law: EvalResult) -> float:
+    """|oracle - law| in units of the law's remainder scale."""
+    return abs(oracle - law.value) / law.error_estimate
+
+
+def _anger_phase_problem(f, bounds: AmplitudeBounds) -> PhaseProblem:
+    """PhaseProblem on [0, pi] with the Anger phase t - sin t and f'(0) = 0."""
+    return PhaseProblem(f=f, f_prime0=0.0, psi=lambda t: t - np.sin(t),
+                        psi_prime=lambda t: 1.0 - np.cos(t), b=math.pi, bounds=bounds)
+
 
 def good_amplitude_problem(rho: float) -> PhaseProblem:
     """PhaseProblem for the Good amplitude 1/(rho^2 + sin^2 t) on [0, pi].
@@ -57,51 +70,31 @@ def good_amplitude_problem(rho: float) -> PhaseProblem:
 
     grid = np.linspace(0.0, math.pi, 40_001)
     f1, f2, f3 = derivs(grid)
-    bounds = AmplitudeBounds(
+    return _anger_phase_problem(f, AmplitudeBounds(
         sup_f=float(1.0 / rho2),
         sup_df=float(1.02 * np.max(np.abs(f1))),
         sup_d2f=float(1.02 * np.max(np.abs(f2))),
         int_abs_d3f=float(1.02 * np.trapezoid(np.abs(f3), grid)),
-    )
-    psi = lambda t: t - np.sin(t)
-    psi_prime = lambda t: 1.0 - np.cos(t)
-    return PhaseProblem(f=f, f_prime0=0.0, psi=psi, psi_prime=psi_prime,
-                        b=math.pi, bounds=bounds)
+    ))
 
 
 def sweep_anger_diag(xs: Sequence[float]) -> float:
-    return max(xs_val * abs(anger_J(xs_val, xs_val).value
-                            - anger_diag_asym(xs_val, _PROVISIONAL).value)
-               for xs_val in xs)
+    return max(_ratio(anger_J(x, x).value, anger_diag_asym(x, _UNIT)) for x in xs)
 
 
 def sweep_anger_reflected(xs: Sequence[float]) -> float:
-    return max(x * abs(anger_J(x, -x).value
-                       - anger_reflected_asym(x, _PROVISIONAL).value)
-               for x in xs)
+    return max(_ratio(anger_J(x, -x).value, anger_reflected_asym(x, _UNIT)) for x in xs)
 
 
 def sweep_anger_shifted(xs: Sequence[float], ks: Sequence[int]) -> float:
-    worst = 0.0
-    for x in xs:
-        for k in ks:
-            r = abs(anger_J(x + k, -x).value
-                    - anger_shifted_asym(x, k, _PROVISIONAL).value)
-            worst = max(worst, x * r / (1.0 + abs(k) ** 3))
-    return worst
+    return max(_ratio(anger_J(x + k, -x).value, anger_shifted_asym(x, k, _UNIT))
+               for x in xs for k in ks)
 
 
 def unit_amplitude_problem() -> PhaseProblem:
     """PhaseProblem for f = 1 (the Anger diagonal) on [0, pi]."""
-    return PhaseProblem(
-        f=lambda t: np.ones_like(t, dtype=float), f_prime0=0.0,
-        psi=lambda t: t - np.sin(t), psi_prime=lambda t: 1.0 - np.cos(t),
-        b=math.pi, bounds=AmplitudeBounds(1.0, 0.0, 0.0, 0.0))
-
-
-def _scaled_rest(prob: PhaseProblem, x: float, oracle: complex) -> float:
-    main = two_term_expansion(prob, x, _PROVISIONAL).value
-    return abs(oracle - main) * x / prob.bounds.total()
+    return _anger_phase_problem(lambda t: np.ones_like(t, dtype=float),
+                                AmplitudeBounds(1.0, 0.0, 0.0, 0.0))
 
 
 def sweep_phase_engine(rhos: Sequence[float], xs: Sequence[float]) -> float:
@@ -117,27 +110,23 @@ def sweep_phase_engine(rhos: Sequence[float], xs: Sequence[float]) -> float:
         for x in xs:
             h = eval_H(x, rho).h_complex
             oracle = math.pi * complex(cos_pi(x), sin_pi(x)) * h.conjugate()
-            worst = max(worst, _scaled_rest(prob, x, oracle))
+            worst = max(worst, _ratio(oracle, two_term_expansion(prob, x, _UNIT)))
     unit = unit_amplitude_problem()
     for x in xs:
         f = Integrand(lambda t: np.exp(1j * x * unit.psi(t)), osc_frequency=abs(x))
-        worst = max(worst, _scaled_rest(unit, x, integrate_finite(f, 0.0, math.pi).value))
+        worst = max(worst, _ratio(integrate_finite(f, 0.0, math.pi).value,
+                                  two_term_expansion(unit, x, _UNIT)))
     return worst
 
 
 def sweep_h_large(rhos: Sequence[float], xs: Sequence[float]) -> float:
-    worst = 0.0
-    for rho in rhos:
-        for x in xs:
-            h = eval_H(x, rho).h
-            a = h_asym_large(x, rho, _PROVISIONAL).value
-            worst = max(worst, x * rho ** 4 * abs(h - a))
-    return worst
+    return max(_ratio(eval_H(x, rho).h, h_asym_large(x, rho, _UNIT))
+               for rho in rhos for x in xs)
 
 
 def _case_value(kind: str, x: float, rho: float) -> float:
     if kind == "full":
-        return h_asym_small(x, rho, constants=_PROVISIONAL).value
+        return h_asym_small(x, rho, constants=_UNIT).value
     if kind == "case_ii":
         return cos_pi(x) / (2.0 * rho)
     if kind == "case_iii":
@@ -147,6 +136,7 @@ def _case_value(kind: str, x: float, rho: float) -> float:
 
 
 def sweep_h_small(points: Sequence[Tuple[float, float, str]]) -> float:
+    # scale 1: the two limiting case forms are no law with an error_estimate
     worst = 0.0
     for x, rho, kind in points:
         h = eval_H(x, rho).h

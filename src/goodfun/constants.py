@@ -82,6 +82,8 @@ def parse_constants(text: str) -> Constants:
         key = key.strip()
         if key not in known:
             raise DomainError(f"constants file line {lineno}: unknown key {key!r}")
+        if key in values:
+            raise DomainError(f"constants file line {lineno}: repeated key {key!r}")
         try:
             values[key] = float(val.strip())
         except ValueError as exc:

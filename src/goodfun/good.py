@@ -238,6 +238,9 @@ def eval_Q(gamma: float, xi: float, x: float,
     """Evaluate Q_{gamma,xi}(x) by adaptive quadrature (gamma >= 0, xi > 1)."""
     require_at_least("gamma", gamma, 0.0)
     require_above("xi", xi, 1.0)
+    # q_from_g's floor: xi - cos th rounds at ~1e-16 against a peak of width xi - 1
+    if math.sqrt(xi * xi - 1.0) < RHO_MIN:
+        raise PrecisionError(f"xi = {xi} is too close to 1: sqrt(xi^2 - 1) is below {RHO_MIN}")
     require_finite("x", x)
     require_phase("gamma*th + x*sin(th)", gamma, x, math.pi)
 

@@ -25,13 +25,14 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from .constants import GAMMA_THIRD, GAMMA_TWO_THIRDS, Constants, get_constants
-from .core import DomainError, EvalResult, HypothesisViolated, require_above
+from .core import (DomainError, EvalResult, HypothesisViolated, require_above,
+                   require_at_least)
 
 __all__ = ["AmplitudeBounds", "PhaseProblem", "check_hypotheses",
            "two_term_expansion", "expansion_with_conjugation", "substitution_tau"]
@@ -47,6 +48,10 @@ class AmplitudeBounds:
     sup_df: float
     sup_d2f: float
     int_abs_d3f: float
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            require_at_least(f.name, getattr(self, f.name), 0.0)
 
     def total(self) -> float:
         return self.sup_f + self.sup_df + self.sup_d2f + self.int_abs_d3f

@@ -246,6 +246,9 @@ def test_constants_file_holds_exactly_the_calibrated_keys():
     # the classifier thresholds are code, not file entries
     with pytest.raises(DomainError, match="unknown key 's_hi'"):
         constants_mod.parse_constants(text + "s_hi = 50\n")
+    line = len(text.splitlines()) + 1
+    with pytest.raises(DomainError, match=f"line {line}: repeated key 'c_anger_diag'"):
+        constants_mod.parse_constants(text + "c_anger_diag = 1\n")
 
 
 def test_scan_tiny_rho_is_a_domain_error(tmp_path, capsys):

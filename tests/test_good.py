@@ -76,6 +76,16 @@ def test_q_requires_xi():
         eval_Q(0.0, 1.0, 0.0)
 
 
+def test_q_refuses_xi_below_the_rho_floor():
+    # xi - cos th rounds at ~1e-16 against a peak of width xi - 1: q_from_g's
+    # floor sqrt(xi^2 - 1) >= RHO_MIN applies to the direct oracle as well
+    with pytest.raises(PrecisionError, match="xi"):
+        eval_Q(0.0, 1.0 + 1e-13, 0.0)
+    xi = 1.0 + 1e-12
+    r = eval_Q(0.0, xi, 0.0)
+    assert abs(r.value - 1.0 / math.sqrt((xi - 1.0) * (xi + 1.0))) <= r.error_estimate
+
+
 def test_h_pinned_value():
     hv = eval_H(100.0, 1.0)
     assert abs(hv.h - H_100_1) <= max(hv.err, 1e-12)

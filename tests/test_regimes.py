@@ -5,10 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from goodfun import (DomainError, Integrand, PrecisionError, QuadConfig, RegimeKind,
+from goodfun import (Constants, DomainError, Integrand, PrecisionError, QuadConfig,
+                     RegimeKind, anger_diag_asym, anger_reflected_asym, anger_shifted_asym,
                      classify, corollary_path_main, cubic_tail, eval_H, h_approx,
                      h_asym_large, h_asym_small, i_lambda_asym,
-                     i_lambda_oracle, integrate_finite, load_constants)
+                     i_lambda_oracle, integrate_finite, load_constants, two_term_expansion)
+from goodfun.calibrate import good_amplitude_problem
 from goodfun.constants import GAMMA_THIRD
 
 # cubic-tail values pinned by independent 25-digit rotated-contour quadrature
@@ -290,6 +292,19 @@ def test_error_estimates_scale():
     assert r.error_estimate == pytest.approx(consts.c_h_large / (1e4 * 16.0), rel=1e-12)
     r = h_asym_small(1e4, 1e-3)
     assert r.error_estimate >= consts.c_h_small
+    # at every constant 1 the error is the remainder scale the calibration divides by
+    unit = Constants(1, 1, 1, 1, 1, 1)
+    x, rho = 123.25, 0.7
+    assert anger_diag_asym(x, unit).error_estimate == pytest.approx(1.0 / x, rel=1e-15)
+    assert anger_reflected_asym(x, unit).error_estimate == pytest.approx(1.0 / x, rel=1e-15)
+    for k in [0, 1, -2, 5]:
+        assert anger_shifted_asym(x, k, unit).error_estimate == pytest.approx(
+            (1.0 + abs(k) ** 3) / x, rel=1e-15)
+    assert h_asym_large(x, rho, unit).error_estimate == pytest.approx(
+        1.0 / (x * rho ** 4), rel=1e-15)
+    prob = good_amplitude_problem(rho)
+    assert two_term_expansion(prob, x, unit).error_estimate == pytest.approx(
+        prob.bounds.total() / x, rel=1e-15)
 
 
 # measured Im of int_0^inf e^{2 i a t}/(1+t^2) dt, pinned by oscillatory

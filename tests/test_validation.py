@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from goodfun import (DomainError, EvalResult, Integrand, QuadConfig, anger_J,
+from goodfun import (AmplitudeBounds, DomainError, EvalResult, Integrand, QuadConfig, anger_J,
                      anger_diag_asym, anger_reflected_asym, anger_shifted_asym, bounds_H,
                      classify, corollary_path_main, cubic_tail, eval_G, eval_H, eval_Q,
                      expansion_with_conjugation,
@@ -50,6 +50,8 @@ CASES = [
      {"gamma": (-0.5,), "xi": (1.0, 0.5), "x": ()}),
     (series_partial_sum, {"gamma": 1.0, "rho": 1.0, "x": 1.0, "K": 2},
      {"gamma": (), "rho": (0.0, -1.0), "x": (), "K": (7, 0, 1.5, 4.0)}),
+    (AmplitudeBounds, {"sup_f": 1.0, "sup_df": 0.0, "sup_d2f": 0.0, "int_abs_d3f": 0.0},
+     {"sup_f": (-1.0,), "sup_df": (-1.0,), "sup_d2f": (-1.0,), "int_abs_d3f": (-1.0,)}),
 ]
 
 PARAMS = [
@@ -67,7 +69,8 @@ def test_entry_point_refuses_bad_parameter(fn, kwargs, name, bad):
 
 
 # every other entry point returns a value with its error as an EvalResult
-_OTHER_RESULT_TYPES = {eval_H, bounds_H, classify, find_zeros, i_lambda_oracle, integrate_tail}
+_OTHER_RESULT_TYPES = {eval_H, bounds_H, classify, find_zeros, i_lambda_oracle, integrate_tail,
+                       AmplitudeBounds}
 
 
 @pytest.mark.parametrize("fn, kwargs", [
