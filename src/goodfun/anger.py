@@ -15,6 +15,11 @@ stationary point of th -> th - sin th:
 
 The remainder constants are calibrated by sweep (see goodfun.calibrate)
 and frozen in the constants file; the theory proves only their existence.
+
+The oracle ``anger_J`` integrates on [0, pi] at a cost that grows like
+|nu| + |x|, except in the band these laws live in: from |x| = X_C on,
+orders with ||nu| - |x|| <= |x|^(1/3) go along calH's steepest-descent
+contour (``good._anger_contour``), whose cost does not grow with x.
 """
 from __future__ import annotations
 
@@ -29,6 +34,7 @@ from .constants import (GAMMA_THIRD, GAMMA_TWO_THIRDS, SQRT3, Constants,
                         get_constants)
 from .core import (DomainError, EvalResult, QuadConfig, cos_pi, require_above,
                    require_finite, require_phase, sin_pi)
+from .good import X_C, _anger_contour
 from .quadrature import Integrand, integrate_finite
 
 __all__ = ["anger_J", "anger_diag_asym", "anger_reflected_asym",
@@ -37,12 +43,8 @@ __all__ = ["anger_J", "anger_diag_asym", "anger_reflected_asym",
 _K_MAX = 10 ** 6
 
 
-def anger_J(nu: float, x: float, cfg: Optional[QuadConfig] = None) -> EvalResult:
-    """Oracle value of J_nu(x) by adaptive quadrature."""
-    require_finite("nu", nu)
-    require_finite("x", x)
-    require_phase("nu*th - x*sin(th)", nu, -x, math.pi)
-
+def _real_axis(nu: float, x: float, cfg: Optional[QuadConfig]) -> EvalResult:
+    """J_nu(x) by quadrature on [0, pi]; cost grows like |nu| + |x|."""
     def fn(th: np.ndarray) -> np.ndarray:
         return np.cos(nu * th - x * np.sin(th))
 
@@ -50,6 +52,32 @@ def anger_J(nu: float, x: float, cfg: Optional[QuadConfig] = None) -> EvalResult
     res = integrate_finite(f, 0.0, math.pi, cfg)
     return EvalResult(value=res.value.real / math.pi, error_estimate=res.err / math.pi,
                       method="oracle", converged=res.converged)
+
+
+def anger_J(nu: float, x: float, cfg: Optional[QuadConfig] = None) -> EvalResult:
+    """Oracle value of J_nu(x) by adaptive quadrature.
+
+    From |x| = X_C on, orders with ||nu| - |x|| <= |x|^(1/3) are integrated
+    along calH's contour (``good._anger_contour``), at a cost that does not
+    grow with x; every other order on the real axis.
+    """
+    require_finite("nu", nu)
+    require_finite("x", x)
+    require_phase("nu*th - x*sin(th)", nu, -x, math.pi)
+    if not (abs(x) >= X_C and abs(abs(nu) - abs(x)) <= abs(x) ** (1.0 / 3.0)):
+        return _real_axis(nu, x, cfg)
+    if nu < 0.0:
+        nu, x = -nu, -x  # J_nu(x) = J_{-nu}(-x)
+    if x < 0.0:
+        # J_{|x|+k}(-|x|) = Re calA(|x|, k); nu + x is exact, the two within 2x
+        res = _anger_contour(-x, nu + x, cfg)
+        value = res.value.real
+    else:
+        # th -> pi - th: J_nu(x) = Re[e^{i pi nu} conj calA(x, nu - x)]
+        res = _anger_contour(x, nu - x, cfg)
+        value = cos_pi(nu) * res.value.real + sin_pi(nu) * res.value.imag
+    return EvalResult(value=value, error_estimate=res.err, method="oracle",
+                      converged=res.converged)
 
 
 def anger_diag_asym(x: float, constants: Optional[Constants] = None) -> EvalResult:

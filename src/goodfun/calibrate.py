@@ -20,10 +20,9 @@ import numpy as np
 
 from .anger import anger_J, anger_diag_asym, anger_reflected_asym, anger_shifted_asym
 from .constants import Constants
-from .core import EvalResult, cos_pi, sin_pi
-from .good import eval_H
+from .core import EvalResult, cos_pi, require_at_least, sin_pi
+from .good import X_C, _anger_contour, eval_H
 from .phase import AmplitudeBounds, PhaseProblem, two_term_expansion
-from .quadrature import Integrand, integrate_finite
 from .regimes import h_asym_large, h_asym_small
 
 __all__ = ["calibrate", "good_amplitude_problem",
@@ -59,13 +58,14 @@ def good_amplitude_problem(rho: float) -> PhaseProblem:
         return 1.0 / (rho2 + s * s)
 
     def derivs(t: np.ndarray):
-        d = rho2 + np.sin(t) ** 2
-        d1 = np.sin(2.0 * t)
-        d2 = 2.0 * np.cos(2.0 * t)
-        d3 = -4.0 * np.sin(2.0 * t)
-        f1 = -d1 / d ** 2
-        f2 = -d2 / d ** 2 + 2.0 * d1 ** 2 / d ** 3
-        f3 = -d3 / d ** 2 + 6.0 * d1 * d2 / d ** 3 - 6.0 * d1 ** 3 / d ** 4
+        # with r = 1/D, a = D' r = sin(2t) r and b = D'' r = 2 cos(2t) r
+        # (D''' = -4 sin 2t), the derivatives of f = r are polynomials in a, b
+        r = 1.0 / (rho2 + np.sin(t) ** 2)
+        a = np.sin(2.0 * t) * r
+        b = 2.0 * np.cos(2.0 * t) * r
+        f1 = -a * r
+        f2 = (-b + 2.0 * a * a) * r
+        f3 = (4.0 * a + 6.0 * a * b - 6.0 * a * a * a) * r
         return f1, f2, f3
 
     grid = np.linspace(0.0, math.pi, 40_001)
@@ -97,24 +97,29 @@ def unit_amplitude_problem() -> PhaseProblem:
                                 AmplitudeBounds(1.0, 0.0, 0.0, 0.0))
 
 
+def _flipped(x: float, cal: complex) -> complex:
+    """pi e^{i pi x} conj(cal): t = pi - u takes calH or calA to the engine's form."""
+    return math.pi * complex(cos_pi(x), sin_pi(x)) * cal.conjugate()
+
+
 def sweep_phase_engine(rhos: Sequence[float], xs: Sequence[float]) -> float:
-    """Worst scaled remainder of the two-term expansion over the grid.
+    """Worst scaled remainder of the two-term expansion over the grid (x >= X_C).
 
     t = pi - u turns the Good-amplitude integral into
-    pi e^{i pi x} conj(calH(x, rho)), which ``eval_H`` computes; the unit
-    amplitude is integrated on [0, pi] directly.
+    pi e^{i pi x} conj(calH(x, rho)), which ``eval_H`` computes, and the
+    unit-amplitude one into pi e^{i pi x} conj(calA(x, 0)), which
+    ``good._anger_contour`` computes.
     """
     worst = 0.0
     for rho in rhos:
         prob = good_amplitude_problem(rho)
         for x in xs:
-            h = eval_H(x, rho).h_complex
-            oracle = math.pi * complex(cos_pi(x), sin_pi(x)) * h.conjugate()
-            worst = max(worst, _ratio(oracle, two_term_expansion(prob, x, _UNIT)))
+            worst = max(worst, _ratio(_flipped(x, eval_H(x, rho).h_complex),
+                                      two_term_expansion(prob, x, _UNIT)))
     unit = unit_amplitude_problem()
     for x in xs:
-        f = Integrand(lambda t: np.exp(1j * x * unit.psi(t)), osc_frequency=abs(x))
-        worst = max(worst, _ratio(integrate_finite(f, 0.0, math.pi).value,
+        require_at_least("x", x, X_C)
+        worst = max(worst, _ratio(_flipped(x, _anger_contour(x, 0.0, None).value),
                                   two_term_expansion(unit, x, _UNIT)))
     return worst
 

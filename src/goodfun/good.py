@@ -20,6 +20,16 @@ costs ~1e-10 of mass) and turns the constant phase at pi into
 cos/sin(pi*gamma) factors that reduce exactly modulo 2.  From |x| = X_C
 on, calH is integrated along a contour in the upper half-plane instead
 (``_contour``), at a cost that does not grow with x.
+
+That contour is one primitive (``_rays``) for the phase x*(th + sin th),
+with any amplitude that has no pole between [0, pi] and the contour.
+Besides calH's 1/(rho^2 + sin^2 th) it carries the Anger amplitude
+e^{i k th}:
+
+    calA(x, k) = (1/pi) int_0^pi exp(i*(x*(th + sin th) + k*th)) dth
+
+(``_anger_contour``), from which ``anger.anger_J`` takes J near its
+diagonal, J_{x+k}(-x) = Re calA(x, k).
 """
 from __future__ import annotations
 
@@ -126,6 +136,12 @@ def _contour_ends(x: float) -> Tuple[complex, complex]:
     return t0 * _DIR_0, t_pi * _DIR_PI
 
 
+def _end_decays(x: float) -> Tuple[complex, complex, float, float]:
+    """P0, P1 - pi, and x Im g at P0 and at P1 (each about _DECAY)."""
+    p0, w1 = _contour_ends(x)
+    return p0, w1, x * (p0 + cmath.sin(p0)).imag, x * _w_minus_sin(w1).imag
+
+
 def _connector_bound(x: float, rho: float) -> float:
     """Bound on the part of calH(x, rho) along P0 -> Q -> P1, Q = Re P0 + i Im P1.
 
@@ -135,11 +151,9 @@ def _connector_bound(x: float, rho: float) -> float:
     Q -> P1 (b = Im P1) it falls with a: it exceeds Im g(P1) by at least
     -cos a1 sinh b for a <= pi/2, and by (a1 - a) sin a1 sinh b beyond.
     """
-    p0, w1 = _contour_ends(x)
+    p0, w1, decay_0, decay_1 = _end_decays(x)
     a0, h0, h1 = p0.real, p0.imag, w1.imag
     s1 = math.sin(-w1.real)                 # sin a1, a1 = pi + Re w1 = Re P1
-    decay_0 = x * (p0 + cmath.sin(p0)).imag
-    decay_1 = x * _w_minus_sin(w1).imag
     # both sides halved (exactly) so that x (1 + cos a0) cannot overflow
     up = 0.5 * math.exp(-decay_0) / (0.5 * x * (1.0 + math.cos(a0)) * math.sin(a0)
                                      * math.hypot(math.sinh(h0), rho))
@@ -150,8 +164,27 @@ def _connector_bound(x: float, rho: float) -> float:
     return (up + across) / math.pi
 
 
-def _contour(x: float, rho: float, cfg: Optional[QuadConfig]) -> QuadResult:
-    """calH(x, rho) for x >= X_C along a contour in the upper half-plane.
+def _anger_connector_bound(x: float, k: float) -> float:
+    """Bound on the part of calA(x, k) along P0 -> Q -> P1, Q = Re P0 + i Im P1.
+
+    As in ``_connector_bound``, x Im g >= x Im g(P0) on P0 -> Q and
+    x Im g >= x Im g(P1) on Q -> P1.  The connector keeps
+    0 <= Im th <= Im P1, so |e^{i k th}| = e^{-k Im th} <= e^{|k| Im P1}.
+    The path is (Im P1 - Im P0) + (Re P1 - Re P0) long, which gives
+    length * e^{|k| Im P1 - min(x Im g(P0), x Im g(P1))} / pi.
+    """
+    p0, w1, decay_0, decay_1 = _end_decays(x)
+    length = (w1.imag - p0.imag) + (math.pi + w1.real - p0.real)
+    return length * math.exp(abs(k) * w1.imag - min(decay_0, decay_1)) / math.pi
+
+
+_RayFn = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+
+
+def _rays(x: float, integrand: _RayFn, at_pi: complex, osc: float,
+          spots: Tuple[HotSpot, ...], connector: float,
+          cfg: Optional[QuadConfig]) -> QuadResult:
+    """(1/pi) int_0^pi exp(i x g(th)) a(th) dth along the two rays, for x >= X_C.
 
     The phase g(th) = th + sin th has two critical places on [0, pi]: the
     endpoint 0, where g' = 2, and pi, where g' = g'' = 0 and the third
@@ -164,42 +197,68 @@ def _contour(x: float, rho: float, cfg: Optional[QuadConfig]) -> QuadResult:
       the cubic stationary point: exp(i x g) = e^{i pi x} exp(-x t^3/6 + ...).
 
     Each ray is one ``integrate_finite`` call in t.  The segments are not
-    integrated: ``_connector_bound`` (below 1e-17 for rho >= RHO_MIN) is
-    added to the error estimate instead.
+    integrated: ``connector``, the caller's bound on them for its
+    amplitude, is added to the error instead.
 
-    No residue enters.  The poles of 1/(rho^2 + sin^2 th) sit at
-    k pi +- i asinh(rho), on the lines Re th = 0 and Re th = pi.  The
-    closed path made of [0, pi], the rays and the segments meets those
-    lines only at its real endpoints 0 and pi, so it encloses no pole.
-    The geometry this relies on (Re P0 < pi/2 < Re P1, Im P0 < Im P1)
-    holds for every x >= X_C.
+    ``integrand(z, w, s)`` returns exp(z) a(th), given
+    z = i x (g(th) - g(th at the ray's start)), the offset w of th from
+    that start, and s = sin w; on the ray into pi, a(th) is taken
+    without its constant factor ``at_pi``.  ``osc`` is half the
+    amplitude's own phase rate, added to the phase's on each ray.
+
+    The geometry the connector bounds rely on (Re P0 < pi/2 < Re P1,
+    Im P0 < Im P1) holds for every x >= X_C.
     """
-    rho2 = rho * rho
     p0, w1 = _contour_ends(x)
 
     def fn_0(t: np.ndarray) -> np.ndarray:
         w = t * _DIR_0
         s = np.sin(w)
-        return np.exp(1j * x * (w + s)) / (rho2 + s * s)
+        return integrand(1j * x * (w + s), w, s)
 
     def fn_pi(t: np.ndarray) -> np.ndarray:
         # th = pi + w: g = pi + (w - sin w) and sin^2 th = sin^2 w
         w = t * _DIR_PI
-        s = np.sin(w)
-        return np.exp(1j * x * _w_minus_sin(w)) / (rho2 + s * s)
+        return integrand(1j * x * _w_minus_sin(w), w, np.sin(w))
 
     # half the largest real phase rate x |Re(dir * g')| on each ray: at t = 0
     # on the first, at the far end on the second (1 - cos w = 2 sin^2(w/2))
-    nu_0 = x * _DIR_0.real
-    nu_pi = x * abs((_DIR_PI * cmath.sin(0.5 * w1) ** 2).real)
-    spots = (HotSpot(0.0, rho),)
+    nu_0 = x * _DIR_0.real + osc
+    nu_pi = x * abs((_DIR_PI * cmath.sin(0.5 * w1) ** 2).real) + osc
     ray_0 = integrate_finite(Integrand(fn_0, nu_0, spots), 0.0, abs(p0), cfg)
     ray_pi = integrate_finite(Integrand(fn_pi, nu_pi, spots), 0.0, abs(w1), cfg)
-    phase_pi = complex(cos_pi(x), sin_pi(x))   # e^{i pi x}, reduced exactly mod 2
+    # e^{i pi x}, reduced exactly mod 2, times the amplitude's factor at pi
+    phase_pi = complex(cos_pi(x), sin_pi(x)) * at_pi
     value = (_DIR_0 * ray_0.value - phase_pi * _DIR_PI * ray_pi.value) / math.pi
-    err = (ray_0.err + ray_pi.err) / math.pi + _connector_bound(x, rho)
+    err = (ray_0.err + ray_pi.err) / math.pi + connector
     return QuadResult(value, err, ray_0.converged and ray_pi.converged,
                       ray_0.panels + ray_pi.panels)
+
+
+def _contour(x: float, rho: float, cfg: Optional[QuadConfig]) -> QuadResult:
+    """calH(x, rho) for x >= X_C along the contour of ``_rays``.
+
+    The connector bound is ``_connector_bound``, below 1e-17 for
+    rho >= RHO_MIN.  No residue enters.  The poles of
+    1/(rho^2 + sin^2 th) sit at k pi +- i asinh(rho), on the lines
+    Re th = 0 and Re th = pi.  The closed path made of [0, pi], the rays
+    and the segments meets those lines only at its real endpoints 0 and
+    pi, so it encloses no pole.
+    """
+    rho2 = rho * rho
+    return _rays(x, lambda z, w, s: np.exp(z) / (rho2 + s * s), 1.0, 0.0,
+                 (HotSpot(0.0, rho),), _connector_bound(x, rho), cfg)
+
+
+def _anger_contour(x: float, k: float, cfg: Optional[QuadConfig]) -> QuadResult:
+    """calA(x, k) = (1/pi) int_0^pi exp(i (x g(th) + k th)) dth for x >= X_C.
+
+    The amplitude e^{i k th} is entire, so the contour of ``_rays`` needs
+    no residue and no hot spot; on the ray into pi it is e^{i pi k} e^{i k w}.
+    The connector bound is ``_anger_connector_bound``.
+    """
+    return _rays(x, lambda z, w, s: np.exp(z + 1j * k * w), complex(cos_pi(k), sin_pi(k)),
+                 0.5 * abs(k), (), _anger_connector_bound(x, k), cfg)
 
 
 def eval_G(gamma: float, rho: float, x: float,

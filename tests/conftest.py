@@ -1,0 +1,26 @@
+import numpy as np
+import pytest
+
+from goodfun import good
+from goodfun.quadrature import Integrand
+
+
+@pytest.fixture
+def fevals(monkeypatch):
+    """fevals(call, *args): integrand evaluations call(*args) makes on the contour."""
+    def count(call, *args):
+        n = [0]
+        integrate = good.integrate_finite
+
+        def counting(f, *rest):
+            def fn(t):
+                n[0] += np.size(t)
+                return f.fn(t)
+            return integrate(Integrand(fn, f.osc_frequency, f.hot_spots), *rest)
+
+        monkeypatch.setattr(good, "integrate_finite", counting)
+        call(*args)
+        monkeypatch.undo()
+        return n[0]
+
+    return count

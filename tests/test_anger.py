@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from goodfun import (DomainError, anger_J, anger_diag_asym,
+from goodfun import (DomainError, QuadConfig, anger_J, anger_diag_asym,
                      anger_reflected_asym, anger_shifted_asym, load_constants)
+from goodfun import anger, good
 from goodfun.constants import GAMMA_THIRD, GAMMA_TWO_THIRDS
+from goodfun.good import X_C
+from goodfun.quadrature import HotSpot, Integrand, integrate_finite
 
 # pinned by independent high-precision quadrature
 J_3p2_1p5 = 0.00555158604922521878
@@ -138,3 +141,102 @@ def test_shifted_remainder_single_constant():
             worst = max(worst, x * r / (1.0 + abs(k) ** 3))
     assert worst <= consts.c_anger_shifted
     print(f"shifted remainder constant over sweep: {worst:.4f}")
+
+
+# -- the contour used from |x| = X_C on, near the diagonal ------------------
+
+BAND_CASES = [(s * ax, k) for ax in (1e2, 1e3, 1e4) for s in (1, -1)
+              for k in (0, 1, -1, 2, -2, 4, -4) if abs(k) <= ax ** (1.0 / 3.0)]
+
+
+@pytest.mark.parametrize("x,k", BAND_CASES)
+def test_contour_agrees_with_real_axis(x, k):
+    nu = abs(x) + k
+    c = anger_J(nu, x)
+    r = anger._real_axis(nu, x, None)
+    assert c.converged and r.converged
+    assert abs(c.value - r.value) <= c.error_estimate + r.error_estimate
+    assert anger_J(-nu, -x) == c
+
+
+@pytest.mark.parametrize("k", [0, 2, -4])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_crossover_is_continuous(k, sign):
+    x_below = math.nextafter(X_C, 0.0)
+    below = anger_J(X_C + k, sign * x_below)
+    at = anger_J(X_C + k, sign * X_C)
+    assert below == anger._real_axis(X_C + k, sign * x_below, None)
+    # |dJ/dx| <= (1/pi) int_0^pi sin th dth = 2/pi
+    step = 2.0 / math.pi * (X_C - x_below)
+    assert abs(below.value - at.value) <= below.error_estimate + at.error_estimate + step
+
+
+def _band_edge(x, side):
+    """The order farthest from |x| on ``side`` that the contour still takes."""
+    edge = abs(x) ** (1.0 / 3.0)
+    nu = abs(x) + side * edge
+    while abs(nu - abs(x)) > edge:
+        nu = math.nextafter(nu, abs(x))
+    while abs(math.nextafter(nu, side * math.inf) - abs(x)) <= edge:
+        nu = math.nextafter(nu, side * math.inf)
+    return nu
+
+
+@pytest.mark.parametrize("side", [1, -1])
+@pytest.mark.parametrize("x", [1e3, -1e3, 1e4])
+def test_band_edge_is_continuous(x, side):
+    nu_in = _band_edge(x, side)
+    nu_out = math.nextafter(nu_in, side * math.inf)
+    inside, outside = anger_J(nu_in, x), anger_J(nu_out, x)
+    assert outside == anger._real_axis(nu_out, x, None)
+    assert inside != anger._real_axis(nu_in, x, None)
+    # |dJ/dnu| <= (1/pi) int_0^pi th dth = pi/2
+    step = math.pi / 2.0 * abs(nu_out - nu_in)
+    assert abs(inside.value - outside.value) <= (inside.error_estimate
+                                                 + outside.error_estimate + step)
+
+
+@pytest.mark.parametrize("x", [1e5, 1e9])
+def test_contour_converges_at_large_x(x):
+    for j, law in ((anger_J(x, x), anger_diag_asym(x)),
+                   (anger_J(x, -x), anger_reflected_asym(x))):
+        assert j.converged
+        assert abs(j.value - law.value) <= law.error_estimate + j.error_estimate
+
+
+@pytest.mark.parametrize("k", [0, 5])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_contour_cost_does_not_grow_with_x(fevals, sign, k):
+    # anchored at 1e5: at smaller x the oscillation cap gives the ray into pi
+    # more starting panels, and it can take one split less (330 fevals at
+    # x = 1e3 against 345 from 1e5 to 1e15)
+    ref = fevals(anger_J, 1e5 + k, sign * 1e5)
+    for x in (1e7, 1e9):
+        assert 0 < fevals(anger_J, x + k, sign * x) <= ref
+
+
+def _connector_size(x, k, th):
+    return np.abs(np.exp(1j * (x * (th + np.sin(th)) + k * th)))
+
+
+@pytest.mark.parametrize("side", [1, -1])
+@pytest.mark.parametrize("x", [X_C, 1e3, 1e5])
+def test_anger_connector_bound_dominates_the_segments(x, side):
+    # (1/pi) int |integrand| along P0 -> Q -> P1, with |k| at the band edge
+    k = side * x ** (1.0 / 3.0)
+    p0, w1 = good._contour_ends(x)
+    a0, h0, h1, a1 = p0.real, p0.imag, w1.imag, math.pi + w1.real
+    cfg = QuadConfig(abs_tol=1e-300)
+    up = integrate_finite(Integrand(lambda b: _connector_size(x, k, a0 + 1j * b),
+                                    hot_spots=(HotSpot(h0, h1 - h0),)), h0, h1, cfg)
+    across = integrate_finite(Integrand(lambda a: _connector_size(x, k, a + 1j * h1),
+                                        hot_spots=(HotSpot(a1, a1 - a0),)), a0, a1, cfg)
+    assert up.converged and across.converged
+    assert (up.value.real + across.value.real) / math.pi <= good._anger_connector_bound(x, k)
+
+
+@pytest.mark.parametrize("x", [X_C, 1e3, 1e5, 1e7, 1e9])
+def test_anger_connector_bound_is_negligible(x):
+    edge = x ** (1.0 / 3.0)
+    for k in np.linspace(-edge, edge, 21):
+        assert good._anger_connector_bound(x, float(k)) < 1e-3 * QuadConfig().abs_tol

@@ -10,7 +10,6 @@ from goodfun import (DomainError, PrecisionError, QuadConfig, anger_J, bounds_H,
                      eval_G, eval_H, eval_Q, h_asym_large)
 from goodfun import good
 from goodfun.good import RHO_MIN, X_C
-from goodfun.quadrature import Integrand
 
 # pinned by independent high-precision quadrature (30-digit working precision)
 G_2_1_3 = 0.339022902852306367
@@ -214,25 +213,9 @@ def test_crossover_is_continuous(rho):
     assert abs(below.h - at.h) <= below.err + at.err + bounds_H(X_C, rho).bx * step
 
 
-def _fevals(monkeypatch, x, rho):
-    count = [0]
-    integrate = good.integrate_finite
-
-    def counting(f, *args):
-        def fn(t):
-            count[0] += np.size(t)
-            return f.fn(t)
-        return integrate(Integrand(fn, f.osc_frequency, f.hot_spots), *args)
-
-    monkeypatch.setattr(good, "integrate_finite", counting)
-    eval_H(x, rho)
-    monkeypatch.undo()
-    return count[0]
-
-
 @pytest.mark.parametrize("rho", [1e-3, 1.0])
-def test_contour_cost_does_not_grow_with_x(monkeypatch, rho):
-    assert _fevals(monkeypatch, 1e7, rho) <= _fevals(monkeypatch, 1e3, rho)
+def test_contour_cost_does_not_grow_with_x(fevals, rho):
+    assert fevals(eval_H, 1e7, rho) <= fevals(eval_H, 1e3, rho)
 
 
 @pytest.mark.parametrize("x", [X_C, 1e3, 1e5, 1e7, 1e9])
