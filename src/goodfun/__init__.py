@@ -15,7 +15,7 @@ from .core import (DomainError, EnvelopeViolated, EvalResult, GoodFunError,
 from .constants import Constants, load_constants, save_constants
 from .quadrature import (HotSpot, Integrand, QuadResult, integrate_finite,
                          integrate_tail)
-from .good import HBounds, HValue, bounds_H, eval_G, eval_H, eval_Q
+from .good import HBounds, HValue, bounds_H, eval_G, eval_H, eval_H_many, eval_Q
 from .anger import (anger_J, anger_diag_asym, anger_reflected_asym,
                     anger_shifted_asym)
 from .phase import (AmplitudeBounds, PhaseProblem, check_hypotheses,

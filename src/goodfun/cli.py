@@ -30,7 +30,7 @@ from . import constants as constants_mod
 from .constants import Constants, load_constants, save_constants
 from .core import DomainError, EvalResult, GoodFunError, QuadConfig
 from .calibrate import calibrate
-from .good import eval_G, eval_H, eval_Q
+from .good import eval_G, eval_H, eval_H_many, eval_Q
 from .regimes import classify, corollary_path_main, h_approx
 from .zeros import find_zeros
 
@@ -162,8 +162,8 @@ def cmd_compare(args) -> int:
     rows = []
     worst = 0.0
     flagged = False
-    for x in map(float, xs):
-        oracle = eval_H(x, args.rho, cfg)
+    xs = [float(x) for x in xs]
+    for x, oracle in zip(xs, eval_H_many(xs, args.rho, cfg)):
         approx = h_approx(x, args.rho, cfg, consts)
         regime = classify(x, args.rho)
         err_actual = abs(oracle.h - approx.value)

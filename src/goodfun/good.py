@@ -36,15 +36,15 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Tuple
+from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .core import (EvalResult, PrecisionError, QuadConfig, cos_pi, require_above,
                    require_at_least, require_finite, require_phase, sin_pi)
-from .quadrature import HotSpot, Integrand, QuadResult, integrate_finite
+from .quadrature import HotSpot, Integrand, QuadResult, integrate_finite, integrate_many
 
-__all__ = ["HValue", "HBounds", "eval_G", "eval_Q", "eval_H", "bounds_H",
+__all__ = ["HValue", "HBounds", "eval_G", "eval_Q", "eval_H", "eval_H_many", "bounds_H",
            "RHO_MIN", "X_C"]
 
 # Below this rho the integrand peak (~rho**-2) exhausts binary64 headroom;
@@ -81,8 +81,6 @@ class HBounds(NamedTuple):
 
 _HALF_PI = math.pi / 2.0
 
-_Fn = Callable[[np.ndarray], np.ndarray]
-
 
 def _require_rho(rho: float) -> None:
     require_above("rho", rho, 0.0)
@@ -93,18 +91,44 @@ def _require_rho(rho: float) -> None:
         )
 
 
-def _fold(fn_left: _Fn, fn_right: _Fn, freq_left: float, freq_right: float,
-          rho: float, cfg: Optional[QuadConfig]) -> QuadResult:
-    """(1/pi) int_0^pi as two halves on [0, pi/2], the right one folded.
+_OwnerFn = Callable[[np.ndarray, object], np.ndarray]
+_Integrate = Callable[[_OwnerFn, Sequence[Tuple[float, float, float]], Tuple[HotSpot, ...],
+                       Optional[QuadConfig]], List[QuadResult]]
 
-    ``fn_right`` takes u = pi - th.  Both halves peak at u = 0 with width
-    rho.  The panel count is that of both halves.
+
+def _each(fn: _OwnerFn, spans: Sequence[Tuple[float, float, float]],
+          spots: Tuple[HotSpot, ...], cfg: Optional[QuadConfig]) -> List[QuadResult]:
+    """``integrate_many``'s contract, as one ``integrate_finite`` call per owner.
+
+    The single-point evaluators take this path, so that a tracer that
+    wraps ``integrate_finite`` by name sees each of their integrals.
+    """
+    return [integrate_finite(Integrand(lambda t, k=k: fn(t, k), osc, spots), a, b, cfg)
+            for k, (a, b, osc) in enumerate(spans)]
+
+
+def _require_x_rho(x: float, rho: float) -> float:
+    """x as a float, after the checks of one ``eval_H(x, rho)`` call, in its order."""
+    x = require_finite("x", x)
+    _require_rho(rho)
+    return x
+
+
+def _fold(fn_left: _OwnerFn, fn_right: _OwnerFn, freqs: Sequence[Tuple[float, float]],
+          rho: float, cfg: Optional[QuadConfig],
+          integrate: _Integrate = _each) -> List[QuadResult]:
+    """(1/pi) int_0^pi as two halves on [0, pi/2], the right one folded, per owner.
+
+    Owner k's halves are ``fn_left(th, k)`` and ``fn_right(u, k)``,
+    u = pi - th, with oscillation scales ``freqs[k]``.  Both halves peak
+    at u = 0 with width rho.  The panel count is that of both halves.
     """
     spots = (HotSpot(0.0, rho),)
-    left = integrate_finite(Integrand(fn_left, freq_left, spots), 0.0, _HALF_PI, cfg)
-    right = integrate_finite(Integrand(fn_right, freq_right, spots), 0.0, _HALF_PI, cfg)
-    return QuadResult((left.value + right.value) / math.pi, (left.err + right.err) / math.pi,
-                      left.converged and right.converged, left.panels + right.panels)
+    left = integrate(fn_left, [(0.0, _HALF_PI, f) for f, _ in freqs], spots, cfg)
+    right = integrate(fn_right, [(0.0, _HALF_PI, f) for _, f in freqs], spots, cfg)
+    return [QuadResult((lt.value + rt.value) / math.pi, (lt.err + rt.err) / math.pi,
+                       lt.converged and rt.converged, lt.panels + rt.panels)
+            for lt, rt in zip(left, right)]
 
 
 # The contour runs where |exp(i x g)| <= exp(-_DECAY), g(th) = th + sin th.
@@ -181,10 +205,10 @@ def _anger_connector_bound(x: float, k: float) -> float:
 _RayFn = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 
-def _rays(x: float, integrand: _RayFn, at_pi: complex, osc: float,
-          spots: Tuple[HotSpot, ...], connector: float,
-          cfg: Optional[QuadConfig]) -> QuadResult:
-    """(1/pi) int_0^pi exp(i x g(th)) a(th) dth along the two rays, for x >= X_C.
+def _rays(xs: Sequence[float], integrand: _RayFn, at_pi: complex, osc: float,
+          spots: Tuple[HotSpot, ...], connectors: Sequence[float],
+          cfg: Optional[QuadConfig], integrate: _Integrate = _each) -> List[QuadResult]:
+    """(1/pi) int_0^pi exp(i x g(th)) a(th) dth along the two rays, for each x >= X_C.
 
     The phase g(th) = th + sin th has two critical places on [0, pi]: the
     endpoint 0, where g' = 2, and pi, where g' = g'' = 0 and the third
@@ -196,47 +220,54 @@ def _rays(x: float, integrand: _RayFn, at_pi: complex, osc: float,
     * the ray th = pi + t e^{5i pi/6} from P1 back into pi, the valley of
       the cubic stationary point: exp(i x g) = e^{i pi x} exp(-x t^3/6 + ...).
 
-    Each ray is one ``integrate_finite`` call in t.  The segments are not
-    integrated: ``connector``, the caller's bound on them for its
-    amplitude, is added to the error instead.
+    Each ray is one integral in t per x, all of them taken by
+    ``integrate`` (``integrate_many`` or ``_each``).  The segments are not
+    integrated: ``connectors[k]``, the caller's bound on them for its
+    amplitude at xs[k], is added to the error instead.
 
     ``integrand(z, w, s)`` returns exp(z) a(th), given
     z = i x (g(th) - g(th at the ray's start)), the offset w of th from
     that start, and s = sin w; on the ray into pi, a(th) is taken
-    without its constant factor ``at_pi``.  ``osc`` is half the
-    amplitude's own phase rate, added to the phase's on each ray.
+    without its constant factor ``at_pi``.  The amplitude is the same at
+    every x.  ``osc`` is half its own phase rate, added to the phase's on
+    each ray.
 
     The geometry the connector bounds rely on (Re P0 < pi/2 < Re P1,
     Im P0 < Im P1) holds for every x >= X_C.
     """
-    p0, w1 = _contour_ends(x)
+    x_of = np.array(xs, dtype=np.float64)
+    ends = [_contour_ends(x) for x in xs]
 
-    def fn_0(t: np.ndarray) -> np.ndarray:
+    def fn_0(t: np.ndarray, k) -> np.ndarray:
         w = t * _DIR_0
         s = np.sin(w)
-        return integrand(1j * x * (w + s), w, s)
+        return integrand(1j * x_of[k] * (w + s), w, s)
 
-    def fn_pi(t: np.ndarray) -> np.ndarray:
+    def fn_pi(t: np.ndarray, k) -> np.ndarray:
         # th = pi + w: g = pi + (w - sin w) and sin^2 th = sin^2 w
         w = t * _DIR_PI
-        return integrand(1j * x * _w_minus_sin(w), w, np.sin(w))
+        return integrand(1j * x_of[k] * _w_minus_sin(w), w, np.sin(w))
 
     # half the largest real phase rate x |Re(dir * g')| on each ray: at t = 0
     # on the first, at the far end on the second (1 - cos w = 2 sin^2(w/2))
-    nu_0 = x * _DIR_0.real + osc
-    nu_pi = x * abs((_DIR_PI * cmath.sin(0.5 * w1) ** 2).real) + osc
-    ray_0 = integrate_finite(Integrand(fn_0, nu_0, spots), 0.0, abs(p0), cfg)
-    ray_pi = integrate_finite(Integrand(fn_pi, nu_pi, spots), 0.0, abs(w1), cfg)
-    # e^{i pi x}, reduced exactly mod 2, times the amplitude's factor at pi
-    phase_pi = complex(cos_pi(x), sin_pi(x)) * at_pi
-    value = (_DIR_0 * ray_0.value - phase_pi * _DIR_PI * ray_pi.value) / math.pi
-    err = (ray_0.err + ray_pi.err) / math.pi + connector
-    return QuadResult(value, err, ray_0.converged and ray_pi.converged,
-                      ray_0.panels + ray_pi.panels)
+    ray_0 = integrate(fn_0, [(0.0, abs(p0), x * _DIR_0.real + osc)
+                             for x, (p0, _) in zip(xs, ends)], spots, cfg)
+    ray_pi = integrate(fn_pi, [(0.0, abs(w1), x * abs((_DIR_PI * cmath.sin(0.5 * w1) ** 2).real)
+                                + osc) for x, (_, w1) in zip(xs, ends)], spots, cfg)
+    out = []
+    for x, r0, rp, connector in zip(xs, ray_0, ray_pi, connectors):
+        # e^{i pi x}, reduced exactly mod 2, times the amplitude's factor at pi
+        phase_pi = complex(cos_pi(x), sin_pi(x)) * at_pi
+        value = (_DIR_0 * r0.value - phase_pi * _DIR_PI * rp.value) / math.pi
+        err = (r0.err + rp.err) / math.pi + connector
+        out.append(QuadResult(value, err, r0.converged and rp.converged,
+                              r0.panels + rp.panels))
+    return out
 
 
-def _contour(x: float, rho: float, cfg: Optional[QuadConfig]) -> QuadResult:
-    """calH(x, rho) for x >= X_C along the contour of ``_rays``.
+def _contour(xs: Sequence[float], rho: float, cfg: Optional[QuadConfig],
+             integrate: _Integrate = _each) -> List[QuadResult]:
+    """calH(x, rho) for each x >= X_C along the contour of ``_rays``.
 
     The connector bound is ``_connector_bound``, below 1e-17 for
     rho >= RHO_MIN.  No residue enters.  The poles of
@@ -246,8 +277,8 @@ def _contour(x: float, rho: float, cfg: Optional[QuadConfig]) -> QuadResult:
     pi, so it encloses no pole.
     """
     rho2 = rho * rho
-    return _rays(x, lambda z, w, s: np.exp(z) / (rho2 + s * s), 1.0, 0.0,
-                 (HotSpot(0.0, rho),), _connector_bound(x, rho), cfg)
+    return _rays(xs, lambda z, w, s: np.exp(z) / (rho2 + s * s), 1.0, 0.0,
+                 (HotSpot(0.0, rho),), [_connector_bound(x, rho) for x in xs], cfg, integrate)
 
 
 def _anger_contour(x: float, k: float, cfg: Optional[QuadConfig]) -> QuadResult:
@@ -257,8 +288,8 @@ def _anger_contour(x: float, k: float, cfg: Optional[QuadConfig]) -> QuadResult:
     no residue and no hot spot; on the ray into pi it is e^{i pi k} e^{i k w}.
     The connector bound is ``_anger_connector_bound``.
     """
-    return _rays(x, lambda z, w, s: np.exp(z + 1j * k * w), complex(cos_pi(k), sin_pi(k)),
-                 0.5 * abs(k), (), _anger_connector_bound(x, k), cfg)
+    return _rays([x], lambda z, w, s: np.exp(z + 1j * k * w), complex(cos_pi(k), sin_pi(k)),
+                 0.5 * abs(k), (), [_anger_connector_bound(x, k)], cfg)[0]
 
 
 def eval_G(gamma: float, rho: float, x: float,
@@ -276,18 +307,18 @@ def eval_G(gamma: float, rho: float, x: float,
     rho2 = rho * rho
     cg, sg = cos_pi(gamma), sin_pi(gamma)
 
-    def fn_left(th: np.ndarray) -> np.ndarray:
+    def fn_left(th: np.ndarray, _k) -> np.ndarray:
         s = np.sin(th)
         return np.cos(gamma * th + x * s) / (rho2 + s * s)
 
-    def fn_right(u: np.ndarray) -> np.ndarray:
+    def fn_right(u: np.ndarray, _k) -> np.ndarray:
         # th = pi - u: cos(pi*gamma - (gamma*u - x*sin u))
         s = np.sin(u)
         w = gamma * u - x * s
         return (cg * np.cos(w) + sg * np.sin(w)) / (rho2 + s * s)
 
     freq = 0.5 * (abs(gamma) + abs(x))
-    res = _fold(fn_left, fn_right, freq, freq, rho, cfg)
+    res, = _fold(fn_left, fn_right, [(freq, freq)], rho, cfg)
     return EvalResult(value=res.value.real, error_estimate=res.err, method="oracle",
                       converged=res.converged)
 
@@ -315,38 +346,63 @@ def eval_Q(gamma: float, xi: float, x: float,
                       method="oracle", converged=res.converged)
 
 
-def _real_axis(x: float, rho: float, cfg: Optional[QuadConfig]) -> QuadResult:
-    """calH(x, rho) by the fold on the real axis; cost grows like |x|."""
+def _real_axis(xs: Sequence[float], rho: float, cfg: Optional[QuadConfig],
+               integrate: _Integrate = _each) -> List[QuadResult]:
+    """calH(x, rho) for each x of xs by the fold on the real axis; cost grows like |x|."""
     rho2 = rho * rho
-    phase_pi = complex(cos_pi(x), sin_pi(x))  # e^{i pi x}, reduced exactly mod 2
+    x_of = np.array(xs, dtype=np.float64)
+    # e^{i pi x}, reduced exactly mod 2
+    phase_pi = np.array([complex(cos_pi(x), sin_pi(x)) for x in xs])
 
-    def fn_left(th: np.ndarray) -> np.ndarray:
+    def fn_left(th: np.ndarray, k) -> np.ndarray:
         s = np.sin(th)
-        return np.exp(1j * x * (th + s)) / (rho2 + s * s)
+        return np.exp(1j * x_of[k] * (th + s)) / (rho2 + s * s)
 
-    def fn_right(u: np.ndarray) -> np.ndarray:
+    def fn_right(u: np.ndarray, k) -> np.ndarray:
         # th = pi - u: exp(i x (pi - u + sin u))
         s = np.sin(u)
-        return phase_pi * np.exp(1j * x * (s - u)) / (rho2 + s * s)
+        return phase_pi[k] * np.exp(1j * x_of[k] * (s - u)) / (rho2 + s * s)
 
-    return _fold(fn_left, fn_right, abs(x), 0.5 * abs(x), rho, cfg)
+    return _fold(fn_left, fn_right, [(abs(x), 0.5 * abs(x)) for x in xs], rho, cfg, integrate)
+
+
+def _calH(xs: Sequence[float], rho: float, cfg: Optional[QuadConfig],
+          integrate: _Integrate) -> List[HValue]:
+    """H at each x of xs: the fold below X_C, the contour (conjugated for x < 0) from it on."""
+    xs = [_require_x_rho(x, rho) for x in xs]
+    near = [x for x in xs if abs(x) < X_C]
+    far = [abs(x) for x in xs if abs(x) >= X_C]
+    # a branch without points is skipped whole: its set-up is a few us per call
+    near_res = iter(_real_axis(near, rho, cfg, integrate) if near else ())
+    far_res = iter(_contour(far, rho, cfg, integrate) if far else ())
+    out = []
+    for x in xs:
+        r = next(near_res) if abs(x) < X_C else next(far_res)
+        value = r.value.conjugate() if x <= -X_C else r.value
+        out.append(HValue(h_complex=value, err=r.err, converged=r.converged))
+    return out
 
 
 def eval_H(x: float, rho: float, cfg: Optional[QuadConfig] = None) -> HValue:
     """Evaluate the restricted Good function H(x, rho) = Re calH(x, rho).
 
     |x| >= X_C is integrated along a complex contour (``_contour``), using
-    calH(-x) = conj(calH(x)); smaller |x| along the real axis.
+    calH(-x) = conj(calH(x)); smaller |x| along the real axis.  Each of
+    the two integrals is one ``integrate_finite`` call.
     """
-    require_finite("x", x)
-    _require_rho(rho)
-    if abs(x) >= X_C:
-        res = _contour(abs(x), rho, cfg)
-        if x < 0:
-            res = res._replace(value=res.value.conjugate())
-    else:
-        res = _real_axis(x, rho, cfg)
-    return HValue(h_complex=res.value, err=res.err, converged=res.converged)
+    return _calH([x], rho, cfg, _each)[0]
+
+
+def eval_H_many(xs: Iterable[float], rho: float,
+                cfg: Optional[QuadConfig] = None) -> List[HValue]:
+    """``[eval_H(x, rho, cfg) for x in xs]``, bit for bit, in shared quadrature sweeps.
+
+    Every x (and rho) is validated before any integral runs, and the
+    first invalid one raises what ``eval_H`` would raise.  The points of
+    each branch (the fold, the contour) go through ``integrate_many``
+    together: one mesh build and a few integrand calls for all of them.
+    """
+    return _calH(list(xs), rho, cfg, integrate_many)
 
 
 def bounds_H(x: float, rho: float) -> HBounds:

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goodfun import (DomainError, PrecisionError, QuadConfig, anger_J, bounds_H,
-                     eval_G, eval_H, eval_Q, h_asym_large)
-from goodfun import good
+                     eval_G, eval_H, eval_H_many, eval_Q, h_asym_large)
+from goodfun import good, quadrature
 from goodfun.good import RHO_MIN, X_C
 
 # pinned by independent high-precision quadrature (30-digit working precision)
@@ -167,8 +167,8 @@ def test_tiny_rho_refused_by_default():
 @pytest.mark.parametrize("rho", [1e-3, 1e-2, 0.1, 1.0, 2.0])
 @pytest.mark.parametrize("x", [1e2, 1e3, 1e4, 1e5])
 def test_contour_agrees_with_real_axis(x, rho):
-    c = good._contour(x, rho, None)
-    r = good._real_axis(x, rho, None)
+    c, = good._contour([x], rho, None)
+    r, = good._real_axis([x], rho, None)
     assert c.converged and r.converged
     assert abs(c.value - r.value) <= c.err + r.err
 
@@ -222,3 +222,64 @@ def test_contour_cost_does_not_grow_with_x(fevals, rho):
 def test_connector_bound_is_negligible(x):
     for rho in np.geomspace(RHO_MIN, 100.0, 41):
         assert good._connector_bound(x, float(rho)) < 1e-3 * QuadConfig().abs_tol
+
+
+# -- eval_H_many: many points in shared quadrature sweeps ---------------------
+
+def _bits(hv):
+    return hv.h_complex.real.hex(), hv.h_complex.imag.hex(), hv.err.hex(), hv.converged
+
+
+# default tolerances; tight ones, so that owners go on into the refinement
+# loop; and a panel budget so small that meshes coarsen (converged=False)
+_MANY_CFGS = [None, QuadConfig(abs_tol=1e-15, rel_tol=1e-14), QuadConfig(max_panels=30)]
+_AT_X_C = [X_C, -X_C, math.nextafter(X_C, 0.0), -math.nextafter(X_C, 0.0)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(xs=st.lists(st.one_of(st.floats(-3.0 * X_C, 3.0 * X_C), st.sampled_from(_AT_X_C)),
+                   max_size=8),
+       rho=st.floats(RHO_MIN, 2.0), cfg=st.sampled_from(_MANY_CFGS))
+def test_eval_H_many_is_eval_H_bit_for_bit(xs, rho, cfg):
+    many = eval_H_many(xs, rho, cfg)
+    assert [_bits(hv) for hv in many] == [_bits(eval_H(x, rho, cfg)) for x in xs]
+
+
+def test_eval_H_many_covers_refinement_and_coarsening():
+    # the cases the property test samples, pinned: both branches and both
+    # signs of x, refined owners (tight tolerances) and coarsened meshes
+    xs = [3.5, -40.0, 99.0, X_C, -250.0, 1e4]
+    for cfg in _MANY_CFGS[1:]:
+        many = eval_H_many(xs, 1e-3, cfg)
+        assert [_bits(hv) for hv in many] == [_bits(eval_H(x, 1e-3, cfg)) for x in xs]
+    coarse = eval_H_many([50.0, -99.0], 1e-3, _MANY_CFGS[2])
+    assert not any(hv.converged for hv in coarse)
+
+
+@pytest.mark.parametrize("cap", [1, 20])
+def test_eval_H_many_does_not_depend_on_the_batch_size(monkeypatch, cap):
+    xs = [1.0 / 6.0 + k / 8.0 for k in range(40)] + [150.0, -3e3]
+    expected = [_bits(hv) for hv in eval_H_many(xs, 0.5)]
+    monkeypatch.setattr(quadrature, "_BATCH_PANELS", cap)
+    assert [_bits(hv) for hv in eval_H_many(xs, 0.5)] == expected
+
+
+def test_eval_H_many_validates_every_point_first(monkeypatch):
+    assert eval_H_many([], 1.0) == []
+    assert eval_H_many([], -1.0) == []  # like [eval_H(x, -1.0) for x in []]
+
+    def no_integral(*args, **kwargs):
+        raise AssertionError("an integral ran before the last point was validated")
+
+    monkeypatch.setattr(good, "integrate_many", no_integral)
+    with pytest.raises(DomainError, match="^x"):
+        eval_H_many([1.0, 2.0, math.nan], 1.0)
+    with pytest.raises(DomainError, match="^x"):
+        eval_H_many([150.0, -math.inf], 1.0)
+    # the first point's own checks come first, as in eval_H(x, rho)
+    with pytest.raises(DomainError, match="^x"):
+        eval_H_many([math.nan, 1.0], 1e-7)
+    with pytest.raises(PrecisionError):
+        eval_H_many([1.0, math.nan], 1e-7)
+    with pytest.raises(DomainError, match="^rho"):
+        eval_H_many((x for x in [1.0, 2.0]), 0.0)

@@ -183,7 +183,7 @@ def test_mesh_is_the_linspace_mesh(x, rho, max_panels):
     for freq in (abs(x), 0.5 * abs(x)):
         f = Integrand(np.cos, freq, (HotSpot(0.0, float(rho)),))
         points = sorted(set([0.0, math.pi / 2] + quadrature._hot_spot_points(
-            f, 0.0, math.pi / 2)))
+            f.hot_spots, 0.0, math.pi / 2)))
         cap = quadrature._osc_cap(freq)
         if not math.isfinite(cap):
             continue
@@ -208,3 +208,38 @@ def test_mesh_beyond_binary64_counts_is_coarsened_and_flagged(call):
     res = call(QuadConfig(max_panels=1000))
     assert not res.converged
     assert math.isfinite(res.value) and math.isfinite(res.error_estimate)
+
+
+def _osc_owner(t, k):
+    # owner k: exp(i x_k (t + sin t)) / (rho^2 + sin^2 t), x_k in _OWNER_XS
+    s = np.sin(t)
+    return np.exp(1j * _OWNER_XS[k] * (t + s)) / (1e-4 + s * s)
+
+
+_OWNER_XS = np.array([0.0, 3.0, 40.0, 90.0, -7.5, 12.0])
+
+
+@pytest.mark.parametrize("cfg", [QuadConfig(abs_tol=1.0), QuadConfig(),
+                                 QuadConfig(abs_tol=1e-15, rel_tol=1e-14),
+                                 QuadConfig(max_panels=40)])
+def test_integrate_many_is_integrate_finite_per_owner(cfg):
+    spans = [(0.0, math.pi / 2, abs(x)) for x in _OWNER_XS[:-1]] + [(-0.5, 2.0, 12.0)]
+    spots = (HotSpot(0.0, 1e-2),)
+    many = quadrature.integrate_many(_osc_owner, spans, spots, cfg)
+    for k, ((a, b, osc), r) in enumerate(zip(spans, many)):
+        one = integrate_finite(Integrand(lambda t: _osc_owner(t, k), osc, spots), a, b, cfg)
+        assert (r.value.real.hex(), r.value.imag.hex(), r.err.hex(), r.converged, r.panels) == (
+            one.value.real.hex(), one.value.imag.hex(), one.err.hex(), one.converged, one.panels)
+    assert quadrature.integrate_many(_osc_owner, [], spots, cfg) == []
+
+
+def test_integrate_many_refines_and_coarsens_per_owner():
+    spans = [(0.0, math.pi / 2, abs(x)) for x in _OWNER_XS]
+    spots = (HotSpot(0.0, 1e-2),)
+    first = quadrature.integrate_many(_osc_owner, spans, spots, QuadConfig(abs_tol=1.0))
+    tight = quadrature.integrate_many(_osc_owner, spans, spots,
+                                      QuadConfig(abs_tol=1e-15, rel_tol=1e-14))
+    assert all(r.converged for r in first)
+    assert any(t.panels > f.panels for t, f in zip(tight, first))
+    coarse = quadrature.integrate_many(_osc_owner, spans, spots, QuadConfig(max_panels=40))
+    assert [r.converged for r in coarse].count(False) >= 2

@@ -52,17 +52,17 @@ def test_drift_toward_cosine_zeros():
 
 
 def test_ambiguous_sign_skipped_and_logged(monkeypatch, caplog):
-    import goodfun.zeros as zeros_mod
-    real_eval_H = zeros_mod.eval_H
+    real_eval_H_many = zeros_mod.eval_H_many
 
-    def noisy(x, rho, cfg=None, **kw):
-        hv = real_eval_H(x, rho, cfg, **kw)
-        if abs(x - (11.0 + 1.0 / 6.0)) < 1e-12:
-            return type(hv)(h_complex=hv.h_complex, err=abs(hv.h),
-                            converged=hv.converged)
-        return hv
+    def noisy(xs, rho, cfg=None):
+        out = []
+        for x, hv in zip(xs, real_eval_H_many(xs, rho, cfg)):
+            if abs(x - (11.0 + 1.0 / 6.0)) < 1e-12:
+                hv = type(hv)(h_complex=hv.h_complex, err=abs(hv.h), converged=hv.converged)
+            out.append(hv)
+        return out
 
-    monkeypatch.setattr(zeros_mod, "eval_H", noisy)
+    monkeypatch.setattr(zeros_mod, "eval_H_many", noisy)
     with caplog.at_level("WARNING", logger="goodfun.zeros"):
         records = find_zeros(1.0, 10.0, 13.0)
     # both brackets touching the ambiguous point are dropped, not forced
@@ -82,25 +82,31 @@ def test_domain_errors():
 
 
 def _oracle_log(monkeypatch, limit=1000):
-    """Record the x of every oracle call find_zeros makes; fail past limit."""
-    xs = []
-    real_eval_H = zeros_mod.eval_H
+    """Record the points and the batches (rounds) of the batched oracle
+    find_zeros calls; fail past limit points."""
+    xs, rounds = [], []
+    real_eval_H_many = zeros_mod.eval_H_many
 
-    def logged(x, rho, cfg=None, **kw):
-        xs.append(x)
+    def logged(batch, rho, cfg=None):
+        batch = list(batch)
+        xs.extend(batch)
+        rounds.append(batch)
         if len(xs) > limit:
-            raise AssertionError(f"more than {limit} oracle calls")
-        return real_eval_H(x, rho, cfg, **kw)
+            raise AssertionError(f"more than {limit} oracle points")
+        return real_eval_H_many(batch, rho, cfg)
 
-    monkeypatch.setattr(zeros_mod, "eval_H", logged)
-    return xs
+    monkeypatch.setattr(zeros_mod, "eval_H_many", logged)
+    return xs, rounds
 
 
 def test_oracle_calls_per_window(monkeypatch):
     # 5 grid points, 2 + 7 + 7 + 7 subscan points, a few Brent steps per zero
-    xs = _oracle_log(monkeypatch)
+    xs, rounds = _oracle_log(monkeypatch)
     assert len(find_zeros(1.0, 10.0, 13.0)) == 3
     assert len(xs) <= 48
+    # one batch for the grid, one for every subscan, then one per Brent step
+    # of the three searches run in lockstep
+    assert len(rounds) <= 10
 
 
 def _bisect(h, lo, hi):
@@ -153,7 +159,7 @@ def test_zeros_match_bisection(rho, x_min, x_max):
 def test_out_of_window_sign_changes_not_refined(monkeypatch, caplog):
     # the grid's extension points 9 + 1/6 and 13 + 1/6 bracket the zeros
     # near 9.67 and 12.67, both outside [10, 12.5]
-    xs = _oracle_log(monkeypatch)
+    xs, _ = _oracle_log(monkeypatch)
     with caplog.at_level("DEBUG", logger="goodfun.zeros"):
         records = find_zeros(1.0, 10.0, 12.5)
     assert [round(r.x_zero) for r in records] == [11, 12]
@@ -167,7 +173,7 @@ def test_out_of_window_sign_changes_not_refined(monkeypatch, caplog):
 
 def test_refinement_ends_where_floats_are_sparser_than_the_bracket_width(monkeypatch):
     # near 1e6 adjacent floats are 1.2e-10 apart, wider than _BRACKET_WIDTH
-    xs = _oracle_log(monkeypatch)
+    xs, _ = _oracle_log(monkeypatch)
     records = find_zeros(1.0, 1e6, 1e6 + 1.5)
     assert len(xs) <= 48
     assert len(records) == 1
