@@ -164,7 +164,7 @@ def cmd_compare(args) -> int:
     flagged = False
     xs = [float(x) for x in xs]
     for x, oracle in zip(xs, eval_H_many(xs, args.rho, cfg)):
-        approx = h_approx(x, args.rho, cfg, consts)
+        approx = h_approx(x, args.rho, cfg, consts, oracle)  # the batch is eval_H bit for bit
         regime = classify(x, args.rho)
         err_actual = abs(oracle.h - approx.value)
         worst = max(worst, err_actual / approx.error_estimate)

@@ -31,7 +31,7 @@ GAMMA_TWO_THIRDS = 1.3541179394264004169452880281545137855
 SQRT3 = math.sqrt(3.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Constants:
     """Calibrated remainder constants.
 

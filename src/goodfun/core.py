@@ -93,7 +93,7 @@ def require_phase(what: str, a: float, b: float, length: float) -> None:
         raise PrecisionError(f"the phase {what} overflows binary64 on [0, {length:.4g}]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuadConfig:
     """Quadrature tolerances and the panel budget.
 
@@ -126,26 +126,37 @@ class RegimeKind(Enum):
     FIXED_POINT = "FIXED_POINT"          # x small: continuity regime, oracle only
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Regime:
-    """A regime classification together with its scaling diagnostics."""
+    """A regime classification of (x, rho) together with its scaling diagnostics.
+
+    The diagnostics are derived from the caller's x and rho on access, so a
+    retained classification holds no numbers of its own.
+    """
 
     kind: RegimeKind
-    s: float  # x * rho**3
-    u: float  # x * rho
+    x: float
+    rho: float
 
     @classmethod
     def diagnostics(cls, kind: RegimeKind, x: float, rho: float) -> "Regime":
-        # s is derived from u so the two diagnostics agree to one rounding.
-        u = x * rho
-        s = (u * rho) * rho
-        return cls(kind=kind, s=s, u=u)
+        return cls(kind=kind, x=x, rho=rho)
+
+    @property
+    def u(self) -> float:
+        """x * rho."""
+        return self.x * self.rho
+
+    @property
+    def s(self) -> float:
+        """x * rho**3, derived from u so the two diagnostics agree to one rounding."""
+        return (self.u * self.rho) * self.rho
 
 
 _METHODS = ("oracle", "asymptotic", "identity")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EvalResult:
     """A numeric value with an absolute error estimate and a method tag.
 

@@ -58,7 +58,7 @@ RHO_MIN = 1e-6
 X_C = 100.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HValue:
     """H(x, rho) as the real part of the complex integral calH(x, rho)."""
 

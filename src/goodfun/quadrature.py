@@ -13,9 +13,9 @@ Three entry points:
 ``integrate_many``
     Many such integrals ("owners") at once, each with its own interval,
     oscillation scale and mesh, and bit-identical to one
-    ``integrate_finite`` call each; ``integrate_finite`` is its
-    one-owner case.  The meshes are built in one vectorised pass, and
-    the first round evaluates the owners in batches ("chunks") of at most
+    ``integrate_finite`` call each; a single owner takes
+    ``integrate_finite``'s path.  The meshes are built in one vectorised
+    pass, and the first round evaluates the owners in batches ("chunks") of at most
     ``_BATCH_PANELS`` panels, each with one integrand call; no owner is
     split across batches, so the cap bounds the temporaries.  The
     weighted row sums and the totals still run on each owner's slice
@@ -31,6 +31,18 @@ Three entry points:
     bounds the truncated tail in closed form from the envelope; the
     returned error includes both contributions.
 
+Cost of one integral: the integrand runs on 15 nodes per panel, and the
+rest is a fixed set-up that hardly grows with the panel count up to a
+few hundred panels.  It is the breakpoints and the mesh (in Python floats
+below ``_SMALL_MESH`` panels, in numpy above), one first sweep
+(``_eval_panels``: about 25 numpy calls on arrays of one entry per panel,
+four of them BLAS row sums) and ``_refine``'s three sums; each refinement
+round adds a sweep over the split halves and about 20 more small numpy
+calls.  A contour ray of ``good`` has 1-45 panels, so the fixed part is
+most of its cost: the 16-panel ray out of 0 of ``eval_H(5825.7, 0.3)``
+takes about 110 us, its integrand about 30 us (2-vCPU x86 VM, Python
+3.11, numpy 2.4).  ``integrate_many`` shares the sweeps of many owners.
+
 The error estimate is a heuristic (nested-rule difference, conservatively
 damped), not a rigorous enclosure; it normally overestimates the true
 error, which is the honest side to err on for an oracle.  Ground truth in
@@ -42,6 +54,7 @@ ascending panel order, so results are bit-reproducible.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import accumulate, pairwise
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
@@ -112,6 +125,11 @@ _CHUNK_PANELS = 200_000   # ~3M integrand evaluations per chunk
 # find_zeros process's peak RSS by 0.6 MB, at 256 by 0.3 MB.
 _BATCH_PANELS = 256
 _MAX_ROUNDS = 500
+# a capped mesh of fewer panels than this is built in Python floats (see
+# _subdivide); both ways cost 35-45 us from about 190 panels of a 14-segment
+# ladder and about 200-250 of one or two segments, and the numpy way stays
+# near that cost, while the Python way grows to ~130 us at 1000 panels
+_SMALL_MESH = 192
 _DEFAULT_CFG = QuadConfig()  # immutable; built once, not on every call
 _EPS = float(np.finfo(np.float64).eps)
 # geometric refinement toward a hot spot stops at panels of length
@@ -162,6 +180,13 @@ class QuadResult(NamedTuple):
     panels: int
 
 
+def _rows(m: np.ndarray, w: np.ndarray, starts: Sequence[int]) -> np.ndarray:
+    """m @ w, with each owner's slice of rows summed alone (see ``_eval_panels``)."""
+    if len(starts) == 1:
+        return m @ w
+    return np.concatenate([m[s0:s1] @ w for s0, s1 in pairwise([*starts, len(m)])])
+
+
 def _eval_panels(fn, lo: np.ndarray, hi: np.ndarray, starts: Sequence[int] = (0,)):
     """Return (k15, err, resabs) arrays for a batch of panels.
 
@@ -177,6 +202,12 @@ def _eval_panels(fn, lo: np.ndarray, hi: np.ndarray, starts: Sequence[int] = (0,
     summed alone sums exactly as in a call of its own.  Only a lone owner
     ever has more than _CHUNK_PANELS panels; it is evaluated in slices of
     that size, as separate batches.
+
+    Finiteness is tested on the weighted row sums of |values|, which the
+    estimate needs anyway: a nan or inf value makes its row nan or inf,
+    and with non-negative terms nothing can cancel it.  Only a non-finite
+    row (a bad value, or finite values whose row sum overflows) pays for
+    the elementwise check, which names the first bad node.
     """
     n = len(lo)
     if n > _CHUNK_PANELS:
@@ -185,23 +216,19 @@ def _eval_panels(fn, lo: np.ndarray, hi: np.ndarray, starts: Sequence[int] = (0,
         return tuple(np.concatenate(p) for p in zip(*parts))
     c = 0.5 * (lo + hi)
     hw = 0.5 * (hi - lo)
-    nodes = (c[:, None] + hw[:, None] * _XGK[None, :]).reshape(-1)
+    nodes = (c[:, None] + hw[:, None] * _XGK).reshape(-1)
     vals = np.asarray(fn(nodes))
-    if not np.all(np.isfinite(vals)):
+    m = vals.reshape(n, 15)
+    abs_rows = _rows(np.abs(m), _WGK, starts)
+    if not math.isfinite(abs_rows.max()):
         bad = nodes[~np.isfinite(vals)]
-        raise NumericalError(f"integrand returned a non-finite value, first at t={bad[0]!r}")
-    vals = vals.reshape(n, 15)
-
-    def row_sums(m: np.ndarray, w: np.ndarray) -> np.ndarray:
-        if len(starts) == 1:
-            return (m @ w) * hw
-        return np.concatenate([m[s0:s1] @ w for s0, s1 in pairwise([*starts, n])]) * hw
-
-    k15 = row_sums(vals, _WGK).astype(np.complex128, copy=False)
-    d = np.abs(k15 - row_sums(vals[:, 1::2], _WG))
-    resabs = row_sums(np.abs(vals), _WGK)
+        if len(bad):
+            raise NumericalError(f"integrand returned a non-finite value, first at t={bad[0]!r}")
+    k15 = (_rows(m, _WGK, starts) * hw).astype(np.complex128, copy=False)
+    d = np.abs(k15 - _rows(m[:, 1::2], _WG, starts) * hw)
+    resabs = abs_rows * hw
     mean = k15 / np.maximum(2.0 * hw, 1e-300)
-    resasc = row_sums(np.abs(vals - mean[:, None]), _WGK)
+    resasc = _rows(np.abs(m - mean[:, None]), _WGK, starts) * hw
     with np.errstate(divide="ignore", invalid="ignore"):
         damped = resasc * np.minimum(1.0, (200.0 * d / resasc) ** 1.5)
     e = np.where(resasc > 0.0, damped, d)
@@ -239,14 +266,14 @@ def _refine(fn, lo: np.ndarray, hi: np.ndarray, val: np.ndarray, err: np.ndarray
         if len(candidates) > room:
             worst = np.argsort(err[candidates], kind="stable")[::-1][:room]
             candidates = candidates[worst]
+        lo_c, hi_c = lo[candidates], hi[candidates]
+        mid = 0.5 * (lo_c + hi_c)
+        halves_lo, halves_hi = np.concatenate([lo_c, mid]), np.concatenate([mid, hi_c])
+        nval, nerr, nres = _eval_panels(fn, halves_lo, halves_hi)
         keep = np.ones(len(lo), dtype=bool)
         keep[candidates] = False
-        mid = 0.5 * (lo[candidates] + hi[candidates])
-        new_lo = np.concatenate([lo[keep], lo[candidates], mid])
-        new_hi = np.concatenate([hi[keep], mid, hi[candidates]])
-        nval, nerr, nres = _eval_panels(fn, np.concatenate([lo[candidates], mid]),
-                                        np.concatenate([mid, hi[candidates]]))
-        lo, hi = new_lo, new_hi
+        lo = np.concatenate([lo[keep], halves_lo])
+        hi = np.concatenate([hi[keep], halves_hi])
         val = np.concatenate([val[keep], nval])
         err = np.concatenate([err[keep], nerr])
         resabs = np.concatenate([resabs[keep], nres])
@@ -254,11 +281,6 @@ def _refine(fn, lo: np.ndarray, hi: np.ndarray, val: np.ndarray, err: np.ndarray
     else:  # the last round refined
         est = float(err.sum())
     return QuadResult(total, est, converged and mesh_ok, len(lo))
-
-
-def _adaptive(fn, edges: np.ndarray, cfg: QuadConfig, mesh_ok: bool) -> QuadResult:
-    lo, hi = edges[:-1], edges[1:]
-    return _refine(fn, lo, hi, *_eval_panels(fn, lo, hi), cfg, mesh_ok)
 
 
 def _osc_cap(osc_frequency: float) -> float:
@@ -274,11 +296,41 @@ def _subdivide(points: Sequence[float], cap: float, max_panels: int):
     Returns (edges, ok); ok is False when the mesh exceeds the panel
     budget, in which case the caller must flag the result.  A capped mesh
     is then coarsened to fit; without a cap the points are the mesh.
+
+    Segment i holds points[i] + j*step_i, j < counts[i], with
+    step_i = (points[i + 1] - points[i])/counts[i]: the arithmetic of
+    np.linspace(points[i], points[i + 1], counts[i] + 1).  A mesh of
+    fewer than about _SMALL_MESH panels does it in Python floats, whose
+    set-up is a few microseconds; a larger one in numpy.  Both round
+    alike, so the mesh does not depend on the path.
     """
-    points = np.asarray(points, dtype=np.float64)
-    seg = np.diff(points)
     if not math.isfinite(cap):
-        return points, len(seg) <= max_panels
+        return np.array(points, dtype=np.float64), len(points) - 1 <= max_panels
+    if cap > 0.0 and (points[-1] - points[0]) / cap < _SMALL_MESH:
+        return _small_mesh(points, cap, max_panels)
+    return _large_mesh(np.asarray(points, dtype=np.float64), cap, max_panels)
+
+
+def _small_mesh(points: Sequence[float], cap: float, max_panels: int):
+    """``_subdivide``'s mesh in Python floats, for a finite cap > 0 and few panels."""
+    seg = [b - a for a, b in pairwise(points)]
+    counts = [max(1, math.ceil(s / cap)) for s in seg]
+    total = sum(counts)
+    if total > max_panels:
+        scale = total / max_panels
+        counts = [max(1, int(k / scale)) for k in counts]
+    steps = [s / k for s, k in zip(seg, counts)]
+    edges = [j * step + a for a, step, k in zip(points, steps, counts) for j in range(k)]
+    edges.append(points[-1])
+    ok = total <= max_panels
+    if not all(map(operator.lt, edges, edges[1:])):  # a rounded step overtook a segment end
+        return np.unique(edges), ok
+    return np.array(edges), ok
+
+
+def _large_mesh(points: np.ndarray, cap: float, max_panels: int):
+    """``_subdivide``'s mesh in numpy, for any cap (it may have underflowed to 0)."""
+    seg = np.diff(points)
     with np.errstate(divide="ignore", over="ignore"):  # cap may underflow to 0
         counts = np.maximum(1.0, np.ceil(seg / cap))
         if not counts.sum() < 2.0 ** 62:  # inf, or near what int64 holds
@@ -290,14 +342,12 @@ def _subdivide(points: Sequence[float], cap: float, max_panels: int):
         ok = False
         scale = total / max_panels
         counts = np.maximum(1, (counts / scale).astype(np.int64))
-    # segment i contributes points[i] + j*step_i for j < counts[i], the
-    # arithmetic of np.linspace(points[i], points[i + 1], counts[i] + 1)
     first = np.repeat(np.cumsum(counts) - counts, counts)
     j = np.arange(first.size) - first
     edges = np.append(j * np.repeat(seg / counts, counts) + np.repeat(points[:-1], counts),
                       points[-1])
-    if not np.all(edges[1:] > edges[:-1]):
-        edges = np.unique(edges)  # a rounded step overtook the segment end
+    if not (edges[1:] > edges[:-1]).all():
+        edges = np.unique(edges)  # a rounded step overtook a segment end
     return edges, ok
 
 
@@ -317,8 +367,13 @@ def _hot_spot_points(hot_spots: Tuple[HotSpot, ...], a: float, b: float) -> list
     return pts
 
 
+def _breakpoints(points: List[float], hot_spots: Tuple[HotSpot, ...]) -> List[float]:
+    """``points`` and the hot-spot ladders inside [points[0], points[-1]], sorted."""
+    return sorted(set(points + _hot_spot_points(hot_spots, points[0], points[-1])))
+
+
 def _meshes(points: List[List[float]], caps: List[float], max_panels: int):
-    """``_subdivide`` for many owners at once: (lo, hi, sizes, oks).
+    """``_subdivide`` for two or more owners at once: (lo, hi, sizes, oks).
 
     lo and hi hold every owner's panels back to back, sizes[k] is owner
     k's panel count and oks[k] its ``_subdivide`` flag.  The arithmetic is
@@ -327,9 +382,6 @@ def _meshes(points: List[List[float]], caps: List[float], max_panels: int):
     the panel budget, or whose rounded steps need ``np.unique`` is meshed
     by ``_subdivide`` alone.
     """
-    if len(points) == 1:
-        edges, ok = _subdivide(points[0], caps[0], max_panels)
-        return edges[:-1], edges[1:], [len(edges) - 1], [ok]
     nseg = np.array([len(p) - 1 for p in points])
     flat = np.concatenate(points)
     ends = np.cumsum(nseg + 1) - 1             # each owner's last point
@@ -394,16 +446,20 @@ def integrate_many(fn: Callable[[np.ndarray, object], np.ndarray],
     evaluates the owners in batches of at most _BATCH_PANELS panels, each
     with one integrand call; an owner is never split across batches.  An
     owner that misses its target goes on alone in the refinement loop.
+    A single owner has nothing to share and takes ``integrate_finite``'s
+    path.
     """
     cfg = cfg or _DEFAULT_CFG
-    if not spans:
-        return []
-    points, caps, ladders = [], [], {}
-    for a, b, osc in spans:
+    for a, b, _ in spans:
         require_finite("a", a)
         require_above("b", b, a)
+    if len(spans) <= 1:
+        return [_integrate(lambda t: fn(t, 0), [a, b], osc, hot_spots, cfg)
+                for a, b, osc in spans]
+    points, caps, ladders = [], [], {}
+    for a, b, osc in spans:
         if (a, b) not in ladders:
-            ladders[a, b] = sorted(set([a, b] + _hot_spot_points(hot_spots, a, b)))
+            ladders[a, b] = _breakpoints([a, b], hot_spots)
         points.append(ladders[a, b])
         caps.append(_osc_cap(osc))
     lo, hi, sizes, oks = _meshes(points, caps, cfg.max_panels)
@@ -432,9 +488,19 @@ def integrate_finite(f: Integrand, a: float, b: float,
     confidence; ``converged`` is False when the estimate could not be
     pushed below the configured tolerance within the panel budget (the
     value and estimate returned are still the honest best effort).
-    This is ``integrate_many`` for one owner.
+    ``integrate_many`` for one owner is this call.
     """
-    return integrate_many(lambda t, k: f.fn(t), [(a, b, f.osc_frequency)], f.hot_spots, cfg)[0]
+    require_finite("a", a)
+    require_above("b", b, a)
+    return _integrate(f.fn, [a, b], f.osc_frequency, f.hot_spots, cfg or _DEFAULT_CFG)
+
+
+def _integrate(fn, points: List[float], osc: float, hot_spots: Tuple[HotSpot, ...],
+               cfg: QuadConfig) -> QuadResult:
+    """One integral over [points[0], points[-1]]: its mesh, the first sweep, ``_refine``."""
+    edges, ok = _subdivide(_breakpoints(points, hot_spots), _osc_cap(osc), cfg.max_panels)
+    lo, hi = edges[:-1], edges[1:]
+    return _refine(fn, lo, hi, *_eval_panels(fn, lo, hi), cfg, ok)
 
 
 def _tail(rate: float, big_t: float) -> float:
@@ -464,17 +530,33 @@ def _checked(fn, rate: float):
         t = np.asarray(t)
         v = np.asarray(fn(t))
         env = np.exp(-rate * t ** 3)
-        mask = env > 1e-280  # skip the check where the envelope underflows
         excess = np.abs(v) - 1.1 * env
-        excess[~mask] = -np.inf
-        if np.any(excess > 0.0):
-            i = int(np.argmax(excess))
-            raise EnvelopeViolated(
-                f"|g({t[i]})| = {abs(v[i])} exceeds 1.1 * envelope = {1.1 * env[i]}"
-            )
+        if (excess > 0.0).any():
+            excess[~(env > 1e-280)] = -np.inf  # skip the check where the envelope underflows
+            if (excess > 0.0).any():
+                i = int(np.argmax(excess))
+                raise EnvelopeViolated(
+                    f"|g({t[i]})| = {abs(v[i])} exceeds 1.1 * envelope = {1.1 * env[i]}"
+                )
         return v
 
     return wrapper
+
+
+def _ray_points(big_t: float) -> List[float]:
+    """Breakpoints of [0, T]: ``np.linspace(0, min(1, T), 9)``, then beyond t = 1
+    ``np.geomspace(1, T, m)[1:]``, geometric panels that track the decades of the decay.
+
+    Both are written out in their own arithmetic: linspace's j*step + 0
+    and geomspace's 10**(j*step) with step = log10(T)/(m - 1), ending on T.
+    """
+    head = min(1.0, big_t)
+    points = [j * (head / 8) for j in range(8)] + [head]
+    if big_t > 1.0:
+        m = max(2, int(4 * math.log2(big_t)) + 1)
+        step = np.log10(big_t) / (m - 1)
+        points += np.power(10.0, np.arange(1, m - 1) * step).tolist() + [big_t]
+    return points
 
 
 def integrate_tail(g: Integrand, rate: float,
@@ -490,14 +572,7 @@ def integrate_tail(g: Integrand, rate: float,
     require_above("rate", rate, 0.0)
     cfg = cfg or _DEFAULT_CFG
     big_t = _cutoff(rate, cfg.abs_tol / 2.0)
-    # geometric panels beyond t = 1 track the decades of the decay
-    head = min(1.0, big_t)
-    points = list(np.linspace(0.0, head, 9))
-    if big_t > 1.0:
-        points += list(np.geomspace(1.0, big_t, max(2, int(4 * math.log2(big_t)) + 1))[1:])
     tail = _tail(rate, big_t)
-    spots = _hot_spot_points(g.hot_spots, 0.0, big_t)
-    edges, mesh_ok = _subdivide(sorted(set(points + spots)), _osc_cap(g.osc_frequency),
-                                cfg.max_panels)
-    res = _adaptive(_checked(g.fn, rate), edges, cfg, mesh_ok)
+    res = _integrate(_checked(g.fn, rate), _ray_points(big_t), g.osc_frequency, g.hot_spots,
+                     cfg)
     return QuadResult(res.value, res.err + tail, res.converged, res.panels)

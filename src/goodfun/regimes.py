@@ -36,7 +36,7 @@ from .constants import GAMMA_THIRD, Constants, get_constants
 from .core import (DomainError, EvalResult, NumericalError, QuadConfig, Regime,
                    RegimeKind, cos_pi, require_above, require_at_least,
                    require_finite, sin_pi)
-from .good import eval_H
+from .good import HValue, eval_H
 from .quadrature import Integrand, QuadResult, integrate_tail
 
 __all__ = ["cubic_tail", "i_lambda_oracle", "i_lambda_asym", "h_asym_large",
@@ -147,25 +147,31 @@ def classify(x: float, rho: float, constants: Optional[Constants] = None) -> Reg
     r = Regime.diagnostics(RegimeKind.FIXED_POINT, x, rho)
     if x <= 2.0:
         return r
-    if r.s >= S_HI or rho >= RHO_CUT:
+    s = r.s
+    if s >= S_HI or rho >= RHO_CUT:
         kind = RegimeKind.LARGE_S
-    elif r.s > S_LO:
+    elif s > S_LO:
         kind = RegimeKind.CRITICAL_S
     elif r.u >= U_HI:
         kind = RegimeKind.SMALL_S_LARGE_U
     else:
         kind = RegimeKind.FINITE_U
-    return Regime(kind=kind, s=r.s, u=r.u)
+    return Regime.diagnostics(kind, x, rho)
 
 
 def h_approx(x: float, rho: float, cfg: Optional[QuadConfig] = None,
-             constants: Optional[Constants] = None) -> EvalResult:
-    """Best asymptotic value of H for (x, rho), or the oracle near fixed points."""
+             constants: Optional[Constants] = None,
+             oracle: Optional[HValue] = None) -> EvalResult:
+    """Best asymptotic value of H for (x, rho), or the oracle near fixed points.
+
+    ``oracle`` is ``eval_H(x, rho, cfg)`` when the caller has it already;
+    near fixed points it is then returned instead of integrating H again.
+    """
     regime = classify(x, rho)
     if regime.kind is RegimeKind.LARGE_S:
         return h_asym_large(x, rho, constants)
     if regime.kind is RegimeKind.FIXED_POINT:
-        hv = eval_H(x, rho, cfg)
+        hv = oracle or eval_H(x, rho, cfg)
         return EvalResult(value=hv.h, error_estimate=hv.err, method="oracle",
                           converged=hv.converged)
     return h_asym_small(x, rho, cfg, constants)

@@ -3,6 +3,7 @@ import math
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from goodfun import constants as constants_mod
@@ -117,6 +118,37 @@ def test_compare_determinism_and_no_dropped_rows(tmp_path, capsys):
     assert {r["regime"] for r in rows} <= {"LARGE_S", "CRITICAL_S",
                                            "SMALL_S_LARGE_U", "FINITE_U",
                                            "FIXED_POINT"}
+
+
+def test_compare_fixed_point_rows_integrate_once(tmp_path, capsys, monkeypatch):
+    # x <= 2 rows take their approximation from the batched oracle value; the
+    # table is byte for byte the one built row by row from eval_H and h_approx
+    from goodfun import cli, regimes
+    from goodfun.good import eval_H
+    from goodfun.regimes import classify, h_approx
+
+    out = tmp_path / "cmp.csv"
+    batched = []
+    eval_H_many = cli.eval_H_many
+    monkeypatch.setattr(cli, "eval_H_many",
+                        lambda xs, *rest: batched.extend(xs) or eval_H_many(xs, *rest))
+    monkeypatch.setattr(regimes, "eval_H", lambda *a: pytest.fail("H integrated twice"))
+    code, _, _ = run(capsys, "compare", "--rho", "1", "--x-range", "1.5:1e4",
+                     "--out", str(out))
+    monkeypatch.undo()
+    assert code == 0
+    xs = [float(x) for x in np.geomspace(1.5, 1e4, 50)]
+    assert batched == xs  # each row's oracle ran once, in one batch
+    consts = load_constants()
+    lines = ["x,rho,s,u,regime,oracle,approx,err_claimed,err_actual,flag"]
+    for x in xs:
+        oracle, approx, regime = eval_H(x, 1.0), h_approx(x, 1.0, None, consts), classify(x, 1.0)
+        lines.append(",".join([cli._fmt(v) for v in (x, 1.0, regime.s, regime.u)] + [
+            regime.kind.value] + [cli._fmt(v) for v in (
+                oracle.h, approx.value, approx.error_estimate, abs(oracle.h - approx.value))]
+            + [""]))
+    assert sum(",FIXED_POINT," in ln for ln in lines) == 2
+    assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 def test_eval_csv_format(capsys):

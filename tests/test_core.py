@@ -2,8 +2,9 @@ import math
 
 import pytest
 
-from goodfun import (DomainError, EvalResult, NumericalError, PrecisionError, QuadConfig,
-                     Regime, RegimeKind, anger_J, eval_G, eval_Q)
+from goodfun import (DomainError, EvalResult, HValue, NumericalError, PrecisionError,
+                     QuadConfig, Regime, RegimeKind, anger_J, classify, eval_G, eval_Q,
+                     h_approx, load_constants)
 from goodfun.core import cos_pi, require_phase, sin_pi
 
 
@@ -94,3 +95,19 @@ def test_cos_pi_matches_naive_for_moderate_args():
     for x in [0.123, 1.77, -2.9, 17.0 / 3.0]:
         assert cos_pi(x) == pytest.approx(math.cos(math.pi * x), abs=1e-14)
         assert sin_pi(x) == pytest.approx(math.sin(math.pi * x), abs=1e-14)
+
+
+def test_result_types_have_no_instance_dict():
+    # slotted: a caller that keeps many results pays no per-instance dict
+    for obj in (EvalResult(1.0, 0.0, "oracle"), Regime.diagnostics(RegimeKind.LARGE_S, 10.0, 1.0),
+                HValue(1j, 0.0), QuadConfig(), load_constants()):
+        assert not hasattr(obj, "__dict__"), type(obj).__name__
+
+
+def test_regime_keeps_the_callers_numbers():
+    # a retained classification references x and rho instead of holding s, u
+    x, rho = 1234.5, 0.0625
+    for r in (Regime.diagnostics(RegimeKind.FINITE_U, x, rho), classify(x, rho),
+              h_approx(x, rho).regime):
+        assert r.x is x and r.rho is rho
+        assert (r.u, r.s) == (x * rho, x * rho * rho * rho)

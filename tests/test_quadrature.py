@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from goodfun import quadrature
+from goodfun import good, quadrature
 from goodfun import (EnvelopeViolated, HotSpot, Integrand, NumericalError, QuadConfig,
-                     anger_J, eval_G, i_lambda_oracle, integrate_finite, integrate_tail)
+                     anger_J, eval_G, eval_H, i_lambda_oracle, integrate_finite, integrate_tail)
 
 # closed forms used as oracles below
 PI_OVER_SQRT2 = 2.221441469079183123  # int_0^pi dth/(1+sin^2 th) = pi/sqrt(2)
@@ -76,6 +78,36 @@ def test_nonfinite_integrand_raises():
     bad = Integrand(lambda t: np.where(t < 1.0, np.nan, 1.0))
     with pytest.raises(NumericalError):
         integrate_finite(bad, 0.0, math.pi)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("node", [0, 7, 29])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_single_nonfinite_node_raises_naming_it(bad, node, dtype):
+    # [0, 1] at this oscillation scale is two panels, 30 nodes; one of them is bad
+    seen = []
+
+    def fn(t):
+        seen.append(t[node])
+        v = np.ones(len(t), dtype=dtype)
+        v[node] = bad
+        return v
+
+    with pytest.raises(NumericalError) as exc:
+        integrate_finite(Integrand(fn, osc_frequency=2.0), 0.0, 1.0)
+    assert str(exc.value).endswith(f"first at t={seen[0]!r}")
+
+
+def test_finite_values_whose_sum_overflows_do_not_raise():
+    # 27 panels x 15 nodes of 4e307 sum to inf, but every weighted row stays finite
+    res = integrate_finite(Integrand(lambda t: np.full(len(t), 4e307), osc_frequency=40.0),
+                           0.0, 1.0)
+    assert res.converged and res.value == pytest.approx(4e307, rel=1e-14)
+    # rows that overflow are checked value by value, and these values are finite
+    lo = np.linspace(0.0, 1.0, 4)
+    with np.errstate(over="ignore", invalid="ignore"):
+        k15, _, _ = quadrature._eval_panels(lambda t: np.full(len(t), 1.7e308), lo[:-1], lo[1:])
+    assert np.all(np.isinf(k15.real))
 
 
 def test_bad_bounds_raise():
@@ -175,22 +207,78 @@ def _subdivide_by_linspace(points, cap, max_panels):
     return np.unique(np.concatenate(edges)), total <= max_panels
 
 
+def _ray_points_by_numpy(big_t):
+    """integrate_tail's breakpoints as np.linspace and np.geomspace give them."""
+    points = list(np.linspace(0.0, min(1.0, big_t), 9))
+    if big_t > 1.0:
+        points += list(np.geomspace(1.0, big_t, max(2, int(4 * math.log2(big_t)) + 1))[1:])
+    return np.array(points)
+
+
+def _recorded_meshes(monkeypatch, *calls):
+    """(points, cap, max_panels) of every mesh the calls build."""
+    meshes = []
+    subdivide = quadrature._subdivide
+
+    def recording(points, cap, max_panels):
+        meshes.append((list(points), cap, max_panels))
+        return subdivide(points, cap, max_panels)
+
+    monkeypatch.setattr(quadrature, "_subdivide", recording)
+    for call in calls:
+        call()
+    monkeypatch.undo()
+    return meshes
+
+
 @pytest.mark.parametrize("max_panels", [200_000, 50])
 @pytest.mark.parametrize("rho", np.geomspace(1e-6, 100.0, 9))
 @pytest.mark.parametrize("x", [0.0, 1.0, 10.0, 63.0, 99.0, 1e3, 1e4])
-def test_mesh_is_the_linspace_mesh(x, rho, max_panels):
+def test_mesh_is_the_linspace_mesh(x, rho, max_panels, monkeypatch):
+    rho = float(rho)
     # the two halves of the real-axis H fold, as integrate_finite meshes them
+    meshes = []
     for freq in (abs(x), 0.5 * abs(x)):
-        f = Integrand(np.cos, freq, (HotSpot(0.0, float(rho)),))
+        f = Integrand(np.cos, freq, (HotSpot(0.0, rho),))
         points = sorted(set([0.0, math.pi / 2] + quadrature._hot_spot_points(
             f.hot_spots, 0.0, math.pi / 2)))
-        cap = quadrature._osc_cap(freq)
+        meshes.append((points, quadrature._osc_cap(freq), max_panels))
+    # the contour rays of H and of Anger's J (one capped segment, or a hot-spot
+    # ladder), and the uncapped ray of integrate_tail
+    cfg = QuadConfig(max_panels=max_panels)
+    x_ray = good.X_C + 100.0 * x
+    lam = max(x, 1.0) * rho ** 3 / 6.0
+    meshes += _recorded_meshes(monkeypatch, lambda: eval_H(x_ray, rho, cfg),
+                               lambda: anger_J(x_ray, x_ray, cfg),
+                               lambda: i_lambda_oracle(lam, cfg))
+    tail_points = _ray_points_by_numpy(quadrature._cutoff(lam, cfg.abs_tol / 2.0))
+    assert np.array(meshes[-1][0]).tobytes() == tail_points.tobytes()
+    for points, cap, budget in meshes:
         if not math.isfinite(cap):
+            edges, ok = quadrature._subdivide(points, cap, budget)
+            assert ok == (len(points) - 1 <= budget)
+            assert edges.tobytes() == np.array(points).tobytes()
             continue
-        edges, ok = quadrature._subdivide(points, cap, max_panels)
-        ref, ref_ok = _subdivide_by_linspace(points, cap, max_panels)
-        assert ok == ref_ok
-        assert edges.tobytes() == ref.tobytes()
+        ref, ref_ok = _subdivide_by_linspace(points, cap, budget)
+        paths = [quadrature._subdivide,
+                 lambda p, c, b: quadrature._large_mesh(np.array(p), c, b)]
+        if (points[-1] - points[0]) / cap < 10 * quadrature._SMALL_MESH:
+            paths.append(quadrature._small_mesh)  # either path, whatever the size
+        for mesh in paths:
+            edges, ok = mesh(points, cap, budget)
+            assert ok == ref_ok
+            assert edges.tobytes() == ref.tobytes()
+
+
+def test_rounded_steps_that_overtake_a_segment_end_are_dropped():
+    # doubles near 1e16 are 2 apart, so steps of 0.5 round onto one another
+    points, cap = [1e16, 1e16 + 4.0, 1e16 + 8.0], 0.5
+    ref, _ = _subdivide_by_linspace(points, cap, 200_000)
+    assert len(ref) < 17
+    for mesh in (quadrature._small_mesh,
+                 lambda p, c, b: quadrature._large_mesh(np.array(p), c, b)):
+        edges, ok = mesh(points, cap, 200_000)
+        assert ok and edges.tobytes() == ref.tobytes()
 
 
 def test_subdivide_caps_counts_beyond_int64():
@@ -243,3 +331,51 @@ def test_integrate_many_refines_and_coarsens_per_owner():
     assert any(t.panels > f.panels for t, f in zip(tight, first))
     coarse = quadrature.integrate_many(_osc_owner, spans, spots, QuadConfig(max_panels=40))
     assert [r.converged for r in coarse].count(False) >= 2
+
+
+def _panels_by_reference(fn, lo, hi):
+    """One owner's (k15, err, resabs), in the plain formulas ``_eval_panels`` must keep."""
+    c = 0.5 * (lo + hi)
+    hw = 0.5 * (hi - lo)
+    nodes = (c[:, None] + hw[:, None] * quadrature._XGK[None, :]).reshape(-1)
+    vals = np.asarray(fn(nodes)).reshape(len(lo), 15)
+    k15 = ((vals @ quadrature._WGK) * hw).astype(np.complex128)
+    d = np.abs(k15 - (vals[:, 1::2] @ quadrature._WG) * hw)
+    resabs = (np.abs(vals) @ quadrature._WGK) * hw
+    mean = k15 / np.maximum(2.0 * hw, 1e-300)
+    resasc = (np.abs(vals - mean[:, None]) @ quadrature._WGK) * hw
+    with np.errstate(divide="ignore", invalid="ignore"):
+        damped = resasc * np.minimum(1.0, (200.0 * d / resasc) ** 1.5)
+    err = np.where(resasc > 0.0, damped, d)
+    return k15, np.maximum(err, 50.0 * np.finfo(np.float64).eps * resabs), resabs
+
+
+def _hex(arrays):
+    return [[float(v).hex() for v in np.asarray(a).view(np.float64)] for a in arrays]
+
+
+@settings(max_examples=60, deadline=None)
+@given(start=st.floats(-10.0, 10.0),
+       widths=st.lists(st.floats(1e-6, 2.0), min_size=1, max_size=40),
+       cuts=st.sets(st.integers(1, 39), max_size=6),
+       freq=st.floats(-300.0, 300.0), rho=st.floats(1e-3, 10.0), complex_valued=st.booleans())
+def test_eval_panels_is_the_plain_formula_bit_for_bit(start, widths, cuts, freq, rho,
+                                                      complex_valued):
+    # a random mesh, cut into owners at random panels; each owner's slice must
+    # come out as a plain evaluation of that slice alone
+    edges = np.cumsum([start] + widths)
+    lo, hi = edges[:-1], edges[1:]
+    rho2 = rho * rho
+
+    def fn(t):
+        s = np.sin(t)
+        if complex_valued:
+            return np.exp(1j * freq * t) / (rho2 + s * s)
+        return np.cos(freq * t) / (rho2 + s * s)
+
+    starts = [0] + sorted(k for k in cuts if k < len(lo))
+    got = quadrature._eval_panels(fn, lo, hi, starts)
+    bounds = starts + [len(lo)]
+    ref = [np.concatenate(parts) for parts in zip(*(
+        _panels_by_reference(fn, lo[s0:s1], hi[s0:s1]) for s0, s1 in zip(bounds, bounds[1:])))]
+    assert _hex(got) == _hex(ref)

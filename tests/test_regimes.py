@@ -213,6 +213,13 @@ def test_h_approx_routing():
     assert fixed.method == "oracle" and fixed.regime is None
 
 
+@pytest.mark.parametrize("x,rho", [(1.0, 1.0), (2.0, 0.01), (1e4, 1.0), (1e4, 1e-3)])
+def test_h_approx_takes_the_callers_oracle(x, rho):
+    # a given eval_H value replaces the integral near fixed points and is
+    # ignored elsewhere; either way the result is h_approx's own
+    assert h_approx(x, rho, oracle=eval_H(x, rho)) == h_approx(x, rho)
+
+
 @pytest.mark.parametrize("x,rho", [(10.0, 0.3), (1e3, 1.0), (1e4, 1e-3),
                                    (50.0, 0.05), (1.0, 1.0), (2.5, 0.4)])
 def test_h_approx_dispatcher_sanity(x, rho):
