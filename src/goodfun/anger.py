@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import replace
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .constants import (GAMMA_THIRD, GAMMA_TWO_THIRDS, SQRT3, Constants,
 from .core import (DomainError, EvalResult, QuadConfig, cos_pi, require_above,
                    require_finite, require_phase, sin_pi)
 from .good import X_C, _anger_contour
-from .quadrature import Integrand, integrate_finite
+from .quadrature import Integrand, QuadResult, integrate_finite
 
 __all__ = ["anger_J", "anger_diag_asym", "anger_reflected_asym",
            "anger_shifted_asym"]
@@ -54,6 +54,34 @@ def _real_axis(nu: float, x: float, cfg: Optional[QuadConfig]) -> EvalResult:
                       method="oracle", converged=res.converged)
 
 
+def _on_contour(nu: float, x: float) -> bool:
+    """Whether ``anger_J`` takes J_nu(x) from calA: |x| >= X_C and ||nu| - |x|| <= |x|^(1/3)."""
+    return abs(x) >= X_C and abs(abs(nu) - abs(x)) <= abs(x) ** (1.0 / 3.0)
+
+
+def _calA_point(nu: float, x: float) -> Tuple[float, float, Optional[float]]:
+    """(X, k, turn) with J_nu(x) = ``_J_of_calA(calA(X, k), turn)``, for finite nu and x.
+
+    turn is None where J is Re calA(X, k), else the order whose
+    e^{i pi turn} rotates conj calA(X, k) onto J.
+    """
+    if nu < 0.0:
+        nu, x = -nu, -x  # J_nu(x) = J_{-nu}(-x)
+    if x < 0.0:
+        # J_{|x|+k}(-|x|) = Re calA(|x|, k); nu + x is exact, the two within 2x
+        return -x, nu + x, None
+    # th -> pi - th: J_nu(x) = Re[e^{i pi nu} conj calA(x, nu - x)]
+    return x, nu - x, nu
+
+
+def _J_of_calA(res: QuadResult, turn: Optional[float]) -> EvalResult:
+    """J from calA's ``res`` and the ``turn`` of ``_calA_point``."""
+    value = res.value
+    j = value.real if turn is None else cos_pi(turn) * value.real + sin_pi(turn) * value.imag
+    return EvalResult(value=j, error_estimate=res.err, method="oracle",
+                      converged=res.converged)
+
+
 def anger_J(nu: float, x: float, cfg: Optional[QuadConfig] = None) -> EvalResult:
     """Oracle value of J_nu(x) by adaptive quadrature.
 
@@ -64,20 +92,10 @@ def anger_J(nu: float, x: float, cfg: Optional[QuadConfig] = None) -> EvalResult
     require_finite("nu", nu)
     require_finite("x", x)
     require_phase("nu*th - x*sin(th)", nu, -x, math.pi)
-    if not (abs(x) >= X_C and abs(abs(nu) - abs(x)) <= abs(x) ** (1.0 / 3.0)):
+    if not _on_contour(nu, x):
         return _real_axis(nu, x, cfg)
-    if nu < 0.0:
-        nu, x = -nu, -x  # J_nu(x) = J_{-nu}(-x)
-    if x < 0.0:
-        # J_{|x|+k}(-|x|) = Re calA(|x|, k); nu + x is exact, the two within 2x
-        res = _anger_contour(-x, nu + x, cfg)
-        value = res.value.real
-    else:
-        # th -> pi - th: J_nu(x) = Re[e^{i pi nu} conj calA(x, nu - x)]
-        res = _anger_contour(x, nu - x, cfg)
-        value = cos_pi(nu) * res.value.real + sin_pi(nu) * res.value.imag
-    return EvalResult(value=value, error_estimate=res.err, method="oracle",
-                      converged=res.converged)
+    x_a, k, turn = _calA_point(nu, x)
+    return _J_of_calA(_anger_contour([(x_a, k)], cfg)[0], turn)
 
 
 def anger_diag_asym(x: float, constants: Optional[Constants] = None) -> EvalResult:

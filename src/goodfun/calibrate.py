@@ -10,24 +10,41 @@ code base reproduces the shipped file exactly.
 
 ``quick=True`` runs a documented subgrid (used by the CLI test); the
 shipped file always comes from the full sweep.
+
+Before any integral runs, ``calibrate`` gathers the oracle points of all
+six sweeps and integrates each distinct one once (``_oracles``): every
+calA(x, k) in one shared batch, every calH(x, rho) in one ``eval_H_many``
+per rho.  The quick run integrates 7 calA and 6 calH points where the
+sweeps read 14 and 8, the full run 33 and 43 where they read 48 and 46.
+Each value is bit for bit its single-point call, so the constants are
+those of calling ``anger_J`` and ``eval_H`` point by point.  An
+unconverged oracle value raises ``NumericalError`` rather than being
+frozen into a constant.
 """
 from __future__ import annotations
 
 import math
-from typing import Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
-from .anger import anger_J, anger_diag_asym, anger_reflected_asym, anger_shifted_asym
+from .anger import (_J_of_calA, _calA_point, _on_contour, anger_J, anger_diag_asym,
+                    anger_reflected_asym, anger_shifted_asym)
 from .constants import Constants
-from .core import EvalResult, cos_pi, require_at_least, sin_pi
-from .good import X_C, _anger_contour, eval_H
+from .core import EvalResult, NumericalError, cos_pi, require_at_least, sin_pi
+from .good import X_C, HValue, _anger_contour, _require_rho, eval_H_many
 from .phase import AmplitudeBounds, PhaseProblem, two_term_expansion
+from .quadrature import QuadResult, integrate_many
 from .regimes import h_asym_large, h_asym_small
 
 __all__ = ["calibrate", "good_amplitude_problem",
            "sweep_anger_diag", "sweep_anger_reflected", "sweep_anger_shifted",
            "sweep_phase_engine", "sweep_h_large", "sweep_h_small"]
+
+# the oracle values a sweep reads: J_nu(x), H(x, rho) and calA(x, k)
+_AngerOracle = Callable[[float, float], EvalResult]
+_HOracle = Callable[[float, float], HValue]
+_CalAOracle = Callable[[float, float], QuadResult]
 
 # every constant 1: a law's error_estimate is then its remainder scale
 _UNIT = Constants(1, 1, 1, 1, 1, 1)
@@ -49,8 +66,10 @@ def good_amplitude_problem(rho: float) -> PhaseProblem:
 
     The amplitude derivatives are closed-form in D = rho^2 + sin^2 t, so
     the bound package is computed exactly on a dense grid (sup norms) and
-    by trapezoid (the |f'''| integral), with a 2% headroom factor.
+    by trapezoid (the |f'''| integral), with a 2% headroom factor.  rho
+    is refused as ``eval_H`` refuses it.
     """
+    _require_rho(rho)
     rho2 = rho * rho
 
     def f(t: np.ndarray) -> np.ndarray:
@@ -78,16 +97,27 @@ def good_amplitude_problem(rho: float) -> PhaseProblem:
     ))
 
 
-def sweep_anger_diag(xs: Sequence[float]) -> float:
-    return max(_ratio(anger_J(x, x).value, anger_diag_asym(x, _UNIT)) for x in xs)
+def _converged(sweep: str, point: Tuple[float, float], res):
+    """``res``, after refusing an unconverged one: its value would be frozen into a constant."""
+    if not res.converged:
+        a, b = map(float, point)
+        raise NumericalError(f"{sweep}: the integral at ({a!r}, {b!r}) did not converge")
+    return res
 
 
-def sweep_anger_reflected(xs: Sequence[float]) -> float:
-    return max(_ratio(anger_J(x, -x).value, anger_reflected_asym(x, _UNIT)) for x in xs)
+def sweep_anger_diag(xs: Sequence[float], J: _AngerOracle) -> float:
+    return max(_ratio(_converged("sweep_anger_diag", (x, x), J(x, x)).value,
+                      anger_diag_asym(x, _UNIT)) for x in xs)
 
 
-def sweep_anger_shifted(xs: Sequence[float], ks: Sequence[int]) -> float:
-    return max(_ratio(anger_J(x + k, -x).value, anger_shifted_asym(x, k, _UNIT))
+def sweep_anger_reflected(xs: Sequence[float], J: _AngerOracle) -> float:
+    return max(_ratio(_converged("sweep_anger_reflected", (x, -x), J(x, -x)).value,
+                      anger_reflected_asym(x, _UNIT)) for x in xs)
+
+
+def sweep_anger_shifted(xs: Sequence[float], ks: Sequence[int], J: _AngerOracle) -> float:
+    return max(_ratio(_converged("sweep_anger_shifted", (x + k, -x), J(x + k, -x)).value,
+                      anger_shifted_asym(x, k, _UNIT))
                for x in xs for k in ks)
 
 
@@ -102,36 +132,39 @@ def _flipped(x: float, cal: complex) -> complex:
     return math.pi * complex(cos_pi(x), sin_pi(x)) * cal.conjugate()
 
 
-def sweep_phase_engine(rhos: Sequence[float], xs: Sequence[float]) -> float:
+def sweep_phase_engine(rhos: Sequence[float], xs: Sequence[float], H: _HOracle,
+                       A: _CalAOracle) -> float:
     """Worst scaled remainder of the two-term expansion over the grid (x >= X_C).
 
     t = pi - u turns the Good-amplitude integral into
-    pi e^{i pi x} conj(calH(x, rho)), which ``eval_H`` computes, and the
-    unit-amplitude one into pi e^{i pi x} conj(calA(x, 0)), which
-    ``good._anger_contour`` computes.
+    pi e^{i pi x} conj(calH(x, rho)), read from ``H``, and the
+    unit-amplitude one into pi e^{i pi x} conj(calA(x, 0)), read from ``A``.
     """
     worst = 0.0
     for rho in rhos:
         prob = good_amplitude_problem(rho)
         for x in xs:
-            worst = max(worst, _ratio(_flipped(x, eval_H(x, rho).h_complex),
+            h = _converged("sweep_phase_engine", (x, rho), H(x, rho))
+            worst = max(worst, _ratio(_flipped(x, h.h_complex),
                                       two_term_expansion(prob, x, _UNIT)))
     unit = unit_amplitude_problem()
     for x in xs:
         require_at_least("x", x, X_C)
-        worst = max(worst, _ratio(_flipped(x, _anger_contour(x, 0.0, None).value),
-                                  two_term_expansion(unit, x, _UNIT)))
+        a = _converged("sweep_phase_engine", (x, 0.0), A(x, 0.0))
+        worst = max(worst, _ratio(_flipped(x, a.value), two_term_expansion(unit, x, _UNIT)))
     return worst
 
 
-def sweep_h_large(rhos: Sequence[float], xs: Sequence[float]) -> float:
-    return max(_ratio(eval_H(x, rho).h, h_asym_large(x, rho, _UNIT))
+def sweep_h_large(rhos: Sequence[float], xs: Sequence[float], H: _HOracle) -> float:
+    return max(_ratio(_converged("sweep_h_large", (x, rho), H(x, rho)).h,
+                      h_asym_large(x, rho, _UNIT))
                for rho in rhos for x in xs)
 
 
 def _case_value(kind: str, x: float, rho: float) -> float:
     if kind == "full":
-        return h_asym_small(x, rho, constants=_UNIT).value
+        law = h_asym_small(x, rho, constants=_UNIT)  # its cubic_tail is an oracle too
+        return _converged("sweep_h_small", (x, rho), law).value
     if kind == "case_ii":
         return cos_pi(x) / (2.0 * rho)
     if kind == "case_iii":
@@ -140,11 +173,11 @@ def _case_value(kind: str, x: float, rho: float) -> float:
     raise ValueError(kind)
 
 
-def sweep_h_small(points: Sequence[Tuple[float, float, str]]) -> float:
+def sweep_h_small(points: Sequence[Tuple[float, float, str]], H: _HOracle) -> float:
     # scale 1: the two limiting case forms are no law with an error_estimate
     worst = 0.0
     for x, rho, kind in points:
-        h = eval_H(x, rho).h
+        h = _converged("sweep_h_small", (x, rho), H(x, rho)).h
         worst = max(worst, abs(h - _case_value(kind, x, rho)))
     return worst
 
@@ -186,6 +219,37 @@ def _freeze(x: float) -> float:
     return math.ceil(v / scale) * scale
 
 
+def _oracles(g: dict) -> Tuple[_AngerOracle, _HOracle, _CalAOracle]:
+    """J, H and calA read from a table of every point the sweeps on grid ``g`` read.
+
+    J is keyed by the exact (X, k) that ``anger_J`` reduces it to; a J off
+    the contour band (|k| > x^(1/3)) is a plain ``anger_J`` call.
+    """
+    anger = ([(x, x) for x in g["anger_xs"]] + [(x, -x) for x in g["anger_xs"]]
+             + [(x + k, -x) for x in g["shift_xs"] for k in g["shift_ks"]])
+    pairs = [(x, 0.0) for x in g["engine_xs"]]
+    pairs += [_calA_point(nu, x)[:2] for nu, x in anger if _on_contour(nu, x)]
+    pairs = list(dict.fromkeys(pairs))
+    calA = dict(zip(pairs, _anger_contour(pairs, None, integrate_many)))
+
+    points = ([(x, rho) for rho in g["engine_rhos"] for x in g["engine_xs"]]
+              + [(x, rho) for rho in g["large_rhos"] for x in g["large_xs"]]
+              + [(x, rho) for x, rho, _ in g["small_pts"]])
+    by_rho: dict = {}
+    for x, rho in dict.fromkeys(points):
+        by_rho.setdefault(rho, []).append(x)
+    calH = {(x, rho): h for rho, xs in by_rho.items()
+            for x, h in zip(xs, eval_H_many(xs, rho))}
+
+    def J(nu: float, x: float) -> EvalResult:
+        if not _on_contour(nu, x):
+            return anger_J(nu, x)
+        x_a, k, turn = _calA_point(nu, x)
+        return _J_of_calA(calA[x_a, k], turn)
+
+    return J, lambda x, rho: calH[x, rho], lambda x, k: calA[x, k]
+
+
 def calibrate(quick: bool = False) -> Constants:
     """Run the sweeps and return freshly calibrated constants.
 
@@ -193,11 +257,12 @@ def calibrate(quick: bool = False) -> Constants:
     defined for that configuration only.
     """
     g = _grids(quick)
+    J, H, A = _oracles(g)
     return Constants(
-        c_anger_diag=_freeze(sweep_anger_diag(g["anger_xs"])),
-        c_anger_reflected=_freeze(sweep_anger_reflected(g["anger_xs"])),
-        c_anger_shifted=_freeze(sweep_anger_shifted(g["shift_xs"], g["shift_ks"])),
-        c_phase_engine=_freeze(sweep_phase_engine(g["engine_rhos"], g["engine_xs"])),
-        c_h_large=_freeze(sweep_h_large(g["large_rhos"], g["large_xs"])),
-        c_h_small=_freeze(sweep_h_small(g["small_pts"])),
+        c_anger_diag=_freeze(sweep_anger_diag(g["anger_xs"], J)),
+        c_anger_reflected=_freeze(sweep_anger_reflected(g["anger_xs"], J)),
+        c_anger_shifted=_freeze(sweep_anger_shifted(g["shift_xs"], g["shift_ks"], J)),
+        c_phase_engine=_freeze(sweep_phase_engine(g["engine_rhos"], g["engine_xs"], H, A)),
+        c_h_large=_freeze(sweep_h_large(g["large_rhos"], g["large_xs"], H)),
+        c_h_small=_freeze(sweep_h_small(g["small_pts"], H)),
     )

@@ -202,11 +202,11 @@ def _anger_connector_bound(x: float, k: float) -> float:
     return length * math.exp(abs(k) * w1.imag - min(decay_0, decay_1)) / math.pi
 
 
-_RayFn = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+_RayFn = Callable[[np.ndarray, np.ndarray, np.ndarray, object], np.ndarray]
 
 
-def _rays(xs: Sequence[float], integrand: _RayFn, at_pi: complex, osc: float,
-          spots: Tuple[HotSpot, ...], connectors: Sequence[float],
+def _rays(xs: Sequence[float], integrand: _RayFn, at_pi: Sequence[complex],
+          osc: Sequence[float], spots: Tuple[HotSpot, ...], connectors: Sequence[float],
           cfg: Optional[QuadConfig], integrate: _Integrate = _each) -> List[QuadResult]:
     """(1/pi) int_0^pi exp(i x g(th)) a(th) dth along the two rays, for each x >= X_C.
 
@@ -225,12 +225,12 @@ def _rays(xs: Sequence[float], integrand: _RayFn, at_pi: complex, osc: float,
     integrated: ``connectors[k]``, the caller's bound on them for its
     amplitude at xs[k], is added to the error instead.
 
-    ``integrand(z, w, s)`` returns exp(z) a(th), given
+    ``integrand(z, w, s, k)`` returns exp(z) a(th) for owner k (an int,
+    or an int array in a sweep over several owners), given
     z = i x (g(th) - g(th at the ray's start)), the offset w of th from
     that start, and s = sin w; on the ray into pi, a(th) is taken
-    without its constant factor ``at_pi``.  The amplitude is the same at
-    every x.  ``osc`` is half its own phase rate, added to the phase's on
-    each ray.
+    without its constant factor ``at_pi[k]``.  ``osc[k]`` is half the
+    amplitude's own phase rate, added to the phase's on each ray.
 
     The geometry the connector bounds rely on (Re P0 < pi/2 < Re P1,
     Im P0 < Im P1) holds for every x >= X_C.
@@ -241,23 +241,23 @@ def _rays(xs: Sequence[float], integrand: _RayFn, at_pi: complex, osc: float,
     def fn_0(t: np.ndarray, k) -> np.ndarray:
         w = t * _DIR_0
         s = np.sin(w)
-        return integrand(1j * x_of[k] * (w + s), w, s)
+        return integrand(1j * x_of[k] * (w + s), w, s, k)
 
     def fn_pi(t: np.ndarray, k) -> np.ndarray:
         # th = pi + w: g = pi + (w - sin w) and sin^2 th = sin^2 w
         w = t * _DIR_PI
-        return integrand(1j * x_of[k] * _w_minus_sin(w), w, np.sin(w))
+        return integrand(1j * x_of[k] * _w_minus_sin(w), w, np.sin(w), k)
 
     # half the largest real phase rate x |Re(dir * g')| on each ray: at t = 0
     # on the first, at the far end on the second (1 - cos w = 2 sin^2(w/2))
-    ray_0 = integrate(fn_0, [(0.0, abs(p0), x * _DIR_0.real + osc)
-                             for x, (p0, _) in zip(xs, ends)], spots, cfg)
+    ray_0 = integrate(fn_0, [(0.0, abs(p0), x * _DIR_0.real + o)
+                             for x, (p0, _), o in zip(xs, ends, osc)], spots, cfg)
     ray_pi = integrate(fn_pi, [(0.0, abs(w1), x * abs((_DIR_PI * cmath.sin(0.5 * w1) ** 2).real)
-                                + osc) for x, (_, w1) in zip(xs, ends)], spots, cfg)
+                                + o) for x, (_, w1), o in zip(xs, ends, osc)], spots, cfg)
     out = []
-    for x, r0, rp, connector in zip(xs, ray_0, ray_pi, connectors):
+    for x, r0, rp, a, connector in zip(xs, ray_0, ray_pi, at_pi, connectors):
         # e^{i pi x}, reduced exactly mod 2, times the amplitude's factor at pi
-        phase_pi = complex(cos_pi(x), sin_pi(x)) * at_pi
+        phase_pi = complex(cos_pi(x), sin_pi(x)) * a
         value = (_DIR_0 * r0.value - phase_pi * _DIR_PI * rp.value) / math.pi
         err = (r0.err + rp.err) / math.pi + connector
         out.append(QuadResult(value, err, r0.converged and rp.converged,
@@ -277,19 +277,24 @@ def _contour(xs: Sequence[float], rho: float, cfg: Optional[QuadConfig],
     pi, so it encloses no pole.
     """
     rho2 = rho * rho
-    return _rays(xs, lambda z, w, s: np.exp(z) / (rho2 + s * s), 1.0, 0.0,
-                 (HotSpot(0.0, rho),), [_connector_bound(x, rho) for x in xs], cfg, integrate)
+    return _rays(xs, lambda z, w, s, _k: np.exp(z) / (rho2 + s * s), [1.0] * len(xs),
+                 [0.0] * len(xs), (HotSpot(0.0, rho),), [_connector_bound(x, rho) for x in xs],
+                 cfg, integrate)
 
 
-def _anger_contour(x: float, k: float, cfg: Optional[QuadConfig]) -> QuadResult:
-    """calA(x, k) = (1/pi) int_0^pi exp(i (x g(th) + k th)) dth for x >= X_C.
+def _anger_contour(pairs: Sequence[Tuple[float, float]], cfg: Optional[QuadConfig],
+                   integrate: _Integrate = _each) -> List[QuadResult]:
+    """calA(x, k) = (1/pi) int_0^pi exp(i (x g(th) + k th)) dth for each (x, k), x >= X_C.
 
     The amplitude e^{i k th} is entire, so the contour of ``_rays`` needs
     no residue and no hot spot; on the ray into pi it is e^{i pi k} e^{i k w}.
     The connector bound is ``_anger_connector_bound``.
     """
-    return _rays([x], lambda z, w, s: np.exp(z + 1j * k * w), complex(cos_pi(k), sin_pi(k)),
-                 0.5 * abs(k), (), [_anger_connector_bound(x, k)], cfg)[0]
+    ik = np.array([1j * k for _, k in pairs])
+    return _rays([x for x, _ in pairs], lambda z, w, s, o: np.exp(z + ik[o] * w),
+                 [complex(cos_pi(k), sin_pi(k)) for _, k in pairs],
+                 [0.5 * abs(k) for _, k in pairs], (),
+                 [_anger_connector_bound(x, k) for x, k in pairs], cfg, integrate)
 
 
 def eval_G(gamma: float, rho: float, x: float,

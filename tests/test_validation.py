@@ -5,14 +5,13 @@ import re
 import numpy as np
 import pytest
 
-from goodfun import (AmplitudeBounds, DomainError, EvalResult, Integrand, QuadConfig, anger_J,
-                     anger_diag_asym, anger_reflected_asym, anger_shifted_asym, bounds_H,
-                     classify, corollary_path_main, cubic_tail, eval_G, eval_H, eval_Q,
-                     expansion_with_conjugation,
-                     find_zeros, h_approx, h_asym_large, h_asym_small, i_lambda_asym,
-                     i_lambda_oracle, integrate_tail, q_from_g, series_partial_sum,
-                     two_term_expansion)
-from goodfun.calibrate import unit_amplitude_problem
+from goodfun import (AmplitudeBounds, DomainError, EvalResult, Integrand, PrecisionError,
+                     QuadConfig, anger_J, anger_diag_asym, anger_reflected_asym,
+                     anger_shifted_asym, bounds_H, classify, corollary_path_main, cubic_tail,
+                     eval_G, eval_H, eval_Q, expansion_with_conjugation, find_zeros, h_approx,
+                     h_asym_large, h_asym_small, i_lambda_asym, i_lambda_oracle,
+                     integrate_tail, q_from_g, series_partial_sum, two_term_expansion)
+from goodfun.calibrate import good_amplitude_problem, unit_amplitude_problem
 
 _UNIT = unit_amplitude_problem()
 
@@ -50,6 +49,8 @@ CASES = [
      {"gamma": (-0.5,), "xi": (1.0, 0.5), "x": ()}),
     (series_partial_sum, {"gamma": 1.0, "rho": 1.0, "x": 1.0, "K": 2},
      {"gamma": (), "rho": (0.0, -1.0), "x": (), "K": (7, 0, 1.5, 4.0)}),
+    # takes eval_H's rho rules; rho = 0 divided by zero and rho = -1 gave rho = 1's bounds
+    (good_amplitude_problem, {"rho": 1.0}, {"rho": (0.0, -1.0)}),
     (AmplitudeBounds, {"sup_f": 1.0, "sup_df": 0.0, "sup_d2f": 0.0, "int_abs_d3f": 0.0},
      {"sup_f": (-1.0,), "sup_df": (-1.0,), "sup_d2f": (-1.0,), "int_abs_d3f": (-1.0,)}),
 ]
@@ -70,7 +71,7 @@ def test_entry_point_refuses_bad_parameter(fn, kwargs, name, bad):
 
 # every other entry point returns a value with its error as an EvalResult
 _OTHER_RESULT_TYPES = {eval_H, bounds_H, classify, find_zeros, i_lambda_oracle, integrate_tail,
-                       AmplitudeBounds}
+                       AmplitudeBounds, good_amplitude_problem}
 
 
 @pytest.mark.parametrize("fn, kwargs", [
@@ -89,3 +90,10 @@ def test_quad_config_refuses_non_integer_max_panels(bad):
 
 def test_quad_config_accepts_integer_max_panels():
     assert eval_H(50.0, 1.0, QuadConfig(max_panels=30)).converged is False
+
+
+@pytest.mark.parametrize("rho", [1e-200, 5e-7])
+def test_good_amplitude_problem_refuses_rho_below_the_floor(rho):
+    # at 1e-200, rho^2 underflows to 0 and 1/rho^2 divided by zero
+    with pytest.raises(PrecisionError, match="rho"):
+        good_amplitude_problem(rho)
