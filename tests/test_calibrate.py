@@ -1,12 +1,18 @@
-"""Calibration reads each oracle point once, in batches, and equals its point-by-point form."""
+"""Calibration reads each oracle point once, in batches, and equals its point-by-point form.
+
+Its constants are reproduced bit for bit, and the Good amplitude's bound
+package is the exact norms.
+"""
 import dataclasses
 import math
+import warnings
 
+import numpy as np
 import pytest
 
 from goodfun import (NumericalError, anger_diag_asym, anger_J, anger_reflected_asym,
                      anger_shifted_asym, eval_H, h_asym_large, h_asym_small, two_term_expansion)
-from goodfun import anger, calibrate as cal, good
+from goodfun import anger, calibrate as cal, good, load_constants
 from goodfun.constants import Constants
 from goodfun.core import cos_pi, sin_pi
 from goodfun.quadrature import integrate_many
@@ -94,11 +100,13 @@ def _reference(quick):
     return Constants(*(cal._freeze(v) for v in (diag, refl, shift, engine, large, small)))
 
 
+def _hex(consts):
+    return [v.hex() for v in dataclasses.astuple(consts)]
+
+
 @pytest.mark.parametrize("quick", [True, False])
 def test_calibrate_equals_its_point_by_point_reference(quick):
-    fresh, ref = cal.calibrate(quick), _reference(quick)
-    assert [v.hex() for v in dataclasses.astuple(fresh)] == [
-        v.hex() for v in dataclasses.astuple(ref)]
+    assert _hex(cal.calibrate(quick)) == _hex(_reference(quick))
 
 
 def test_quick_calibration_integrates_each_point_once(monkeypatch):
@@ -168,3 +176,63 @@ def test_calibration_refuses_an_unconverged_real_axis_anger(monkeypatch):
     monkeypatch.setattr(cal, "anger_J", lambda nu, x: _unconverged(real(nu, x)))
     with pytest.raises(NumericalError, match=r"^sweep_anger_shifted: .*\(105\.0, -100\.0\)"):
         cal.calibrate(quick=False)
+
+
+def _dense_bounds(rho):
+    """sup|f'|, sup|f''| and the total variation of f'' of 1/(rho^2 + sin^2 t), on a grid.
+
+    The derivatives come from the chain rule, not from the closed forms:
+    with r = 1/D, a = sin(2t) r and b = 2 cos(2t) r, f' = -a r and
+    f'' = (2 a^2 - b) r.
+    f is symmetric about pi/2, so [0, pi/2] is enough: uniform there, and
+    geometric toward t = 0, where the peak of width ~rho sits.  A grid max
+    and a sum of |jumps| can only fall below the true values.
+    """
+    t = np.union1d(np.geomspace(1e-10, 0.5, 50_000), np.linspace(0.0, math.pi / 2.0, 20_000))
+    r = 1.0 / (rho * rho + np.sin(t) ** 2)
+    a = np.sin(2.0 * t) * r
+    f2 = (2.0 * a * a - 2.0 * np.cos(2.0 * t) * r) * r
+    return np.max(np.abs(a * r)), np.max(np.abs(f2)), 2.0 * np.sum(np.abs(np.diff(f2)))
+
+
+@pytest.mark.parametrize("rho", [1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.5, 1.0, 1.41,
+                                 math.sqrt(2.0), 1.42, 2.0, 10.0, 1e3])
+def test_good_amplitude_bounds_are_the_exact_norms(rho):
+    # bound / 1.02 is the exact norm, so it agrees with the dense grid to
+    # the grid's resolution and never sits below it by more than that
+    b = cal.good_amplitude_problem(rho).bounds
+    assert b.sup_f == 1.0 / (rho * rho)
+    for name, got, ref in zip(("sup_df", "sup_d2f", "int_abs_d3f"),
+                              (b.sup_df, b.sup_d2f, b.int_abs_d3f), _dense_bounds(rho)):
+        assert abs(got / 1.02 / ref - 1.0) <= 1e-7, (name, got / 1.02 / ref)
+
+
+# the bounds a 40 001-point grid on [0, pi] gave at huge rho, to 10 digits
+_HUGE_RHO = {
+    1e50: (1e-100, 1.02e-200, 2.04e-200, 8.159999983e-200),
+    1e77: (1e-154, 1.02e-308, 2.04e-308, 8.159999983e-308),
+    1e154: (1e-308, 0.0, 0.0, 0.0),
+    1e200: (0.0, 0.0, 0.0, 0.0),
+}
+
+
+@pytest.mark.parametrize("rho", sorted(_HUGE_RHO))
+def test_good_amplitude_bounds_stay_finite_at_huge_rho(rho):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        b = cal.good_amplitude_problem(rho).bounds
+    got = (b.sup_f, b.sup_df, b.sup_d2f, b.int_abs_d3f)
+    assert all(math.isfinite(v) and v >= 0.0 for v in got)
+    # abs=0: a bound is 0 exactly where the grid's was
+    assert got == pytest.approx(_HUGE_RHO[rho], rel=1e-6, abs=0.0)
+
+
+def test_full_calibration_reproduces_the_packaged_file_bit_for_bit():
+    assert _hex(cal.calibrate()) == _hex(load_constants())
+
+
+def test_quick_calibration_reproduces_its_pinned_constants_bit_for_bit():
+    # 0.2086, 0.04167, 0.05985, 0.7998, 0.1468 and 19.07, as frozen
+    assert _hex(cal.calibrate(quick=True)) == [
+        "0x1.ab367a0f9096cp-3", "0x1.555c52e72da13p-5", "0x1.ea4a8c154c987p-5",
+        "0x1.997f62b6ae7d6p-1", "0x1.2ca57a786c227p-3", "0x1.311eb851eb852p+4"]
