@@ -10,17 +10,19 @@ code base reproduces the shipped file exactly.
 
 ``quick=True`` runs a documented subgrid (used by the CLI test); the
 shipped file always comes from the full sweep.  Best of repeated runs on a
-2-vCPU x86 VM (Python 3.11, numpy 2.4), they take about 3.2 and 15 ms.
+2-vCPU x86 VM (Python 3.11, numpy 2.4), they take about 2.3 and 11 ms.
 
 Before any integral runs, ``calibrate`` gathers the oracle points of all
 six sweeps and integrates each distinct one once (``_oracles``): every
-calA(x, k) in one shared batch, every calH(x, rho) in one ``eval_H_many``
-per rho.  The quick run integrates 7 calA and 6 calH points where the
-sweeps read 14 and 8, the full run 33 and 43 where they read 48 and 46.
-Each value is bit for bit its single-point call, so the constants are
-those of calling ``anger_J`` and ``eval_H`` point by point.  An
-unconverged oracle value raises ``NumericalError`` rather than being
-frozen into a constant.
+calA(x, k) and every calH(x, rho), all rhos together, in one contour
+batch (``good._contours``).  Its rays are the owners of one
+``integrate_many`` call, which evaluates them in shared sweeps and
+refines them in lockstep.  The quick run integrates 7 calA and 6 calH
+points where the sweeps read 14 and 8, the full run 33 and 43 where they
+read 48 and 46.  Each value is bit for bit its single-point call, so the
+constants are those of calling ``anger_J`` and ``eval_H`` point by
+point.  An unconverged oracle value raises ``NumericalError`` rather than
+being frozen into a constant.
 """
 from __future__ import annotations
 
@@ -33,7 +35,7 @@ from .anger import (_J_of_calA, _calA_point, _on_contour, anger_J, anger_diag_as
                     anger_reflected_asym, anger_shifted_asym)
 from .constants import Constants
 from .core import EvalResult, NumericalError, cos_pi, require_at_least, sin_pi
-from .good import X_C, HValue, _anger_contour, _require_rho, eval_H_many
+from .good import X_C, HValue, _contours, _require_rho, _require_x_rho
 from .phase import AmplitudeBounds, PhaseProblem, two_term_expansion
 from .quadrature import QuadResult, integrate_many
 from .regimes import h_asym_large, h_asym_small
@@ -223,23 +225,26 @@ def _oracles(g: dict) -> Tuple[_AngerOracle, _HOracle, _CalAOracle]:
     """J, H and calA read from a table of every point the sweeps on grid ``g`` read.
 
     J is keyed by the exact (X, k) that ``anger_J`` reduces it to; a J off
-    the contour band (|k| > x^(1/3)) is a plain ``anger_J`` call.
+    the contour band (|k| > x^(1/3)) is a plain ``anger_J`` call.  Every
+    calA and calH point, all rhos together, goes into one contour batch
+    (``good._contours``).  Each calH point is first validated as
+    ``eval_H`` validates it, and its x must reach X_C, from where
+    ``eval_H`` takes the contour too.
     """
     anger = ([(x, x) for x in g["anger_xs"]] + [(x, -x) for x in g["anger_xs"]]
              + [(x + k, -x) for x in g["shift_xs"] for k in g["shift_ks"]])
     pairs = [(x, 0.0) for x in g["engine_xs"]]
     pairs += [_calA_point(nu, x)[:2] for nu, x in anger if _on_contour(nu, x)]
     pairs = list(dict.fromkeys(pairs))
-    calA = dict(zip(pairs, _anger_contour(pairs, None, integrate_many)))
 
-    points = ([(x, rho) for rho in g["engine_rhos"] for x in g["engine_xs"]]
-              + [(x, rho) for rho in g["large_rhos"] for x in g["large_xs"]]
-              + [(x, rho) for x, rho, _ in g["small_pts"]])
-    by_rho: dict = {}
-    for x, rho in dict.fromkeys(points):
-        by_rho.setdefault(rho, []).append(x)
-    calH = {(x, rho): h for rho, xs in by_rho.items()
-            for x, h in zip(xs, eval_H_many(xs, rho))}
+    points = list(dict.fromkeys(
+        [(x, rho) for rho in g["engine_rhos"] for x in g["engine_xs"]]
+        + [(x, rho) for rho in g["large_rhos"] for x in g["large_xs"]]
+        + [(x, rho) for x, rho, _ in g["small_pts"]]))
+    checked = [(require_at_least("x", _require_x_rho(x, rho), X_C), rho) for x, rho in points]
+    calA_res, calH_res = _contours(pairs, checked, None, integrate_many)
+    calA = dict(zip(pairs, calA_res))
+    calH = {p: HValue(r.value, r.err, r.converged) for p, r in zip(points, calH_res)}
 
     def J(nu: float, x: float) -> EvalResult:
         if not _on_contour(nu, x):

@@ -29,7 +29,8 @@ e^{i k th}:
     calA(x, k) = (1/pi) int_0^pi exp(i*(x*(th + sin th) + k*th)) dth
 
 (``_anger_contour``), from which ``anger.anger_J`` takes J near its
-diagonal, J_{x+k}(-x) = Re calA(x, k).
+diagonal, J_{x+k}(-x) = Re calA(x, k).  ``_contours`` takes calA and
+calH points of any rho in one batch.
 """
 from __future__ import annotations
 
@@ -92,19 +93,49 @@ def _require_rho(rho: float) -> None:
 
 
 _OwnerFn = Callable[[np.ndarray, object], np.ndarray]
-_Integrate = Callable[[_OwnerFn, Sequence[Tuple[float, float, float]], Tuple[HotSpot, ...],
-                       Optional[QuadConfig]], List[QuadResult]]
+_Span = Tuple[float, float, float, Tuple[HotSpot, ...]]
+_Integrate = Callable[[_OwnerFn, Sequence[_Span], Optional[QuadConfig]], List[QuadResult]]
 
 
-def _each(fn: _OwnerFn, spans: Sequence[Tuple[float, float, float]],
-          spots: Tuple[HotSpot, ...], cfg: Optional[QuadConfig]) -> List[QuadResult]:
+def _each(fn: _OwnerFn, spans: Sequence[_Span], cfg: Optional[QuadConfig]) -> List[QuadResult]:
     """``integrate_many``'s contract, as one ``integrate_finite`` call per owner.
 
     The single-point evaluators take this path, so that a tracer that
     wraps ``integrate_finite`` by name sees each of their integrals.
     """
     return [integrate_finite(Integrand(lambda t, k=k: fn(t, k), osc, spots), a, b, cfg)
-            for k, (a, b, osc) in enumerate(spans)]
+            for k, (a, b, osc, spots) in enumerate(spans)]
+
+
+def _by_owner(first: _OwnerFn, second: _OwnerFn, n: int) -> _OwnerFn:
+    """One owner function of two: fn(x, k) is first(x, k) for k < n, else second(x, k - n).
+
+    x holds the nodes, an array or a tuple of arrays.  ``integrate_many``
+    hands a sweep's owners over in ascending order, so ``first``'s nodes
+    come before ``second``'s, and each runs on its own slice of x.
+    """
+    def fn(x, k):
+        if not isinstance(k, np.ndarray):
+            return first(x, k) if k < n else second(x, k - n)
+        cut = int(np.searchsorted(k, n))
+        if cut in (0, len(k)):  # a sweep of one function's owners
+            return first(x, k) if cut else second(x, k - n)
+        if isinstance(x, np.ndarray):
+            head, tail = x[:cut], x[cut:]
+        else:
+            head, tail = tuple(a[:cut] for a in x), tuple(a[cut:] for a in x)
+        return np.concatenate([first(head, k[:cut]), second(tail, k[cut:] - n)])
+
+    return fn
+
+
+def _of(values: list, k):
+    """values[k] for one owner k; for an owner array, the value at each node.
+
+    One owner's is a Python scalar: numpy's arithmetic costs less with it
+    than with a numpy scalar, and gives the same bits.
+    """
+    return np.array(values)[k] if isinstance(k, np.ndarray) else values[k]
 
 
 def _require_x_rho(x: float, rho: float) -> float:
@@ -117,18 +148,21 @@ def _require_x_rho(x: float, rho: float) -> float:
 def _fold(fn_left: _OwnerFn, fn_right: _OwnerFn, freqs: Sequence[Tuple[float, float]],
           rho: float, cfg: Optional[QuadConfig],
           integrate: _Integrate = _each) -> List[QuadResult]:
-    """(1/pi) int_0^pi as two halves on [0, pi/2], the right one folded, per owner.
+    """(1/pi) int_0^pi as two halves on [0, pi/2], the right one folded, per point.
 
-    Owner k's halves are ``fn_left(th, k)`` and ``fn_right(u, k)``,
+    Point k's halves are ``fn_left(th, k)`` and ``fn_right(u, k)``,
     u = pi - th, with oscillation scales ``freqs[k]``.  Both halves peak
-    at u = 0 with width rho.  The panel count is that of both halves.
+    at u = 0 with width rho.  All halves of all points are the owners of
+    one ``integrate`` call, the left ones first.  The panel count is that
+    of both halves.
     """
-    spots = (HotSpot(0.0, rho),)
-    left = integrate(fn_left, [(0.0, _HALF_PI, f) for f, _ in freqs], spots, cfg)
-    right = integrate(fn_right, [(0.0, _HALF_PI, f) for _, f in freqs], spots, cfg)
+    n, spots = len(freqs), (HotSpot(0.0, rho),)
+    halves = integrate(_by_owner(fn_left, fn_right, n),
+                       [(0.0, _HALF_PI, f, spots) for f, _ in freqs]
+                       + [(0.0, _HALF_PI, f, spots) for _, f in freqs], cfg)
     return [QuadResult((lt.value + rt.value) / math.pi, (lt.err + rt.err) / math.pi,
                        lt.converged and rt.converged, lt.panels + rt.panels)
-            for lt, rt in zip(left, right)]
+            for lt, rt in zip(halves[:n], halves[n:])]
 
 
 # The contour runs where |exp(i x g)| <= exp(-_DECAY), g(th) = th + sin th.
@@ -202,13 +236,15 @@ def _anger_connector_bound(x: float, k: float) -> float:
     return length * math.exp(abs(k) * w1.imag - min(decay_0, decay_1)) / math.pi
 
 
-_RayFn = Callable[[np.ndarray, np.ndarray, np.ndarray, object], np.ndarray]
+_RayFn = Callable[[Tuple[np.ndarray, np.ndarray, np.ndarray], object], np.ndarray]
 
 
-def _rays(xs: Sequence[float], integrand: _RayFn, at_pi: Sequence[complex],
-          osc: Sequence[float], spots: Tuple[HotSpot, ...], connectors: Sequence[float],
-          cfg: Optional[QuadConfig], integrate: _Integrate = _each) -> List[QuadResult]:
-    """(1/pi) int_0^pi exp(i x g(th)) a(th) dth along the two rays, for each x >= X_C.
+_RayPoint = Tuple[float, complex, float, Tuple[HotSpot, ...], float]
+
+
+def _rays(points: Sequence[_RayPoint], integrand: _RayFn, cfg: Optional[QuadConfig],
+          integrate: _Integrate = _each) -> List[QuadResult]:
+    """(1/pi) int_0^pi exp(i x g(th)) a(th) dth along the two rays, for each point, x >= X_C.
 
     The phase g(th) = th + sin th has two critical places on [0, pi]: the
     endpoint 0, where g' = 2, and pi, where g' = g'' = 0 and the third
@@ -220,42 +256,47 @@ def _rays(xs: Sequence[float], integrand: _RayFn, at_pi: Sequence[complex],
     * the ray th = pi + t e^{5i pi/6} from P1 back into pi, the valley of
       the cubic stationary point: exp(i x g) = e^{i pi x} exp(-x t^3/6 + ...).
 
-    Each ray is one integral in t per x, all of them taken by
-    ``integrate`` (``integrate_many`` or ``_each``).  The segments are not
-    integrated: ``connectors[k]``, the caller's bound on them for its
-    amplitude at xs[k], is added to the error instead.
+    points[k] = (x, at_pi, osc, spots, connector) describes point k and
+    its amplitude a.  Each ray is one integral in t per point, with hot
+    spots ``spots``.  All of them are the owners of one ``integrate``
+    call (``integrate_many`` or ``_each``), the rays out of 0 first, so
+    a batch integrates every ray of every point together.  The segments
+    are not integrated: ``connector``, the caller's bound on them for its
+    amplitude, is added to the error instead.
 
-    ``integrand(z, w, s, k)`` returns exp(z) a(th) for owner k (an int,
-    or an int array in a sweep over several owners), given
+    ``integrand((z, w, s), k)`` returns exp(z) a(th) for point k (an int,
+    or an int array in a sweep over several points), given
     z = i x (g(th) - g(th at the ray's start)), the offset w of th from
     that start, and s = sin w; on the ray into pi, a(th) is taken
-    without its constant factor ``at_pi[k]``.  ``osc[k]`` is half the
+    without its constant factor ``at_pi``.  ``osc`` is half the
     amplitude's own phase rate, added to the phase's on each ray.
 
     The geometry the connector bounds rely on (Re P0 < pi/2 < Re P1,
     Im P0 < Im P1) holds for every x >= X_C.
     """
-    x_of = np.array(xs, dtype=np.float64)
-    ends = [_contour_ends(x) for x in xs]
+    n, xs = len(points), [p[0] for p in points]
 
     def fn_0(t: np.ndarray, k) -> np.ndarray:
         w = t * _DIR_0
         s = np.sin(w)
-        return integrand(1j * x_of[k] * (w + s), w, s, k)
+        return integrand((1j * _of(xs, k) * (w + s), w, s), k)
 
     def fn_pi(t: np.ndarray, k) -> np.ndarray:
         # th = pi + w: g = pi + (w - sin w) and sin^2 th = sin^2 w
         w = t * _DIR_PI
-        return integrand(1j * x_of[k] * _w_minus_sin(w), w, np.sin(w), k)
+        return integrand((1j * _of(xs, k) * _w_minus_sin(w), w, np.sin(w)), k)
 
     # half the largest real phase rate x |Re(dir * g')| on each ray: at t = 0
     # on the first, at the far end on the second (1 - cos w = 2 sin^2(w/2))
-    ray_0 = integrate(fn_0, [(0.0, abs(p0), x * _DIR_0.real + o)
-                             for x, (p0, _), o in zip(xs, ends, osc)], spots, cfg)
-    ray_pi = integrate(fn_pi, [(0.0, abs(w1), x * abs((_DIR_PI * cmath.sin(0.5 * w1) ** 2).real)
-                                + o) for x, (_, w1), o in zip(xs, ends, osc)], spots, cfg)
+    spans_0, spans_pi = [], []
+    for x, _, o, spots, _ in points:
+        p0, w1 = _contour_ends(x)
+        spans_0.append((0.0, abs(p0), x * _DIR_0.real + o, spots))
+        spans_pi.append((0.0, abs(w1), x * abs((_DIR_PI * cmath.sin(0.5 * w1) ** 2).real) + o,
+                         spots))
+    rays = integrate(_by_owner(fn_0, fn_pi, n), spans_0 + spans_pi, cfg)
     out = []
-    for x, r0, rp, a, connector in zip(xs, ray_0, ray_pi, at_pi, connectors):
+    for (x, a, _, _, connector), r0, rp in zip(points, rays[:n], rays[n:]):
         # e^{i pi x}, reduced exactly mod 2, times the amplitude's factor at pi
         phase_pi = complex(cos_pi(x), sin_pi(x)) * a
         value = (_DIR_0 * r0.value - phase_pi * _DIR_PI * rp.value) / math.pi
@@ -265,36 +306,58 @@ def _rays(xs: Sequence[float], integrand: _RayFn, at_pi: Sequence[complex],
     return out
 
 
+def _contours(pairs: Sequence[Tuple[float, float]], points: Sequence[Tuple[float, float]],
+              cfg: Optional[QuadConfig], integrate: _Integrate = _each
+              ) -> Tuple[List[QuadResult], List[QuadResult]]:
+    """(calA at each (x, k) of ``pairs``, calH at each (x, rho) of ``points``), x >= X_C.
+
+    Every pair and point is one point of a single ``_rays`` call, the
+    calA ones first, so a batch integrates them all together.
+
+    calA's amplitude e^{i k th} is entire, so its contour needs no
+    residue and no hot spot; on the ray into pi it is e^{i pi k} e^{i k w}.
+    Its connector bound is ``_anger_connector_bound``.
+
+    calH's connector bound is ``_connector_bound``, below 1e-17 for
+    rho >= RHO_MIN, and its rays have the hot spot (0, rho).  No residue
+    enters.  The poles of 1/(rho^2 + sin^2 th) sit at k pi +- i asinh(rho),
+    on the lines Re th = 0 and Re th = pi.  The closed path made of
+    [0, pi], the rays and the segments meets those lines only at its real
+    endpoints 0 and pi, so it encloses no pole.
+    """
+    ik, rho2, rays = [], [], []
+    for x, k in pairs:
+        ik.append(1j * k)
+        rays.append((x, complex(cos_pi(k), sin_pi(k)), 0.5 * abs(k), (),
+                     _anger_connector_bound(x, k)))
+    for x, rho in points:
+        rho2.append(rho * rho)
+        rays.append((x, 1.0, 0.0, (HotSpot(0.0, rho),), _connector_bound(x, rho)))
+
+    def calA(zws, o):
+        z, w, _ = zws
+        return np.exp(z + _of(ik, o) * w)
+
+    def calH(zws, o):
+        z, _, s = zws
+        return np.exp(z) / (_of(rho2, o) + s * s)
+
+    n = len(pairs)
+    res = _rays(rays, calH if not n else calA if not points else _by_owner(calA, calH, n),
+                cfg, integrate)
+    return res[:n], res[n:]
+
+
 def _contour(xs: Sequence[float], rho: float, cfg: Optional[QuadConfig],
              integrate: _Integrate = _each) -> List[QuadResult]:
-    """calH(x, rho) for each x >= X_C along the contour of ``_rays``.
-
-    The connector bound is ``_connector_bound``, below 1e-17 for
-    rho >= RHO_MIN.  No residue enters.  The poles of
-    1/(rho^2 + sin^2 th) sit at k pi +- i asinh(rho), on the lines
-    Re th = 0 and Re th = pi.  The closed path made of [0, pi], the rays
-    and the segments meets those lines only at its real endpoints 0 and
-    pi, so it encloses no pole.
-    """
-    rho2 = rho * rho
-    return _rays(xs, lambda z, w, s, _k: np.exp(z) / (rho2 + s * s), [1.0] * len(xs),
-                 [0.0] * len(xs), (HotSpot(0.0, rho),), [_connector_bound(x, rho) for x in xs],
-                 cfg, integrate)
+    """calH(x, rho) for each x >= X_C along the contour of ``_rays`` (``_contours``)."""
+    return _contours((), [(x, rho) for x in xs], cfg, integrate)[1]
 
 
 def _anger_contour(pairs: Sequence[Tuple[float, float]], cfg: Optional[QuadConfig],
                    integrate: _Integrate = _each) -> List[QuadResult]:
-    """calA(x, k) = (1/pi) int_0^pi exp(i (x g(th) + k th)) dth for each (x, k), x >= X_C.
-
-    The amplitude e^{i k th} is entire, so the contour of ``_rays`` needs
-    no residue and no hot spot; on the ray into pi it is e^{i pi k} e^{i k w}.
-    The connector bound is ``_anger_connector_bound``.
-    """
-    ik = np.array([1j * k for _, k in pairs])
-    return _rays([x for x, _ in pairs], lambda z, w, s, o: np.exp(z + ik[o] * w),
-                 [complex(cos_pi(k), sin_pi(k)) for _, k in pairs],
-                 [0.5 * abs(k) for _, k in pairs], (),
-                 [_anger_connector_bound(x, k) for x, k in pairs], cfg, integrate)
+    """calA(x, k) = (1/pi) int_0^pi exp(i (x g(th) + k th)) dth for each (x, k), x >= X_C."""
+    return _contours(pairs, (), cfg, integrate)[0]
 
 
 def eval_G(gamma: float, rho: float, x: float,
@@ -355,18 +418,17 @@ def _real_axis(xs: Sequence[float], rho: float, cfg: Optional[QuadConfig],
                integrate: _Integrate = _each) -> List[QuadResult]:
     """calH(x, rho) for each x of xs by the fold on the real axis; cost grows like |x|."""
     rho2 = rho * rho
-    x_of = np.array(xs, dtype=np.float64)
     # e^{i pi x}, reduced exactly mod 2
-    phase_pi = np.array([complex(cos_pi(x), sin_pi(x)) for x in xs])
+    phase_pi = [complex(cos_pi(x), sin_pi(x)) for x in xs]
 
     def fn_left(th: np.ndarray, k) -> np.ndarray:
         s = np.sin(th)
-        return np.exp(1j * x_of[k] * (th + s)) / (rho2 + s * s)
+        return np.exp(1j * _of(xs, k) * (th + s)) / (rho2 + s * s)
 
     def fn_right(u: np.ndarray, k) -> np.ndarray:
         # th = pi - u: exp(i x (pi - u + sin u))
         s = np.sin(u)
-        return phase_pi[k] * np.exp(1j * x_of[k] * (s - u)) / (rho2 + s * s)
+        return _of(phase_pi, k) * np.exp(1j * _of(xs, k) * (s - u)) / (rho2 + s * s)
 
     return _fold(fn_left, fn_right, [(abs(x), 0.5 * abs(x)) for x in xs], rho, cfg, integrate)
 
@@ -404,8 +466,9 @@ def eval_H_many(xs: Iterable[float], rho: float,
 
     Every x (and rho) is validated before any integral runs, and the
     first invalid one raises what ``eval_H`` would raise.  The points of
-    each branch (the fold, the contour) go through ``integrate_many``
-    together: one mesh build and a few integrand calls for all of them.
+    each branch (the fold, the contour) go through one ``integrate_many``
+    call, two owners per point: one mesh build and a few integrand calls
+    for all of them, refinement rounds included.
     """
     return _calH(list(xs), rho, cfg, integrate_many)
 

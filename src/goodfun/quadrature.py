@@ -12,17 +12,18 @@ Three entry points:
 
 ``integrate_many``
     Many such integrals ("owners") at once, each with its own interval,
-    oscillation scale and mesh, and bit-identical to one
+    oscillation scale, hot spots and mesh, and bit-identical to one
     ``integrate_finite`` call each; a single owner takes
     ``integrate_finite``'s path.  The meshes are built in one vectorised
-    pass, and the first round evaluates the owners in batches ("chunks") of at most
+    pass, and the first round evaluates the owners in sweeps of at most
     ``_BATCH_PANELS`` panels, each with one integrand call; no owner is
-    split across batches, so the cap bounds the temporaries.  The
+    split across sweeps, so the cap bounds the temporaries.  The
     weighted row sums and the totals still run on each owner's slice
     alone: a BLAS matrix-vector product can give a row a result that
     depends on its position in the matrix (summed over whole batches,
-    3 of 1725 test points moved in their last bit).  An owner that misses
-    its target goes on alone in the refinement loop.
+    3 of 1725 test points moved in their last bit).  The owners that
+    miss their targets refine in lockstep: each round gathers the split
+    halves of all of them into such sweeps.
 
 ``integrate_tail``
     The semi-infinite interval [0, inf) for an integrand bounded by the
@@ -36,12 +37,14 @@ rest is a fixed set-up that hardly grows with the panel count up to a
 few hundred panels.  It is the breakpoints and the mesh (in Python floats
 below ``_SMALL_MESH`` panels, in numpy above), one first sweep
 (``_eval_panels``: about 25 numpy calls on arrays of one entry per panel,
-four of them BLAS row sums) and ``_refine``'s three sums; each refinement
-round adds a sweep over the split halves and about 20 more small numpy
-calls.  A contour ray of ``good`` has 1-45 panels, so the fixed part is
-most of its cost: the 16-panel ray out of 0 of ``eval_H(5825.7, 0.3)``
-takes about 110 us, its integrand about 30 us (2-vCPU x86 VM, Python
-3.11, numpy 2.4).  ``integrate_many`` shares the sweeps of many owners.
+four of them BLAS row sums) and the three sums of ``_rounds``, the
+refinement loop; each refinement round adds a sweep over the split
+halves and about 20 more small numpy calls.  A contour ray of ``good``
+has 1-45 panels, so the fixed part is most of its cost: the 16-panel
+ray out of 0 of ``eval_H(5825.7, 0.3)`` takes about 110 us, its
+integrand about 30 us (2-vCPU x86 VM, Python 3.11, numpy 2.4).
+``integrate_many`` shares the sweeps of many owners, refinement rounds
+included.
 
 The error estimate is a heuristic (nested-rule difference, conservatively
 damped), not a rigorous enclosure; it normally overestimates the true
@@ -240,9 +243,17 @@ def _ordered_sum(lo: np.ndarray, values: np.ndarray) -> complex:
     return complex(values[order].sum())
 
 
-def _refine(fn, lo: np.ndarray, hi: np.ndarray, val: np.ndarray, err: np.ndarray,
-            resabs: np.ndarray, cfg: QuadConfig, mesh_ok: bool) -> QuadResult:
-    """The worst-panel-first loop, from a mesh whose panels are evaluated in order."""
+def _rounds(lo: np.ndarray, hi: np.ndarray, val: np.ndarray, err: np.ndarray,
+            resabs: np.ndarray, cfg: QuadConfig, mesh_ok: bool):
+    """The worst-panel-first loop of one integral, from a mesh whose panels are evaluated in order.
+
+    The one refinement loop, as a generator: each round it yields the
+    halves (lo, hi) of the panels it splits and is sent back their
+    ``_eval_panels`` triple, so that ``_refine`` can evaluate the halves
+    of many integrals in one sweep.  Its last item is the QuadResult,
+    yielded rather than returned, which spares each integral the cost of
+    a StopIteration.
+    """
     converged = False
     total = complex(val.sum())  # in ascending panel order, as _ordered_sum would sum
     for _ in range(_MAX_ROUNDS):
@@ -269,7 +280,7 @@ def _refine(fn, lo: np.ndarray, hi: np.ndarray, val: np.ndarray, err: np.ndarray
         lo_c, hi_c = lo[candidates], hi[candidates]
         mid = 0.5 * (lo_c + hi_c)
         halves_lo, halves_hi = np.concatenate([lo_c, mid]), np.concatenate([mid, hi_c])
-        nval, nerr, nres = _eval_panels(fn, halves_lo, halves_hi)
+        nval, nerr, nres = yield halves_lo, halves_hi
         keep = np.ones(len(lo), dtype=bool)
         keep[candidates] = False
         lo = np.concatenate([lo[keep], halves_lo])
@@ -280,7 +291,31 @@ def _refine(fn, lo: np.ndarray, hi: np.ndarray, val: np.ndarray, err: np.ndarray
         total = _ordered_sum(lo, val)
     else:  # the last round refined
         est = float(err.sum())
-    return QuadResult(total, est, converged and mesh_ok, len(lo))
+    yield QuadResult(total, est, converged and mesh_ok, len(lo))
+
+
+def _refine(fn, owners: list) -> List[QuadResult]:
+    """Run the ``_rounds`` of every owner in lockstep; owners[k] is owner k's generator.
+
+    Each round gathers the halves of every owner that goes on and
+    evaluates them together (``_sweep``).  An owner's rounds see only its
+    own panels, so each result is that of the owner alone.
+    """
+    results: List[QuadResult] = [None] * len(owners)
+    ks, sent = range(len(owners)), [None] * len(owners)  # sending None starts a generator
+    while ks:
+        halves = {}
+        for k, triple in zip(ks, sent):
+            step = owners[k].send(triple)
+            if isinstance(step, QuadResult):
+                results[k] = step
+            else:
+                halves[k] = step
+        ks = list(halves)
+        if ks:
+            los, his = zip(*halves.values())
+            sent = _sweep(fn, ks, np.concatenate(los), np.concatenate(his), [len(h) for h in los])
+    return results
 
 
 def _osc_cap(osc_frequency: float) -> float:
@@ -430,54 +465,67 @@ def _batches(sizes: List[int]):
         yield k0, len(sizes)
 
 
+def _sweep(fn, owners: Sequence[int], lo: np.ndarray, hi: np.ndarray, sizes: Sequence[int]):
+    """[(k15, err, resabs) of owner j's panels for each j]; lo and hi hold them back to back.
+
+    owners[j] (ascending) has the next sizes[j] panels.  They run in
+    sweeps of at most _BATCH_PANELS panels, or of one owner, with one
+    integrand call each; no owner is split across sweeps, so the cap
+    bounds the temporaries.  The integrand gets the owner as an int in a
+    sweep of one, else as an int array with the owner of each node.  Each
+    owner's row sums run on its own slice (``_eval_panels``).
+    """
+    offsets = list(accumulate(sizes, initial=0))
+    out = []
+    for j0, j1 in _batches(sizes):
+        owner = owners[j0] if j1 - j0 == 1 else np.repeat(np.asarray(owners[j0:j1]),
+                                                          15 * np.asarray(sizes[j0:j1]))
+        b0 = offsets[j0]
+        res = _eval_panels(lambda t: fn(t, owner), lo[b0:offsets[j1]], hi[b0:offsets[j1]],
+                           [o - b0 for o in offsets[j0:j1]])
+        out += [tuple(r[p0 - b0:p1 - b0] for r in res)
+                for p0, p1 in zip(offsets[j0:j1], offsets[j0 + 1:j1 + 1])]
+    return out
+
+
 def integrate_many(fn: Callable[[np.ndarray, object], np.ndarray],
-                   spans: Sequence[Tuple[float, float, float]],
-                   hot_spots: Tuple[HotSpot, ...] = (),
+                   spans: Sequence[Tuple[float, float, float, Tuple[HotSpot, ...]]],
                    cfg: Optional[QuadConfig] = None) -> List[QuadResult]:
     """Integrate many integrals ("owners") in shared sweeps.
 
     Owner k integrates t -> fn(t, k) over [a, b] with oscillation scale
-    ``osc``, where (a, b, osc) = spans[k]; all owners share ``hot_spots``.
+    ``osc`` and hot spots ``spots``, where (a, b, osc, spots) = spans[k].
     ``fn`` gets k as an int, or, in a sweep over several owners, as an
-    int array with the owner of each node.  Each result is bit-identical to
-    ``integrate_finite(Integrand(lambda t: fn(t, k), osc, hot_spots), a, b, cfg)``.
+    int array with the owner of each node, in ascending order.  Each
+    result is bit-identical to
+    ``integrate_finite(Integrand(lambda t: fn(t, k), osc, spots), a, b, cfg)``.
 
     Every mesh is built in one vectorised pass.  The first round then
-    evaluates the owners in batches of at most _BATCH_PANELS panels, each
-    with one integrand call; an owner is never split across batches.  An
-    owner that misses its target goes on alone in the refinement loop.
-    A single owner has nothing to share and takes ``integrate_finite``'s
-    path.
+    evaluates the owners in sweeps of at most _BATCH_PANELS panels, each
+    with one integrand call; an owner is never split across sweeps.  The
+    owners that miss their targets refine in lockstep: each round
+    evaluates the split halves of all of them in such sweeps
+    (``_refine``).  A single owner has nothing to share and takes
+    ``integrate_finite``'s path.
     """
     cfg = cfg or _DEFAULT_CFG
-    for a, b, _ in spans:
+    for a, b, _, _ in spans:
         require_finite("a", a)
         require_above("b", b, a)
     if len(spans) <= 1:
-        return [_integrate(lambda t: fn(t, 0), [a, b], osc, hot_spots, cfg)
-                for a, b, osc in spans]
+        return [_integrate(lambda t: fn(t, 0), [a, b], osc, spots, cfg)
+                for a, b, osc, spots in spans]
     points, caps, ladders = [], [], {}
-    for a, b, osc in spans:
-        if (a, b) not in ladders:
-            ladders[a, b] = _breakpoints([a, b], hot_spots)
-        points.append(ladders[a, b])
+    for a, b, osc, spots in spans:
+        if (a, b, spots) not in ladders:
+            ladders[a, b, spots] = _breakpoints([a, b], spots)
+        points.append(ladders[a, b, spots])
         caps.append(_osc_cap(osc))
     lo, hi, sizes, oks = _meshes(points, caps, cfg.max_panels)
     offsets = list(accumulate(sizes, initial=0))
-    results: List[QuadResult] = []
-    for k0, k1 in _batches(sizes):
-        b0 = offsets[k0]
-        owner = k0 if k1 - k0 == 1 else np.repeat(np.arange(k0, k1),
-                                                  15 * np.asarray(sizes[k0:k1]))
-        val, err, resabs = _eval_panels(lambda t: fn(t, owner), lo[b0:offsets[k1]],
-                                        hi[b0:offsets[k1]],
-                                        [offsets[k] - b0 for k in range(k0, k1)])
-        for k in range(k0, k1):
-            p0, p1 = offsets[k], offsets[k + 1]
-            results.append(_refine(lambda t, k=k: fn(t, k), lo[p0:p1], hi[p0:p1],
-                                   val[p0 - b0:p1 - b0], err[p0 - b0:p1 - b0],
-                                   resabs[p0 - b0:p1 - b0], cfg, oks[k]))
-    return results
+    firsts = _sweep(fn, range(len(spans)), lo, hi, sizes)
+    return _refine(fn, [_rounds(lo[p0:p1], hi[p0:p1], *first, cfg, ok)
+                        for p0, p1, first, ok in zip(offsets, offsets[1:], firsts, oks)])
 
 
 def integrate_finite(f: Integrand, a: float, b: float,
@@ -497,10 +545,14 @@ def integrate_finite(f: Integrand, a: float, b: float,
 
 def _integrate(fn, points: List[float], osc: float, hot_spots: Tuple[HotSpot, ...],
                cfg: QuadConfig) -> QuadResult:
-    """One integral over [points[0], points[-1]]: its mesh, the first sweep, ``_refine``."""
+    """One integral over [points[0], points[-1]]: its mesh, the first sweep, its ``_rounds``."""
     edges, ok = _subdivide(_breakpoints(points, hot_spots), _osc_cap(osc), cfg.max_panels)
     lo, hi = edges[:-1], edges[1:]
-    return _refine(fn, lo, hi, *_eval_panels(fn, lo, hi), cfg, ok)
+    rounds = _rounds(lo, hi, *_eval_panels(fn, lo, hi), cfg, ok)
+    step = next(rounds)
+    while not isinstance(step, QuadResult):
+        step = rounds.send(_eval_panels(fn, *step))
+    return step
 
 
 def _tail(rate: float, big_t: float) -> float:

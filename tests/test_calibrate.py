@@ -10,9 +10,10 @@ import warnings
 import numpy as np
 import pytest
 
-from goodfun import (NumericalError, anger_diag_asym, anger_J, anger_reflected_asym,
-                     anger_shifted_asym, eval_H, h_asym_large, h_asym_small, two_term_expansion)
-from goodfun import anger, calibrate as cal, good, load_constants
+from goodfun import (DomainError, NumericalError, PrecisionError, anger_diag_asym, anger_J,
+                     anger_reflected_asym, anger_shifted_asym, eval_H, h_asym_large, h_asym_small,
+                     two_term_expansion)
+from goodfun import anger, calibrate as cal, good, load_constants, quadrature
 from goodfun.constants import Constants
 from goodfun.core import cos_pi, sin_pi
 from goodfun.quadrature import integrate_many
@@ -128,8 +129,32 @@ def test_quick_calibration_integrates_each_point_once(monkeypatch):
     cal.calibrate(quick=True)
     n_calA, n_calH = len(_calA_pairs(g)), len(_calH_points(g))
     assert (n_calA, n_calH) == (7, 6)
-    # each calA or calH value is two contour rays, and each ray one owner
-    assert sum(owners) == 2 * (n_calA + n_calH)
+    # each calA or calH value is two contour rays, each ray one owner, and
+    # every ray one owner of the same integrate call
+    assert owners == [2 * (n_calA + n_calH)] == [26]
+
+
+def _sweeps(monkeypatch, quick):
+    """The number of ``_eval_panels`` calls, each one integrand sweep, of ``calibrate(quick)``."""
+    calls, real = [], quadrature._eval_panels
+
+    def counting(*args):
+        calls.append(len(args[1]))
+        return real(*args)
+
+    monkeypatch.setattr(quadrature, "_eval_panels", counting)
+    cal.calibrate(quick=quick)
+    return len(calls)
+
+
+def test_calibration_sweep_counts(monkeypatch):
+    # a cost tripwire.  quick: the batch's 26 rays in two first-round sweeps
+    # of at most _BATCH_PANELS panels, two refinement rounds and cubic_tail's
+    # one integral.  full: 152 rays in seven first-round sweeps, two rounds,
+    # two off-band anger_J and five cubic_tail integrals.  Integrating each
+    # point or each rho apart took 19 and 103.
+    assert _sweeps(monkeypatch, True) == 5
+    assert _sweeps(monkeypatch, False) == 16
 
 
 def _unconverged(r):
@@ -137,30 +162,48 @@ def _unconverged(r):
         r, converged=False)
 
 
+def _spoil_contours(monkeypatch, pair=None, point=None):
+    """Spoil calibration's one contour batch: calA at ``pair``, calH at ``point`` unconverged."""
+    real, calls = cal._contours, []
+
+    def spoiled(pairs, points, cfg, integrate=good._each):
+        calls.append(len(pairs) + len(points))
+        calA, calH = real(pairs, points, cfg, integrate)
+        return ([_unconverged(r) if p == pair else r for p, r in zip(pairs, calA)],
+                [_unconverged(r) if p == point else r for p, r in zip(points, calH)])
+
+    monkeypatch.setattr(cal, "_contours", spoiled)
+    return calls
+
+
 def test_calibration_refuses_an_unconverged_calA(monkeypatch):
-    real = cal._anger_contour
-
-    def spoiled(pairs, cfg, integrate=good._each):
-        return [_unconverged(r) if p == (1e3, 0.0) else r
-                for p, r in zip(pairs, real(pairs, cfg, integrate))]
-
-    monkeypatch.setattr(cal, "_anger_contour", spoiled)
+    calls = _spoil_contours(monkeypatch, pair=(1e3, 0.0))
     with pytest.raises(NumericalError, match=r"^sweep_anger_diag: .*\(1000\.0, 1000\.0\)"):
         cal.calibrate(quick=True)
+    assert calls == [13]  # every calA and calH point in the one batch
 
 
 @pytest.mark.parametrize("x, rho, sweep", [(1e2, 1.0, "sweep_phase_engine"),
                                            (1e4, 1.0, "sweep_h_large"),
                                            (1e3, 5e-4, "sweep_h_small")])
 def test_calibration_refuses_an_unconverged_calH(monkeypatch, x, rho, sweep):
-    real = cal.eval_H_many
-
-    def spoiled(xs, r):
-        return [_unconverged(h) if (p, r) == (x, rho) else h for p, h in zip(xs, real(xs, r))]
-
-    monkeypatch.setattr(cal, "eval_H_many", spoiled)
+    calls = _spoil_contours(monkeypatch, point=(x, rho))
     with pytest.raises(NumericalError, match=rf"^{sweep}: .*\({x!r}, {rho!r}\)"):
         cal.calibrate(quick=True)
+    assert calls == [13]
+
+
+@pytest.mark.parametrize("point, error", [((50.0, 1.0), DomainError),
+                                          ((math.nan, 1.0), DomainError),
+                                          ((1e3, 0.0), DomainError),
+                                          ((1e3, 1e-7), PrecisionError)])
+def test_calibration_validates_every_calH_point_first(monkeypatch, point, error):
+    # as eval_H validates it, plus x >= X_C: the batch integrates on the contour
+    monkeypatch.setattr(cal, "_contours", lambda *a: pytest.fail("integrated before checking"))
+    g = {"anger_xs": [], "shift_xs": [], "shift_ks": [], "engine_rhos": [], "engine_xs": [],
+         "large_rhos": [1.0], "large_xs": [1e3], "small_pts": [(*point, "full")]}
+    with pytest.raises(error):
+        cal._oracles(g)
 
 
 def test_calibration_refuses_an_unconverged_cubic_tail(monkeypatch):

@@ -264,6 +264,22 @@ def test_eval_H_many_does_not_depend_on_the_batch_size(monkeypatch, cap):
     assert [_bits(hv) for hv in eval_H_many(xs, 0.5)] == expected
 
 
+def test_eval_H_many_makes_one_integrate_call_per_branch(monkeypatch):
+    calls, real = [], good.integrate_many
+
+    def counting(fn, spans, cfg=None):
+        calls.append(len(spans))
+        return real(fn, spans, cfg)
+
+    monkeypatch.setattr(good, "integrate_many", counting)
+    near = [0.5, 3.0, -40.0, 99.0]
+    eval_H_many(near, 0.3)
+    assert calls == [2 * len(near)]  # the left and the right half of each point
+    calls.clear()
+    eval_H_many(near + [X_C, -250.0, 1e4], 0.3)
+    assert calls == [8, 6]  # then the two contour rays of each point from X_C on
+
+
 def test_eval_H_many_validates_every_point_first(monkeypatch):
     assert eval_H_many([], 1.0) == []
     assert eval_H_many([], -1.0) == []  # like [eval_H(x, -1.0) for x in []]

@@ -311,26 +311,81 @@ _OWNER_XS = np.array([0.0, 3.0, 40.0, 90.0, -7.5, 12.0])
                                  QuadConfig(abs_tol=1e-15, rel_tol=1e-14),
                                  QuadConfig(max_panels=40)])
 def test_integrate_many_is_integrate_finite_per_owner(cfg):
-    spans = [(0.0, math.pi / 2, abs(x)) for x in _OWNER_XS[:-1]] + [(-0.5, 2.0, 12.0)]
     spots = (HotSpot(0.0, 1e-2),)
-    many = quadrature.integrate_many(_osc_owner, spans, spots, cfg)
-    for k, ((a, b, osc), r) in enumerate(zip(spans, many)):
+    spans = [(0.0, math.pi / 2, abs(x), spots) for x in _OWNER_XS[:-1]]
+    spans.append((-0.5, 2.0, 12.0, spots))
+    many = quadrature.integrate_many(_osc_owner, spans, cfg)
+    for k, ((a, b, osc, _), r) in enumerate(zip(spans, many)):
         one = integrate_finite(Integrand(lambda t: _osc_owner(t, k), osc, spots), a, b, cfg)
         assert (r.value.real.hex(), r.value.imag.hex(), r.err.hex(), r.converged, r.panels) == (
             one.value.real.hex(), one.value.imag.hex(), one.err.hex(), one.converged, one.panels)
-    assert quadrature.integrate_many(_osc_owner, [], spots, cfg) == []
+    assert quadrature.integrate_many(_osc_owner, [], cfg) == []
 
 
 def test_integrate_many_refines_and_coarsens_per_owner():
-    spans = [(0.0, math.pi / 2, abs(x)) for x in _OWNER_XS]
-    spots = (HotSpot(0.0, 1e-2),)
-    first = quadrature.integrate_many(_osc_owner, spans, spots, QuadConfig(abs_tol=1.0))
-    tight = quadrature.integrate_many(_osc_owner, spans, spots,
+    spans = [(0.0, math.pi / 2, abs(x), (HotSpot(0.0, 1e-2),)) for x in _OWNER_XS]
+    first = quadrature.integrate_many(_osc_owner, spans, QuadConfig(abs_tol=1.0))
+    tight = quadrature.integrate_many(_osc_owner, spans,
                                       QuadConfig(abs_tol=1e-15, rel_tol=1e-14))
     assert all(r.converged for r in first)
     assert any(t.panels > f.panels for t, f in zip(tight, first))
-    coarse = quadrature.integrate_many(_osc_owner, spans, spots, QuadConfig(max_panels=40))
+    coarse = quadrature.integrate_many(_osc_owner, spans, QuadConfig(max_panels=40))
     assert [r.converged for r in coarse].count(False) >= 2
+
+
+# owners of the lockstep test: (x, r, hot spots) for exp(i x (t + sin t))/(r + sin^2 t)
+# on [0, 1.5].  At the test's tolerances, alone, they take 4, 2, 1, 3, 0, 0, 5, 0
+# and 1 refinement rounds; the x = 300 mesh has 288 panels, above _BATCH_PANELS;
+# the x = 2500 mesh needs about 1900 and is coarsened to the 1000-panel budget.
+_LOCKSTEP = [(3.0, 1e-3, ()), (7.5, 1e-2, ()), (12.0, 1e-4, (HotSpot(0.0, 1e-2),)),
+             (0.0, 0.1, ()), (300.0, 1.0, (HotSpot(0.0, 1.0),)), (2500.0, 1.0, ()),
+             (25.0, 1e-5, ()), (40.0, 1e-3, (HotSpot(0.0, 0.03), HotSpot(1.5, 0.1))),
+             (3.0, 1e-5, (HotSpot(0.0, 3e-3),))]
+_LOCKSTEP_X = np.array([x for x, _, _ in _LOCKSTEP])
+_LOCKSTEP_R = np.array([r for _, r, _ in _LOCKSTEP])
+_LOCKSTEP_CFG = QuadConfig(abs_tol=1e-13, rel_tol=1e-12, max_panels=1000)
+
+
+def _lockstep_owner(t, k):
+    s = np.sin(t)
+    return np.exp(1j * _LOCKSTEP_X[k] * (t + s)) / (_LOCKSTEP_R[k] + s * s)
+
+
+def _result_bits(r):
+    return r.value.real.hex(), r.value.imag.hex(), r.err.hex(), r.converged, r.panels
+
+
+@pytest.mark.parametrize("cap", [None, 16])
+def test_lockstep_refinement_is_integrate_finite_per_owner(monkeypatch, cap):
+    spans = [(0.0, 1.5, x, spots) for x, _, spots in _LOCKSTEP]
+    alone, rounds = [], []
+    for k, (a, b, osc, spots) in enumerate(spans):
+        calls = []
+        alone.append(integrate_finite(
+            Integrand(lambda t, k=k: calls.append(t.size) or _lockstep_owner(t, k), osc, spots),
+            a, b, _LOCKSTEP_CFG))
+        rounds.append(len(calls) - 1)
+    # the owners cover what lockstep refinement must keep apart
+    assert {1, 2, 3, 4} <= set(rounds)
+    assert not alone[5].converged and alone[5].panels <= _LOCKSTEP_CFG.max_panels
+    assert all(r.converged for k, r in enumerate(alone) if k != 5)
+
+    sweeps, real_sweep = [], quadrature._sweep
+
+    def recording(fn, owners, lo, hi, sizes):
+        sweeps.append(list(sizes))
+        return real_sweep(fn, owners, lo, hi, sizes)
+
+    monkeypatch.setattr(quadrature, "_sweep", recording)
+    if cap is not None:
+        monkeypatch.setattr(quadrature, "_BATCH_PANELS", cap)
+    many = quadrature.integrate_many(_lockstep_owner, spans, _LOCKSTEP_CFG)
+    assert [_result_bits(r) for r in many] == [_result_bits(r) for r in alone]
+    # one sweep call per round: the first, then one per refinement round
+    assert len(sweeps) == 1 + max(rounds)
+    assert max(sweeps[0]) > quadrature._BATCH_PANELS  # a lone owner above the cap
+    if cap is not None:  # a round whose halves fill more than one sweep
+        assert any(len(s) > 1 and sum(s) > cap for s in sweeps[1:])
 
 
 def _panels_by_reference(fn, lo, hi):
