@@ -129,13 +129,15 @@ def _by_owner(first: _OwnerFn, second: _OwnerFn, n: int) -> _OwnerFn:
     return fn
 
 
-def _of(values: list, k):
-    """values[k] for one owner k; for an owner array, the value at each node.
+def _of(values: list) -> Callable[[object], object]:
+    """k -> values[k] for one owner k; for an owner array, the value at each node.
 
-    One owner's is a Python scalar: numpy's arithmetic costs less with it
-    than with a numpy scalar, and gives the same bits.
+    ``values`` becomes an array once, here, not on every sweep.  One
+    owner's value is a Python scalar: numpy's arithmetic costs less with
+    it than with a numpy scalar, and gives the same bits.
     """
-    return np.array(values)[k] if isinstance(k, np.ndarray) else values[k]
+    array = np.array(values)
+    return lambda k: array[k] if isinstance(k, np.ndarray) else values[k]
 
 
 def _require_x_rho(x: float, rho: float) -> float:
@@ -274,17 +276,17 @@ def _rays(points: Sequence[_RayPoint], integrand: _RayFn, cfg: Optional[QuadConf
     The geometry the connector bounds rely on (Re P0 < pi/2 < Re P1,
     Im P0 < Im P1) holds for every x >= X_C.
     """
-    n, xs = len(points), [p[0] for p in points]
+    n, x_of = len(points), _of([p[0] for p in points])
 
     def fn_0(t: np.ndarray, k) -> np.ndarray:
         w = t * _DIR_0
         s = np.sin(w)
-        return integrand((1j * _of(xs, k) * (w + s), w, s), k)
+        return integrand((1j * x_of(k) * (w + s), w, s), k)
 
     def fn_pi(t: np.ndarray, k) -> np.ndarray:
         # th = pi + w: g = pi + (w - sin w) and sin^2 th = sin^2 w
         w = t * _DIR_PI
-        return integrand((1j * _of(xs, k) * _w_minus_sin(w), w, np.sin(w)), k)
+        return integrand((1j * x_of(k) * _w_minus_sin(w), w, np.sin(w)), k)
 
     # half the largest real phase rate x |Re(dir * g')| on each ray: at t = 0
     # on the first, at the far end on the second (1 - cos w = 2 sin^2(w/2))
@@ -334,13 +336,15 @@ def _contours(pairs: Sequence[Tuple[float, float]], points: Sequence[Tuple[float
         rho2.append(rho * rho)
         rays.append((x, 1.0, 0.0, (HotSpot(0.0, rho),), _connector_bound(x, rho)))
 
+    ik_of, rho2_of = _of(ik), _of(rho2)
+
     def calA(zws, o):
         z, w, _ = zws
-        return np.exp(z + _of(ik, o) * w)
+        return np.exp(z + ik_of(o) * w)
 
     def calH(zws, o):
         z, _, s = zws
-        return np.exp(z) / (_of(rho2, o) + s * s)
+        return np.exp(z) / (rho2_of(o) + s * s)
 
     n = len(pairs)
     res = _rays(rays, calH if not n else calA if not points else _by_owner(calA, calH, n),
@@ -416,19 +420,39 @@ def eval_Q(gamma: float, xi: float, x: float,
 
 def _real_axis(xs: Sequence[float], rho: float, cfg: Optional[QuadConfig],
                integrate: _Integrate = _each) -> List[QuadResult]:
-    """calH(x, rho) for each x of xs by the fold on the real axis; cost grows like |x|."""
+    """calH(x, rho) for each x of xs by the fold on the real axis; cost grows like |x|.
+
+    The integrands are built in real arithmetic: exp(i phi) of the real
+    phase phi as cos phi + i sin phi, and the division by the real
+    rho^2 + sin^2 as a scaling of both parts by its reciprocal, which is
+    what numpy's complex exp and complex division compute for these
+    operands, at less cost.
+    """
     rho2 = rho * rho
+    x_of = _of(xs)
     # e^{i pi x}, reduced exactly mod 2
-    phase_pi = [complex(cos_pi(x), sin_pi(x)) for x in xs]
+    phase_pi_of = _of([complex(cos_pi(x), sin_pi(x)) for x in xs])
+
+    def cis(phi: np.ndarray) -> np.ndarray:
+        z = np.empty(phi.shape, np.complex128)
+        z.real, z.imag = np.cos(phi), np.sin(phi)
+        return z
+
+    def over(z: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """z/(rho^2 + s^2), in place."""
+        r = 1.0 / (rho2 + s * s)
+        z.real *= r
+        z.imag *= r
+        return z
 
     def fn_left(th: np.ndarray, k) -> np.ndarray:
         s = np.sin(th)
-        return np.exp(1j * _of(xs, k) * (th + s)) / (rho2 + s * s)
+        return over(cis(x_of(k) * (th + s)), s)
 
     def fn_right(u: np.ndarray, k) -> np.ndarray:
         # th = pi - u: exp(i x (pi - u + sin u))
         s = np.sin(u)
-        return _of(phase_pi, k) * np.exp(1j * _of(xs, k) * (s - u)) / (rho2 + s * s)
+        return over(phase_pi_of(k) * cis(x_of(k) * (s - u)), s)
 
     return _fold(fn_left, fn_right, [(abs(x), 0.5 * abs(x)) for x in xs], rho, cfg, integrate)
 

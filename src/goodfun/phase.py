@@ -18,8 +18,9 @@ used in this package); a general phase must be rescaled by the caller.
 For x < -2 the expansion is the complex conjugate of the one at |x|.
 
 The hypotheses are asserted numerically by central finite differences
-before each expansion; the substitution tau(t) = (6 psi(t))^(1/3) that
-underlies the result is exposed for testing.
+once per problem, when a ``PhaseProblem`` is made, so no expansion of a
+problem that fails them exists; the substitution tau(t) = (6 psi(t))^(1/3)
+that underlies the result is exposed for testing.
 """
 from __future__ import annotations
 
@@ -65,6 +66,8 @@ class PhaseProblem:
     evaluable slightly left of 0 (a few finite-difference steps) for the
     hypothesis checks; the phases used in this package are entire, so
     this costs nothing.  ``f_prime0`` is f'(0), supplied by the caller.
+    Making a problem runs ``check_hypotheses`` on it, once: a problem
+    that fails them raises HypothesisViolated and is never made.
     """
 
     f: Callable[[np.ndarray], np.ndarray]
@@ -76,6 +79,7 @@ class PhaseProblem:
 
     def __post_init__(self) -> None:
         require_above("b", self.b, 0.0)
+        check_hypotheses(self)
 
 
 def _fd_derivatives(psi, scale: float) -> Tuple[float, float, float, float, float]:
@@ -127,7 +131,6 @@ def two_term_expansion(prob: PhaseProblem, x: float,
                        constants: Optional[Constants] = None) -> EvalResult:
     """The expansion at x > 2: its main term, and C_engine * B_f / x as the error."""
     require_above("x", x, 2.0)
-    check_hypotheses(prob)
     c = get_constants(constants)
     f0 = complex(np.asarray(prob.f(np.array([0.0])))[0])
     main = (cmath.exp(1j * math.pi / 6.0) / 3.0 * GAMMA_THIRD * (6.0 / x) ** (1.0 / 3.0) * f0

@@ -17,13 +17,13 @@ Three entry points:
     ``integrate_finite``'s path.  The meshes are built in one vectorised
     pass, and the first round evaluates the owners in sweeps of at most
     ``_BATCH_PANELS`` panels, each with one integrand call; no owner is
-    split across sweeps, so the cap bounds the temporaries.  The
-    weighted row sums and the totals still run on each owner's slice
-    alone: a BLAS matrix-vector product can give a row a result that
-    depends on its position in the matrix (summed over whole batches,
-    3 of 1725 test points moved in their last bit).  The owners that
-    miss their targets refine in lockstep: each round gathers the split
-    halves of all of them into such sweeps.
+    split across sweeps, so the cap bounds the temporaries.  Every
+    step of a sweep, the weighted row sums included (``np.vecdot``,
+    which sums each row alone), works panel by panel, so a panel gives
+    the same bits at any place in a sweep; the totals run on each
+    owner's panels alone.  An owner that meets its target on its first
+    sweep is done; the rest refine in lockstep: each round gathers the
+    split halves of all of them into such sweeps.
 
 ``integrate_tail``
     The semi-infinite interval [0, inf) for an integrand bounded by the
@@ -37,14 +37,18 @@ rest is a fixed set-up that hardly grows with the panel count up to a
 few hundred panels.  It is the breakpoints and the mesh (in Python floats
 below ``_SMALL_MESH`` panels, in numpy above), one first sweep
 (``_eval_panels``: about 25 numpy calls on arrays of one entry per panel,
-four of them BLAS row sums) and the three sums of ``_rounds``, the
-refinement loop; each refinement round adds a sweep over the split
-halves and about 20 more small numpy calls.  A contour ray of ``good``
-has 1-45 panels, so the fixed part is most of its cost: the 16-panel
-ray out of 0 of ``eval_H(5825.7, 0.3)`` takes about 110 us, its
-integrand about 30 us (2-vCPU x86 VM, Python 3.11, numpy 2.4).
-``integrate_many`` shares the sweeps of many owners, refinement rounds
-included.
+four of them ``np.vecdot`` row sums) and the three sums of the
+convergence test (``_start``); an integral that misses its target runs
+``_rounds``, the refinement loop, where each round adds a sweep over
+the split halves and about 20 more small numpy calls.  A contour
+ray of ``good`` has 1-45 panels, so the fixed part is most of its cost:
+the 16-panel ray out of 0 of ``eval_H(5825.7, 0.3)`` takes about 80 us,
+its integrand about 22 us (best of 3000 calls; 2-vCPU x86 VM, Python
+3.11, numpy 2.4).  ``integrate_many`` shares the sweeps of many owners,
+refinement rounds included: a sweep makes four row-sum calls, however
+many owners it holds.  Summing row by row costs more than a BLAS
+product on long sweeps: on a 10 000-panel sweep the four row sums take
+about 0.3 ms more than BLAS ``gemv`` would, a few percent of the sweep.
 
 The error estimate is a heuristic (nested-rule difference, conservatively
 damped), not a rigorous enclosure; it normally overestimates the true
@@ -59,7 +63,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from itertools import accumulate, pairwise
+from itertools import accumulate, chain, pairwise
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -135,6 +139,8 @@ _MAX_ROUNDS = 500
 _SMALL_MESH = 192
 _DEFAULT_CFG = QuadConfig()  # immutable; built once, not on every call
 _EPS = float(np.finfo(np.float64).eps)
+# ndarray.sum's pairwise sum, without its Python wrapper: it runs three times per integral
+_sum = np.add.reduce
 # geometric refinement toward a hot spot stops at panels of length
 # _ENDPOINT_SCALE * width (width is the hot-spot scale, e.g. rho)
 _ENDPOINT_SCALE = 0.25
@@ -183,28 +189,21 @@ class QuadResult(NamedTuple):
     panels: int
 
 
-def _rows(m: np.ndarray, w: np.ndarray, starts: Sequence[int]) -> np.ndarray:
-    """m @ w, with each owner's slice of rows summed alone (see ``_eval_panels``)."""
-    if len(starts) == 1:
-        return m @ w
-    return np.concatenate([m[s0:s1] @ w for s0, s1 in pairwise([*starts, len(m)])])
-
-
-def _eval_panels(fn, lo: np.ndarray, hi: np.ndarray, starts: Sequence[int] = (0,)):
+def _eval_panels(fn, lo: np.ndarray, hi: np.ndarray, owner: Optional[np.ndarray] = None):
     """Return (k15, err, resabs) arrays for a batch of panels.
 
     The per-panel estimate is the nested-rule difference |K15 - G7|,
     damped by the standard resasc*(200*d/resasc)**1.5 rule on smooth
     panels and floored at the 50*eps*resabs roundoff level.
 
-    ``starts`` holds the first panel of each owner (integral) in the
-    batch.  The integrand runs once over every node and the elementwise
-    arithmetic over every panel, but the four weighted row sums run on
-    each owner's slice alone: a BLAS matrix-vector product can give a row
-    a result that depends on its position in the matrix, and a slice
-    summed alone sums exactly as in a call of its own.  Only a lone owner
-    ever has more than _CHUNK_PANELS panels; it is evaluated in slices of
-    that size, as separate batches.
+    ``fn`` gets the nodes, and with ``owner`` (the owner of each panel,
+    for a sweep over several owners) also the owner of each node.  Every
+    step works on each panel alone: the elementwise arithmetic, and the
+    four weighted row sums, which ``np.vecdot`` takes row by row.  So a
+    panel comes out the same at any place in a batch, and a batch of more
+    than _CHUNK_PANELS panels is evaluated in slices of that size.  (A
+    BLAS matrix-vector product is not row by row: it can give a row a
+    result that depends on its position in the matrix.)
 
     Finiteness is tested on the weighted row sums of |values|, which the
     estimate needs anyway: a nan or inf value makes its row nan or inf,
@@ -214,24 +213,25 @@ def _eval_panels(fn, lo: np.ndarray, hi: np.ndarray, starts: Sequence[int] = (0,
     """
     n = len(lo)
     if n > _CHUNK_PANELS:
-        parts = [_eval_panels(fn, lo[s:s + _CHUNK_PANELS], hi[s:s + _CHUNK_PANELS])
+        parts = [_eval_panels(fn, lo[s:s + _CHUNK_PANELS], hi[s:s + _CHUNK_PANELS],
+                              None if owner is None else owner[s:s + _CHUNK_PANELS])
                  for s in range(0, n, _CHUNK_PANELS)]
         return tuple(np.concatenate(p) for p in zip(*parts))
     c = 0.5 * (lo + hi)
     hw = 0.5 * (hi - lo)
     nodes = (c[:, None] + hw[:, None] * _XGK).reshape(-1)
-    vals = np.asarray(fn(nodes))
+    vals = np.asarray(fn(nodes) if owner is None else fn(nodes, np.repeat(owner, 15)))
     m = vals.reshape(n, 15)
-    abs_rows = _rows(np.abs(m), _WGK, starts)
+    abs_rows = np.vecdot(_WGK, np.abs(m))
     if not math.isfinite(abs_rows.max()):
         bad = nodes[~np.isfinite(vals)]
         if len(bad):
             raise NumericalError(f"integrand returned a non-finite value, first at t={bad[0]!r}")
-    k15 = (_rows(m, _WGK, starts) * hw).astype(np.complex128, copy=False)
-    d = np.abs(k15 - _rows(m[:, 1::2], _WG, starts) * hw)
+    k15 = (np.vecdot(_WGK, m) * hw).astype(np.complex128, copy=False)
+    d = np.abs(k15 - np.vecdot(_WG, m[:, 1::2]) * hw)
     resabs = abs_rows * hw
     mean = k15 / np.maximum(2.0 * hw, 1e-300)
-    resasc = _rows(np.abs(m - mean[:, None]), _WGK, starts) * hw
+    resasc = np.vecdot(_WGK, np.abs(m - mean[:, None])) * hw
     with np.errstate(divide="ignore", invalid="ignore"):
         damped = resasc * np.minimum(1.0, (200.0 * d / resasc) ** 1.5)
     e = np.where(resasc > 0.0, damped, d)
@@ -243,9 +243,29 @@ def _ordered_sum(lo: np.ndarray, values: np.ndarray) -> complex:
     return complex(values[order].sum())
 
 
+def _estimate(total: complex, err: np.ndarray, resabs: np.ndarray,
+              cfg: QuadConfig) -> Tuple[float, float]:
+    """(est, target): an integral has converged once its estimate est is at most target."""
+    # per-panel estimates are floored at 50*eps*resabs, so the global
+    # target keeps a 2x headroom over that floor to guarantee progress
+    floor = 100.0 * _EPS * float(_sum(resabs))
+    return float(_sum(err)), max(cfg.abs_tol, cfg.rel_tol * abs(total), floor)
+
+
+def _start(lo: np.ndarray, hi: np.ndarray, first, cfg: QuadConfig, mesh_ok: bool):
+    """The QuadResult of a mesh whose first sweep ``first`` meets its target, else ``_rounds``."""
+    val, err, resabs = first
+    total = complex(_sum(val))  # in ascending panel order, as _ordered_sum would sum
+    est, target = _estimate(total, err, resabs, cfg)
+    if est <= target:
+        return QuadResult(total, est, mesh_ok, len(lo))
+    return _rounds(lo, hi, val, err, resabs, total, est, target, cfg, mesh_ok)
+
+
 def _rounds(lo: np.ndarray, hi: np.ndarray, val: np.ndarray, err: np.ndarray,
-            resabs: np.ndarray, cfg: QuadConfig, mesh_ok: bool):
-    """The worst-panel-first loop of one integral, from a mesh whose panels are evaluated in order.
+            resabs: np.ndarray, total: complex, est: float, target: float,
+            cfg: QuadConfig, mesh_ok: bool):
+    """The worst-panel-first loop of one integral, from the first sweep of its mesh (``_start``).
 
     The one refinement loop, as a generator: each round it yields the
     halves (lo, hi) of the panels it splits and is sent back their
@@ -255,13 +275,7 @@ def _rounds(lo: np.ndarray, hi: np.ndarray, val: np.ndarray, err: np.ndarray,
     a StopIteration.
     """
     converged = False
-    total = complex(val.sum())  # in ascending panel order, as _ordered_sum would sum
     for _ in range(_MAX_ROUNDS):
-        est = float(err.sum())
-        # per-panel estimates are floored at 50*eps*resabs, so the global
-        # target keeps a 2x headroom over that floor to guarantee progress
-        floor = 100.0 * _EPS * float(resabs.sum())
-        target = max(cfg.abs_tol, cfg.rel_tol * abs(total), floor)
         if est <= target:
             converged = True
             break
@@ -289,20 +303,19 @@ def _rounds(lo: np.ndarray, hi: np.ndarray, val: np.ndarray, err: np.ndarray,
         err = np.concatenate([err[keep], nerr])
         resabs = np.concatenate([resabs[keep], nres])
         total = _ordered_sum(lo, val)
-    else:  # the last round refined
-        est = float(err.sum())
+        est, target = _estimate(total, err, resabs, cfg)
     yield QuadResult(total, est, converged and mesh_ok, len(lo))
 
 
-def _refine(fn, owners: list) -> List[QuadResult]:
-    """Run the ``_rounds`` of every owner in lockstep; owners[k] is owner k's generator.
+def _refine(fn, owners: dict, results: List[QuadResult]) -> List[QuadResult]:
+    """Run the ``_rounds`` of the owners k in ``owners`` in lockstep, into results[k].
 
-    Each round gathers the halves of every owner that goes on and
-    evaluates them together (``_sweep``).  An owner's rounds see only its
-    own panels, so each result is that of the owner alone.
+    owners[k] is owner k's generator.  Each round gathers the halves of
+    every owner that goes on and evaluates them together (``_sweep``).
+    An owner's rounds see only its own panels, so each result is that of
+    the owner alone.
     """
-    results: List[QuadResult] = [None] * len(owners)
-    ks, sent = range(len(owners)), [None] * len(owners)  # sending None starts a generator
+    ks, sent = list(owners), [None] * len(owners)  # sending None starts a generator
     while ks:
         halves = {}
         for k, triple in zip(ks, sent):
@@ -418,7 +431,7 @@ def _meshes(points: List[List[float]], caps: List[float], max_panels: int):
     by ``_subdivide`` alone.
     """
     nseg = np.array([len(p) - 1 for p in points])
-    flat = np.concatenate(points)
+    flat = np.fromiter(chain.from_iterable(points), np.float64)  # one conversion for all owners
     ends = np.cumsum(nseg + 1) - 1             # each owner's last point
     inner = np.ones(len(flat) - 1, dtype=bool)
     inner[ends[:-1]] = False                   # no segment from one owner to the next
@@ -472,19 +485,22 @@ def _sweep(fn, owners: Sequence[int], lo: np.ndarray, hi: np.ndarray, sizes: Seq
     sweeps of at most _BATCH_PANELS panels, or of one owner, with one
     integrand call each; no owner is split across sweeps, so the cap
     bounds the temporaries.  The integrand gets the owner as an int in a
-    sweep of one, else as an int array with the owner of each node.  Each
-    owner's row sums run on its own slice (``_eval_panels``).
+    sweep of one, else as an int array with the owner of each node.
+    ``_eval_panels`` evaluates each panel alone, so an owner's panels come
+    out as in a call of their own.
     """
     offsets = list(accumulate(sizes, initial=0))
     out = []
     for j0, j1 in _batches(sizes):
-        owner = owners[j0] if j1 - j0 == 1 else np.repeat(np.asarray(owners[j0:j1]),
-                                                          15 * np.asarray(sizes[j0:j1]))
-        b0 = offsets[j0]
-        res = _eval_panels(lambda t: fn(t, owner), lo[b0:offsets[j1]], hi[b0:offsets[j1]],
-                           [o - b0 for o in offsets[j0:j1]])
-        out += [tuple(r[p0 - b0:p1 - b0] for r in res)
-                for p0, p1 in zip(offsets[j0:j1], offsets[j0 + 1:j1 + 1])]
+        b0, b1 = offsets[j0], offsets[j1]
+        if j1 - j0 == 1:
+            k = owners[j0]
+            k15, err, resabs = _eval_panels(lambda t: fn(t, k), lo[b0:b1], hi[b0:b1])
+        else:
+            k15, err, resabs = _eval_panels(fn, lo[b0:b1], hi[b0:b1],
+                                            np.repeat(owners[j0:j1], sizes[j0:j1]))
+        out += [(k15[p0:p1], err[p0:p1], resabs[p0:p1])
+                for p0, p1 in pairwise(o - b0 for o in offsets[j0:j1 + 1])]
     return out
 
 
@@ -502,11 +518,11 @@ def integrate_many(fn: Callable[[np.ndarray, object], np.ndarray],
 
     Every mesh is built in one vectorised pass.  The first round then
     evaluates the owners in sweeps of at most _BATCH_PANELS panels, each
-    with one integrand call; an owner is never split across sweeps.  The
-    owners that miss their targets refine in lockstep: each round
-    evaluates the split halves of all of them in such sweeps
-    (``_refine``).  A single owner has nothing to share and takes
-    ``integrate_finite``'s path.
+    with one integrand call; an owner is never split across sweeps.  An
+    owner that meets its target there is done (``_start``); the rest
+    refine in lockstep: each round evaluates the split halves of all of
+    them in such sweeps (``_refine``).  A single owner has nothing to
+    share and takes ``integrate_finite``'s path.
     """
     cfg = cfg or _DEFAULT_CFG
     for a, b, _, _ in spans:
@@ -517,15 +533,16 @@ def integrate_many(fn: Callable[[np.ndarray, object], np.ndarray],
                 for a, b, osc, spots in spans]
     points, caps, ladders = [], [], {}
     for a, b, osc, spots in spans:
-        if (a, b, spots) not in ladders:
-            ladders[a, b, spots] = _breakpoints([a, b], spots)
-        points.append(ladders[a, b, spots])
+        key = a, b, spots  # one lookup per owner that shares a ladder: HotSpots hash in Python
+        points.append(ladders.get(key) or ladders.setdefault(key, _breakpoints([a, b], spots)))
         caps.append(_osc_cap(osc))
     lo, hi, sizes, oks = _meshes(points, caps, cfg.max_panels)
     offsets = list(accumulate(sizes, initial=0))
     firsts = _sweep(fn, range(len(spans)), lo, hi, sizes)
-    return _refine(fn, [_rounds(lo[p0:p1], hi[p0:p1], *first, cfg, ok)
-                        for p0, p1, first, ok in zip(offsets, offsets[1:], firsts, oks)])
+    results = [_start(lo[p0:p1], hi[p0:p1], first, cfg, ok)
+               for p0, p1, first, ok in zip(offsets, offsets[1:], firsts, oks)]
+    return _refine(fn, {k: r for k, r in enumerate(results) if not isinstance(r, QuadResult)},
+                   results)
 
 
 def integrate_finite(f: Integrand, a: float, b: float,
@@ -548,7 +565,9 @@ def _integrate(fn, points: List[float], osc: float, hot_spots: Tuple[HotSpot, ..
     """One integral over [points[0], points[-1]]: its mesh, the first sweep, its ``_rounds``."""
     edges, ok = _subdivide(_breakpoints(points, hot_spots), _osc_cap(osc), cfg.max_panels)
     lo, hi = edges[:-1], edges[1:]
-    rounds = _rounds(lo, hi, *_eval_panels(fn, lo, hi), cfg, ok)
+    rounds = _start(lo, hi, _eval_panels(fn, lo, hi), cfg, ok)
+    if isinstance(rounds, QuadResult):
+        return rounds
     step = next(rounds)
     while not isinstance(step, QuadResult):
         step = rounds.send(_eval_panels(fn, *step))

@@ -157,6 +157,21 @@ def test_calibration_sweep_counts(monkeypatch):
     assert _sweeps(monkeypatch, False) == 16
 
 
+def test_calibration_row_sums_per_sweep(monkeypatch):
+    # a cost tripwire: the quick calibration's 5 sweeps take four np.vecdot
+    # row sums each, whatever their owner count; summing each owner's rows
+    # apart took 140 calls
+    row_sums, real = [], np.vecdot
+
+    def counting(*args, **kwargs):
+        row_sums.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "vecdot", counting)
+    cal.calibrate(quick=True)
+    assert len(row_sums) == 4 * 5
+
+
 def _unconverged(r):
     return r._replace(converged=False) if hasattr(r, "_replace") else dataclasses.replace(
         r, converged=False)

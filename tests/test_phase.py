@@ -36,31 +36,28 @@ def test_hypotheses_pass_for_canonical_phase():
 
 
 def test_hypotheses_reject_quadratic_stationary_point():
-    bad = PhaseProblem(
-        f=lambda t: np.ones_like(t, dtype=float), f_prime0=0.0,
-        psi=lambda t: t * t, psi_prime=lambda t: 2.0 * t,
-        b=1.0, bounds=AmplitudeBounds(1.0, 0.0, 0.0, 0.0))
     with pytest.raises(HypothesisViolated, match="psi"):
-        check_hypotheses(bad)
+        PhaseProblem(
+            f=lambda t: np.ones_like(t, dtype=float), f_prime0=0.0,
+            psi=lambda t: t * t, psi_prime=lambda t: 2.0 * t,
+            b=1.0, bounds=AmplitudeBounds(1.0, 0.0, 0.0, 0.0))
 
 
 def test_hypotheses_reject_nonzero_fourth_derivative():
-    bad = PhaseProblem(
-        f=lambda t: np.ones_like(t, dtype=float), f_prime0=0.0,
-        psi=lambda t: t - np.sin(t) + t ** 4 / 24.0,
-        psi_prime=lambda t: 1.0 - np.cos(t) + t ** 3 / 6.0,
-        b=1.0, bounds=AmplitudeBounds(1.0, 0.0, 0.0, 0.0))
     with pytest.raises(HypothesisViolated, match="''''"):
-        check_hypotheses(bad)
+        PhaseProblem(
+            f=lambda t: np.ones_like(t, dtype=float), f_prime0=0.0,
+            psi=lambda t: t - np.sin(t) + t ** 4 / 24.0,
+            psi_prime=lambda t: 1.0 - np.cos(t) + t ** 3 / 6.0,
+            b=1.0, bounds=AmplitudeBounds(1.0, 0.0, 0.0, 0.0))
 
 
 def test_hypotheses_reject_nonmonotone_phase():
-    bad = PhaseProblem(
-        f=lambda t: np.ones_like(t, dtype=float), f_prime0=0.0,
-        psi=lambda t: t - np.sin(t), psi_prime=lambda t: -np.ones_like(t),
-        b=math.pi, bounds=AmplitudeBounds(1.0, 0.0, 0.0, 0.0))
     with pytest.raises(HypothesisViolated, match="<= 0"):
-        check_hypotheses(bad)
+        PhaseProblem(
+            f=lambda t: np.ones_like(t, dtype=float), f_prime0=0.0,
+            psi=lambda t: t - np.sin(t), psi_prime=lambda t: -np.ones_like(t),
+            b=math.pi, bounds=AmplitudeBounds(1.0, 0.0, 0.0, 0.0))
 
 
 def test_substitution_tau_near_zero():
@@ -163,3 +160,18 @@ def test_domain_errors():
         two_term_expansion(prob, 2.0)
     with pytest.raises(DomainError):
         expansion_with_conjugation(prob, -1.0)
+
+
+def test_hypotheses_are_checked_once_per_problem(monkeypatch):
+    from goodfun import phase
+    checked, real = [], phase.check_hypotheses
+
+    def counting(prob):
+        checked.append(prob)
+        return real(prob)
+
+    monkeypatch.setattr(phase, "check_hypotheses", counting)
+    prob = unit_problem()
+    for x in (10.0, 100.0, 1000.0, -50.0):
+        expansion_with_conjugation(prob, x)
+    assert checked == [prob]

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -333,6 +334,26 @@ def test_integrate_many_refines_and_coarsens_per_owner():
     assert [r.converged for r in coarse].count(False) >= 2
 
 
+def test_owners_done_on_their_first_sweep_start_no_rounds(monkeypatch):
+    # an owner that meets its target on the first sweep is done there: no
+    # refinement generator is made for it
+    spans = [(0.0, math.pi / 2, abs(x), (HotSpot(0.0, 1e-2),)) for x in _OWNER_XS]
+    cfg = QuadConfig(abs_tol=1.0)
+    alone = [integrate_finite(Integrand(lambda t, k=k: _osc_owner(t, k), osc, spots), a, b, cfg)
+             for k, (a, b, osc, spots) in enumerate(spans)]
+    started, real = [], quadrature._rounds
+
+    def rounds(*args):
+        started.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(quadrature, "_rounds", rounds)
+    many = quadrature.integrate_many(_osc_owner, spans, cfg)
+    assert [r.converged for r in many] == [True] * len(spans)
+    assert many == alone
+    assert started == []
+
+
 # owners of the lockstep test: (x, r, hot spots) for exp(i x (t + sin t))/(r + sin^2 t)
 # on [0, 1.5].  At the test's tolerances, alone, they take 4, 2, 1, 3, 0, 0, 5, 0
 # and 1 refinement rounds; the x = 300 mesh has 288 panels, above _BATCH_PANELS;
@@ -394,11 +415,11 @@ def _panels_by_reference(fn, lo, hi):
     hw = 0.5 * (hi - lo)
     nodes = (c[:, None] + hw[:, None] * quadrature._XGK[None, :]).reshape(-1)
     vals = np.asarray(fn(nodes)).reshape(len(lo), 15)
-    k15 = ((vals @ quadrature._WGK) * hw).astype(np.complex128)
-    d = np.abs(k15 - (vals[:, 1::2] @ quadrature._WG) * hw)
-    resabs = (np.abs(vals) @ quadrature._WGK) * hw
+    k15 = (np.vecdot(quadrature._WGK, vals) * hw).astype(np.complex128)
+    d = np.abs(k15 - np.vecdot(quadrature._WG, vals[:, 1::2]) * hw)
+    resabs = np.vecdot(quadrature._WGK, np.abs(vals)) * hw
     mean = k15 / np.maximum(2.0 * hw, 1e-300)
-    resasc = (np.abs(vals - mean[:, None]) @ quadrature._WGK) * hw
+    resasc = np.vecdot(quadrature._WGK, np.abs(vals - mean[:, None])) * hw
     with np.errstate(divide="ignore", invalid="ignore"):
         damped = resasc * np.minimum(1.0, (200.0 * d / resasc) ** 1.5)
     err = np.where(resasc > 0.0, damped, d)
@@ -413,11 +434,13 @@ def _hex(arrays):
 @given(start=st.floats(-10.0, 10.0),
        widths=st.lists(st.floats(1e-6, 2.0), min_size=1, max_size=40),
        cuts=st.sets(st.integers(1, 39), max_size=6),
-       freq=st.floats(-300.0, 300.0), rho=st.floats(1e-3, 10.0), complex_valued=st.booleans())
+       freq=st.floats(-300.0, 300.0), rho=st.floats(1e-3, 10.0), complex_valued=st.booleans(),
+       chunk=st.integers(1, 40))
 def test_eval_panels_is_the_plain_formula_bit_for_bit(start, widths, cuts, freq, rho,
-                                                      complex_valued):
-    # a random mesh, cut into owners at random panels; each owner's slice must
-    # come out as a plain evaluation of that slice alone
+                                                      complex_valued, chunk):
+    # a random mesh, cut into owners at random panels, evaluated in one batch
+    # that is split into chunks of random size; each owner's slice must come
+    # out as a plain evaluation of that slice alone
     edges = np.cumsum([start] + widths)
     lo, hi = edges[:-1], edges[1:]
     rho2 = rho * rho
@@ -428,9 +451,48 @@ def test_eval_panels_is_the_plain_formula_bit_for_bit(start, widths, cuts, freq,
             return np.exp(1j * freq * t) / (rho2 + s * s)
         return np.cos(freq * t) / (rho2 + s * s)
 
-    starts = [0] + sorted(k for k in cuts if k < len(lo))
-    got = quadrature._eval_panels(fn, lo, hi, starts)
-    bounds = starts + [len(lo)]
+    with mock.patch.object(quadrature, "_CHUNK_PANELS", chunk):
+        got = quadrature._eval_panels(fn, lo, hi)
+    bounds = [0] + sorted(k for k in cuts if k < len(lo)) + [len(lo)]
     ref = [np.concatenate(parts) for parts in zip(*(
         _panels_by_reference(fn, lo[s0:s1], hi[s0:s1]) for s0, s1 in zip(bounds, bounds[1:])))]
     assert _hex(got) == _hex(ref)
+
+
+@pytest.mark.parametrize("complex_valued", [False, True])
+def test_eval_panels_rows_do_not_depend_on_their_offset(complex_valued):
+    # every panel of a batch, the strided G7 row included, comes out as that
+    # panel alone: at each offset the rows start at a different alignment
+    lo = np.linspace(0.0, 3.0, 65)
+    lo, hi = lo[:-1], lo[1:]
+
+    def fn(t):
+        s = np.sin(t)
+        v = np.exp(37j * (t + s)) if complex_valued else np.cos(37.0 * (t + s))
+        return v / (1e-4 + s * s)
+
+    batch = quadrature._eval_panels(fn, lo, hi)
+    for i in range(len(lo)):
+        alone = quadrature._eval_panels(fn, lo[i:i + 1], hi[i:i + 1])
+        assert _hex(r[i:i + 1] for r in batch) == _hex(alone)
+
+
+def test_chunked_multi_owner_sweep_is_integrate_finite_per_owner(monkeypatch):
+    # a small _CHUNK_PANELS splits sweeps of several owners, and the owner of
+    # each node goes with its chunk; every owner still comes out as alone
+    spans = [(0.0, 1.5, x, spots) for x, _, spots in _LOCKSTEP]
+    alone = [integrate_finite(Integrand(lambda t, k=k: _lockstep_owner(t, k), osc, spots),
+                              a, b, _LOCKSTEP_CFG)
+             for k, (a, b, osc, spots) in enumerate(spans)]
+    split, real = [], quadrature._eval_panels
+
+    def recording(fn, lo, hi, owner=None):
+        if owner is not None and len(lo) > quadrature._CHUNK_PANELS:
+            split.append(len(np.unique(owner)))
+        return real(fn, lo, hi, owner)
+
+    monkeypatch.setattr(quadrature, "_eval_panels", recording)
+    monkeypatch.setattr(quadrature, "_CHUNK_PANELS", 7)
+    many = quadrature.integrate_many(_lockstep_owner, spans, _LOCKSTEP_CFG)
+    assert [_result_bits(r) for r in many] == [_result_bits(r) for r in alone]
+    assert split and max(split) > 1

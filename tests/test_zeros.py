@@ -1,9 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
 import goodfun.zeros as zeros_mod
-from goodfun import DomainError, eval_H, find_zeros
+from goodfun import DomainError, eval_H, find_zeros, quadrature
 
 
 def test_three_zeros_on_short_window():
@@ -107,6 +108,29 @@ def test_oracle_calls_per_window(monkeypatch):
     # one batch for the grid, one for every subscan, then one per Brent step
     # of the three searches run in lockstep
     assert len(rounds) <= 10
+
+
+def test_row_sums_per_sweep(monkeypatch):
+    # a cost tripwire: every sweep takes its four weighted row sums in four
+    # np.vecdot calls, however many owners it holds.  find_zeros(1, 10, 13)
+    # evaluates 3 to 40 points per batch in 8 sweeps; summing each owner's
+    # rows apart took 320 calls.
+    sweeps, row_sums = [], []
+    real_eval_panels, real_vecdot = quadrature._eval_panels, np.vecdot
+
+    def eval_panels(fn, lo, hi, owner=None):
+        sweeps.append(len(lo))
+        return real_eval_panels(fn, lo, hi, owner)
+
+    def vecdot(*args, **kwargs):
+        row_sums.append(1)
+        return real_vecdot(*args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "_eval_panels", eval_panels)
+    monkeypatch.setattr(np, "vecdot", vecdot)
+    assert len(find_zeros(1.0, 10.0, 13.0)) == 3
+    assert len(sweeps) == 8
+    assert len(row_sums) == 4 * len(sweeps) == 32
 
 
 def _bisect(h, lo, hi):
