@@ -19,7 +19,7 @@ and frozen in the constants file; the theory proves only their existence.
 The oracle ``anger_J`` integrates on [0, pi] at a cost that grows like
 |nu| + |x|, except in the band these laws live in: from |x| = X_C on,
 orders with ||nu| - |x|| <= |x|^(1/3) go along calH's steepest-descent
-contour (``good._anger_contour``), whose cost does not grow with x.
+contour (``good._contours``), whose cost does not grow with x.
 """
 from __future__ import annotations
 
@@ -34,7 +34,7 @@ from .constants import (GAMMA_THIRD, GAMMA_TWO_THIRDS, SQRT3, Constants,
                         get_constants)
 from .core import (DomainError, EvalResult, QuadConfig, cos_pi, require_above,
                    require_finite, require_phase, sin_pi)
-from .good import X_C, _anger_contour
+from .good import X_C, _contours
 from .quadrature import Integrand, QuadResult, integrate_finite
 
 __all__ = ["anger_J", "anger_diag_asym", "anger_reflected_asym",
@@ -86,7 +86,7 @@ def anger_J(nu: float, x: float, cfg: Optional[QuadConfig] = None) -> EvalResult
     """Oracle value of J_nu(x) by adaptive quadrature.
 
     From |x| = X_C on, orders with ||nu| - |x|| <= |x|^(1/3) are integrated
-    along calH's contour (``good._anger_contour``), at a cost that does not
+    along calH's contour (``good._contours``), at a cost that does not
     grow with x; every other order on the real axis.
     """
     require_finite("nu", nu)
@@ -95,7 +95,7 @@ def anger_J(nu: float, x: float, cfg: Optional[QuadConfig] = None) -> EvalResult
     if not _on_contour(nu, x):
         return _real_axis(nu, x, cfg)
     x_a, k, turn = _calA_point(nu, x)
-    return _J_of_calA(_anger_contour([(x_a, k)], cfg)[0], turn)
+    return _J_of_calA(_contours([(x_a, k)], (), cfg)[0][0], turn)
 
 
 def anger_diag_asym(x: float, constants: Optional[Constants] = None) -> EvalResult:

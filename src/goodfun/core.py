@@ -138,10 +138,6 @@ class Regime:
     x: float
     rho: float
 
-    @classmethod
-    def diagnostics(cls, kind: RegimeKind, x: float, rho: float) -> "Regime":
-        return cls(kind=kind, x=x, rho=rho)
-
     @property
     def u(self) -> float:
         """x * rho."""

@@ -19,7 +19,7 @@ sits a sliver below the nearest double, which at rho = 1e-3 already
 costs ~1e-10 of mass) and turns the constant phase at pi into
 cos/sin(pi*gamma) factors that reduce exactly modulo 2.  From |x| = X_C
 on, calH is integrated along a contour in the upper half-plane instead
-(``_contour``), at a cost that does not grow with x.
+(``_contours``), at a cost that does not grow with x.
 
 That contour is one primitive (``_rays``) for the phase x*(th + sin th),
 with any amplitude that has no pole between [0, pi] and the contour.
@@ -28,9 +28,9 @@ e^{i k th}:
 
     calA(x, k) = (1/pi) int_0^pi exp(i*(x*(th + sin th) + k*th)) dth
 
-(``_anger_contour``), from which ``anger.anger_J`` takes J near its
-diagonal, J_{x+k}(-x) = Re calA(x, k).  ``_contours`` takes calA and
-calH points of any rho in one batch.
+from which ``anger.anger_J`` takes J near its diagonal,
+J_{x+k}(-x) = Re calA(x, k).  ``_contours`` takes calA and calH points
+of any rho in one batch.
 """
 from __future__ import annotations
 
@@ -352,18 +352,6 @@ def _contours(pairs: Sequence[Tuple[float, float]], points: Sequence[Tuple[float
     return res[:n], res[n:]
 
 
-def _contour(xs: Sequence[float], rho: float, cfg: Optional[QuadConfig],
-             integrate: _Integrate = _each) -> List[QuadResult]:
-    """calH(x, rho) for each x >= X_C along the contour of ``_rays`` (``_contours``)."""
-    return _contours((), [(x, rho) for x in xs], cfg, integrate)[1]
-
-
-def _anger_contour(pairs: Sequence[Tuple[float, float]], cfg: Optional[QuadConfig],
-                   integrate: _Integrate = _each) -> List[QuadResult]:
-    """calA(x, k) = (1/pi) int_0^pi exp(i (x g(th) + k th)) dth for each (x, k), x >= X_C."""
-    return _contours(pairs, (), cfg, integrate)[0]
-
-
 def eval_G(gamma: float, rho: float, x: float,
            cfg: Optional[QuadConfig] = None) -> EvalResult:
     """Evaluate G_{gamma,rho}(x) by adaptive quadrature, for any finite real gamma.
@@ -462,10 +450,10 @@ def _calH(xs: Sequence[float], rho: float, cfg: Optional[QuadConfig],
     """H at each x of xs: the fold below X_C, the contour (conjugated for x < 0) from it on."""
     xs = [_require_x_rho(x, rho) for x in xs]
     near = [x for x in xs if abs(x) < X_C]
-    far = [abs(x) for x in xs if abs(x) >= X_C]
+    far = [(abs(x), rho) for x in xs if abs(x) >= X_C]
     # a branch without points is skipped whole: its set-up is a few us per call
     near_res = iter(_real_axis(near, rho, cfg, integrate) if near else ())
-    far_res = iter(_contour(far, rho, cfg, integrate) if far else ())
+    far_res = iter(_contours((), far, cfg, integrate)[1] if far else ())
     out = []
     for x in xs:
         r = next(near_res) if abs(x) < X_C else next(far_res)
@@ -477,7 +465,7 @@ def _calH(xs: Sequence[float], rho: float, cfg: Optional[QuadConfig],
 def eval_H(x: float, rho: float, cfg: Optional[QuadConfig] = None) -> HValue:
     """Evaluate the restricted Good function H(x, rho) = Re calH(x, rho).
 
-    |x| >= X_C is integrated along a complex contour (``_contour``), using
+    |x| >= X_C is integrated along a complex contour (``_contours``), using
     calH(-x) = conj(calH(x)); smaller |x| along the real axis.  Each of
     the two integrals is one ``integrate_finite`` call.
     """

@@ -15,15 +15,13 @@ Three entry points:
     oscillation scale, hot spots and mesh, and bit-identical to one
     ``integrate_finite`` call each; a single owner takes
     ``integrate_finite``'s path.  The meshes are built in one vectorised
-    pass, and the first round evaluates the owners in sweeps of at most
-    ``_BATCH_PANELS`` panels, each with one integrand call; no owner is
-    split across sweeps, so the cap bounds the temporaries.  Every
+    pass, and the first round evaluates all owners in one sweep.  Every
     step of a sweep, the weighted row sums included (``np.vecdot``,
     which sums each row alone), works panel by panel, so a panel gives
     the same bits at any place in a sweep; the totals run on each
     owner's panels alone.  An owner that meets its target on its first
     sweep is done; the rest refine in lockstep: each round gathers the
-    split halves of all of them into such sweeps.
+    split halves of all of them into one sweep.
 
 ``integrate_tail``
     The semi-infinite interval [0, inf) for an integrand bounded by the
@@ -45,10 +43,17 @@ ray of ``good`` has 1-45 panels, so the fixed part is most of its cost:
 the 16-panel ray out of 0 of ``eval_H(5825.7, 0.3)`` takes about 80 us,
 its integrand about 22 us (best of 3000 calls; 2-vCPU x86 VM, Python
 3.11, numpy 2.4).  ``integrate_many`` shares the sweeps of many owners,
-refinement rounds included: a sweep makes four row-sum calls, however
-many owners it holds.  Summing row by row costs more than a BLAS
-product on long sweeps: on a 10 000-panel sweep the four row sums take
-about 0.3 ms more than BLAS ``gemv`` would, a few percent of the sweep.
+refinement rounds included.  Every sweep, single or shared, runs in
+chunks of at most ``_CHUNK_PANELS`` (256) panels, one integrand call
+and four row-sum calls each, so the integrand's temporaries stay a few
+hundred kB however long the sweep: a process running the 150 000-panel
+real-axis integral ``eval_G(5e4, 1, 1e5)`` peaks at 35 MB, where one
+call for the whole sweep took it to 83 MB, and the large real-axis
+integrals ``eval_G(5e3, 1, 1e4)``, ``anger_J(5e3, 1e4)`` and
+``eval_Q(0, 2, 1e4)`` run 3-15% faster than in one call (fresh
+processes, best of 20 calls).  The row sums still cost more than a
+BLAS product: ``np.vecdot`` takes about 8 us for the real rows of a
+256-panel chunk, ``gemv`` about 3 us.
 
 The error estimate is a heuristic (nested-rule difference, conservatively
 damped), not a rigorous enclosure; it normally overestimates the true
@@ -68,8 +73,8 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import (EnvelopeViolated, NumericalError, PrecisionError, QuadConfig,
-                   require_above, require_finite)
+from .core import (DomainError, EnvelopeViolated, NumericalError, PrecisionError,
+                   QuadConfig, require_above, require_finite)
 
 __all__ = [
     "HotSpot",
@@ -125,15 +130,15 @@ _WG = np.array([
     0.129484966168869693270611432679082,
 ])
 
-_CHUNK_PANELS = 200_000   # ~3M integrand evaluations per chunk
-# first-round panels per batched sweep.  Larger batches gain little speed
-# (a zeros window batches 20-40 owners of 12-30 panels), while the
-# integrand's temporaries grow with the batch: at 512 panels they raised a
-# find_zeros process's peak RSS by 0.6 MB, at 256 by 0.3 MB.
-_BATCH_PANELS = 256
+# panels per integrand call: every sweep is evaluated in chunks of at most
+# this many.  Larger chunks gain little speed (a zeros window batches 20-40
+# owners of 12-30 panels), while the integrand's temporaries grow with the
+# chunk: at 512 panels they raised a find_zeros process's peak RSS by 0.6 MB,
+# at 256 by 0.3 MB.
+_CHUNK_PANELS = 256
 _MAX_ROUNDS = 500
-# a capped mesh of fewer panels than this is built in Python floats (see
-# _subdivide); both ways cost 35-45 us from about 190 panels of a 14-segment
+# a single integral's mesh of fewer panels than this is built in Python
+# floats (see _subdivide); both ways cost 35-45 us from about 190 panels of a 14-segment
 # ladder and about 200-250 of one or two segments, and the numpy way stays
 # near that cost, while the Python way grows to ~130 us at 1000 panels
 _SMALL_MESH = 192
@@ -200,10 +205,11 @@ def _eval_panels(fn, lo: np.ndarray, hi: np.ndarray, owner: Optional[np.ndarray]
     for a sweep over several owners) also the owner of each node.  Every
     step works on each panel alone: the elementwise arithmetic, and the
     four weighted row sums, which ``np.vecdot`` takes row by row.  So a
-    panel comes out the same at any place in a batch, and a batch of more
-    than _CHUNK_PANELS panels is evaluated in slices of that size.  (A
-    BLAS matrix-vector product is not row by row: it can give a row a
-    result that depends on its position in the matrix.)
+    panel comes out the same at any place in a batch, and any batch of
+    more than _CHUNK_PANELS panels is evaluated in slices of that size,
+    one integrand call each, which bounds the temporaries.  (A BLAS
+    matrix-vector product is not row by row: it can give a row a result
+    that depends on its position in the matrix.)
 
     Finiteness is tested on the weighted row sums of |values|, which the
     estimate needs anyway: a nan or inf value makes its row nan or inf,
@@ -331,6 +337,12 @@ def _refine(fn, owners: dict, results: List[QuadResult]) -> List[QuadResult]:
     return results
 
 
+def _require_osc(osc_frequency: float) -> None:
+    """Refuse a nan oscillation scale, whose cap would read as none; +inf gives a cap of 0."""
+    if math.isnan(osc_frequency):
+        raise DomainError(f"osc_frequency must not be nan, got {osc_frequency!r}")
+
+
 def _osc_cap(osc_frequency: float) -> float:
     """Panel-length cap from the oscillation scale; unbounded when static."""
     if osc_frequency == 0.0:
@@ -339,24 +351,19 @@ def _osc_cap(osc_frequency: float) -> float:
 
 
 def _subdivide(points: Sequence[float], cap: float, max_panels: int):
-    """Split each segment between consecutive points to the panel cap.
+    """One owner's mesh (``_meshes``) as its edges: (edges, ok).
 
-    Returns (edges, ok); ok is False when the mesh exceeds the panel
-    budget, in which case the caller must flag the result.  A capped mesh
-    is then coarsened to fit; without a cap the points are the mesh.
-
-    Segment i holds points[i] + j*step_i, j < counts[i], with
-    step_i = (points[i + 1] - points[i])/counts[i]: the arithmetic of
-    np.linspace(points[i], points[i + 1], counts[i] + 1).  A mesh of
-    fewer than about _SMALL_MESH panels does it in Python floats, whose
-    set-up is a few microseconds; a larger one in numpy.  Both round
-    alike, so the mesh does not depend on the path.
+    Without a cap the points are the mesh.  A mesh of fewer than
+    _SMALL_MESH panels is built in Python floats (``_small_mesh``), whose
+    set-up is a few microseconds; a larger one by ``_meshes``.  Both
+    round alike, so the mesh does not depend on the path.
     """
-    if not math.isfinite(cap):
+    if not math.isfinite(cap):  # e.g. an integrate_tail ray: 1-2 us; _small_mesh takes 8-20
         return np.array(points, dtype=np.float64), len(points) - 1 <= max_panels
     if cap > 0.0 and (points[-1] - points[0]) / cap < _SMALL_MESH:
         return _small_mesh(points, cap, max_panels)
-    return _large_mesh(np.asarray(points, dtype=np.float64), cap, max_panels)
+    lo, hi, _, (ok,) = _meshes([points], [cap], max_panels)
+    return np.append(lo, hi[-1]), ok
 
 
 def _small_mesh(points: Sequence[float], cap: float, max_panels: int):
@@ -374,29 +381,6 @@ def _small_mesh(points: Sequence[float], cap: float, max_panels: int):
     if not all(map(operator.lt, edges, edges[1:])):  # a rounded step overtook a segment end
         return np.unique(edges), ok
     return np.array(edges), ok
-
-
-def _large_mesh(points: np.ndarray, cap: float, max_panels: int):
-    """``_subdivide``'s mesh in numpy, for any cap (it may have underflowed to 0)."""
-    seg = np.diff(points)
-    with np.errstate(divide="ignore", over="ignore"):  # cap may underflow to 0
-        counts = np.maximum(1.0, np.ceil(seg / cap))
-        if not counts.sum() < 2.0 ** 62:  # inf, or near what int64 holds
-            counts = np.minimum(counts, max_panels + 1)
-    counts = counts.astype(np.int64)
-    ok = True
-    total = int(counts.sum())
-    if total > max_panels:
-        ok = False
-        scale = total / max_panels
-        counts = np.maximum(1, (counts / scale).astype(np.int64))
-    first = np.repeat(np.cumsum(counts) - counts, counts)
-    j = np.arange(first.size) - first
-    edges = np.append(j * np.repeat(seg / counts, counts) + np.repeat(points[:-1], counts),
-                      points[-1])
-    if not (edges[1:] > edges[:-1]).all():
-        edges = np.unique(edges)  # a rounded step overtook a segment end
-    return edges, ok
 
 
 def _hot_spot_points(hot_spots: Tuple[HotSpot, ...], a: float, b: float) -> list:
@@ -421,14 +405,24 @@ def _breakpoints(points: List[float], hot_spots: Tuple[HotSpot, ...]) -> List[fl
 
 
 def _meshes(points: List[List[float]], caps: List[float], max_panels: int):
-    """``_subdivide`` for two or more owners at once: (lo, hi, sizes, oks).
+    """Every owner's mesh in one vectorised pass: (lo, hi, sizes, oks).
 
-    lo and hi hold every owner's panels back to back, sizes[k] is owner
-    k's panel count and oks[k] its ``_subdivide`` flag.  The arithmetic is
-    ``_subdivide``'s, elementwise over all segments, so each mesh is
-    bit-identical to its own call.  An owner without a finite cap, over
-    the panel budget, or whose rounded steps need ``np.unique`` is meshed
-    by ``_subdivide`` alone.
+    Owner k's mesh splits the segments between its breakpoints points[k]
+    to the panel-length cap caps[k].  lo and hi hold every owner's panels
+    back to back, sizes[k] is owner k's panel count, and oks[k] is False
+    when its mesh exceeds the panel budget, in which case it is coarsened
+    to fit and the caller must flag the result.
+
+    Segment i of an owner holds points[i] + j*step_i, j < counts[i], with
+    counts[i] = ceil(length_i/cap) and step_i = length_i/counts[i]: the
+    arithmetic of np.linspace(points[i], points[i + 1], counts[i] + 1),
+    elementwise over the segments of all owners, so each mesh is
+    bit-identical to its own call.  Each owner is handled alone where
+    that arithmetic needs it: without a cap (inf) each segment is one
+    panel; counts whose sum int64 may not hold are first cut to
+    max_panels + 1; counts over the budget are scaled down to fit it; and
+    where a rounded step overtook a segment end, the owner keeps its
+    distinct edges in order (np.unique).
     """
     nseg = np.array([len(p) - 1 for p in points])
     flat = np.fromiter(chain.from_iterable(points), np.float64)  # one conversion for all owners
@@ -437,71 +431,56 @@ def _meshes(points: List[List[float]], caps: List[float], max_panels: int):
     inner[ends[:-1]] = False                   # no segment from one owner to the next
     starts = flat[:-1][inner]
     seg = flat[1:][inner] - starts
-    caps = np.asarray(caps, dtype=np.float64)
-    with np.errstate(divide="ignore", over="ignore"):  # cap may underflow to 0
-        counts = np.maximum(1.0, np.ceil(seg / np.repeat(caps, nseg)))
-    owner = np.repeat(np.arange(len(points)), nseg)
-    plain = np.isfinite(caps) & (np.bincount(owner, counts) <= max_panels)
-    counts = np.where(plain[owner], counts, 0.0).astype(np.int64)
-    # as in _subdivide: segment i contributes starts[i] + j*step_i, j < counts[i]
+    seg0 = np.cumsum(nseg) - nseg              # each owner's first segment
+    # a cap may underflow to 0; inf/inf, a segment too long for binary64
+    # without a cap, is one panel (fmax drops the nan)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        counts = np.fmax(1.0, np.ceil(seg / np.repeat(caps, nseg)))
+    if not counts.sum() < 2.0 ** 62:  # inf, or near what int64 holds, for some owner
+        for s0, s1 in zip(seg0, seg0 + nseg):
+            if not counts[s0:s1].sum() < 2.0 ** 62:
+                counts[s0:s1] = np.minimum(counts[s0:s1], max_panels + 1)
+    counts = counts.astype(np.int64)
+    totals = np.add.reduceat(counts, seg0)
+    oks = totals <= max_panels
+    if not oks.all():
+        owner = np.repeat(np.arange(len(points)), nseg)
+        # Python's int / int: one rounding, also for totals beyond 2**53
+        scale = np.array([total / max_panels for total in totals.tolist()])
+        counts = np.where(oks[owner], counts,
+                          np.maximum(1, (counts / scale[owner]).astype(np.int64)))
     first = np.repeat(np.cumsum(counts) - counts, counts)
     j = np.arange(first.size) - first
-    lo = j * np.repeat(seg / np.maximum(counts, 1), counts) + np.repeat(starts, counts)
-    sizes = np.bincount(owner, counts, minlength=len(points)).astype(np.int64)
+    lo = j * np.repeat(seg / counts, counts) + np.repeat(starts, counts)
+    sizes = np.add.reduceat(counts, seg0)
     hi = np.empty_like(lo)
     hi[:-1] = lo[1:]
-    hi[np.cumsum(sizes)[plain] - 1] = flat[ends[plain]]
-    plain[np.repeat(np.arange(len(points)), sizes)[~(hi > lo)]] = False
-    if plain.all():
-        return lo, hi, sizes.tolist(), [True] * len(points)
-    parts = []
-    offsets = np.cumsum(sizes) - sizes
-    for k, (p, cap, size, offset) in enumerate(zip(points, caps, sizes, offsets)):
-        if plain[k]:
-            parts.append((lo[offset:offset + size], hi[offset:offset + size], True))
-        else:
-            edges, ok = _subdivide(p, float(cap), max_panels)
-            parts.append((edges[:-1], edges[1:], ok))
-    los, his, oks = zip(*parts)
-    return np.concatenate(los), np.concatenate(his), [len(x) for x in los], list(oks)
-
-
-def _batches(sizes: List[int]):
-    """Owner ranges [k0, k1) of at most _BATCH_PANELS panels in all, or of one owner."""
-    k0, total = 0, 0
-    for k, size in enumerate(sizes):
-        if k > k0 and total + size > _BATCH_PANELS:
-            yield k0, k
-            k0, total = k, 0
-        total += size
-    if sizes:
-        yield k0, len(sizes)
+    hi[np.cumsum(sizes) - 1] = flat[ends]
+    if not (hi > lo).all():  # a rounded step overtook a segment end
+        edges = [np.append(lo[p0:p1], hi[p1 - 1])
+                 for p0, p1 in pairwise(accumulate(sizes.tolist(), initial=0))]
+        edges = [e if (e[1:] > e[:-1]).all() else np.unique(e) for e in edges]
+        lo, hi = np.concatenate([e[:-1] for e in edges]), np.concatenate([e[1:] for e in edges])
+        sizes = np.array([len(e) - 1 for e in edges])
+    return lo, hi, sizes.tolist(), oks.tolist()
 
 
 def _sweep(fn, owners: Sequence[int], lo: np.ndarray, hi: np.ndarray, sizes: Sequence[int]):
     """[(k15, err, resabs) of owner j's panels for each j]; lo and hi hold them back to back.
 
-    owners[j] (ascending) has the next sizes[j] panels.  They run in
-    sweeps of at most _BATCH_PANELS panels, or of one owner, with one
-    integrand call each; no owner is split across sweeps, so the cap
-    bounds the temporaries.  The integrand gets the owner as an int in a
-    sweep of one, else as an int array with the owner of each node.
-    ``_eval_panels`` evaluates each panel alone, so an owner's panels come
-    out as in a call of their own.
+    owners[j] (ascending) has the next sizes[j] panels.  They are one
+    ``_eval_panels`` call, with the owner as an int for a lone owner, else
+    as an int array with the owner of each node.  ``_eval_panels``
+    evaluates each panel alone, in chunks of at most _CHUNK_PANELS panels
+    whose bounds may fall inside an owner, so an owner's panels come out
+    as in a call of their own.
     """
-    offsets = list(accumulate(sizes, initial=0))
-    out = []
-    for j0, j1 in _batches(sizes):
-        b0, b1 = offsets[j0], offsets[j1]
-        if j1 - j0 == 1:
-            k = owners[j0]
-            k15, err, resabs = _eval_panels(lambda t: fn(t, k), lo[b0:b1], hi[b0:b1])
-        else:
-            k15, err, resabs = _eval_panels(fn, lo[b0:b1], hi[b0:b1],
-                                            np.repeat(owners[j0:j1], sizes[j0:j1]))
-        out += [(k15[p0:p1], err[p0:p1], resabs[p0:p1])
-                for p0, p1 in pairwise(o - b0 for o in offsets[j0:j1 + 1])]
-    return out
+    if len(owners) == 1:
+        k = owners[0]
+        return [_eval_panels(lambda t: fn(t, k), lo, hi)]
+    k15, err, resabs = _eval_panels(fn, lo, hi, np.repeat(owners, sizes))
+    return [(k15[p0:p1], err[p0:p1], resabs[p0:p1])
+            for p0, p1 in pairwise(accumulate(sizes, initial=0))]
 
 
 def integrate_many(fn: Callable[[np.ndarray, object], np.ndarray],
@@ -516,18 +495,19 @@ def integrate_many(fn: Callable[[np.ndarray, object], np.ndarray],
     result is bit-identical to
     ``integrate_finite(Integrand(lambda t: fn(t, k), osc, spots), a, b, cfg)``.
 
-    Every mesh is built in one vectorised pass.  The first round then
-    evaluates the owners in sweeps of at most _BATCH_PANELS panels, each
-    with one integrand call; an owner is never split across sweeps.  An
+    Every mesh is built in one vectorised pass (``_meshes``).  The first
+    round then evaluates all owners in one sweep (``_sweep``), in chunks
+    of at most _CHUNK_PANELS panels with one integrand call each.  An
     owner that meets its target there is done (``_start``); the rest
     refine in lockstep: each round evaluates the split halves of all of
-    them in such sweeps (``_refine``).  A single owner has nothing to
+    them in one such sweep (``_refine``).  A single owner has nothing to
     share and takes ``integrate_finite``'s path.
     """
     cfg = cfg or _DEFAULT_CFG
-    for a, b, _, _ in spans:
+    for a, b, osc, _ in spans:
         require_finite("a", a)
         require_above("b", b, a)
+        _require_osc(osc)
     if len(spans) <= 1:
         return [_integrate(lambda t: fn(t, 0), [a, b], osc, spots, cfg)
                 for a, b, osc, spots in spans]
@@ -557,6 +537,7 @@ def integrate_finite(f: Integrand, a: float, b: float,
     """
     require_finite("a", a)
     require_above("b", b, a)
+    _require_osc(f.osc_frequency)
     return _integrate(f.fn, [a, b], f.osc_frequency, f.hot_spots, cfg or _DEFAULT_CFG)
 
 
@@ -641,6 +622,7 @@ def integrate_tail(g: Integrand, rate: float,
     binary64 cannot hold raises :class:`PrecisionError`.
     """
     require_above("rate", rate, 0.0)
+    _require_osc(g.osc_frequency)
     cfg = cfg or _DEFAULT_CFG
     big_t = _cutoff(rate, cfg.abs_tol / 2.0)
     tail = _tail(rate, big_t)

@@ -111,7 +111,7 @@ def h_asym_large(x: float, rho: float,
              * cos_pi(math.fmod(x, 2.0) - 1.0 / 6.0) * (6.0 / x) ** (1.0 / 3.0))
     return EvalResult(value=value, error_estimate=c.c_h_large / (x * rho ** 4),
                       method="asymptotic",
-                      regime=Regime.diagnostics(RegimeKind.LARGE_S, x, rho))
+                      regime=Regime(RegimeKind.LARGE_S, x, rho))
 
 
 def h_asym_small(x: float, rho: float, cfg: Optional[QuadConfig] = None,
@@ -144,7 +144,7 @@ def classify(x: float, rho: float, constants: Optional[Constants] = None) -> Reg
     """
     require_above("x", x, 0.0)
     require_above("rho", rho, 0.0)
-    r = Regime.diagnostics(RegimeKind.FIXED_POINT, x, rho)
+    r = Regime(RegimeKind.FIXED_POINT, x, rho)
     if x <= 2.0:
         return r
     s = r.s
@@ -156,7 +156,7 @@ def classify(x: float, rho: float, constants: Optional[Constants] = None) -> Reg
         kind = RegimeKind.SMALL_S_LARGE_U
     else:
         kind = RegimeKind.FINITE_U
-    return Regime.diagnostics(kind, x, rho)
+    return Regime(kind, x, rho)
 
 
 def h_approx(x: float, rho: float, cfg: Optional[QuadConfig] = None,
@@ -230,4 +230,4 @@ def corollary_path_main(alpha: float, eta: float, rho: float,
         value = (1.0 + cos_pi(x)) / (2.0 * rho)
         kind = RegimeKind.FINITE_U
     return EvalResult(value=value, error_estimate=err, method="asymptotic",
-                      regime=Regime.diagnostics(kind, x, rho), converged=converged)
+                      regime=Regime(kind, x, rho), converged=converged)

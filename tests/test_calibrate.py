@@ -55,9 +55,9 @@ def test_J_is_read_at_the_exact_shift_that_anger_J_integrates():
 
 def test_batched_calA_matches_single_calls_bit_for_bit():
     pairs = _calA_pairs(cal._grids(False)) + [(123.4, 3.5), (5825.7, -0.25), (1e5, 2.0)]
-    batched = good._anger_contour(pairs, None, integrate_many)
+    batched, _ = good._contours(pairs, (), None, integrate_many)
     for pair, b in zip(pairs, batched):
-        one, = good._anger_contour([pair], None)
+        (one,), _ = good._contours([pair], (), None)
         assert _bits(b) == _bits(one), pair
 
 
@@ -84,7 +84,7 @@ def _reference(quick):
             engine = max(engine, _ratio(_flipped(x, eval_H(x, rho).h_complex),
                                         two_term_expansion(prob, x, unit)))
     for x in g["engine_xs"]:
-        calA, = good._anger_contour([(x, 0.0)], None)
+        (calA,), _ = good._contours([(x, 0.0)], (), None)
         engine = max(engine, _ratio(_flipped(x, calA.value),
                                     two_term_expansion(cal.unit_amplitude_problem(), x, unit)))
     large = max(_ratio(eval_H(x, rho).h, h_asym_large(x, rho, unit))
@@ -135,7 +135,11 @@ def test_quick_calibration_integrates_each_point_once(monkeypatch):
 
 
 def _sweeps(monkeypatch, quick):
-    """The number of ``_eval_panels`` calls, each one integrand sweep, of ``calibrate(quick)``."""
+    """The number of integrand calls of ``calibrate(quick)``, one per chunk of a sweep.
+
+    A chunk is an ``_eval_panels`` call of at most _CHUNK_PANELS panels; a
+    longer call only splits itself into such calls.
+    """
     calls, real = [], quadrature._eval_panels
 
     def counting(*args):
@@ -144,21 +148,21 @@ def _sweeps(monkeypatch, quick):
 
     monkeypatch.setattr(quadrature, "_eval_panels", counting)
     cal.calibrate(quick=quick)
-    return len(calls)
+    return sum(n <= quadrature._CHUNK_PANELS for n in calls)
 
 
 def test_calibration_sweep_counts(monkeypatch):
-    # a cost tripwire.  quick: the batch's 26 rays in two first-round sweeps
-    # of at most _BATCH_PANELS panels, two refinement rounds and cubic_tail's
-    # one integral.  full: 152 rays in seven first-round sweeps, two rounds,
-    # two off-band anger_J and five cubic_tail integrals.  Integrating each
-    # point or each rho apart took 19 and 103.
+    # a cost tripwire.  quick: the batch's 26 rays in one 317-panel
+    # first-round sweep of two chunks, two refinement rounds and cubic_tail's
+    # one integral.  full: 152 rays in one 1556-panel first-round sweep of
+    # seven chunks, two rounds, two off-band anger_J and five cubic_tail
+    # integrals.  Integrating each point or each rho apart took 19 and 103.
     assert _sweeps(monkeypatch, True) == 5
     assert _sweeps(monkeypatch, False) == 16
 
 
 def test_calibration_row_sums_per_sweep(monkeypatch):
-    # a cost tripwire: the quick calibration's 5 sweeps take four np.vecdot
+    # a cost tripwire: the quick calibration's 5 chunks take four np.vecdot
     # row sums each, whatever their owner count; summing each owner's rows
     # apart took 140 calls
     row_sums, real = [], np.vecdot

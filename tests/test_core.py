@@ -18,7 +18,7 @@ def test_quad_config_rejects_nonpositive():
 def test_regime_diagnostics_consistent():
     # s must equal u*rho^2 to within one rounding
     for x, rho in [(1e5, 1e-4), (3.7, 0.23), (1e3, 7.0)]:
-        r = Regime.diagnostics(RegimeKind.LARGE_S, x, rho)
+        r = Regime(RegimeKind.LARGE_S, x, rho)
         u = x * rho
         assert r.u == u
         assert math.isclose(r.s, u * rho * rho, rel_tol=3e-16, abs_tol=0.0)
@@ -31,7 +31,7 @@ def test_eval_result_validation():
         EvalResult(value=1.0, error_estimate=-1e-3, method="oracle")
     with pytest.raises(DomainError):
         EvalResult(value=1.0, error_estimate=0.0, method="magic")
-    r = Regime.diagnostics(RegimeKind.LARGE_S, 10.0, 1.0)
+    r = Regime(RegimeKind.LARGE_S, 10.0, 1.0)
     with pytest.raises(DomainError):
         EvalResult(value=1.0, error_estimate=0.0, method="oracle", regime=r)
     ok = EvalResult(value=1.0, error_estimate=0.0, method="asymptotic", regime=r)
@@ -99,7 +99,7 @@ def test_cos_pi_matches_naive_for_moderate_args():
 
 def test_result_types_have_no_instance_dict():
     # slotted: a caller that keeps many results pays no per-instance dict
-    for obj in (EvalResult(1.0, 0.0, "oracle"), Regime.diagnostics(RegimeKind.LARGE_S, 10.0, 1.0),
+    for obj in (EvalResult(1.0, 0.0, "oracle"), Regime(RegimeKind.LARGE_S, 10.0, 1.0),
                 HValue(1j, 0.0), QuadConfig(), load_constants()):
         assert not hasattr(obj, "__dict__"), type(obj).__name__
 
@@ -107,7 +107,7 @@ def test_result_types_have_no_instance_dict():
 def test_regime_keeps_the_callers_numbers():
     # a retained classification references x and rho instead of holding s, u
     x, rho = 1234.5, 0.0625
-    for r in (Regime.diagnostics(RegimeKind.FINITE_U, x, rho), classify(x, rho),
+    for r in (Regime(RegimeKind.FINITE_U, x, rho), classify(x, rho),
               h_approx(x, rho).regime):
         assert r.x is x and r.rho is rho
         assert (r.u, r.s) == (x * rho, x * rho * rho * rho)

@@ -167,7 +167,7 @@ def test_tiny_rho_refused_by_default():
 @pytest.mark.parametrize("rho", [1e-3, 1e-2, 0.1, 1.0, 2.0])
 @pytest.mark.parametrize("x", [1e2, 1e3, 1e4, 1e5])
 def test_contour_agrees_with_real_axis(x, rho):
-    c, = good._contour([x], rho, None)
+    _, (c,) = good._contours((), [(x, rho)], None)
     r, = good._real_axis([x], rho, None)
     assert c.converged and r.converged
     assert abs(c.value - r.value) <= c.err + r.err
@@ -260,7 +260,7 @@ def test_eval_H_many_covers_refinement_and_coarsening():
 def test_eval_H_many_does_not_depend_on_the_batch_size(monkeypatch, cap):
     xs = [1.0 / 6.0 + k / 8.0 for k in range(40)] + [150.0, -3e3]
     expected = [_bits(hv) for hv in eval_H_many(xs, 0.5)]
-    monkeypatch.setattr(quadrature, "_BATCH_PANELS", cap)
+    monkeypatch.setattr(quadrature, "_CHUNK_PANELS", cap)
     assert [_bits(hv) for hv in eval_H_many(xs, 0.5)] == expected
 
 

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from goodfun import good, quadrature
-from goodfun import (EnvelopeViolated, HotSpot, Integrand, NumericalError, QuadConfig,
-                     anger_J, eval_G, eval_H, i_lambda_oracle, integrate_finite, integrate_tail)
+from goodfun import calibrate, good, quadrature
+from goodfun import (DomainError, EnvelopeViolated, HotSpot, Integrand, NumericalError,
+                     QuadConfig, anger_J, eval_G, eval_H, i_lambda_oracle, integrate_finite,
+                     integrate_tail)
 
 # closed forms used as oracles below
 PI_OVER_SQRT2 = 2.221441469079183123  # int_0^pi dth/(1+sin^2 th) = pi/sqrt(2)
@@ -112,11 +113,22 @@ def test_finite_values_whose_sum_overflows_do_not_raise():
 
 
 def test_bad_bounds_raise():
-    from goodfun import DomainError
     with pytest.raises(DomainError):
         integrate_finite(Integrand(np.sin), 1.0, 1.0)
     with pytest.raises(DomainError):
         integrate_finite(Integrand(np.sin), 0.0, float("inf"))
+
+
+def test_nan_oscillation_scale_is_refused():
+    # a nan cap would read as no cap and mesh like osc_frequency = 0
+    nan = Integrand(np.cos, osc_frequency=math.nan)
+    with pytest.raises(DomainError, match="^osc_frequency"):
+        integrate_finite(nan, 0.0, 10.0)
+    for spans in ([(0.0, 10.0, math.nan, ())], [(0.0, 1.0, 2.0, ()), (0.0, 10.0, math.nan, ())]):
+        with pytest.raises(DomainError, match="^osc_frequency"):
+            quadrature.integrate_many(lambda t, k: np.cos(t), spans)
+    with pytest.raises(DomainError, match="^osc_frequency"):
+        integrate_tail(Integrand(lambda t: np.exp(-t ** 3), math.nan), 1.0)
 
 
 def test_panel_budget_flag():
@@ -232,6 +244,13 @@ def _recorded_meshes(monkeypatch, *calls):
     return meshes
 
 
+def _one_mesh(points, cap, max_panels):
+    """``_meshes`` of one owner, as its edges and flag."""
+    lo, hi, sizes, (ok,) = quadrature._meshes([list(points)], [cap], max_panels)
+    assert sizes == [len(lo)] and lo[1:].tobytes() == hi[:-1].tobytes()
+    return np.append(lo, hi[-1]), ok
+
+
 @pytest.mark.parametrize("max_panels", [200_000, 50])
 @pytest.mark.parametrize("rho", np.geomspace(1e-6, 100.0, 9))
 @pytest.mark.parametrize("x", [0.0, 1.0, 10.0, 63.0, 99.0, 1e3, 1e4])
@@ -255,16 +274,13 @@ def test_mesh_is_the_linspace_mesh(x, rho, max_panels, monkeypatch):
     tail_points = _ray_points_by_numpy(quadrature._cutoff(lam, cfg.abs_tol / 2.0))
     assert np.array(meshes[-1][0]).tobytes() == tail_points.tobytes()
     for points, cap, budget in meshes:
-        if not math.isfinite(cap):
-            edges, ok = quadrature._subdivide(points, cap, budget)
-            assert ok == (len(points) - 1 <= budget)
-            assert edges.tobytes() == np.array(points).tobytes()
-            continue
-        ref, ref_ok = _subdivide_by_linspace(points, cap, budget)
-        paths = [quadrature._subdivide,
-                 lambda p, c, b: quadrature._large_mesh(np.array(p), c, b)]
-        if (points[-1] - points[0]) / cap < 10 * quadrature._SMALL_MESH:
-            paths.append(quadrature._small_mesh)  # either path, whatever the size
+        paths = [quadrature._subdivide, _one_mesh]
+        if not math.isfinite(cap):  # without a cap the breakpoints are the mesh
+            ref, ref_ok = np.array(points), len(points) - 1 <= budget
+        else:
+            ref, ref_ok = _subdivide_by_linspace(points, cap, budget)
+            if (points[-1] - points[0]) / cap < 10 * quadrature._SMALL_MESH:
+                paths.append(quadrature._small_mesh)  # either path, whatever the size
         for mesh in paths:
             edges, ok = mesh(points, cap, budget)
             assert ok == ref_ok
@@ -276,8 +292,7 @@ def test_rounded_steps_that_overtake_a_segment_end_are_dropped():
     points, cap = [1e16, 1e16 + 4.0, 1e16 + 8.0], 0.5
     ref, _ = _subdivide_by_linspace(points, cap, 200_000)
     assert len(ref) < 17
-    for mesh in (quadrature._small_mesh,
-                 lambda p, c, b: quadrature._large_mesh(np.array(p), c, b)):
+    for mesh in (quadrature._small_mesh, _one_mesh):
         edges, ok = mesh(points, cap, 200_000)
         assert ok and edges.tobytes() == ref.tobytes()
 
@@ -287,6 +302,37 @@ def test_subdivide_caps_counts_beyond_int64():
     edges, ok = quadrature._subdivide([0.0, 1.5707963], 1e-30, 200_000)
     assert not ok
     assert 2 <= len(edges) <= 200_001 and np.all(np.diff(edges) > 0.0)
+    one, one_ok = _one_mesh([0.0, 1.5707963], 1e-30, 200_000)
+    assert not one_ok and one.tobytes() == edges.tobytes()
+
+
+# owners of one _meshes batch, each needing its own handling: (points, cap)
+_MIXED_MESHES = [
+    ([0.0, 0.5, 1.5707963], 0.01),                # plain: 158 panels
+    ([0.0, 1.0, 2.0, 3.0], math.inf),             # no cap: the breakpoints
+    ([0.0, 0.1, 1.5707963], 1e-4),                # about 15 700 panels, coarsened to 1000
+    ([0.0, 1.5707963], 1e-30),                    # beyond int64, cut, then coarsened
+    ([1e16, 1e16 + 4.0, 1e16 + 8.0], 0.5),        # rounded steps overtake a segment end
+]
+
+
+@pytest.mark.parametrize("shift", range(len(_MIXED_MESHES)))
+def test_meshes_of_a_mixed_batch_are_each_owners_own(shift):
+    owners = _MIXED_MESHES[shift:] + _MIXED_MESHES[:shift]
+    points, caps = [p for p, _ in owners], [c for _, c in owners]
+    lo, hi, sizes, oks = quadrature._meshes(points, caps, 1000)
+    assert len(lo) == len(hi) == sum(sizes) and np.all(hi > lo)
+    offsets = np.cumsum([0] + sizes)
+    for (p, cap), p0, p1, ok in zip(owners, offsets, offsets[1:], oks):
+        edges, one_ok = _one_mesh(p, cap, 1000)
+        assert np.append(lo[p0:p1], hi[p1 - 1]).tobytes() == edges.tobytes()
+        assert ok == one_ok
+        if cap > 1e-30:  # the linspace reference's int64 cast wraps beyond int64
+            ref, ref_ok = (_subdivide_by_linspace(p, cap, 1000) if math.isfinite(cap)
+                           else (np.array(p), True))
+            assert edges.tobytes() == ref.tobytes() and ok == ref_ok
+    assert [ok for (_, cap), ok in zip(owners, oks)] == [
+        cap not in (1e-4, 1e-30) for _, cap in owners]
 
 
 @pytest.mark.parametrize("call", [
@@ -356,7 +402,7 @@ def test_owners_done_on_their_first_sweep_start_no_rounds(monkeypatch):
 
 # owners of the lockstep test: (x, r, hot spots) for exp(i x (t + sin t))/(r + sin^2 t)
 # on [0, 1.5].  At the test's tolerances, alone, they take 4, 2, 1, 3, 0, 0, 5, 0
-# and 1 refinement rounds; the x = 300 mesh has 288 panels, above _BATCH_PANELS;
+# and 1 refinement rounds; the x = 300 mesh has 288 panels, above _CHUNK_PANELS;
 # the x = 2500 mesh needs about 1900 and is coarsened to the 1000-panel budget.
 _LOCKSTEP = [(3.0, 1e-3, ()), (7.5, 1e-2, ()), (12.0, 1e-4, (HotSpot(0.0, 1e-2),)),
              (0.0, 0.1, ()), (300.0, 1.0, (HotSpot(0.0, 1.0),)), (2500.0, 1.0, ()),
@@ -399,13 +445,13 @@ def test_lockstep_refinement_is_integrate_finite_per_owner(monkeypatch, cap):
 
     monkeypatch.setattr(quadrature, "_sweep", recording)
     if cap is not None:
-        monkeypatch.setattr(quadrature, "_BATCH_PANELS", cap)
+        monkeypatch.setattr(quadrature, "_CHUNK_PANELS", cap)
     many = quadrature.integrate_many(_lockstep_owner, spans, _LOCKSTEP_CFG)
     assert [_result_bits(r) for r in many] == [_result_bits(r) for r in alone]
     # one sweep call per round: the first, then one per refinement round
     assert len(sweeps) == 1 + max(rounds)
-    assert max(sweeps[0]) > quadrature._BATCH_PANELS  # a lone owner above the cap
-    if cap is not None:  # a round whose halves fill more than one sweep
+    assert max(sweeps[0]) > quadrature._CHUNK_PANELS  # an owner split across chunks
+    if cap is not None:  # a round whose halves fill more than one chunk
         assert any(len(s) > 1 and sum(s) > cap for s in sweeps[1:])
 
 
@@ -496,3 +542,29 @@ def test_chunked_multi_owner_sweep_is_integrate_finite_per_owner(monkeypatch):
     many = quadrature.integrate_many(_lockstep_owner, spans, _LOCKSTEP_CFG)
     assert [_result_bits(r) for r in many] == [_result_bits(r) for r in alone]
     assert split and max(split) > 1
+
+
+@pytest.mark.parametrize("run", [
+    lambda: eval_G(5e3, 1.0, 1e4),      # a lone real-axis owner of about 7 500 panels per half
+    lambda: quadrature.integrate_many(_lockstep_owner, [(0.0, 1.5, x, spots)
+                                                         for x, _, spots in _LOCKSTEP],
+                                      _LOCKSTEP_CFG),
+    lambda: calibrate.calibrate(quick=True),
+], ids=["eval_G", "lockstep", "calibrate-quick"])
+def test_no_integrand_call_exceeds_the_chunk(monkeypatch, run):
+    # every sweep, single or shared, reaches the integrand in chunks of at
+    # most _CHUNK_PANELS panels, so its temporaries do not grow with the sweep
+    sweeps, nodes, real = [], [], quadrature._eval_panels
+
+    def recording(fn, lo, hi, owner=None):
+        def counted(t, *k):
+            nodes.append(len(t))
+            return fn(t, *k)
+
+        sweeps.append(len(lo))
+        return real(counted, lo, hi, owner)
+
+    monkeypatch.setattr(quadrature, "_eval_panels", recording)
+    run()
+    assert max(sweeps) > quadrature._CHUNK_PANELS  # some sweep needs more than one chunk
+    assert max(nodes) <= 15 * quadrature._CHUNK_PANELS

@@ -111,26 +111,35 @@ def test_oracle_calls_per_window(monkeypatch):
 
 
 def test_row_sums_per_sweep(monkeypatch):
-    # a cost tripwire: every sweep takes its four weighted row sums in four
-    # np.vecdot calls, however many owners it holds.  find_zeros(1, 10, 13)
-    # evaluates 3 to 40 points per batch in 8 sweeps; summing each owner's
-    # rows apart took 320 calls.
-    sweeps, row_sums = [], []
-    real_eval_panels, real_vecdot = quadrature._eval_panels, np.vecdot
+    # a cost tripwire: every chunk of a sweep takes its four weighted row
+    # sums in four np.vecdot calls, however many owners it holds.
+    # find_zeros(1, 10, 13) evaluates 3 to 40 points per batch in 6 sweeps,
+    # one per batch and refinement round, of 8 chunks: the 549-panel sweep
+    # of the subscans takes three.  Summing each owner's rows apart took 320
+    # calls.
+    sweeps, chunks, row_sums = [], [], []
+    real_sweep, real_eval_panels = quadrature._sweep, quadrature._eval_panels
+    real_vecdot = np.vecdot
+
+    def sweep(fn, owners, lo, hi, sizes):
+        sweeps.append(len(lo))
+        return real_sweep(fn, owners, lo, hi, sizes)
 
     def eval_panels(fn, lo, hi, owner=None):
-        sweeps.append(len(lo))
+        if len(lo) <= quadrature._CHUNK_PANELS:  # a longer call splits itself into chunks
+            chunks.append(len(lo))
         return real_eval_panels(fn, lo, hi, owner)
 
     def vecdot(*args, **kwargs):
         row_sums.append(1)
         return real_vecdot(*args, **kwargs)
 
+    monkeypatch.setattr(quadrature, "_sweep", sweep)
     monkeypatch.setattr(quadrature, "_eval_panels", eval_panels)
     monkeypatch.setattr(np, "vecdot", vecdot)
     assert len(find_zeros(1.0, 10.0, 13.0)) == 3
-    assert len(sweeps) == 8
-    assert len(row_sums) == 4 * len(sweeps) == 32
+    assert len(sweeps) == 6 and len(chunks) == 8
+    assert len(row_sums) == 4 * len(chunks) == 32
 
 
 def _bisect(h, lo, hi):
