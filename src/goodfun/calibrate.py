@@ -37,7 +37,7 @@ from .constants import Constants
 from .core import EvalResult, NumericalError, cos_pi, require_at_least, sin_pi
 from .good import X_C, HValue, _contours, _require_rho, _require_x_rho
 from .phase import AmplitudeBounds, PhaseProblem, two_term_expansion
-from .quadrature import QuadResult, integrate_many
+from .quadrature import QuadResult
 from .regimes import h_asym_large, h_asym_small
 
 __all__ = ["calibrate", "good_amplitude_problem",
@@ -242,7 +242,7 @@ def _oracles(g: dict) -> Tuple[_AngerOracle, _HOracle, _CalAOracle]:
         + [(x, rho) for rho in g["large_rhos"] for x in g["large_xs"]]
         + [(x, rho) for x, rho, _ in g["small_pts"]]))
     checked = [(require_at_least("x", _require_x_rho(x, rho), X_C), rho) for x, rho in points]
-    calA_res, calH_res = _contours(pairs, checked, None, integrate_many)
+    calA_res, calH_res = _contours(pairs, checked, None)
     calA = dict(zip(pairs, calA_res))
     calH = {p: HValue(r.value, r.err, r.converged) for p, r in zip(points, calH_res)}
 

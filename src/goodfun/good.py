@@ -93,18 +93,6 @@ def _require_rho(rho: float) -> None:
 
 
 _OwnerFn = Callable[[np.ndarray, object], np.ndarray]
-_Span = Tuple[float, float, float, Tuple[HotSpot, ...]]
-_Integrate = Callable[[_OwnerFn, Sequence[_Span], Optional[QuadConfig]], List[QuadResult]]
-
-
-def _each(fn: _OwnerFn, spans: Sequence[_Span], cfg: Optional[QuadConfig]) -> List[QuadResult]:
-    """``integrate_many``'s contract, as one ``integrate_finite`` call per owner.
-
-    The single-point evaluators take this path, so that a tracer that
-    wraps ``integrate_finite`` by name sees each of their integrals.
-    """
-    return [integrate_finite(Integrand(lambda t, k=k: fn(t, k), osc, spots), a, b, cfg)
-            for k, (a, b, osc, spots) in enumerate(spans)]
 
 
 def _by_owner(first: _OwnerFn, second: _OwnerFn, n: int) -> _OwnerFn:
@@ -148,18 +136,17 @@ def _require_x_rho(x: float, rho: float) -> float:
 
 
 def _fold(fn_left: _OwnerFn, fn_right: _OwnerFn, freqs: Sequence[Tuple[float, float]],
-          rho: float, cfg: Optional[QuadConfig],
-          integrate: _Integrate = _each) -> List[QuadResult]:
+          rho: float, cfg: Optional[QuadConfig]) -> List[QuadResult]:
     """(1/pi) int_0^pi as two halves on [0, pi/2], the right one folded, per point.
 
     Point k's halves are ``fn_left(th, k)`` and ``fn_right(u, k)``,
     u = pi - th, with oscillation scales ``freqs[k]``.  Both halves peak
     at u = 0 with width rho.  All halves of all points are the owners of
-    one ``integrate`` call, the left ones first.  The panel count is that
-    of both halves.
+    one ``integrate_many`` call, the left ones first.  The panel count is
+    that of both halves.
     """
     n, spots = len(freqs), (HotSpot(0.0, rho),)
-    halves = integrate(_by_owner(fn_left, fn_right, n),
+    halves = integrate_many(_by_owner(fn_left, fn_right, n),
                        [(0.0, _HALF_PI, f, spots) for f, _ in freqs]
                        + [(0.0, _HALF_PI, f, spots) for _, f in freqs], cfg)
     return [QuadResult((lt.value + rt.value) / math.pi, (lt.err + rt.err) / math.pi,
@@ -239,13 +226,11 @@ def _anger_connector_bound(x: float, k: float) -> float:
 
 
 _RayFn = Callable[[Tuple[np.ndarray, np.ndarray, np.ndarray], object], np.ndarray]
-
-
 _RayPoint = Tuple[float, complex, float, Tuple[HotSpot, ...], float]
 
 
-def _rays(points: Sequence[_RayPoint], integrand: _RayFn, cfg: Optional[QuadConfig],
-          integrate: _Integrate = _each) -> List[QuadResult]:
+def _rays(points: Sequence[_RayPoint], integrand: _RayFn,
+          cfg: Optional[QuadConfig]) -> List[QuadResult]:
     """(1/pi) int_0^pi exp(i x g(th)) a(th) dth along the two rays, for each point, x >= X_C.
 
     The phase g(th) = th + sin th has two critical places on [0, pi]: the
@@ -260,9 +245,9 @@ def _rays(points: Sequence[_RayPoint], integrand: _RayFn, cfg: Optional[QuadConf
 
     points[k] = (x, at_pi, osc, spots, connector) describes point k and
     its amplitude a.  Each ray is one integral in t per point, with hot
-    spots ``spots``.  All of them are the owners of one ``integrate``
-    call (``integrate_many`` or ``_each``), the rays out of 0 first, so
-    a batch integrates every ray of every point together.  The segments
+    spots ``spots``.  All of them are the owners of one ``integrate_many``
+    call, the rays out of 0 first, so a batch integrates every ray of
+    every point in shared sweeps.  The segments
     are not integrated: ``connector``, the caller's bound on them for its
     amplitude, is added to the error instead.
 
@@ -296,7 +281,7 @@ def _rays(points: Sequence[_RayPoint], integrand: _RayFn, cfg: Optional[QuadConf
         spans_0.append((0.0, abs(p0), x * _DIR_0.real + o, spots))
         spans_pi.append((0.0, abs(w1), x * abs((_DIR_PI * cmath.sin(0.5 * w1) ** 2).real) + o,
                          spots))
-    rays = integrate(_by_owner(fn_0, fn_pi, n), spans_0 + spans_pi, cfg)
+    rays = integrate_many(_by_owner(fn_0, fn_pi, n), spans_0 + spans_pi, cfg)
     out = []
     for (x, a, _, _, connector), r0, rp in zip(points, rays[:n], rays[n:]):
         # e^{i pi x}, reduced exactly mod 2, times the amplitude's factor at pi
@@ -309,12 +294,11 @@ def _rays(points: Sequence[_RayPoint], integrand: _RayFn, cfg: Optional[QuadConf
 
 
 def _contours(pairs: Sequence[Tuple[float, float]], points: Sequence[Tuple[float, float]],
-              cfg: Optional[QuadConfig], integrate: _Integrate = _each
-              ) -> Tuple[List[QuadResult], List[QuadResult]]:
+              cfg: Optional[QuadConfig]) -> Tuple[List[QuadResult], List[QuadResult]]:
     """(calA at each (x, k) of ``pairs``, calH at each (x, rho) of ``points``), x >= X_C.
 
     Every pair and point is one point of a single ``_rays`` call, the
-    calA ones first, so a batch integrates them all together.
+    calA ones first, so a batch integrates them all in shared sweeps.
 
     calA's amplitude e^{i k th} is entire, so its contour needs no
     residue and no hot spot; on the ray into pi it is e^{i pi k} e^{i k w}.
@@ -348,7 +332,7 @@ def _contours(pairs: Sequence[Tuple[float, float]], points: Sequence[Tuple[float
 
     n = len(pairs)
     res = _rays(rays, calH if not n else calA if not points else _by_owner(calA, calH, n),
-                cfg, integrate)
+                cfg)
     return res[:n], res[n:]
 
 
@@ -406,8 +390,7 @@ def eval_Q(gamma: float, xi: float, x: float,
                       method="oracle", converged=res.converged)
 
 
-def _real_axis(xs: Sequence[float], rho: float, cfg: Optional[QuadConfig],
-               integrate: _Integrate = _each) -> List[QuadResult]:
+def _real_axis(xs: Sequence[float], rho: float, cfg: Optional[QuadConfig]) -> List[QuadResult]:
     """calH(x, rho) for each x of xs by the fold on the real axis; cost grows like |x|.
 
     The integrands are built in real arithmetic: exp(i phi) of the real
@@ -442,34 +425,17 @@ def _real_axis(xs: Sequence[float], rho: float, cfg: Optional[QuadConfig],
         s = np.sin(u)
         return over(phase_pi_of(k) * cis(x_of(k) * (s - u)), s)
 
-    return _fold(fn_left, fn_right, [(abs(x), 0.5 * abs(x)) for x in xs], rho, cfg, integrate)
-
-
-def _calH(xs: Sequence[float], rho: float, cfg: Optional[QuadConfig],
-          integrate: _Integrate) -> List[HValue]:
-    """H at each x of xs: the fold below X_C, the contour (conjugated for x < 0) from it on."""
-    xs = [_require_x_rho(x, rho) for x in xs]
-    near = [x for x in xs if abs(x) < X_C]
-    far = [(abs(x), rho) for x in xs if abs(x) >= X_C]
-    # a branch without points is skipped whole: its set-up is a few us per call
-    near_res = iter(_real_axis(near, rho, cfg, integrate) if near else ())
-    far_res = iter(_contours((), far, cfg, integrate)[1] if far else ())
-    out = []
-    for x in xs:
-        r = next(near_res) if abs(x) < X_C else next(far_res)
-        value = r.value.conjugate() if x <= -X_C else r.value
-        out.append(HValue(h_complex=value, err=r.err, converged=r.converged))
-    return out
+    return _fold(fn_left, fn_right, [(abs(x), 0.5 * abs(x)) for x in xs], rho, cfg)
 
 
 def eval_H(x: float, rho: float, cfg: Optional[QuadConfig] = None) -> HValue:
-    """Evaluate the restricted Good function H(x, rho) = Re calH(x, rho).
+    """Evaluate the restricted Good function H(x, rho) = Re calH(x, rho): ``eval_H_many([x])``.
 
     |x| >= X_C is integrated along a complex contour (``_contours``), using
-    calH(-x) = conj(calH(x)); smaller |x| along the real axis.  Each of
-    the two integrals is one ``integrate_finite`` call.
+    calH(-x) = conj(calH(x)); smaller |x| along the real axis.  Its two
+    integrals are one ``integrate_finite`` call each (``integrate_many``).
     """
-    return _calH([x], rho, cfg, _each)[0]
+    return eval_H_many([x], rho, cfg)[0]
 
 
 def eval_H_many(xs: Iterable[float], rho: float,
@@ -478,16 +444,30 @@ def eval_H_many(xs: Iterable[float], rho: float,
 
     Every x (and rho) is validated before any integral runs, and the
     first invalid one raises what ``eval_H`` would raise.  The points of
-    each branch (the fold, the contour) go through one ``integrate_many``
-    call, two owners per point: one mesh build and a few integrand calls
-    for all of them, refinement rounds included.
+    each branch (the fold below X_C, the contour, conjugated for x < 0,
+    from it on) go through one ``integrate_many`` call, two owners per
+    point, which shares its sweeps from two points on: one mesh build and
+    a few integrand calls for all of them, refinement rounds included.
     """
-    return _calH(list(xs), rho, cfg, integrate_many)
+    xs = [_require_x_rho(x, rho) for x in xs]
+    near = [x for x in xs if abs(x) < X_C]
+    far = [(abs(x), rho) for x in xs if abs(x) >= X_C]
+    # a branch without points is skipped whole: its set-up is a few us per call
+    near_res = iter(_real_axis(near, rho, cfg) if near else ())
+    far_res = iter(_contours((), far, cfg)[1] if far else ())
+    out = []
+    for x in xs:
+        r = next(near_res) if abs(x) < X_C else next(far_res)
+        value = r.value.conjugate() if x <= -X_C else r.value
+        out.append(HValue(h_complex=value, err=r.err, converged=r.converged))
+    return out
 
 
 def bounds_H(x: float, rho: float) -> HBounds:
-    """Explicit bounds on |H|, |dH/dx| and |dH/drho| (x plays no role)."""
+    """Explicit bounds on |H|, |dH/dx| and |dH/drho| (x plays no role) while rho^2 > 0."""
     require_finite("x", x)
     require_above("rho", rho, 0.0)
+    if rho * rho == 0.0:  # rho <~ 1.57e-162
+        raise PrecisionError(f"rho = {rho!r}: rho^2 underflows binary64")
     b0 = min(1.0 / (rho * rho), math.pi / (2.0 * rho))
     return HBounds(b0=b0, bx=math.pi * b0, brho=(2.0 / rho) * b0)

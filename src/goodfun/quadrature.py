@@ -13,8 +13,10 @@ Three entry points:
 ``integrate_many``
     Many such integrals ("owners") at once, each with its own interval,
     oscillation scale, hot spots and mesh, and bit-identical to one
-    ``integrate_finite`` call each; a single owner takes
-    ``integrate_finite``'s path.  The meshes are built in one vectorised
+    ``integrate_finite`` call each.  Up to ``_ALONE_OWNERS`` (2) owners
+    it makes exactly those calls, by this module's name, so a tracer that
+    wraps ``integrate_finite`` sees a single point's integrals.  From three
+    owners on they share sweeps: the meshes are built in one vectorised
     pass, and the first round evaluates all owners in one sweep.  Every
     step of a sweep, the weighted row sums included (``np.vecdot``,
     which sums each row alone), works panel by panel, so a panel gives
@@ -42,8 +44,11 @@ the split halves and about 20 more small numpy calls.  A contour
 ray of ``good`` has 1-45 panels, so the fixed part is most of its cost:
 the 16-panel ray out of 0 of ``eval_H(5825.7, 0.3)`` takes about 80 us,
 its integrand about 22 us (best of 3000 calls; 2-vCPU x86 VM, Python
-3.11, numpy 2.4).  ``integrate_many`` shares the sweeps of many owners,
-refinement rounds included.  Every sweep, single or shared, runs in
+3.11, numpy 2.4).  Sharing sweeps pays from four owners on: timed on
+``eval_H_many`` (30 random (x, rho) per size, best of 60 calls alternating
+both ways, same VM), one point's two owners ran 10-15% slower shared than
+one by one, two points' four 18-25% faster and 16 owners about 2x
+faster; no caller makes three.  Every sweep, single or shared, runs in
 chunks of at most ``_CHUNK_PANELS`` (256) panels, one integrand call
 and four row-sum calls each, so the integrand's temporaries stay a few
 hundred kB however long the sweep: a process running the 150 000-panel
@@ -137,6 +142,8 @@ _WG = np.array([
 # at 256 by 0.3 MB.
 _CHUNK_PANELS = 256
 _MAX_ROUNDS = 500
+# integrate_many integrates up to this many owners one by one (module docstring)
+_ALONE_OWNERS = 2
 # a single integral's mesh of fewer panels than this is built in Python
 # floats (see _subdivide); both ways cost 35-45 us from about 190 panels of a 14-segment
 # ladder and about 200-250 of one or two segments, and the numpy way stays
@@ -500,17 +507,18 @@ def integrate_many(fn: Callable[[np.ndarray, object], np.ndarray],
     of at most _CHUNK_PANELS panels with one integrand call each.  An
     owner that meets its target there is done (``_start``); the rest
     refine in lockstep: each round evaluates the split halves of all of
-    them in one such sweep (``_refine``).  A single owner has nothing to
-    share and takes ``integrate_finite``'s path.
+    them in one such sweep (``_refine``).  A call of at most
+    _ALONE_OWNERS owners, where that costs more than it saves, makes one
+    ``integrate_finite`` call per owner instead, after the same checks.
     """
     cfg = cfg or _DEFAULT_CFG
     for a, b, osc, _ in spans:
         require_finite("a", a)
         require_above("b", b, a)
         _require_osc(osc)
-    if len(spans) <= 1:
-        return [_integrate(lambda t: fn(t, 0), [a, b], osc, spots, cfg)
-                for a, b, osc, spots in spans]
+    if len(spans) <= _ALONE_OWNERS:
+        return [integrate_finite(Integrand(lambda t, k=k: fn(t, k), osc, spots), a, b, cfg)
+                for k, (a, b, osc, spots) in enumerate(spans)]
     points, caps, ladders = [], [], {}
     for a, b, osc, spots in spans:
         key = a, b, spots  # one lookup per owner that shares a ladder: HotSpots hash in Python

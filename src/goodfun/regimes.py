@@ -33,8 +33,8 @@ from typing import Optional
 import numpy as np
 
 from .constants import GAMMA_THIRD, Constants, get_constants
-from .core import (DomainError, EvalResult, NumericalError, QuadConfig, Regime,
-                   RegimeKind, cos_pi, require_above, require_at_least,
+from .core import (DomainError, EvalResult, NumericalError, PrecisionError, QuadConfig,
+                   Regime, RegimeKind, cos_pi, require_above, require_at_least,
                    require_finite, sin_pi)
 from .good import HValue, eval_H
 from .quadrature import Integrand, QuadResult, integrate_tail
@@ -102,15 +102,23 @@ def i_lambda_asym(lam: float) -> EvalResult:
 
 def h_asym_large(x: float, rho: float,
                  constants: Optional[Constants] = None) -> EvalResult:
-    """Large-s approximation of H; error estimate C_large/(x rho^4)."""
+    """Large-s approximation of H; error estimate C_large/(x rho^4).
+
+    PrecisionError where that estimate is not a positive binary64 number.
+    """
     require_above("x", x, 2.0)
     require_above("rho", rho, 0.0)
     c = get_constants(constants)
+    try:
+        err = c.c_h_large / (x * rho ** 4)
+    except (OverflowError, ZeroDivisionError):  # rho^4 overflows, or x rho^4 underflows
+        err = 0.0
+    if not 0.0 < err < math.inf:  # x rho^4 overflowed, or the quotient did
+        raise PrecisionError(f"C/(x rho^4) at x = {x!r}, rho = {rho!r} leaves binary64")
     # reduce x before the shift: x - 1/6 itself would round at ulp(x)
     value = (GAMMA_THIRD / (3.0 * math.pi * rho * rho)
              * cos_pi(math.fmod(x, 2.0) - 1.0 / 6.0) * (6.0 / x) ** (1.0 / 3.0))
-    return EvalResult(value=value, error_estimate=c.c_h_large / (x * rho ** 4),
-                      method="asymptotic",
+    return EvalResult(value=value, error_estimate=err, method="asymptotic",
                       regime=Regime(RegimeKind.LARGE_S, x, rho))
 
 

@@ -1,16 +1,20 @@
 import numpy as np
 import pytest
 
-from goodfun import good
+from goodfun import quadrature
 from goodfun.quadrature import Integrand
 
 
 @pytest.fixture
 def fevals(monkeypatch):
-    """fevals(call, *args): integrand evaluations call(*args) makes on the contour."""
+    """fevals(call, *args): integrand evaluations call(*args) makes on the contour.
+
+    A single point's contour rays are an ``integrate_many`` call of two
+    owners, which makes one ``integrate_finite`` call per ray.
+    """
     def count(call, *args):
         n = [0]
-        integrate = good.integrate_finite
+        integrate = quadrature.integrate_finite
 
         def counting(f, *rest):
             def fn(t):
@@ -18,7 +22,7 @@ def fevals(monkeypatch):
                 return f.fn(t)
             return integrate(Integrand(fn, f.osc_frequency, f.hot_spots), *rest)
 
-        monkeypatch.setattr(good, "integrate_finite", counting)
+        monkeypatch.setattr(quadrature, "integrate_finite", counting)
         call(*args)
         monkeypatch.undo()
         return n[0]

@@ -16,7 +16,6 @@ from goodfun import (DomainError, NumericalError, PrecisionError, anger_diag_asy
 from goodfun import anger, calibrate as cal, good, load_constants, quadrature
 from goodfun.constants import Constants
 from goodfun.core import cos_pi, sin_pi
-from goodfun.quadrature import integrate_many
 
 
 def _calA_pairs(g):
@@ -55,7 +54,7 @@ def test_J_is_read_at_the_exact_shift_that_anger_J_integrates():
 
 def test_batched_calA_matches_single_calls_bit_for_bit():
     pairs = _calA_pairs(cal._grids(False)) + [(123.4, 3.5), (5825.7, -0.25), (1e5, 2.0)]
-    batched, _ = good._contours(pairs, (), None, integrate_many)
+    batched, _ = good._contours(pairs, (), None)
     for pair, b in zip(pairs, batched):
         (one,), _ = good._contours([pair], (), None)
         assert _bits(b) == _bits(one), pair
@@ -111,19 +110,18 @@ def test_calibrate_equals_its_point_by_point_reference(quick):
 
 
 def test_quick_calibration_integrates_each_point_once(monkeypatch):
-    owners, real_finite = [], good.integrate_finite
+    owners, real_many, real_finite = [], quadrature.integrate_many, quadrature.integrate_finite
 
     def many(fn, spans, *args):
         owners.append(len(spans))
-        return integrate_many(fn, spans, *args)
+        return real_many(fn, spans, *args)
 
     def finite(f, a, b, cfg=None):
         owners.append(1)
         return real_finite(f, a, b, cfg)
 
-    for mod in (cal, good):
-        monkeypatch.setattr(mod, "integrate_many", many)
-    for mod in (good, anger):
+    monkeypatch.setattr(good, "integrate_many", many)
+    for mod in (quadrature, good, anger):
         monkeypatch.setattr(mod, "integrate_finite", finite)
     g = cal._grids(True)
     cal.calibrate(quick=True)
@@ -185,9 +183,9 @@ def _spoil_contours(monkeypatch, pair=None, point=None):
     """Spoil calibration's one contour batch: calA at ``pair``, calH at ``point`` unconverged."""
     real, calls = cal._contours, []
 
-    def spoiled(pairs, points, cfg, integrate=good._each):
+    def spoiled(pairs, points, cfg):
         calls.append(len(pairs) + len(points))
-        calA, calH = real(pairs, points, cfg, integrate)
+        calA, calH = real(pairs, points, cfg)
         return ([_unconverged(r) if p == pair else r for p, r in zip(pairs, calA)],
                 [_unconverged(r) if p == point else r for p, r in zip(points, calH)])
 

@@ -291,6 +291,18 @@ def test_scan_tiny_rho_is_a_domain_error(tmp_path, capsys):
     assert "x must be finite" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["compare", "--rho", "1e150", "--x-range", "3:10", "--points", "2"],  # rho^4 overflows
+    ["scan", "--alpha", "3.2", "--eta", "1", "--rho-range", "1e-90:1e-89",
+     "--points", "2"],                                                      # rho^4 underflows
+    ["compare", "--rho", "1e30", "--x-range", "1e199:1e200", "--points", "2"],  # x rho^4
+])
+def test_large_law_beyond_binary64_is_an_error_line(argv, tmp_path, capsys):
+    code, _, err = run(capsys, *argv, "--out", str(tmp_path / "t.csv"))
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_scan_tiny_eta_at_tiny_tolerance(tmp_path, capsys):
     # V(1e-25) at abs_tol 1e-300: the ray's cut-off must survive an underflow
     code, _, _ = run(capsys, "scan", "--alpha", "3", "--eta", "1e-25",

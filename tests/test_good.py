@@ -157,6 +157,15 @@ def test_bounds_h_formulas():
     assert b.b0 == pytest.approx(4.0 / math.pi ** 2, rel=1e-15)
 
 
+def test_bounds_h_refuses_an_underflowing_rho_squared():
+    with pytest.raises(PrecisionError, match="underflows"):
+        bounds_H(1.0, 1e-170)
+    # about the smallest rho whose square is nonzero: pi/(2 rho) is the bound, as for rho < 2/pi
+    rho = 1.6e-162
+    assert rho * rho > 0.0
+    assert bounds_H(1.0, rho).b0 == math.pi / (2.0 * rho)
+
+
 def test_tiny_rho_refused_by_default():
     with pytest.raises(PrecisionError):
         eval_H(1.0, 1e-7)
@@ -215,7 +224,7 @@ def test_crossover_is_continuous(rho):
 
 @pytest.mark.parametrize("rho", [1e-3, 1.0])
 def test_contour_cost_does_not_grow_with_x(fevals, rho):
-    assert fevals(eval_H, 1e7, rho) <= fevals(eval_H, 1e3, rho)
+    assert 0 < fevals(eval_H, 1e7, rho) <= fevals(eval_H, 1e3, rho)
 
 
 @pytest.mark.parametrize("x", [X_C, 1e3, 1e5, 1e7, 1e9])
@@ -278,6 +287,79 @@ def test_eval_H_many_makes_one_integrate_call_per_branch(monkeypatch):
     calls.clear()
     eval_H_many(near + [X_C, -250.0, 1e4], 0.3)
     assert calls == [8, 6]  # then the two contour rays of each point from X_C on
+
+
+# -- who shares a sweep: integrate_many decides by its owner count ----------
+
+@pytest.fixture
+def finite_calls(monkeypatch):
+    """The integrate_finite calls made, patched by name in every goodfun module.
+
+    That is how perfbench's tracer wraps it, so these are the integrals the
+    tracer sees.
+    """
+    calls, real = [], quadrature.integrate_finite
+
+    def counting(f, *args, **kwargs):
+        calls.append(f)
+        return real(f, *args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if mod is not None and (name == "goodfun" or name.startswith("goodfun.")):
+            for key, value in list(vars(mod).items()):
+                if value is real:
+                    monkeypatch.setattr(mod, key, counting)
+    return calls
+
+
+# single-point evaluators whose two integrals are one integrate_many call of two owners
+_ONE_POINT = {
+    "eval_H fold": lambda cfg: eval_H(50.0, 0.3, cfg),
+    "eval_H contour": lambda cfg: eval_H(5825.7, 0.3, cfg),
+    "eval_H contour x<0": lambda cfg: eval_H(-250.0, 1e-3, cfg),
+    "anger_J contour": lambda cfg: anger_J(1e3, 1e3, cfg),
+    "eval_G": lambda cfg: eval_G(2.0, 1.0, 3.0, cfg),
+    "eval_H_many fold": lambda cfg: eval_H_many([3.5], 0.5, cfg),
+    "eval_H_many contour": lambda cfg: eval_H_many([1e4], 0.5, cfg),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ONE_POINT))
+def test_a_single_point_reaches_integrate_finite_by_name(finite_calls, name):
+    _ONE_POINT[name](None)
+    assert len(finite_calls) == 2
+
+
+@pytest.mark.parametrize("xs", [[3.5, -40.0], [150.0, -1e4], [0.5, 3.0, 99.0]])
+def test_several_points_of_a_branch_share_their_sweeps(finite_calls, xs):
+    eval_H_many(xs, 0.5)
+    assert finite_calls == []
+
+
+def test_the_owner_rule_holds_per_branch(finite_calls):
+    # one point on each side of X_C: two calls of two owners each
+    eval_H_many([3.5, 250.0], 0.5)
+    assert len(finite_calls) == 4
+
+
+def _result_bits(r):
+    if isinstance(r, list):
+        return [_bits(hv) for hv in r]
+    if hasattr(r, "h_complex"):
+        return _bits(r)
+    return r.value.hex(), r.error_estimate.hex(), r.converged
+
+
+@pytest.mark.parametrize("cfg", _MANY_CFGS)
+def test_sharing_the_sweeps_of_one_point_moves_no_bit(monkeypatch, finite_calls, cfg):
+    # with the threshold at 0 every call shares its sweeps, a single
+    # point's two owners too; refinement rounds and coarsened meshes included
+    alone = {name: _result_bits(call(cfg)) for name, call in _ONE_POINT.items()}
+    finite_calls.clear()
+    monkeypatch.setattr(quadrature, "_ALONE_OWNERS", 0)
+    shared = {name: _result_bits(call(cfg)) for name, call in _ONE_POINT.items()}
+    assert finite_calls == []
+    assert shared == alone
 
 
 def test_eval_H_many_validates_every_point_first(monkeypatch):

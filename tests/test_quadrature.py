@@ -455,6 +455,38 @@ def test_lockstep_refinement_is_integrate_finite_per_owner(monkeypatch, cap):
         assert any(len(s) > 1 and sum(s) > cap for s in sweeps[1:])
 
 
+@pytest.mark.parametrize("ks", [[4], [5], [0, 6], [4, 5]])
+def test_one_or_two_owners_give_the_same_bits_shared(monkeypatch, ks):
+    # integrate_many makes one integrate_finite call per owner up to
+    # _ALONE_OWNERS owners; at 0 it shares their sweeps.  The owners cover
+    # refinement rounds, a mesh split across chunks (x = 300) and a
+    # coarsened one (x = 2500)
+    spans = [(0.0, 1.5, _LOCKSTEP[k][0], _LOCKSTEP[k][2]) for k in ks]
+    ks = np.array(ks)
+    finite, real = [], quadrature.integrate_finite
+
+    def counting(*args):
+        finite.append(1)
+        return real(*args)
+
+    def fn(t, j):
+        return _lockstep_owner(t, ks[j])
+
+    monkeypatch.setattr(quadrature, "integrate_finite", counting)
+    alone = quadrature.integrate_many(fn, spans, _LOCKSTEP_CFG)
+    assert len(finite) == len(ks)
+    monkeypatch.setattr(quadrature, "_ALONE_OWNERS", 0)
+    shared = quadrature.integrate_many(fn, spans, _LOCKSTEP_CFG)
+    assert len(finite) == len(ks)
+    assert [_result_bits(r) for r in shared] == [_result_bits(r) for r in alone]
+
+
+def test_three_owners_share_their_sweeps(monkeypatch):
+    monkeypatch.setattr(quadrature, "integrate_finite", lambda *a: pytest.fail("one by one"))
+    spans = [(0.0, 1.5, x, spots) for x, _, spots in _LOCKSTEP[:3]]
+    assert len(quadrature.integrate_many(_lockstep_owner, spans, _LOCKSTEP_CFG)) == 3
+
+
 def _panels_by_reference(fn, lo, hi):
     """One owner's (k15, err, resabs), in the plain formulas ``_eval_panels`` must keep."""
     c = 0.5 * (lo + hi)

@@ -12,6 +12,7 @@ from goodfun import (Constants, DomainError, Integrand, PrecisionError, QuadConf
                      i_lambda_oracle, integrate_finite, load_constants, two_term_expansion)
 from goodfun.calibrate import good_amplitude_problem
 from goodfun.constants import GAMMA_THIRD
+from goodfun.core import cos_pi
 
 # cubic-tail values pinned by independent 25-digit rotated-contour quadrature
 V_1 = 0.99396795535948065414 + 0.2317768908745141586j
@@ -283,6 +284,39 @@ def test_corollary_refuses_path_point_beyond_binary64():
         corollary_path_main(2.0, 1.0, 1e-200)
     with pytest.raises(DomainError, match="^x must be finite"):
         corollary_path_main(0.5, 1e300, 1e-30)  # eta * rho**-alpha overflows
+
+
+# (x, rho) where C/(x rho^4) leaves binary64: rho**4 overflows; it underflows
+# to 0; x rho^4 overflows (an estimate of 0); the quotient overflows
+_LARGE_S_BEYOND_BINARY64 = [(3.0, 1e150), (1e305, 1e-100), (1e200, 1e30), (3.0, 1e-78)]
+
+
+@pytest.mark.parametrize("x, rho", _LARGE_S_BEYOND_BINARY64)
+def test_large_law_refuses_a_remainder_beyond_binary64(x, rho):
+    with pytest.raises(PrecisionError, match="leaves binary64"):
+        h_asym_large(x, rho)
+
+
+@pytest.mark.parametrize("x, rho", _LARGE_S_BEYOND_BINARY64[:3])
+def test_h_approx_refuses_a_large_law_beyond_binary64(x, rho):
+    assert classify(x, rho).kind is RegimeKind.LARGE_S  # s >= S_HI or rho >= RHO_CUT
+    with pytest.raises(PrecisionError, match="leaves binary64"):
+        h_approx(x, rho)
+
+
+def test_corollary_above_3_refuses_a_remainder_beyond_binary64():
+    # x = rho^-3.2 = 1e288, and rho^4 = 1e-360 underflows to 0
+    with pytest.raises(PrecisionError, match="leaves binary64"):
+        corollary_path_main(3.2, 1.0, 1e-90)
+
+
+@pytest.mark.parametrize("x, rho", [(3.0, 1e76), (3.0, 1e-77), (1e300, 1e2), (1e4, 2.0)])
+def test_large_law_keeps_its_arithmetic_up_to_the_edge(x, rho):
+    c = load_constants().c_h_large
+    r = h_asym_large(x, rho)
+    assert r.error_estimate == c / (x * rho ** 4) and 0.0 < r.error_estimate < math.inf
+    assert r.value == (GAMMA_THIRD / (3.0 * math.pi * rho * rho)
+                       * cos_pi(math.fmod(x, 2.0) - 1.0 / 6.0) * (6.0 / x) ** (1.0 / 3.0))
 
 
 def test_large_law_prefactor_resolution():
