@@ -12,11 +12,12 @@ as one complex integral, which halves the quadrature work and enforces
 H = Re calH by construction.  The module also provides the explicit
 a-priori bounds on |H| and its first derivatives.
 
-On the real axis the G and H integrals are evaluated as two halves with
-the right half folded by th -> pi - u.  The folded form keeps the
-integrand peak at an exactly representable endpoint (the peak at th = pi
-sits a sliver below the nearest double, which at rho = 1e-3 already
-costs ~1e-10 of mass) and turns the constant phase at pi into
+On the real axis the G and H integrals are folded by th -> pi - u onto
+[0, pi/2] and evaluated as one integral per point, whose integrand sums
+both halves at the same node (``_fold``).  The folded form keeps both
+integrand peaks at an exactly representable endpoint (the peak at
+th = pi sits a sliver below the nearest double, which at rho = 1e-3
+already costs ~1e-10 of mass) and turns the constant phase at pi into
 cos/sin(pi*gamma) factors that reduce exactly modulo 2.  From |x| = X_C
 on, calH is integrated along a contour in the upper half-plane instead
 (``_contours``), at a cost that does not grow with x.
@@ -54,8 +55,10 @@ RHO_MIN = 1e-6
 
 # From this |x| on, eval_H integrates along the complex contour, whose cost
 # does not depend on x; below it, along the real axis, whose cost grows
-# like x.  Near x = 100 both take about the same wall time per call
-# (2-vCPU x86 VM, numpy 2.4); above it the contour is faster.
+# like x.  Per point, the fold takes 0.9-1.0 times the contour's wall time
+# at x = 100 for rho in [0.05, 1] and 0.5-0.7 times at rho = 1e-3; 1.0-1.15
+# and 0.75 times at x = 130; 1.6-1.9 times at x = 200 (best of 200 calls,
+# three runs; 2-vCPU x86 VM, numpy 2.4).
 X_C = 100.0
 
 
@@ -135,23 +138,18 @@ def _require_x_rho(x: float, rho: float) -> float:
     return x
 
 
-def _fold(fn_left: _OwnerFn, fn_right: _OwnerFn, freqs: Sequence[Tuple[float, float]],
-          rho: float, cfg: Optional[QuadConfig]) -> List[QuadResult]:
-    """(1/pi) int_0^pi as two halves on [0, pi/2], the right one folded, per point.
+def _fold(fn: _OwnerFn, oscs: Sequence[float], rho: float,
+          cfg: Optional[QuadConfig]) -> List[QuadResult]:
+    """(1/pi) int_0^pi f(th) dth as one integral int_0^{pi/2} f(u) + f(pi - u) du, per point.
 
-    Point k's halves are ``fn_left(th, k)`` and ``fn_right(u, k)``,
-    u = pi - th, with oscillation scales ``freqs[k]``.  Both halves peak
-    at u = 0 with width rho.  All halves of all points are the owners of
-    one ``integrate_many`` call, the left ones first.  The panel count is
-    that of both halves.
+    ``fn(u, k)`` returns point k's f(u) + f(pi - u), both halves at the
+    same node, and ``oscs[k]`` is the larger oscillation scale of the
+    two.  Both halves peak at u = 0 with width rho.  Every point is one
+    owner of one ``integrate_many`` call, converged against its own value.
     """
-    n, spots = len(freqs), (HotSpot(0.0, rho),)
-    halves = integrate_many(_by_owner(fn_left, fn_right, n),
-                       [(0.0, _HALF_PI, f, spots) for f, _ in freqs]
-                       + [(0.0, _HALF_PI, f, spots) for _, f in freqs], cfg)
-    return [QuadResult((lt.value + rt.value) / math.pi, (lt.err + rt.err) / math.pi,
-                       lt.converged and rt.converged, lt.panels + rt.panels)
-            for lt, rt in zip(halves[:n], halves[n:])]
+    spots = (HotSpot(0.0, rho),)
+    return [QuadResult(r.value / math.pi, r.err / math.pi, r.converged, r.panels)
+            for r in integrate_many(fn, [(0.0, _HALF_PI, o, spots) for o in oscs], cfg)]
 
 
 # The contour runs where |exp(i x g)| <= exp(-_DECAY), g(th) = th + sin th.
@@ -351,18 +349,13 @@ def eval_G(gamma: float, rho: float, x: float,
     rho2 = rho * rho
     cg, sg = cos_pi(gamma), sin_pi(gamma)
 
-    def fn_left(th: np.ndarray, _k) -> np.ndarray:
-        s = np.sin(th)
-        return np.cos(gamma * th + x * s) / (rho2 + s * s)
-
-    def fn_right(u: np.ndarray, _k) -> np.ndarray:
-        # th = pi - u: cos(pi*gamma - (gamma*u - x*sin u))
+    def fn(u: np.ndarray, _k) -> np.ndarray:
+        # th = u, and th = pi - u: cos(pi*gamma - (gamma*u - x*sin u))
         s = np.sin(u)
         w = gamma * u - x * s
-        return (cg * np.cos(w) + sg * np.sin(w)) / (rho2 + s * s)
+        return (np.cos(gamma * u + x * s) + cg * np.cos(w) + sg * np.sin(w)) / (rho2 + s * s)
 
-    freq = 0.5 * (abs(gamma) + abs(x))
-    res, = _fold(fn_left, fn_right, [(freq, freq)], rho, cfg)
+    res, = _fold(fn, [0.5 * (abs(gamma) + abs(x))], rho, cfg)
     return EvalResult(value=res.value.real, error_estimate=res.err, method="oracle",
                       converged=res.converged)
 
@@ -393,11 +386,11 @@ def eval_Q(gamma: float, xi: float, x: float,
 def _real_axis(xs: Sequence[float], rho: float, cfg: Optional[QuadConfig]) -> List[QuadResult]:
     """calH(x, rho) for each x of xs by the fold on the real axis; cost grows like |x|.
 
-    The integrands are built in real arithmetic: exp(i phi) of the real
-    phase phi as cos phi + i sin phi, and the division by the real
-    rho^2 + sin^2 as a scaling of both parts by its reciprocal, which is
-    what numpy's complex exp and complex division compute for these
-    operands, at less cost.
+    Both exponentials of the integrand are built in real arithmetic:
+    exp(i phi) of the real phase phi as cos phi + i sin phi, and the
+    division by the real rho^2 + sin^2 u as a scaling of both parts by
+    its reciprocal, which is what numpy's complex exp and complex
+    division compute for these operands, at less cost.
     """
     rho2 = rho * rho
     x_of = _of(xs)
@@ -409,31 +402,26 @@ def _real_axis(xs: Sequence[float], rho: float, cfg: Optional[QuadConfig]) -> Li
         z.real, z.imag = np.cos(phi), np.sin(phi)
         return z
 
-    def over(z: np.ndarray, s: np.ndarray) -> np.ndarray:
-        """z/(rho^2 + s^2), in place."""
+    def fn(u: np.ndarray, k) -> np.ndarray:
+        # th = u, and th = pi - u: exp(i x (pi - u + sin u)); over rho^2 + s^2 in place
+        s = np.sin(u)
+        x = x_of(k)
+        z = cis(x * (u + s)) + phase_pi_of(k) * cis(x * (s - u))
         r = 1.0 / (rho2 + s * s)
         z.real *= r
         z.imag *= r
         return z
 
-    def fn_left(th: np.ndarray, k) -> np.ndarray:
-        s = np.sin(th)
-        return over(cis(x_of(k) * (th + s)), s)
-
-    def fn_right(u: np.ndarray, k) -> np.ndarray:
-        # th = pi - u: exp(i x (pi - u + sin u))
-        s = np.sin(u)
-        return over(phase_pi_of(k) * cis(x_of(k) * (s - u)), s)
-
-    return _fold(fn_left, fn_right, [(abs(x), 0.5 * abs(x)) for x in xs], rho, cfg)
+    return _fold(fn, [abs(x) for x in xs], rho, cfg)  # the left half's scale, twice the right's
 
 
 def eval_H(x: float, rho: float, cfg: Optional[QuadConfig] = None) -> HValue:
     """Evaluate the restricted Good function H(x, rho) = Re calH(x, rho): ``eval_H_many([x])``.
 
     |x| >= X_C is integrated along a complex contour (``_contours``), using
-    calH(-x) = conj(calH(x)); smaller |x| along the real axis.  Its two
-    integrals are one ``integrate_finite`` call each (``integrate_many``).
+    calH(-x) = conj(calH(x)); smaller |x| along the real axis.  That is
+    one integral below X_C (the fold) and two from it on (the rays), one
+    ``integrate_finite`` call each (``integrate_many``).
     """
     return eval_H_many([x], rho, cfg)[0]
 
@@ -445,9 +433,10 @@ def eval_H_many(xs: Iterable[float], rho: float,
     Every x (and rho) is validated before any integral runs, and the
     first invalid one raises what ``eval_H`` would raise.  The points of
     each branch (the fold below X_C, the contour, conjugated for x < 0,
-    from it on) go through one ``integrate_many`` call, two owners per
-    point, which shares its sweeps from two points on: one mesh build and
-    a few integrand calls for all of them, refinement rounds included.
+    from it on) go through one ``integrate_many`` call, with one owner per
+    point on the fold and two (its rays) on the contour.  That call shares
+    its sweeps from three owners on: one mesh build and a few integrand
+    calls for all of them, refinement rounds included.
     """
     xs = [_require_x_rho(x, rho) for x in xs]
     near = [x for x in xs if abs(x) < X_C]
@@ -464,10 +453,13 @@ def eval_H_many(xs: Iterable[float], rho: float,
 
 
 def bounds_H(x: float, rho: float) -> HBounds:
-    """Explicit bounds on |H|, |dH/dx| and |dH/drho| (x plays no role) while rho^2 > 0."""
+    """Explicit bounds on |H|, |dH/dx| and |dH/drho| (x plays no role) while all are finite."""
     require_finite("x", x)
     require_above("rho", rho, 0.0)
     if rho * rho == 0.0:  # rho <~ 1.57e-162
         raise PrecisionError(f"rho = {rho!r}: rho^2 underflows binary64")
     b0 = min(1.0 / (rho * rho), math.pi / (2.0 * rho))
-    return HBounds(b0=b0, bx=math.pi * b0, brho=(2.0 / rho) * b0)
+    brho = (2.0 / rho) * b0
+    if brho == math.inf:  # rho <~ 1.32e-154
+        raise PrecisionError(f"rho = {rho!r}: the bound on |dH/drho| overflows binary64")
+    return HBounds(b0=b0, bx=math.pi * b0, brho=brho)

@@ -15,7 +15,8 @@ Three entry points:
     oscillation scale, hot spots and mesh, and bit-identical to one
     ``integrate_finite`` call each.  Up to ``_ALONE_OWNERS`` (2) owners
     it makes exactly those calls, by this module's name, so a tracer that
-    wraps ``integrate_finite`` sees a single point's integrals.  From three
+    wraps ``integrate_finite`` sees a single point's integrals: one on
+    ``good``'s real-axis fold, two rays on its contour.  From three
     owners on they share sweeps: the meshes are built in one vectorised
     pass, and the first round evaluates all owners in one sweep.  Every
     step of a sweep, the weighted row sums included (``np.vecdot``,
@@ -44,17 +45,19 @@ the split halves and about 20 more small numpy calls.  A contour
 ray of ``good`` has 1-45 panels, so the fixed part is most of its cost:
 the 16-panel ray out of 0 of ``eval_H(5825.7, 0.3)`` takes about 80 us,
 its integrand about 22 us (best of 3000 calls; 2-vCPU x86 VM, Python
-3.11, numpy 2.4).  Sharing sweeps pays from four owners on: timed on
+3.11, numpy 2.4).  Sharing sweeps pays from three owners on: timed on
 ``eval_H_many`` (30 random (x, rho) per size, best of 60 calls alternating
-both ways, same VM), one point's two owners ran 10-15% slower shared than
-one by one, two points' four 18-25% faster and 16 owners about 2x
-faster; no caller makes three.  Every sweep, single or shared, runs in
-chunks of at most ``_CHUNK_PANELS`` (256) panels, one integrand call
-and four row-sum calls each, so the integrand's temporaries stay a few
-hundred kB however long the sweep: a process running the 150 000-panel
-real-axis integral ``eval_G(5e4, 1, 1e5)`` peaks at 35 MB, where one
-call for the whole sweep took it to 83 MB, and the large real-axis
-integrals ``eval_G(5e3, 1, 1e4)``, ``anger_J(5e3, 1e4)`` and
+both ways, same VM), a contour point's two rays ran 10-15% slower shared
+than one by one, two points' four rays 18-25% faster and 16 rays about
+2x faster; on the fold (20 random sets per size, best of 40 calls), two
+points ran about 4% faster shared, three 18% and eight 31%.  Every
+sweep, single or shared, runs in chunks of at most ``_CHUNK_PANELS``
+(256) panels, one integrand call and four row-sum calls each, so the
+integrand's temporaries stay a few hundred kB however long the sweep: a
+process running ``eval_G(5e4, 1, 1e5)``, one real-axis integral of
+75 000 panels, peaks at 35 MB (one call per sweep took its two former
+halves of that size to 83 MB), and the large real-axis integrals
+``eval_G(5e3, 1, 1e4)``, ``anger_J(5e3, 1e4)`` and
 ``eval_Q(0, 2, 1e4)`` run 3-15% faster than in one call (fresh
 processes, best of 20 calls).  The row sums still cost more than a
 BLAS product: ``np.vecdot`` takes about 8 us for the real rows of a

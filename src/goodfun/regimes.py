@@ -131,6 +131,8 @@ def h_asym_small(x: float, rho: float, cfg: Optional[QuadConfig] = None,
     # Re{ e^{-i pi x} V } with exact mod-2 reduction of the phase
     osc = cos_pi(x) * tail.value.real + sin_pi(x) * tail.value.imag
     value = math.exp(-2.0 * x * rho) / (2.0 * rho) + osc / (math.pi * rho)
+    if not math.isfinite(value):  # a 1/rho term or their sum overflowed (inf, or inf - inf)
+        raise PrecisionError(f"the 1/rho terms at x = {x!r}, rho = {rho!r} leave binary64")
     return EvalResult(value=value,
                       error_estimate=c.c_h_small + tail.error_estimate / (math.pi * rho),
                       method="asymptotic", regime=regime, converged=tail.converged)

@@ -36,6 +36,16 @@ def test_h_equals_g_on_diagonal(x, rho):
     assert abs(hv.h - g.value) <= hv.err + g.error_estimate + 1e-13
 
 
+@pytest.mark.parametrize("rho", [1e-3, 0.05, 1.0, 2.0])
+@pytest.mark.parametrize("x", [-77.5, 0.5, 3.5, 17.25, 63.0, math.nextafter(X_C, 0.0)])
+def test_g_on_its_diagonal_matches_the_fold_of_h(x, rho):
+    # G's real cosine fold and calH's complex fold are independent codes
+    hv = eval_H(x, rho)
+    g = eval_G(x, rho, x)
+    assert hv.converged and g.converged
+    assert abs(hv.h - g.value) <= hv.err + g.error_estimate
+
+
 def test_g_pinned_value_and_magnitude_bound():
     r = eval_G(2.0, 1.0, 3.0)
     assert abs(r.value - G_2_1_3) <= max(r.error_estimate, 1e-12)
@@ -160,10 +170,27 @@ def test_bounds_h_formulas():
 def test_bounds_h_refuses_an_underflowing_rho_squared():
     with pytest.raises(PrecisionError, match="underflows"):
         bounds_H(1.0, 1e-170)
-    # about the smallest rho whose square is nonzero: pi/(2 rho) is the bound, as for rho < 2/pi
+    # about the smallest rho whose square is nonzero: the bound on |dH/drho| overflows there
     rho = 1.6e-162
     assert rho * rho > 0.0
-    assert bounds_H(1.0, rho).b0 == math.pi / (2.0 * rho)
+    with pytest.raises(PrecisionError, match="overflows"):
+        bounds_H(1.0, rho)
+
+
+# the smallest rho whose bounds are all finite; below it (2/rho) * pi/(2 rho) overflows
+_RHO_EDGE = 1.321956475038127e-154
+
+
+@pytest.mark.parametrize("rho", [1e-160, math.nextafter(_RHO_EDGE, 0.0)])
+def test_bounds_h_refuses_an_overflowing_rho_bound(rho):
+    with pytest.raises(PrecisionError, match="overflows"):
+        bounds_H(1.0, rho)
+
+
+def test_bounds_h_are_finite_from_the_edge_on():
+    b = bounds_H(1.0, _RHO_EDGE)
+    assert b.b0 == math.pi / (2.0 * _RHO_EDGE)  # pi/(2 rho) is the bound, as for rho < 2/pi
+    assert b.brho == (2.0 / _RHO_EDGE) * b.b0 < math.inf
 
 
 def test_tiny_rho_refused_by_default():
@@ -178,6 +205,15 @@ def test_tiny_rho_refused_by_default():
 def test_contour_agrees_with_real_axis(x, rho):
     _, (c,) = good._contours((), [(x, rho)], None)
     r, = good._real_axis([x], rho, None)
+    assert c.converged and r.converged
+    assert abs(c.value - r.value) <= c.err + r.err
+
+
+@pytest.mark.parametrize("rho", [1e-3, 0.05, 1.0, 2.0])
+@pytest.mark.parametrize("x", [X_C, 113.9, 157.25, 201.5, 250.125, 300.0])
+def test_fold_agrees_with_the_contour_past_x_c(x, rho):
+    r, = good._real_axis([x], rho, None)
+    _, (c,) = good._contours((), [(x, rho)], None)
     assert c.converged and r.converged
     assert abs(c.value - r.value) <= c.err + r.err
 
@@ -283,10 +319,10 @@ def test_eval_H_many_makes_one_integrate_call_per_branch(monkeypatch):
     monkeypatch.setattr(good, "integrate_many", counting)
     near = [0.5, 3.0, -40.0, 99.0]
     eval_H_many(near, 0.3)
-    assert calls == [2 * len(near)]  # the left and the right half of each point
+    assert calls == [len(near)]  # one fold integral per point
     calls.clear()
     eval_H_many(near + [X_C, -250.0, 1e4], 0.3)
-    assert calls == [8, 6]  # then the two contour rays of each point from X_C on
+    assert calls == [4, 6]  # then the two contour rays of each point from X_C on
 
 
 # -- who shares a sweep: integrate_many decides by its owner count ----------
@@ -312,7 +348,8 @@ def finite_calls(monkeypatch):
     return calls
 
 
-# single-point evaluators whose two integrals are one integrate_many call of two owners
+# single-point evaluators: one integrate_many call of one owner (the real-axis
+# fold) or of two (the contour rays)
 _ONE_POINT = {
     "eval_H fold": lambda cfg: eval_H(50.0, 0.3, cfg),
     "eval_H contour": lambda cfg: eval_H(5825.7, 0.3, cfg),
@@ -327,19 +364,19 @@ _ONE_POINT = {
 @pytest.mark.parametrize("name", sorted(_ONE_POINT))
 def test_a_single_point_reaches_integrate_finite_by_name(finite_calls, name):
     _ONE_POINT[name](None)
-    assert len(finite_calls) == 2
+    assert len(finite_calls) == (2 if "contour" in name else 1)
 
 
-@pytest.mark.parametrize("xs", [[3.5, -40.0], [150.0, -1e4], [0.5, 3.0, 99.0]])
+@pytest.mark.parametrize("xs", [[3.5, -40.0, 60.0], [150.0, -1e4], [0.5, 3.0, 99.0]])
 def test_several_points_of_a_branch_share_their_sweeps(finite_calls, xs):
     eval_H_many(xs, 0.5)
     assert finite_calls == []
 
 
 def test_the_owner_rule_holds_per_branch(finite_calls):
-    # one point on each side of X_C: two calls of two owners each
+    # one point on each side of X_C: one fold owner, then two contour rays
     eval_H_many([3.5, 250.0], 0.5)
-    assert len(finite_calls) == 4
+    assert len(finite_calls) == 3
 
 
 def _result_bits(r):

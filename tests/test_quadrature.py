@@ -256,7 +256,8 @@ def _one_mesh(points, cap, max_panels):
 @pytest.mark.parametrize("x", [0.0, 1.0, 10.0, 63.0, 99.0, 1e3, 1e4])
 def test_mesh_is_the_linspace_mesh(x, rho, max_panels, monkeypatch):
     rho = float(rho)
-    # the two halves of the real-axis H fold, as integrate_finite meshes them
+    # the real-axis fold of H (scale |x|) and of G at gamma = 0 (|x|/2), as
+    # integrate_finite meshes them
     meshes = []
     for freq in (abs(x), 0.5 * abs(x)):
         f = Integrand(np.cos, freq, (HotSpot(0.0, rho),))

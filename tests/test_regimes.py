@@ -319,6 +319,24 @@ def test_large_law_keeps_its_arithmetic_up_to_the_edge(x, rho):
                        * cos_pi(math.fmod(x, 2.0) - 1.0 / 6.0) * (6.0 / x) ** (1.0 / 3.0))
 
 
+# (1e-320, 5e-324): 1/(2 rho) overflows, and the two terms are infinite with
+# opposite signs at odd x (a nan); 3e-309 at even x: both terms are finite,
+# near 1/(2 rho) each, and their sum overflows
+@pytest.mark.parametrize("x, rho", [(3.0, 1e-320), (3.0, 5e-324), (4.0, 3e-309)])
+def test_small_law_refuses_1_over_rho_beyond_binary64(x, rho):
+    assert classify(x, rho).kind is RegimeKind.FINITE_U
+    with pytest.raises(PrecisionError, match="leave binary64"):
+        h_asym_small(x, rho)
+    with pytest.raises(PrecisionError, match="leave binary64"):
+        h_approx(x, rho)
+
+
+@pytest.mark.parametrize("x, rho", [(3.0, 3e-309), (4.0, 6e-309)])
+def test_small_law_keeps_its_arithmetic_up_to_the_edge(x, rho):
+    r = h_asym_small(x, rho)
+    assert 0.0 <= r.value < math.inf and r.converged
+
+
 def test_large_law_prefactor_resolution():
     # the doubled prefactor variant is ruled out by the oracle
     x, rho = 1e4, 1.0

@@ -114,8 +114,8 @@ def test_row_sums_per_sweep(monkeypatch):
     # a cost tripwire: every chunk of a sweep takes its four weighted row
     # sums in four np.vecdot calls, however many owners it holds.
     # find_zeros(1, 10, 13) evaluates 3 to 40 points per batch in 6 sweeps,
-    # one per batch and refinement round, of 8 chunks: the 549-panel sweep
-    # of the subscans takes three.  Summing each owner's rows apart took 320
+    # one per batch and refinement round, of 7 chunks: the 334-panel sweep
+    # of the subscans takes two.  Summing each owner's rows apart took 320
     # calls.
     sweeps, chunks, row_sums = [], [], []
     real_sweep, real_eval_panels = quadrature._sweep, quadrature._eval_panels
@@ -138,8 +138,8 @@ def test_row_sums_per_sweep(monkeypatch):
     monkeypatch.setattr(quadrature, "_eval_panels", eval_panels)
     monkeypatch.setattr(np, "vecdot", vecdot)
     assert len(find_zeros(1.0, 10.0, 13.0)) == 3
-    assert len(sweeps) == 6 and len(chunks) == 8
-    assert len(row_sums) == 4 * len(chunks) == 32
+    assert len(sweeps) == 6 and len(chunks) == 7
+    assert len(row_sums) == 4 * len(chunks) == 28
 
 
 def _bisect(h, lo, hi):
