@@ -1,4 +1,4 @@
-"""Shared domain types, parameter validation, and the result model.
+"""Shared domain types, parameter validation, the result model and the lockstep scheduler.
 
 Every quantity handled by this package is a dimensionless real in binary64;
 there is no unit system.  Error estimates are absolute, not relative,
@@ -6,6 +6,8 @@ because the function values range over many orders of magnitude (roughly
 from ``1/rho**2`` down to ``exp(-2*x*rho)``).
 
 All types here are immutable values and safe to share between threads.
+``lockstep`` batches the independent searches of ``zeros`` (Brent's
+steps) and ``quadrature`` (refinement rounds), one call per round.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Union
+from typing import Callable, Generator, Hashable, Mapping, Optional, Union
 
 __all__ = [
     "GoodFunError",
@@ -32,6 +34,7 @@ __all__ = [
     "require_phase",
     "cos_pi",
     "sin_pi",
+    "lockstep",
 ]
 
 
@@ -199,3 +202,31 @@ def cos_pi(x: float) -> float:
 def sin_pi(x: float) -> float:
     """sin(pi*x) with exact argument reduction modulo 2."""
     return math.sin(math.pi * _reduce_mod2(x))
+
+
+def lockstep(tasks: Mapping[Hashable, Generator], answer: Callable[[list, list], list]) -> dict:
+    """Run the generators ``tasks`` side by side; return what each returns, by key.
+
+    A task yields a request, is sent the reply, and at last returns its
+    result.  Each round makes one ``answer(keys, requests)`` call for the
+    tasks not yet done, in the order of ``tasks``, and it returns one
+    reply per key, in that order (any other count raises ValueError).  The steps of one task stay sequential; the
+    tasks are independent of one another.  A task that returns before it
+    yields never reaches ``answer``.
+    """
+    results, requests = {}, {}
+
+    def send(key: Hashable, reply: object) -> None:
+        try:
+            requests[key] = tasks[key].send(reply)  # sending None starts a generator
+        except StopIteration as stop:
+            results[key] = stop.value
+
+    for key in tasks:
+        send(key, None)
+    while requests:
+        keys, asked = list(requests), list(requests.values())
+        requests.clear()
+        for key, reply in zip(keys, answer(keys, asked), strict=True):
+            send(key, reply)
+    return results

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -95,6 +96,12 @@ def _require_rho(rho: float) -> None:
         )
 
 
+def _require_rho2(rho: float) -> None:
+    """Refuse a rho whose square overflows (rho >~ 1.34e154): G and H would read 0 +- 0."""
+    if rho * rho == math.inf:
+        raise PrecisionError(f"rho = {rho!r}: rho^2 overflows binary64")
+
+
 _OwnerFn = Callable[[np.ndarray, object], np.ndarray]
 
 
@@ -135,6 +142,7 @@ def _require_x_rho(x: float, rho: float) -> float:
     """x as a float, after the checks of one ``eval_H(x, rho)`` call, in its order."""
     x = require_finite("x", x)
     _require_rho(rho)
+    _require_rho2(rho)
     return x
 
 
@@ -344,6 +352,7 @@ def eval_G(gamma: float, rho: float, x: float,
     require_finite("gamma", gamma)
     require_finite("x", x)
     _require_rho(rho)
+    _require_rho2(rho)
     # gamma*th + x*sin th on one half, gamma*u - x*sin u on the other: one of them adds
     require_phase("gamma*th +- x*sin(th)", abs(gamma), abs(x), _HALF_PI)
     rho2 = rho * rho
@@ -453,7 +462,7 @@ def eval_H_many(xs: Iterable[float], rho: float,
 
 
 def bounds_H(x: float, rho: float) -> HBounds:
-    """Explicit bounds on |H|, |dH/dx| and |dH/drho| (x plays no role) while all are finite."""
+    """Explicit bounds on |H|, |dH/dx| and |dH/drho| (x plays no role) while all are normal."""
     require_finite("x", x)
     require_above("rho", rho, 0.0)
     if rho * rho == 0.0:  # rho <~ 1.57e-162
@@ -462,4 +471,6 @@ def bounds_H(x: float, rho: float) -> HBounds:
     brho = (2.0 / rho) * b0
     if brho == math.inf:  # rho <~ 1.32e-154
         raise PrecisionError(f"rho = {rho!r}: the bound on |dH/drho| overflows binary64")
+    if brho < sys.float_info.min:  # rho >~ 4.48e102: subnormal, below its own 2/rho^3, or 0
+        raise PrecisionError(f"rho = {rho!r}: the bound on |dH/drho| underflows binary64")
     return HBounds(b0=b0, bx=math.pi * b0, brho=brho)

@@ -23,8 +23,8 @@ Three entry points:
     which sums each row alone), works panel by panel, so a panel gives
     the same bits at any place in a sweep; the totals run on each
     owner's panels alone.  An owner that meets its target on its first
-    sweep is done; the rest refine in lockstep: each round gathers the
-    split halves of all of them into one sweep.
+    sweep is done; the rest refine in lockstep (``core.lockstep``): each
+    round gathers the split halves of all of them into one sweep.
 
 ``integrate_tail``
     The semi-infinite interval [0, inf) for an integrand bounded by the
@@ -82,7 +82,7 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import (DomainError, EnvelopeViolated, NumericalError, PrecisionError,
-                   QuadConfig, require_above, require_finite)
+                   QuadConfig, lockstep, require_above, require_finite)
 
 __all__ = [
     "HotSpot",
@@ -283,12 +283,12 @@ def _rounds(lo: np.ndarray, hi: np.ndarray, val: np.ndarray, err: np.ndarray,
             cfg: QuadConfig, mesh_ok: bool):
     """The worst-panel-first loop of one integral, from the first sweep of its mesh (``_start``).
 
-    The one refinement loop, as a generator: each round it yields the
-    halves (lo, hi) of the panels it splits and is sent back their
-    ``_eval_panels`` triple, so that ``_refine`` can evaluate the halves
-    of many integrals in one sweep.  Its last item is the QuadResult,
-    yielded rather than returned, which spares each integral the cost of
-    a StopIteration.
+    The one refinement loop, as a generator that returns the QuadResult:
+    each round it yields the halves (lo, hi) of the panels it splits and
+    is sent back their ``_eval_panels`` triple.  Every integral's rounds
+    run through ``core.lockstep``: a lone one's (``_integrate``) sweep
+    just its own halves, and ``integrate_many`` sweeps the halves of all
+    its unconverged owners together.
     """
     converged = False
     for _ in range(_MAX_ROUNDS):
@@ -320,31 +320,7 @@ def _rounds(lo: np.ndarray, hi: np.ndarray, val: np.ndarray, err: np.ndarray,
         resabs = np.concatenate([resabs[keep], nres])
         total = _ordered_sum(lo, val)
         est, target = _estimate(total, err, resabs, cfg)
-    yield QuadResult(total, est, converged and mesh_ok, len(lo))
-
-
-def _refine(fn, owners: dict, results: List[QuadResult]) -> List[QuadResult]:
-    """Run the ``_rounds`` of the owners k in ``owners`` in lockstep, into results[k].
-
-    owners[k] is owner k's generator.  Each round gathers the halves of
-    every owner that goes on and evaluates them together (``_sweep``).
-    An owner's rounds see only its own panels, so each result is that of
-    the owner alone.
-    """
-    ks, sent = list(owners), [None] * len(owners)  # sending None starts a generator
-    while ks:
-        halves = {}
-        for k, triple in zip(ks, sent):
-            step = owners[k].send(triple)
-            if isinstance(step, QuadResult):
-                results[k] = step
-            else:
-                halves[k] = step
-        ks = list(halves)
-        if ks:
-            los, his = zip(*halves.values())
-            sent = _sweep(fn, ks, np.concatenate(los), np.concatenate(his), [len(h) for h in los])
-    return results
+    return QuadResult(total, est, converged and mesh_ok, len(lo))
 
 
 def _require_osc(osc_frequency: float) -> None:
@@ -509,8 +485,8 @@ def integrate_many(fn: Callable[[np.ndarray, object], np.ndarray],
     round then evaluates all owners in one sweep (``_sweep``), in chunks
     of at most _CHUNK_PANELS panels with one integrand call each.  An
     owner that meets its target there is done (``_start``); the rest
-    refine in lockstep: each round evaluates the split halves of all of
-    them in one such sweep (``_refine``).  A call of at most
+    refine in lockstep (``core.lockstep``), the split halves of all of
+    them in one such sweep per round.  A call of at most
     _ALONE_OWNERS owners, where that costs more than it saves, makes one
     ``integrate_finite`` call per owner instead, after the same checks.
     """
@@ -532,8 +508,15 @@ def integrate_many(fn: Callable[[np.ndarray, object], np.ndarray],
     firsts = _sweep(fn, range(len(spans)), lo, hi, sizes)
     results = [_start(lo[p0:p1], hi[p0:p1], first, cfg, ok)
                for p0, p1, first, ok in zip(offsets, offsets[1:], firsts, oks)]
-    return _refine(fn, {k: r for k, r in enumerate(results) if not isinstance(r, QuadResult)},
-                   results)
+
+    def sweep(ks: List[int], halves: list) -> list:
+        los, his = zip(*halves)
+        return _sweep(fn, ks, np.concatenate(los), np.concatenate(his), [len(h) for h in los])
+
+    rounds = {k: r for k, r in enumerate(results) if not isinstance(r, QuadResult)}
+    for k, r in lockstep(rounds, sweep).items():
+        results[k] = r
+    return results
 
 
 def integrate_finite(f: Integrand, a: float, b: float,
@@ -560,10 +543,7 @@ def _integrate(fn, points: List[float], osc: float, hot_spots: Tuple[HotSpot, ..
     rounds = _start(lo, hi, _eval_panels(fn, lo, hi), cfg, ok)
     if isinstance(rounds, QuadResult):
         return rounds
-    step = next(rounds)
-    while not isinstance(step, QuadResult):
-        step = rounds.send(_eval_panels(fn, *step))
-    return step
+    return lockstep({0: rounds}, lambda _, halves: [_eval_panels(fn, *halves[0])])[0]
 
 
 def _tail(rate: float, big_t: float) -> float:

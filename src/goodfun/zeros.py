@@ -14,10 +14,10 @@ shared quadrature sweeps, bit-identical to ``eval_H`` point by point.
 One batch covers the grid and one the subscan points of every bracket.
 Brent's steps are sequential within one bracket, but the brackets are
 independent, so every sign change is refined in lockstep: ``_brent`` is
-a generator that yields its next point, and each round evaluates the
-next point of every unfinished search in one batch, so the batches
-number two plus the longest search's steps: 6 for the three zeros of
-rho = 1 on [10, 13].
+a generator that yields its next point, and ``core.lockstep`` evaluates
+the next point of every unfinished search in one batch per round, so
+the batches number two plus the longest search's steps: 6 for the three
+zeros of rho = 1 on [10, 13].
 
 Grid points whose oracle value is within twice its error estimate are
 ambiguous in sign; they are skipped and logged, never forced.  Intervals
@@ -36,9 +36,9 @@ import math
 import sys
 from dataclasses import dataclass
 from itertools import pairwise
-from typing import Callable, Dict, Generator, List, Optional, Tuple
+from typing import Dict, Generator, List, Optional, Tuple
 
-from .core import DomainError, QuadConfig, require_above
+from .core import DomainError, QuadConfig, lockstep, require_above
 # eval_H is not called here but stays importable from this module: the CI
 # step "Benchmark tracer installs" checks that the tracer wraps zeros.eval_H
 from .good import HValue, eval_H, eval_H_many  # noqa: F401
@@ -131,32 +131,6 @@ def _brent(a: float, b: float, ha: HValue, hb: HValue
     return b, hb, calls, abs(c - b)
 
 
-def _lockstep(searches: List[Generator], oracle: Callable[[List[float]], List[HValue]]) -> list:
-    """Run the ``_brent`` searches side by side; return what each returns.
-
-    Each round evaluates the next point of every unfinished search in one
-    oracle call.  The steps of one search stay sequential; the searches
-    are independent of one another.
-    """
-    results: list = [None] * len(searches)
-    pending: Dict[int, float] = {}
-
-    def step(i: int, hv: Optional[HValue]) -> None:
-        try:
-            pending[i] = searches[i].send(hv)
-        except StopIteration as stop:
-            results[i] = stop.value
-
-    for i in range(len(searches)):
-        step(i, None)
-    while pending:
-        batch = list(pending.items())
-        pending.clear()
-        for (i, _), hv in zip(batch, oracle([x for _, x in batch])):
-            step(i, hv)
-    return results
-
-
 def find_zeros(rho: float, x_min: float, x_max: float,
                cfg: Optional[QuadConfig] = None) -> List[ZeroRecord]:
     """Locate zeros of H(., rho) on [x_min, x_max]; see the module docstring."""
@@ -174,14 +148,11 @@ def find_zeros(rho: float, x_min: float, x_max: float,
     k_hi += 1
     grid = [1.0 / 6.0 + k for k in range(k_lo, k_hi + 1)]
 
-    def oracle(xs: List[float]) -> List[HValue]:
-        return eval_H_many(xs, rho, cfg) if xs else []
-
     def meets_window(lo: float, hi: float) -> bool:
         return lo <= x_max and x_min <= hi
 
     values: List[Optional[HValue]] = []
-    for x, hv in zip(grid, oracle(grid)):
+    for x, hv in zip(grid, eval_H_many(grid, rho, cfg)):
         if abs(hv.h) <= 2.0 * hv.err:
             logger.warning("ambiguous sign at x=%s (|H|=%.3e <= 2*err=%.3e); skipped",
                            x, abs(hv.h), 2.0 * hv.err)
@@ -197,13 +168,13 @@ def find_zeros(rho: float, x_min: float, x_max: float,
             if (fa.h > 0.0) != (fb.h > 0.0) else None for xa, fa, xb, fb in pairs]
     inner = [[t for t0, t, t1 in zip(sub, sub[1:], sub[2:]) if meets_window(t0, t1)]
              if sub else [] for sub in subs]
-    scanned = iter(oracle([t for points in inner for t in points]))
+    scanned = iter(eval_H_many([t for points in inner for t in points], rho, cfg))
 
     # every sign change observed in a bracket is refined, all in lockstep;
-    # each pair keeps its sign changes (with their search, if refined), so
+    # each pair keeps its sign changes (lo, hi), which key the searches, so
     # that the log reads bracket by bracket whatever order the searches end in
     changes: List[Optional[list]] = []
-    searches: List[Generator] = []
+    searches: Dict[Tuple[float, float], Generator] = {}
     for (xa, fa, xb, fb), sub, points in zip(pairs, subs, inner):
         if sub is None:
             changes.append(None)
@@ -213,13 +184,11 @@ def find_zeros(rho: float, x_min: float, x_max: float,
         for (lo, f_lo), (hi, f_hi) in pairwise(scan):
             if (f_lo.h > 0.0) == (f_hi.h > 0.0):
                 continue
+            here.append((lo, hi))
             if meets_window(lo, hi):
-                here.append((lo, hi, len(searches)))
-                searches.append(_brent(lo, hi, f_lo, f_hi))
-            else:
-                here.append((lo, hi, None))
+                searches[lo, hi] = _brent(lo, hi, f_lo, f_hi)
         changes.append(here)
-    found = _lockstep(searches, oracle)
+    found = lockstep(searches, lambda _, xs: eval_H_many(xs, rho, cfg))
 
     records: List[ZeroRecord] = []
     for (xa, _, xb, _), here in zip(pairs, changes):
@@ -227,12 +196,12 @@ def find_zeros(rho: float, x_min: float, x_max: float,
             logger.info("no bracket on (%s, %s): same oracle sign", xa, xb)
             continue
         found_here = 0
-        for lo, hi, i in here:
-            if i is None:
+        for lo, hi in here:
+            if (lo, hi) not in found:
                 logger.debug("sign change on (%.12g, %.12g) outside [%s, %s]; not refined",
                              lo, hi, x_min, x_max)
                 continue
-            x0, hv, calls, width = found[i]
+            x0, hv, calls, width = found[lo, hi]
             logger.debug("zero at x=%.12g: %d oracle calls, final bracket width %.3e",
                          x0, calls, width)
             if not x_min <= x0 <= x_max:

@@ -303,6 +303,14 @@ def test_large_law_beyond_binary64_is_an_error_line(argv, tmp_path, capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_zeros_at_an_overflowing_rho_is_an_error_line(tmp_path, capsys):
+    # rho^2 overflows: every H would read 0 +- 0, an ambiguous sign, and no zero be found
+    code, _, err = run(capsys, "zeros", "--rho", "1e160", "--xmin", "3", "--xmax", "6",
+                       "--out", str(tmp_path / "z.csv"))
+    assert code == 1
+    assert err.startswith("error:") and "rho^2 overflows" in err
+
+
 def test_scan_tiny_eta_at_tiny_tolerance(tmp_path, capsys):
     # V(1e-25) at abs_tol 1e-300: the ray's cut-off must survive an underflow
     code, _, _ = run(capsys, "scan", "--alpha", "3", "--eta", "1e-25",

@@ -5,7 +5,7 @@ import pytest
 from goodfun import (DomainError, EvalResult, HValue, NumericalError, PrecisionError,
                      QuadConfig, Regime, RegimeKind, anger_J, classify, eval_G, eval_Q,
                      h_approx, load_constants)
-from goodfun.core import cos_pi, require_phase, sin_pi
+from goodfun.core import cos_pi, lockstep, require_phase, sin_pi
 
 
 def test_quad_config_rejects_nonpositive():
@@ -111,3 +111,45 @@ def test_regime_keeps_the_callers_numbers():
               h_approx(x, rho).regime):
         assert r.x is x and r.rho is rho
         assert (r.u, r.s) == (x * rho, x * rho * rho * rho)
+
+
+def _countdown(n, tag):
+    """A task that asks n times, then returns its tag and the replies it got."""
+    replies = []
+    for i in range(n):
+        replies.append((yield (tag, i)))
+    return tag, replies
+
+
+def test_lockstep_answers_each_round_in_one_call():
+    tasks = {"c": _countdown(3, "c"), "a": _countdown(1, "a"), "z": _countdown(0, "z"),
+             "b": _countdown(2, "b")}
+    calls = []
+
+    def answer(keys, requests):
+        calls.append((keys, requests))
+        return [f"{tag}{i}" for tag, i in requests]
+
+    results = lockstep(tasks, answer)
+    # one call per round, with only the unfinished keys, in the given order;
+    # "z" returns before it yields and never reaches answer
+    assert calls == [(["c", "a", "b"], [("c", 0), ("a", 0), ("b", 0)]),
+                     (["c", "b"], [("c", 1), ("b", 1)]),
+                     (["c"], [("c", 2)])]
+    # tasks that finish in different rounds get their results by key
+    assert results == {"a": ("a", ["a0"]), "b": ("b", ["b0", "b1"]),
+                       "c": ("c", ["c0", "c1", "c2"]), "z": ("z", [])}
+
+
+def test_lockstep_of_no_tasks_makes_no_call():
+    def answer(keys, requests):
+        raise AssertionError("answer called without a task")
+
+    assert lockstep({}, answer) == {}
+    assert lockstep({0: _countdown(0, 0)}, answer) == {0: (0, [])}
+
+
+def test_lockstep_refuses_an_answer_of_the_wrong_length():
+    # a task left without its reply would go missing from the results
+    with pytest.raises(ValueError):
+        lockstep({0: _countdown(1, 0), 1: _countdown(1, 1)}, lambda keys, asked: ["only one"])

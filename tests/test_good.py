@@ -193,6 +193,56 @@ def test_bounds_h_are_finite_from_the_edge_on():
     assert b.brho == (2.0 / _RHO_EDGE) * b.b0 < math.inf
 
 
+# the largest rho whose bound on |dH/drho|, 2/rho^3, is a normal double; beyond
+# it the bound is subnormal, below its own formula (at 7e107), or 0 (at 1e110)
+_RHO_TOP = 4.4794894843556084e102
+
+
+@pytest.mark.parametrize("rho", [math.nextafter(_RHO_TOP, math.inf), 7e107, 1e110, 1e160])
+def test_bounds_h_refuses_an_underflowing_rho_bound(rho):
+    with pytest.raises(PrecisionError, match="dH/drho.* underflows"):
+        bounds_H(1.0, rho)
+
+
+def test_bounds_h_are_normal_up_to_the_top_edge():
+    b = bounds_H(1.0, _RHO_TOP)
+    assert b.b0 == 1.0 / (_RHO_TOP * _RHO_TOP)  # 1/rho^2 is the bound, as for rho > 2/pi
+    assert b.brho == (2.0 / _RHO_TOP) * b.b0 >= sys.float_info.min
+
+
+# from rho ~ 1.34e154 on rho^2 overflows, and the integrals read 0 +- 0,
+# though H(5, 1e160) ~ -2.6e-321 is a double
+@pytest.mark.parametrize("rho", [1.4e154, 1e160, 1e300])
+def test_overflowing_rho_squared_refused_before_any_integral(monkeypatch, rho):
+    def no_integral(*args, **kwargs):
+        raise AssertionError("an integral ran before rho was refused")
+
+    monkeypatch.setattr(good, "integrate_many", no_integral)
+    calls = [lambda: eval_H(5.0, rho), lambda: eval_H(150.0, rho),
+             lambda: eval_H_many([5.0, 150.0, -300.0, 50.0], rho),
+             lambda: eval_G(2.0, rho, 3.0)]
+    for call in calls:
+        with pytest.raises(PrecisionError, match=r"rho\^2 overflows"):
+            call()
+
+
+def test_largest_rho_values_keep_their_bits():
+    # rho = 1e150, below the rho^2 overflow, on both branches of H and for G
+    near, far = eval_H_many([5.0, 150.0], 1e150)
+    g = eval_G(2.0, 1e150, 3.0)
+    assert [near.h_complex.real.hex(), near.h_complex.imag.hex(), near.err.hex()] == [
+        "-0x1.6629905987558p-999", "0x1.039600b92bcc4p-999", "0x0.0000055356c3bp-1022"]
+    assert [far.h_complex.real.hex(), far.h_complex.imag.hex()] == [
+        "0x1.cdd9841f7caa8p-1001", "-0x1.0600468f4e1b4p-1001"]
+    # the contour point's error is not pinned: its connector bound falls like
+    # 1/rho while H falls like 1/rho^2, so here it reads about 2^-576 against
+    # |H| ~ 2^-1001 (CHANGES.md FOUND, good._connector_bound)
+    assert math.isfinite(far.err)
+    assert [g.value.hex(), g.error_estimate.hex()] == [
+        "0x1.4d58390d427a9p-998", "0x0.0000042d6ba55p-1022"]
+    assert near.converged and g.converged
+
+
 def test_tiny_rho_refused_by_default():
     with pytest.raises(PrecisionError):
         eval_H(1.0, 1e-7)

@@ -100,6 +100,29 @@ def test_single_nonfinite_node_raises_naming_it(bad, node, dtype):
     assert str(exc.value).endswith(f"first at t={seen[0]!r}")
 
 
+def _peak_that_stops(calls):
+    """A sharp peak (8 calls to converge) whose second call raises StopIteration."""
+    def fn(t, *owner):
+        calls.append(len(t))
+        if len(calls) > 1:
+            raise StopIteration("the integrand's own iterator ran out")
+        return 1.0 / (1e-4 + (t - 0.3) ** 2)
+    return fn
+
+
+def test_stop_iteration_from_the_integrand_in_a_refinement_round_propagates():
+    # the refinement rounds are generators; the integrand's StopIteration must
+    # not be read as their end
+    calls = []
+    with pytest.raises(StopIteration, match="ran out"):
+        integrate_finite(Integrand(_peak_that_stops(calls)), 0.0, 1.0)
+    assert len(calls) == 2
+    calls.clear()
+    with pytest.raises(StopIteration, match="ran out"):
+        quadrature.integrate_many(_peak_that_stops(calls), [(0.0, 1.0, 0.0, ())] * 3)
+    assert len(calls) == 2
+
+
 def test_finite_values_whose_sum_overflows_do_not_raise():
     # 27 panels x 15 nodes of 4e307 sum to inf, but every weighted row stays finite
     res = integrate_finite(Integrand(lambda t: np.full(len(t), 4e307), osc_frequency=40.0),
