@@ -35,7 +35,7 @@ from .constants import (GAMMA_THIRD, GAMMA_TWO_THIRDS, SQRT3, Constants,
 from .core import (DomainError, EvalResult, QuadConfig, cos_pi, require_above,
                    require_finite, require_phase, sin_pi)
 from .good import X_C, _contours
-from .quadrature import Integrand, QuadResult, integrate_finite
+from .quadrature import G10K21, Integrand, QuadResult, integrate_finite
 
 __all__ = ["anger_J", "anger_diag_asym", "anger_reflected_asym",
            "anger_shifted_asym"]
@@ -49,7 +49,7 @@ def _real_axis(nu: float, x: float, cfg: Optional[QuadConfig]) -> EvalResult:
         return np.cos(nu * th - x * np.sin(th))
 
     f = Integrand(fn, osc_frequency=0.5 * (abs(nu) + abs(x)))
-    res = integrate_finite(f, 0.0, math.pi, cfg)
+    res = integrate_finite(f, 0.0, math.pi, cfg, rule=G10K21)
     return EvalResult(value=res.value.real / math.pi, error_estimate=res.err / math.pi,
                       method="oracle", converged=res.converged)
 

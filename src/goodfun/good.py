@@ -45,7 +45,8 @@ import numpy as np
 
 from .core import (EvalResult, PrecisionError, QuadConfig, cos_pi, require_above,
                    require_at_least, require_finite, require_phase, sin_pi)
-from .quadrature import HotSpot, Integrand, QuadResult, integrate_finite, integrate_many
+from .quadrature import (G10K21, HotSpot, Integrand, QuadResult, integrate_finite,
+                         integrate_many)
 
 __all__ = ["HValue", "HBounds", "eval_G", "eval_Q", "eval_H", "eval_H_many", "bounds_H",
            "RHO_MIN", "X_C"]
@@ -56,10 +57,14 @@ RHO_MIN = 1e-6
 
 # From this |x| on, eval_H integrates along the complex contour, whose cost
 # does not depend on x; below it, along the real axis, whose cost grows
-# like x.  Per point, the fold takes 0.9-1.0 times the contour's wall time
-# at x = 100 for rho in [0.05, 1] and 0.5-0.7 times at rho = 1e-3; 1.0-1.15
-# and 0.75 times at x = 130; 1.6-1.9 times at x = 200 (best of 200 calls,
-# three runs; 2-vCPU x86 VM, numpy 2.4).
+# like x.  Per point, the G10K21 fold takes 0.6-0.67 times the contour's
+# wall time at x = 100 for rho in [0.05, 1] and 0.44-0.47 times at
+# rho = 1e-3; 0.9-0.98 and 0.6 times at x = 200; 0.97-1.12 and 0.7 times at
+# x = 250; 1.1-1.3 and 0.8 times at x = 300; at rho = 1e-3 the two meet
+# near x = 400 (best of 200 calls, three runs; 2-vCPU x86 VM, numpy 2.4).
+# On G7K15 panels of a quarter period they met near x = 130.  X_C stays at
+# 100: moving it would move the compare rows and zeros windows between it
+# and the new crossover onto the other path.
 X_C = 100.0
 
 
@@ -153,11 +158,13 @@ def _fold(fn: _OwnerFn, oscs: Sequence[float], rho: float,
     ``fn(u, k)`` returns point k's f(u) + f(pi - u), both halves at the
     same node, and ``oscs[k]`` is the larger oscillation scale of the
     two.  Both halves peak at u = 0 with width rho.  Every point is one
-    owner of one ``integrate_many`` call, converged against its own value.
+    owner of one ``integrate_many`` call on G10K21, converged against its
+    own value.
     """
     spots = (HotSpot(0.0, rho),)
     return [QuadResult(r.value / math.pi, r.err / math.pi, r.converged, r.panels)
-            for r in integrate_many(fn, [(0.0, _HALF_PI, o, spots) for o in oscs], cfg)]
+            for r in integrate_many(fn, [(0.0, _HALF_PI, o, spots) for o in oscs], cfg,
+                                    rule=G10K21)]
 
 
 # The contour runs where |exp(i x g)| <= exp(-_DECAY), g(th) = th + sin th.
@@ -203,6 +210,12 @@ def _connector_bound(x: float, rho: float) -> float:
     (a = Re P0 < pi/2) Im g rises with b at a rate >= 1 + cos a.  On
     Q -> P1 (b = Im P1) it falls with a: it exceeds Im g(P1) by at least
     -cos a1 sinh b for a <= pi/2, and by (a1 - a) sin a1 sinh b beyond.
+
+    That bound falls like 1/rho, H like 1/rho^2.  So where it is smaller,
+    the bound of a unit amplitude (``_anger_connector_bound`` at k = 0)
+    over rho^2 - cosh^2(Im P1) is taken instead: on the connector
+    |sin th|^2 = cosh^2 b - cos^2 a <= cosh^2(Im P1), so
+    |rho^2 + sin^2 th| >= rho^2 - cosh^2(Im P1) where that is positive.
     """
     p0, w1, decay_0, decay_1 = _end_decays(x)
     a0, h0, h1 = p0.real, p0.imag, w1.imag
@@ -214,7 +227,9 @@ def _connector_bound(x: float, rho: float) -> float:
     across = math.exp(-decay_1) / math.hypot(sh, rho) * (
         math.exp(-x * sh * math.cos(w1.real)) * math.log(1.0 / math.tan(0.5 * a0))
         + min(_HALF_PI + w1.real, 1.0 / (x * sh * s1)) / s1)
-    return (up + across) / math.pi
+    bound = (up + across) / math.pi
+    gap = rho * rho - math.cosh(h1) ** 2
+    return min(bound, _anger_connector_bound(x, 0.0) / gap) if gap > 0.0 else bound
 
 
 def _anger_connector_bound(x: float, k: float) -> float:
@@ -387,7 +402,7 @@ def eval_Q(gamma: float, xi: float, x: float,
     width = min(math.sqrt(2.0 * (xi - 1.0)), 1.0)
     f = Integrand(fn, osc_frequency=0.5 * (abs(gamma) + abs(x)),
                   hot_spots=(HotSpot(0.0, width),))
-    res = integrate_finite(f, 0.0, math.pi, cfg)
+    res = integrate_finite(f, 0.0, math.pi, cfg, rule=G10K21)
     return EvalResult(value=res.value.real / math.pi, error_estimate=res.err / math.pi,
                       method="oracle", converged=res.converged)
 

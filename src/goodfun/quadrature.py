@@ -7,8 +7,8 @@ Three entry points:
     fraction of the local oscillation period (anti-aliasing), and panels
     are refined geometrically toward declared hot spots (the integrand
     peaks of width ~rho at the interval endpoints).  On top of that mesh
-    an ordinary worst-panel-first adaptive loop runs a nested 7/15-point
-    pair, whose difference is the per-panel error estimate.
+    an ordinary worst-panel-first adaptive loop runs a nested Gauss-Kronrod
+    pair (a ``Rule``), whose difference is the per-panel error estimate.
 
 ``integrate_many``
     Many such integrals ("owners") at once, each with its own interval,
@@ -33,7 +33,34 @@ Three entry points:
     bounds the truncated tail in closed form from the envelope; the
     returned error includes both contributions.
 
-Cost of one integral: the integrand runs on 15 nodes per panel, and the
+Two pairs, each with the panel cap it is trusted on, a fraction of the
+period 2*pi/(1 + nu) of the oscillation scale nu (``Integrand``), are
+chosen by keyword (``rule=``):
+
+``G7K15`` (the default)
+    QUADPACK's 7/15-point pair (qk15), exact to degree 22, on panels of a
+    quarter of that period: half a period of the fastest phase.
+    ``good``'s contour rays (calH, calA) and ``integrate_tail`` run on
+    it; so every contour and cubic-tail value, and the calibrated
+    constants frozen from them, keep their bits.
+``G10K21``
+    QUADPACK's 10/21-point pair (qk21; Piessens et al., *QUADPACK*, 1983),
+    exact to degree 31, on panels of 0.75 of that period: 1.5 periods of
+    the fastest phase.  The real-axis integrals run on it: ``good``'s
+    fold (H below X_C, and G), ``good.eval_Q`` and ``anger``'s real axis.
+    At that cap it meets its target on the first sweep everywhere it was
+    tried: the 7 638 fold integrals of the benchmark's zeros-small-x
+    op sets (seeds 1-10), a seeded grid of 120 fold points (x in
+    (2, 100), rho in [1e-3, 2]) and ``eval_G(x/2, 1, x)``,
+    ``anger_J(x/2, x)``, ``eval_Q(0, 2, x)`` and ``eval_G(x, 1, x)`` at
+    x = 1e3, 1e4 and 1e5.  At 1.0 period (2 of the fastest phase) 242 of
+    the 7 638, 2 of the 120 and all 12 calls refine, and the calls take
+    more evaluations than at 0.75; at 1.25, 3 672, 39 and 12.  Per
+    panel the pair costs 21 evaluations where G7K15 costs 15 on a third
+    of the length: 0.47 times the evaluations, 11 453 instead of
+    21 748 per zeros-small-x op (seeds 1-3).
+
+Cost of one integral: the integrand runs on 15 or 21 nodes per panel, and the
 rest is a fixed set-up that hardly grows with the panel count up to a
 few hundred panels.  It is the breakpoints and the mesh (in Python floats
 below ``_SMALL_MESH`` panels, in numpy above), one first sweep
@@ -51,15 +78,19 @@ both ways, same VM), a contour point's two rays ran 10-15% slower shared
 than one by one, two points' four rays 18-25% faster and 16 rays about
 2x faster; on the fold (20 random sets per size, best of 40 calls), two
 points ran about 4% faster shared, three 18% and eight 31%.  Every
-sweep, single or shared, runs in chunks of at most ``_CHUNK_PANELS``
-(256) panels, one integrand call and four row-sum calls each, so the
-integrand's temporaries stay a few hundred kB however long the sweep: a
-process running ``eval_G(5e4, 1, 1e5)``, one real-axis integral of
-75 000 panels, peaks at 35 MB (one call per sweep took its two former
-halves of that size to 83 MB), and the large real-axis integrals
-``eval_G(5e3, 1, 1e4)``, ``anger_J(5e3, 1e4)`` and
-``eval_Q(0, 2, 1e4)`` run 3-15% faster than in one call (fresh
-processes, best of 20 calls).  The row sums still cost more than a
+sweep, single or shared, runs in chunks of at most ``_CHUNK_NODES``
+(3 840) integrand nodes, 256 G7K15 or 182 G10K21 panels, one integrand
+call and four row-sum calls each, so the integrand's temporaries stay a
+few hundred kB however long the sweep: a process running
+``eval_G(5e4, 1, 1e5)``, one real-axis integral of 25 001 G10K21
+panels, peaks at 31 MB, 29 MB of it the imports (35 MB with its 75 002
+G7K15 panels, 83 MB when one call per sweep took two halves of that
+size), and on G7K15 the large real-axis integrals ``eval_G(5e3, 1,
+1e4)``, ``anger_J(5e3, 1e4)`` and ``eval_Q(0, 2, 1e4)`` ran 3-15%
+faster chunked than in one call (fresh processes, best of 20 calls).
+G10K21 takes those three from 12.4, 15.0 and 12.4 ms to 4.4, 5.2 and
+4.1 ms, and ``eval_G(5e4, 1, 1e5)`` from 122 to 46 ms (best of 3, one
+process per tree, same VM).  The row sums still cost more than a
 BLAS product: ``np.vecdot`` takes about 8 us for the real rows of a
 256-panel chunk, ``gemv`` about 3 us.
 
@@ -85,9 +116,12 @@ from .core import (DomainError, EnvelopeViolated, NumericalError, PrecisionError
                    QuadConfig, lockstep, require_above, require_finite)
 
 __all__ = [
+    "G7K15",
+    "G10K21",
     "HotSpot",
     "Integrand",
     "QuadResult",
+    "Rule",
     "integrate_finite",
     "integrate_many",
     "integrate_tail",
@@ -138,12 +172,73 @@ _WG = np.array([
     0.129484966168869693270611432679082,
 ])
 
-# panels per integrand call: every sweep is evaluated in chunks of at most
-# this many.  Larger chunks gain little speed (a zeros window batches 20-40
-# owners of 12-30 panels), while the integrand's temporaries grow with the
-# chunk: at 512 panels they raised a find_zeros process's peak RSS by 0.6 MB,
-# at 256 by 0.3 MB.
-_CHUNK_PANELS = 256
+# Gauss 10 / Kronrod 21 (QUADPACK qk21): the nodes in (0, 1] in descending
+# order, then 0, with their Kronrod weights; the Gauss nodes are the second,
+# fourth, ... of them, with the weights _WG10_HALF
+_XK21_HALF = (
+    0.995657163025808080735527280689003,
+    0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508,
+    0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042,
+    0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694,
+    0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866,
+    0.148874338981631210884826001129720,
+    0.0,
+)
+_WK21_HALF = (
+    0.011694638867371874278064396062192,
+    0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580,
+    0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366,
+    0.109387158802297641899210590325805,
+    0.123491976262065851077208643474596,
+    0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717,
+    0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+)
+_WG10_HALF = (
+    0.066671344308688137593568809893332,
+    0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163,
+    0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+)
+
+
+class Rule(NamedTuple):
+    """A nested Gauss-Kronrod pair on [-1, 1] and the panel cap it is trusted on.
+
+    xgk holds the Kronrod nodes in ascending order and wgk their weights;
+    the Gauss nodes are xgk[1::2], with weights wg.  ``factor`` caps a
+    panel at factor * 2*pi/(1 + nu) for the oscillation scale nu
+    (``_osc_cap``).
+    """
+
+    xgk: np.ndarray
+    wgk: np.ndarray
+    wg: np.ndarray
+    factor: float
+
+
+# half a period of the fastest phase per panel: the contour rays and
+# integrate_tail, whose values calibration froze into the constants
+G7K15 = Rule(_XGK, _WGK, _WG, 0.25)
+# 1.5 periods per panel: the real-axis integrals (module docstring)
+G10K21 = Rule(np.array([-v for v in _XK21_HALF[:-1]] + list(reversed(_XK21_HALF))),
+              np.array(_WK21_HALF[:-1] + _WK21_HALF[::-1]),
+              np.array(_WG10_HALF + _WG10_HALF[::-1]), 0.75)
+
+# integrand nodes per call: every sweep is evaluated in chunks of at most this
+# many, 256 panels of G7K15 or 182 of G10K21.  Larger chunks gain little speed
+# (a zeros window batches 20-40 owners of 12-30 panels), while the integrand's
+# temporaries grow with the chunk: at 512 K15 panels they raised a find_zeros
+# process's peak RSS by 0.6 MB, at 256 by 0.3 MB.
+_CHUNK_NODES = 3840
 _MAX_ROUNDS = 500
 # integrate_many integrates up to this many owners one by one (module docstring)
 _ALONE_OWNERS = 2
@@ -159,10 +254,6 @@ _sum = np.add.reduce
 # geometric refinement toward a hot spot stops at panels of length
 # _ENDPOINT_SCALE * width (width is the hot-spot scale, e.g. rho)
 _ENDPOINT_SCALE = 0.25
-# a priori cap on panel length as a fraction of the oscillation period
-# 2*pi/(1 + nu); deliberately not error-driven, to avoid aliasing traps at
-# large frequencies
-_OSC_PANEL_FACTOR = 0.25
 
 
 @dataclass(frozen=True)
@@ -183,9 +274,10 @@ class Integrand:
         domain for valid parameters.
     osc_frequency
         Oscillation scale nu: half the worst-case phase rate.  The mesh
-        caps panels at ``_OSC_PANEL_FACTOR * 2*pi/(1 + nu)``, so a
-        panel never spans more than about half a period of the
-        fastest local oscillation.
+        caps panels at ``rule.factor * 2*pi/(1 + nu)`` for the rule the
+        integral runs on, so a panel never spans more than about half
+        (G7K15) or one and a half (G10K21) periods of the fastest local
+        oscillation.
     hot_spots
         Peaks toward which the initial mesh refines geometrically.
     """
@@ -204,10 +296,16 @@ class QuadResult(NamedTuple):
     panels: int
 
 
-def _eval_panels(fn, lo: np.ndarray, hi: np.ndarray, owner: Optional[np.ndarray] = None):
-    """Return (k15, err, resabs) arrays for a batch of panels.
+def _chunk_panels(rule: Rule) -> int:
+    """Panels of ``rule`` per integrand call: as many as _CHUNK_NODES holds, at least one."""
+    return max(1, _CHUNK_NODES // len(rule.xgk))
 
-    The per-panel estimate is the nested-rule difference |K15 - G7|,
+
+def _eval_panels(fn, lo: np.ndarray, hi: np.ndarray, owner: Optional[np.ndarray] = None,
+                 rule: Rule = G7K15):
+    """Return (kronrod, err, resabs) arrays for a batch of panels, on ``rule``.
+
+    The per-panel estimate is the nested-rule difference |Kronrod - Gauss|,
     damped by the standard resasc*(200*d/resasc)**1.5 rule on smooth
     panels and floored at the 50*eps*resabs roundoff level.
 
@@ -216,10 +314,11 @@ def _eval_panels(fn, lo: np.ndarray, hi: np.ndarray, owner: Optional[np.ndarray]
     step works on each panel alone: the elementwise arithmetic, and the
     four weighted row sums, which ``np.vecdot`` takes row by row.  So a
     panel comes out the same at any place in a batch, and any batch of
-    more than _CHUNK_PANELS panels is evaluated in slices of that size,
-    one integrand call each, which bounds the temporaries.  (A BLAS
-    matrix-vector product is not row by row: it can give a row a result
-    that depends on its position in the matrix.)
+    more nodes than _CHUNK_NODES is evaluated in slices of as many panels
+    as that budget holds (``_chunk_panels``), one integrand call each,
+    which bounds the temporaries.  (A BLAS matrix-vector product is not
+    row by row: it can give a row a result that depends on its position
+    in the matrix.)
 
     Finiteness is tested on the weighted row sums of |values|, which the
     estimate needs anyway: a nan or inf value makes its row nan or inf,
@@ -227,31 +326,31 @@ def _eval_panels(fn, lo: np.ndarray, hi: np.ndarray, owner: Optional[np.ndarray]
     row (a bad value, or finite values whose row sum overflows) pays for
     the elementwise check, which names the first bad node.
     """
-    n = len(lo)
-    if n > _CHUNK_PANELS:
-        parts = [_eval_panels(fn, lo[s:s + _CHUNK_PANELS], hi[s:s + _CHUNK_PANELS],
-                              None if owner is None else owner[s:s + _CHUNK_PANELS])
-                 for s in range(0, n, _CHUNK_PANELS)]
+    n, size, chunk = len(lo), len(rule.xgk), _chunk_panels(rule)
+    if n > chunk:
+        parts = [_eval_panels(fn, lo[s:s + chunk], hi[s:s + chunk],
+                              None if owner is None else owner[s:s + chunk], rule)
+                 for s in range(0, n, chunk)]
         return tuple(np.concatenate(p) for p in zip(*parts))
     c = 0.5 * (lo + hi)
     hw = 0.5 * (hi - lo)
-    nodes = (c[:, None] + hw[:, None] * _XGK).reshape(-1)
-    vals = np.asarray(fn(nodes) if owner is None else fn(nodes, np.repeat(owner, 15)))
-    m = vals.reshape(n, 15)
-    abs_rows = np.vecdot(_WGK, np.abs(m))
+    nodes = (c[:, None] + hw[:, None] * rule.xgk).reshape(-1)
+    vals = np.asarray(fn(nodes) if owner is None else fn(nodes, np.repeat(owner, size)))
+    m = vals.reshape(n, size)
+    abs_rows = np.vecdot(rule.wgk, np.abs(m))
     if not math.isfinite(abs_rows.max()):
         bad = nodes[~np.isfinite(vals)]
         if len(bad):
             raise NumericalError(f"integrand returned a non-finite value, first at t={bad[0]!r}")
-    k15 = (np.vecdot(_WGK, m) * hw).astype(np.complex128, copy=False)
-    d = np.abs(k15 - np.vecdot(_WG, m[:, 1::2]) * hw)
+    kronrod = (np.vecdot(rule.wgk, m) * hw).astype(np.complex128, copy=False)
+    d = np.abs(kronrod - np.vecdot(rule.wg, m[:, 1::2]) * hw)
     resabs = abs_rows * hw
-    mean = k15 / np.maximum(2.0 * hw, 1e-300)
-    resasc = np.vecdot(_WGK, np.abs(m - mean[:, None])) * hw
+    mean = kronrod / np.maximum(2.0 * hw, 1e-300)
+    resasc = np.vecdot(rule.wgk, np.abs(m - mean[:, None])) * hw
     with np.errstate(divide="ignore", invalid="ignore"):
         damped = resasc * np.minimum(1.0, (200.0 * d / resasc) ** 1.5)
     e = np.where(resasc > 0.0, damped, d)
-    return k15, np.maximum(e, 50.0 * _EPS * resabs), resabs
+    return kronrod, np.maximum(e, 50.0 * _EPS * resabs), resabs
 
 
 def _ordered_sum(lo: np.ndarray, values: np.ndarray) -> complex:
@@ -329,11 +428,15 @@ def _require_osc(osc_frequency: float) -> None:
         raise DomainError(f"osc_frequency must not be nan, got {osc_frequency!r}")
 
 
-def _osc_cap(osc_frequency: float) -> float:
-    """Panel-length cap from the oscillation scale; unbounded when static."""
+def _osc_cap(osc_frequency: float, rule: Rule) -> float:
+    """``rule``'s panel-length cap from the oscillation scale; unbounded when static.
+
+    Deliberately not error-driven, to avoid aliasing traps at large
+    frequencies.
+    """
     if osc_frequency == 0.0:
         return math.inf
-    return _OSC_PANEL_FACTOR * 2.0 * math.pi / (1.0 + abs(osc_frequency))
+    return rule.factor * 2.0 * math.pi / (1.0 + abs(osc_frequency))
 
 
 def _subdivide(points: Sequence[float], cap: float, max_panels: int):
@@ -451,27 +554,28 @@ def _meshes(points: List[List[float]], caps: List[float], max_panels: int):
     return lo, hi, sizes.tolist(), oks.tolist()
 
 
-def _sweep(fn, owners: Sequence[int], lo: np.ndarray, hi: np.ndarray, sizes: Sequence[int]):
-    """[(k15, err, resabs) of owner j's panels for each j]; lo and hi hold them back to back.
+def _sweep(fn, owners: Sequence[int], lo: np.ndarray, hi: np.ndarray, sizes: Sequence[int],
+           rule: Rule):
+    """[(kronrod, err, resabs) of owner j's panels for each j]; lo and hi hold them back to back.
 
     owners[j] (ascending) has the next sizes[j] panels.  They are one
     ``_eval_panels`` call, with the owner as an int for a lone owner, else
     as an int array with the owner of each node.  ``_eval_panels``
-    evaluates each panel alone, in chunks of at most _CHUNK_PANELS panels
+    evaluates each panel alone, in chunks of at most _CHUNK_NODES nodes
     whose bounds may fall inside an owner, so an owner's panels come out
     as in a call of their own.
     """
     if len(owners) == 1:
         k = owners[0]
-        return [_eval_panels(lambda t: fn(t, k), lo, hi)]
-    k15, err, resabs = _eval_panels(fn, lo, hi, np.repeat(owners, sizes))
-    return [(k15[p0:p1], err[p0:p1], resabs[p0:p1])
+        return [_eval_panels(lambda t: fn(t, k), lo, hi, None, rule)]
+    kronrod, err, resabs = _eval_panels(fn, lo, hi, np.repeat(owners, sizes), rule)
+    return [(kronrod[p0:p1], err[p0:p1], resabs[p0:p1])
             for p0, p1 in pairwise(accumulate(sizes, initial=0))]
 
 
 def integrate_many(fn: Callable[[np.ndarray, object], np.ndarray],
                    spans: Sequence[Tuple[float, float, float, Tuple[HotSpot, ...]]],
-                   cfg: Optional[QuadConfig] = None) -> List[QuadResult]:
+                   cfg: Optional[QuadConfig] = None, *, rule: Rule = G7K15) -> List[QuadResult]:
     """Integrate many integrals ("owners") in shared sweeps.
 
     Owner k integrates t -> fn(t, k) over [a, b] with oscillation scale
@@ -479,11 +583,11 @@ def integrate_many(fn: Callable[[np.ndarray, object], np.ndarray],
     ``fn`` gets k as an int, or, in a sweep over several owners, as an
     int array with the owner of each node, in ascending order.  Each
     result is bit-identical to
-    ``integrate_finite(Integrand(lambda t: fn(t, k), osc, spots), a, b, cfg)``.
+    ``integrate_finite(Integrand(lambda t: fn(t, k), osc, spots), a, b, cfg, rule=rule)``.
 
     Every mesh is built in one vectorised pass (``_meshes``).  The first
     round then evaluates all owners in one sweep (``_sweep``), in chunks
-    of at most _CHUNK_PANELS panels with one integrand call each.  An
+    of at most _CHUNK_NODES nodes with one integrand call each.  An
     owner that meets its target there is done (``_start``); the rest
     refine in lockstep (``core.lockstep``), the split halves of all of
     them in one such sweep per round.  A call of at most
@@ -496,22 +600,24 @@ def integrate_many(fn: Callable[[np.ndarray, object], np.ndarray],
         require_above("b", b, a)
         _require_osc(osc)
     if len(spans) <= _ALONE_OWNERS:
-        return [integrate_finite(Integrand(lambda t, k=k: fn(t, k), osc, spots), a, b, cfg)
+        return [integrate_finite(Integrand(lambda t, k=k: fn(t, k), osc, spots), a, b, cfg,
+                                 rule=rule)
                 for k, (a, b, osc, spots) in enumerate(spans)]
     points, caps, ladders = [], [], {}
     for a, b, osc, spots in spans:
         key = a, b, spots  # one lookup per owner that shares a ladder: HotSpots hash in Python
         points.append(ladders.get(key) or ladders.setdefault(key, _breakpoints([a, b], spots)))
-        caps.append(_osc_cap(osc))
+        caps.append(_osc_cap(osc, rule))
     lo, hi, sizes, oks = _meshes(points, caps, cfg.max_panels)
     offsets = list(accumulate(sizes, initial=0))
-    firsts = _sweep(fn, range(len(spans)), lo, hi, sizes)
+    firsts = _sweep(fn, range(len(spans)), lo, hi, sizes, rule)
     results = [_start(lo[p0:p1], hi[p0:p1], first, cfg, ok)
                for p0, p1, first, ok in zip(offsets, offsets[1:], firsts, oks)]
 
     def sweep(ks: List[int], halves: list) -> list:
         los, his = zip(*halves)
-        return _sweep(fn, ks, np.concatenate(los), np.concatenate(his), [len(h) for h in los])
+        return _sweep(fn, ks, np.concatenate(los), np.concatenate(his), [len(h) for h in los],
+                      rule)
 
     rounds = {k: r for k, r in enumerate(results) if not isinstance(r, QuadResult)}
     for k, r in lockstep(rounds, sweep).items():
@@ -520,8 +626,8 @@ def integrate_many(fn: Callable[[np.ndarray, object], np.ndarray],
 
 
 def integrate_finite(f: Integrand, a: float, b: float,
-                     cfg: Optional[QuadConfig] = None) -> QuadResult:
-    """Integrate ``f`` over the finite interval [a, b].
+                     cfg: Optional[QuadConfig] = None, *, rule: Rule = G7K15) -> QuadResult:
+    """Integrate ``f`` over the finite interval [a, b] on ``rule``.
 
     The returned error estimate bounds |value - true integral| with high
     confidence; ``converged`` is False when the estimate could not be
@@ -532,18 +638,18 @@ def integrate_finite(f: Integrand, a: float, b: float,
     require_finite("a", a)
     require_above("b", b, a)
     _require_osc(f.osc_frequency)
-    return _integrate(f.fn, [a, b], f.osc_frequency, f.hot_spots, cfg or _DEFAULT_CFG)
+    return _integrate(f.fn, [a, b], f.osc_frequency, f.hot_spots, cfg or _DEFAULT_CFG, rule)
 
 
 def _integrate(fn, points: List[float], osc: float, hot_spots: Tuple[HotSpot, ...],
-               cfg: QuadConfig) -> QuadResult:
+               cfg: QuadConfig, rule: Rule) -> QuadResult:
     """One integral over [points[0], points[-1]]: its mesh, the first sweep, its ``_rounds``."""
-    edges, ok = _subdivide(_breakpoints(points, hot_spots), _osc_cap(osc), cfg.max_panels)
+    edges, ok = _subdivide(_breakpoints(points, hot_spots), _osc_cap(osc, rule), cfg.max_panels)
     lo, hi = edges[:-1], edges[1:]
-    rounds = _start(lo, hi, _eval_panels(fn, lo, hi), cfg, ok)
+    rounds = _start(lo, hi, _eval_panels(fn, lo, hi, None, rule), cfg, ok)
     if isinstance(rounds, QuadResult):
         return rounds
-    return lockstep({0: rounds}, lambda _, halves: [_eval_panels(fn, *halves[0])])[0]
+    return lockstep({0: rounds}, lambda _, halves: [_eval_panels(fn, *halves[0], None, rule)])[0]
 
 
 def _tail(rate: float, big_t: float) -> float:
@@ -618,5 +724,5 @@ def integrate_tail(g: Integrand, rate: float,
     big_t = _cutoff(rate, cfg.abs_tol / 2.0)
     tail = _tail(rate, big_t)
     res = _integrate(_checked(g.fn, rate), _ray_points(big_t), g.osc_frequency, g.hot_spots,
-                     cfg)
+                     cfg, G7K15)
     return QuadResult(res.value, res.err + tail, res.converged, res.panels)

@@ -2,27 +2,32 @@ import numpy as np
 import pytest
 
 from goodfun import quadrature
-from goodfun.quadrature import Integrand
 
 
 @pytest.fixture
 def fevals(monkeypatch):
-    """fevals(call, *args): integrand evaluations call(*args) makes on the contour.
+    """fevals(call, *args): integrand evaluations call(*args) makes, on any path.
 
-    A single point's contour rays are an ``integrate_many`` call of two
-    owners, which makes one ``integrate_finite`` call per ray.
+    Every integral, single or shared, evaluates its panels through
+    ``quadrature._eval_panels``; a sweep longer than a chunk calls it again
+    per chunk with the integrand it was given, which is counted already.
     """
     def count(call, *args):
         n = [0]
-        integrate = quadrature.integrate_finite
+        real = quadrature._eval_panels
 
-        def counting(f, *rest):
-            def fn(t):
+        def counting(fn, *rest):
+            if getattr(fn, "counted", False):  # a chunk of a counted sweep
+                return real(fn, *rest)
+
+            def counted(t, *k):
                 n[0] += np.size(t)
-                return f.fn(t)
-            return integrate(Integrand(fn, f.osc_frequency, f.hot_spots), *rest)
+                return fn(t, *k)
 
-        monkeypatch.setattr(quadrature, "integrate_finite", counting)
+            counted.counted = True
+            return real(counted, *rest)
+
+        monkeypatch.setattr(quadrature, "_eval_panels", counting)
         call(*args)
         monkeypatch.undo()
         return n[0]

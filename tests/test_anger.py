@@ -240,3 +240,25 @@ def test_anger_connector_bound_is_negligible(x):
     edge = x ** (1.0 / 3.0)
     for k in np.linspace(-edge, edge, 21):
         assert good._anger_connector_bound(x, float(k)) < 1e-3 * QuadConfig().abs_tol
+
+
+# J_nu(1e4) = J_nu(1e4) of Bessel at these integer orders, by mpmath.angerj
+# (and mpmath.besselj) at 40 digits; mpmath is not a dependency
+J_9999_1E4 = 0.02164689994397242498145547
+J_5000_1E4 = 0.005625455697545729569212818
+
+
+@pytest.mark.parametrize("nu,ref", [(9999.0, J_9999_1E4), (5000.0, J_5000_1E4)])
+def test_real_axis_holds_its_claim_at_large_x(nu, ref):
+    # on G7K15 panels of a quarter period the claim was the 50-eps floor,
+    # 7.1e-15, for actual errors of 1.5e-14 and 1.8e-14
+    r = anger._real_axis(nu, 1e4, None)
+    assert r.converged
+    assert abs(r.value - ref) <= r.error_estimate
+
+
+def test_real_axis_converges_off_the_band_at_2e5():
+    # 100 001 G10K21 panels fit the default budget of 200 000; G7K15 needed
+    # about 300 000, was coarsened to the budget and returned converged=False
+    r = anger_J(1e5, 2e5)
+    assert r.converged and r.error_estimate < 1e-13

@@ -135,18 +135,18 @@ def test_quick_calibration_integrates_each_point_once(monkeypatch):
 def _sweeps(monkeypatch, quick):
     """The number of integrand calls of ``calibrate(quick)``, one per chunk of a sweep.
 
-    A chunk is an ``_eval_panels`` call of at most _CHUNK_PANELS panels; a
-    longer call only splits itself into such calls.
+    A chunk is an ``_eval_panels`` call of at most ``_chunk_panels(rule)``
+    panels; a longer call only splits itself into such calls.
     """
     calls, real = [], quadrature._eval_panels
 
-    def counting(*args):
-        calls.append(len(args[1]))
-        return real(*args)
+    def counting(fn, lo, hi, owner, rule):
+        calls.append(len(lo) <= quadrature._chunk_panels(rule))
+        return real(fn, lo, hi, owner, rule)
 
     monkeypatch.setattr(quadrature, "_eval_panels", counting)
     cal.calibrate(quick=quick)
-    return sum(n <= quadrature._CHUNK_PANELS for n in calls)
+    return sum(calls)
 
 
 def test_calibration_sweep_counts(monkeypatch):

@@ -55,8 +55,9 @@ def test_eval_missing_parameter_exit_2(capsys):
 
 def test_eval_tolerance_exit_3_and_best_effort(capsys):
     # a starved panel budget cannot honor the anti-aliasing cap (x below
-    # X_C, where H is integrated on the real axis)
-    argv = ["eval", "--fn", "H", "--x", "90", "--rho", "1", "--max-panels", "50"]
+    # X_C, where H is integrated on the real axis; the G10K21 fold of x = 90
+    # fits 50 panels)
+    argv = ["eval", "--fn", "H", "--x", "90", "--rho", "1", "--max-panels", "20"]
     code, out, _ = run(capsys, *argv)
     assert code == 3
     assert json.loads(out)["converged"] is False

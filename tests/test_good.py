@@ -1,5 +1,7 @@
+import hashlib
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -228,19 +230,20 @@ def test_overflowing_rho_squared_refused_before_any_integral(monkeypatch, rho):
 
 def test_largest_rho_values_keep_their_bits():
     # rho = 1e150, below the rho^2 overflow, on both branches of H and for G
+    # (the fold and G on G10K21; their G7K15 values, -0x1.6629905987558p-999
+    # + 0x1.039600b92bcc4p-999 i and 0x1.4d58390d427a9p-998, lie within 0.019
+    # and 0.030 of these claims)
     near, far = eval_H_many([5.0, 150.0], 1e150)
     g = eval_G(2.0, 1e150, 3.0)
     assert [near.h_complex.real.hex(), near.h_complex.imag.hex(), near.err.hex()] == [
-        "-0x1.6629905987558p-999", "0x1.039600b92bcc4p-999", "0x0.0000055356c3bp-1022"]
-    assert [far.h_complex.real.hex(), far.h_complex.imag.hex()] == [
-        "0x1.cdd9841f7caa8p-1001", "-0x1.0600468f4e1b4p-1001"]
-    # the contour point's error is not pinned: its connector bound falls like
-    # 1/rho while H falls like 1/rho^2, so here it reads about 2^-576 against
-    # |H| ~ 2^-1001 (CHANGES.md FOUND, good._connector_bound)
-    assert math.isfinite(far.err)
+        "-0x1.662990598755bp-999", "0x1.039600b92bcc5p-999", "0x0.00000a6af152ep-1022"]
+    # the contour point's error is its rays' plus a connector bound that falls
+    # like 1/rho^2, as H does (it read 2^-576 when it fell like 1/rho)
+    assert [far.h_complex.real.hex(), far.h_complex.imag.hex(), far.err.hex()] == [
+        "0x1.cdd9841f7caa8p-1001", "-0x1.0600468f4e1b4p-1001", "0x0.000001e014860p-1022"]
     assert [g.value.hex(), g.error_estimate.hex()] == [
-        "0x1.4d58390d427a9p-998", "0x0.0000042d6ba55p-1022"]
-    assert near.converged and g.converged
+        "0x1.4d58390d427abp-998", "0x0.0000042dc2e32p-1022"]
+    assert near.converged and far.converged and g.converged
 
 
 def test_tiny_rho_refused_by_default():
@@ -319,6 +322,90 @@ def test_connector_bound_is_negligible(x):
         assert good._connector_bound(x, float(rho)) < 1e-3 * QuadConfig().abs_tol
 
 
+def _connector_size(x, rho, th):
+    s = np.sin(th)
+    return np.abs(np.exp(1j * x * (th + s)) / (rho * rho + s * s))
+
+
+@pytest.mark.parametrize("rho", [1.0, 10.0, 1e3, 1e22])
+@pytest.mark.parametrize("x", [X_C, 1e3, 1e5])
+def test_connector_bound_dominates_the_segments(x, rho):
+    # (1/pi) int |integrand| along P0 -> Q -> P1, on both sides of the
+    # rho at which the bound of the large-rho amplitude takes over
+    p0, w1 = good._contour_ends(x)
+    a0, h0, h1, a1 = p0.real, p0.imag, w1.imag, math.pi + w1.real
+    cfg = QuadConfig(abs_tol=1e-300)
+    up = quadrature.integrate_finite(
+        quadrature.Integrand(lambda b: _connector_size(x, rho, a0 + 1j * b),
+                             hot_spots=(quadrature.HotSpot(h0, h1 - h0),)), h0, h1, cfg)
+    across = quadrature.integrate_finite(
+        quadrature.Integrand(lambda a: _connector_size(x, rho, a + 1j * h1),
+                             hot_spots=(quadrature.HotSpot(a1, a1 - a0),)), a0, a1, cfg)
+    assert up.converged and across.converged
+    assert (up.value.real + across.value.real) / math.pi <= good._connector_bound(x, rho)
+
+
+def test_connector_bound_falls_like_h_at_large_rho():
+    # like 1/rho^2 once rho^2 - cosh^2(Im P1) bounds the amplitude
+    ratios = [good._connector_bound(150.0, rho) * rho * rho for rho in (1e10, 1e20, 1e30)]
+    assert ratios[1] == pytest.approx(ratios[0], rel=1e-12)
+    assert ratios[2] == pytest.approx(ratios[0], rel=1e-12)
+    # it used to claim 7.6e-46 for |H| = 8.4e-46
+    hv = eval_H(150.0, 1e22)
+    assert hv.converged and 8.4e-46 < abs(hv.h) < 8.5e-46
+    assert hv.err < 1e-10 * abs(hv.h)
+
+
+def _repo_root_on_path():
+    """The repository root, importable: ``perfbench`` lives there, beside ``src``."""
+    root = str(Path(__file__).resolve().parents[1])
+    if root not in sys.path:
+        sys.path.insert(0, root)
+
+
+def test_compare_points_keep_their_bits_under_the_large_rho_bound():
+    # the 168 eval_H points of the benchmark's compare-wide-x sets of seeds
+    # 1-3 (x in [1e2, 10^5.5], rho <= 2), bit for bit as with the connector
+    # bound that fell like 1/rho: there that bound is the smaller one
+    _repo_root_on_path()
+    from perfbench import workloads
+
+    compare = workloads.WORKLOADS["compare-wide-x"]
+    points = [p for seed in (1, 2, 3) for p in workloads.ops(compare, seed)]
+    rows = []
+    for x, rho in points:
+        hv = eval_H(x, rho)
+        rows.append(f"{hv.h_complex.real.hex()} {hv.h_complex.imag.hex()} {hv.err.hex()} "
+                    f"{hv.converged}")
+    assert len(rows) == 168
+    assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == (
+        "decab3d69f78822730c87154886886d14fcb214def17435ebd4a59000f3cbee1")
+
+
+def test_fold_is_within_its_claim_of_the_long_double_reference():
+    # perfbench/reference.py integrates H with two Gauss-Legendre rules in
+    # long double and shares no code with goodfun.quadrature; on a seeded
+    # grid of the fold's range the G10K21 fold must hold its claim against it
+    _repo_root_on_path()
+    from perfbench.reference import h_reference
+
+    rng = np.random.default_rng(20240523)
+    xs = rng.uniform(2.0, 100.0, 120)
+    rhos = 10.0 ** rng.uniform(-3.0, math.log10(2.0), 120)
+    worst = 0.0
+    for x, rho in zip(xs.tolist(), rhos.tolist()):
+        hv, ref = eval_H(x, rho), h_reference(x, rho)
+        assert hv.converged
+        worst = max(worst, abs(hv.h - ref.value) / (hv.err + ref.err))
+    assert worst <= 1.0
+
+
+def test_fold_cost_tripwire(fevals):
+    # eval_G(5e3, 1, 1e4) is one fold of 2 501 G10K21 panels on its first
+    # sweep (7 502 G7K15 panels, 112 530 evaluations, at a quarter period)
+    assert fevals(eval_G, 5e3, 1.0, 1e4) == 2501 * 21
+
+
 # -- eval_H_many: many points in shared quadrature sweeps ---------------------
 
 def _bits(hv):
@@ -347,7 +434,8 @@ def test_eval_H_many_covers_refinement_and_coarsening():
     for cfg in _MANY_CFGS[1:]:
         many = eval_H_many(xs, 1e-3, cfg)
         assert [_bits(hv) for hv in many] == [_bits(eval_H(x, 1e-3, cfg)) for x in xs]
-    coarse = eval_H_many([50.0, -99.0], 1e-3, _MANY_CFGS[2])
+    # with 30 panels: the G10K21 fold of x = 50 fits its mesh of 26
+    coarse = eval_H_many([90.0, -99.0], 1e-3, _MANY_CFGS[2])
     assert not any(hv.converged for hv in coarse)
 
 
@@ -355,16 +443,16 @@ def test_eval_H_many_covers_refinement_and_coarsening():
 def test_eval_H_many_does_not_depend_on_the_batch_size(monkeypatch, cap):
     xs = [1.0 / 6.0 + k / 8.0 for k in range(40)] + [150.0, -3e3]
     expected = [_bits(hv) for hv in eval_H_many(xs, 0.5)]
-    monkeypatch.setattr(quadrature, "_CHUNK_PANELS", cap)
+    monkeypatch.setattr(quadrature, "_CHUNK_NODES", 15 * cap)
     assert [_bits(hv) for hv in eval_H_many(xs, 0.5)] == expected
 
 
 def test_eval_H_many_makes_one_integrate_call_per_branch(monkeypatch):
     calls, real = [], good.integrate_many
 
-    def counting(fn, spans, cfg=None):
+    def counting(fn, spans, cfg=None, **kwargs):
         calls.append(len(spans))
-        return real(fn, spans, cfg)
+        return real(fn, spans, cfg, **kwargs)
 
     monkeypatch.setattr(good, "integrate_many", counting)
     near = [0.5, 3.0, -40.0, 99.0]

@@ -23,6 +23,39 @@ def test_sine_antiderivative():
     assert abs(res.value - 2.0) <= max(res.err, 1e-13)
 
 
+@pytest.mark.parametrize("rule,kronrod,gauss", [
+    (quadrature.G7K15, 22, 13), (quadrature.G10K21, 31, 19)])
+def test_rules_are_exact_to_their_degrees(rule, kronrod, gauss):
+    # each pair integrates t^d over [-1, 1] to rounding up to its degree and
+    # visibly misses the next even degree, so no node or weight is misplaced
+    def error(nodes, weights, d):
+        return abs(float(np.dot(weights, nodes ** d)) - (2.0 / (d + 1) if d % 2 == 0 else 0.0))
+
+    gauss_nodes = rule.xgk[1::2]
+    assert len(rule.xgk) == len(rule.wgk) == 2 * len(rule.wg) + 1
+    assert (np.diff(rule.xgk) > 0.0).all() and (rule.xgk == -rule.xgk[::-1]).all()
+    assert max(error(rule.xgk, rule.wgk, d) for d in range(kronrod + 1)) < 1e-15
+    assert max(error(gauss_nodes, rule.wg, d) for d in range(gauss + 1)) < 1e-15
+    # odd powers integrate to 0 by symmetry at any degree
+    assert error(rule.xgk, rule.wgk, kronrod + 2 - kronrod % 2) > 1e-13
+    assert error(gauss_nodes, rule.wg, gauss + 2 - gauss % 2) > 1e-7
+
+
+def test_each_rule_fills_a_chunk_of_3840_nodes():
+    assert quadrature._chunk_panels(quadrature.G7K15) == 256
+    assert quadrature._chunk_panels(quadrature.G10K21) == 182
+
+
+@pytest.mark.parametrize("freq", [0.0, 3.0, 250.0])
+def test_both_rules_agree_on_a_peaked_oscillation(freq):
+    f = Integrand(lambda t: np.exp(1j * freq * t) / (1e-4 + np.sin(t) ** 2), freq,
+                  (HotSpot(0.0, 1e-2),))
+    k15 = integrate_finite(f, 0.0, 1.5)
+    k21 = integrate_finite(f, 0.0, 1.5, rule=quadrature.G10K21)
+    assert k15.converged and k21.converged
+    assert abs(k15.value - k21.value) <= k15.err + k21.err
+
+
 def test_endpoint_peaked_closed_form():
     res = integrate_finite(Integrand(lambda t: 1.0 / (1.0 + np.sin(t) ** 2)),
                            0.0, math.pi)
@@ -280,13 +313,14 @@ def _one_mesh(points, cap, max_panels):
 def test_mesh_is_the_linspace_mesh(x, rho, max_panels, monkeypatch):
     rho = float(rho)
     # the real-axis fold of H (scale |x|) and of G at gamma = 0 (|x|/2), as
-    # integrate_finite meshes them
+    # integrate_finite meshes them on G10K21, and at G7K15's cap
     meshes = []
     for freq in (abs(x), 0.5 * abs(x)):
         f = Integrand(np.cos, freq, (HotSpot(0.0, rho),))
         points = sorted(set([0.0, math.pi / 2] + quadrature._hot_spot_points(
             f.hot_spots, 0.0, math.pi / 2)))
-        meshes.append((points, quadrature._osc_cap(freq), max_panels))
+        meshes += [(points, quadrature._osc_cap(freq, rule), max_panels)
+                   for rule in (quadrature.G10K21, quadrature.G7K15)]
     # the contour rays of H and of Anger's J (one capped segment, or a hot-spot
     # ladder), and the uncapped ray of integrate_tail
     cfg = QuadConfig(max_panels=max_panels)
@@ -426,7 +460,7 @@ def test_owners_done_on_their_first_sweep_start_no_rounds(monkeypatch):
 
 # owners of the lockstep test: (x, r, hot spots) for exp(i x (t + sin t))/(r + sin^2 t)
 # on [0, 1.5].  At the test's tolerances, alone, they take 4, 2, 1, 3, 0, 0, 5, 0
-# and 1 refinement rounds; the x = 300 mesh has 288 panels, above _CHUNK_PANELS;
+# and 1 refinement rounds; the x = 300 mesh has 288 panels, above a chunk's 256;
 # the x = 2500 mesh needs about 1900 and is coarsened to the 1000-panel budget.
 _LOCKSTEP = [(3.0, 1e-3, ()), (7.5, 1e-2, ()), (12.0, 1e-4, (HotSpot(0.0, 1e-2),)),
              (0.0, 0.1, ()), (300.0, 1.0, (HotSpot(0.0, 1.0),)), (2500.0, 1.0, ()),
@@ -463,18 +497,19 @@ def test_lockstep_refinement_is_integrate_finite_per_owner(monkeypatch, cap):
 
     sweeps, real_sweep = [], quadrature._sweep
 
-    def recording(fn, owners, lo, hi, sizes):
+    def recording(fn, owners, lo, hi, sizes, rule):
         sweeps.append(list(sizes))
-        return real_sweep(fn, owners, lo, hi, sizes)
+        return real_sweep(fn, owners, lo, hi, sizes, rule)
 
     monkeypatch.setattr(quadrature, "_sweep", recording)
     if cap is not None:
-        monkeypatch.setattr(quadrature, "_CHUNK_PANELS", cap)
+        monkeypatch.setattr(quadrature, "_CHUNK_NODES", 15 * cap)
     many = quadrature.integrate_many(_lockstep_owner, spans, _LOCKSTEP_CFG)
     assert [_result_bits(r) for r in many] == [_result_bits(r) for r in alone]
     # one sweep call per round: the first, then one per refinement round
     assert len(sweeps) == 1 + max(rounds)
-    assert max(sweeps[0]) > quadrature._CHUNK_PANELS  # an owner split across chunks
+    # an owner split across chunks
+    assert max(sweeps[0]) > quadrature._chunk_panels(quadrature.G7K15)
     if cap is not None:  # a round whose halves fill more than one chunk
         assert any(len(s) > 1 and sum(s) > cap for s in sweeps[1:])
 
@@ -489,9 +524,9 @@ def test_one_or_two_owners_give_the_same_bits_shared(monkeypatch, ks):
     ks = np.array(ks)
     finite, real = [], quadrature.integrate_finite
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         finite.append(1)
-        return real(*args)
+        return real(*args, **kwargs)
 
     def fn(t, j):
         return _lockstep_owner(t, ks[j])
@@ -506,26 +541,27 @@ def test_one_or_two_owners_give_the_same_bits_shared(monkeypatch, ks):
 
 
 def test_three_owners_share_their_sweeps(monkeypatch):
-    monkeypatch.setattr(quadrature, "integrate_finite", lambda *a: pytest.fail("one by one"))
+    monkeypatch.setattr(quadrature, "integrate_finite",
+                        lambda *a, **k: pytest.fail("one by one"))
     spans = [(0.0, 1.5, x, spots) for x, _, spots in _LOCKSTEP[:3]]
     assert len(quadrature.integrate_many(_lockstep_owner, spans, _LOCKSTEP_CFG)) == 3
 
 
-def _panels_by_reference(fn, lo, hi):
-    """One owner's (k15, err, resabs), in the plain formulas ``_eval_panels`` must keep."""
+def _panels_by_reference(fn, lo, hi, rule):
+    """One owner's (kronrod, err, resabs), in the plain formulas ``_eval_panels`` must keep."""
     c = 0.5 * (lo + hi)
     hw = 0.5 * (hi - lo)
-    nodes = (c[:, None] + hw[:, None] * quadrature._XGK[None, :]).reshape(-1)
-    vals = np.asarray(fn(nodes)).reshape(len(lo), 15)
-    k15 = (np.vecdot(quadrature._WGK, vals) * hw).astype(np.complex128)
-    d = np.abs(k15 - np.vecdot(quadrature._WG, vals[:, 1::2]) * hw)
-    resabs = np.vecdot(quadrature._WGK, np.abs(vals)) * hw
-    mean = k15 / np.maximum(2.0 * hw, 1e-300)
-    resasc = np.vecdot(quadrature._WGK, np.abs(vals - mean[:, None])) * hw
+    nodes = (c[:, None] + hw[:, None] * rule.xgk[None, :]).reshape(-1)
+    vals = np.asarray(fn(nodes)).reshape(len(lo), len(rule.xgk))
+    kronrod = (np.vecdot(rule.wgk, vals) * hw).astype(np.complex128)
+    d = np.abs(kronrod - np.vecdot(rule.wg, vals[:, 1::2]) * hw)
+    resabs = np.vecdot(rule.wgk, np.abs(vals)) * hw
+    mean = kronrod / np.maximum(2.0 * hw, 1e-300)
+    resasc = np.vecdot(rule.wgk, np.abs(vals - mean[:, None])) * hw
     with np.errstate(divide="ignore", invalid="ignore"):
         damped = resasc * np.minimum(1.0, (200.0 * d / resasc) ** 1.5)
     err = np.where(resasc > 0.0, damped, d)
-    return k15, np.maximum(err, 50.0 * np.finfo(np.float64).eps * resabs), resabs
+    return kronrod, np.maximum(err, 50.0 * np.finfo(np.float64).eps * resabs), resabs
 
 
 def _hex(arrays):
@@ -537,9 +573,9 @@ def _hex(arrays):
        widths=st.lists(st.floats(1e-6, 2.0), min_size=1, max_size=40),
        cuts=st.sets(st.integers(1, 39), max_size=6),
        freq=st.floats(-300.0, 300.0), rho=st.floats(1e-3, 10.0), complex_valued=st.booleans(),
-       chunk=st.integers(1, 40))
+       chunk=st.integers(1, 40), rule=st.sampled_from([quadrature.G7K15, quadrature.G10K21]))
 def test_eval_panels_is_the_plain_formula_bit_for_bit(start, widths, cuts, freq, rho,
-                                                      complex_valued, chunk):
+                                                      complex_valued, chunk, rule):
     # a random mesh, cut into owners at random panels, evaluated in one batch
     # that is split into chunks of random size; each owner's slice must come
     # out as a plain evaluation of that slice alone
@@ -553,11 +589,12 @@ def test_eval_panels_is_the_plain_formula_bit_for_bit(start, widths, cuts, freq,
             return np.exp(1j * freq * t) / (rho2 + s * s)
         return np.cos(freq * t) / (rho2 + s * s)
 
-    with mock.patch.object(quadrature, "_CHUNK_PANELS", chunk):
-        got = quadrature._eval_panels(fn, lo, hi)
+    with mock.patch.object(quadrature, "_CHUNK_NODES", len(rule.xgk) * chunk):
+        got = quadrature._eval_panels(fn, lo, hi, None, rule)
     bounds = [0] + sorted(k for k in cuts if k < len(lo)) + [len(lo)]
     ref = [np.concatenate(parts) for parts in zip(*(
-        _panels_by_reference(fn, lo[s0:s1], hi[s0:s1]) for s0, s1 in zip(bounds, bounds[1:])))]
+        _panels_by_reference(fn, lo[s0:s1], hi[s0:s1], rule)
+        for s0, s1 in zip(bounds, bounds[1:])))]
     assert _hex(got) == _hex(ref)
 
 
@@ -580,7 +617,7 @@ def test_eval_panels_rows_do_not_depend_on_their_offset(complex_valued):
 
 
 def test_chunked_multi_owner_sweep_is_integrate_finite_per_owner(monkeypatch):
-    # a small _CHUNK_PANELS splits sweeps of several owners, and the owner of
+    # a small _CHUNK_NODES splits sweeps of several owners, and the owner of
     # each node goes with its chunk; every owner still comes out as alone
     spans = [(0.0, 1.5, x, spots) for x, _, spots in _LOCKSTEP]
     alone = [integrate_finite(Integrand(lambda t, k=k: _lockstep_owner(t, k), osc, spots),
@@ -588,20 +625,20 @@ def test_chunked_multi_owner_sweep_is_integrate_finite_per_owner(monkeypatch):
              for k, (a, b, osc, spots) in enumerate(spans)]
     split, real = [], quadrature._eval_panels
 
-    def recording(fn, lo, hi, owner=None):
-        if owner is not None and len(lo) > quadrature._CHUNK_PANELS:
+    def recording(fn, lo, hi, owner, rule):
+        if owner is not None and len(lo) > quadrature._chunk_panels(rule):
             split.append(len(np.unique(owner)))
-        return real(fn, lo, hi, owner)
+        return real(fn, lo, hi, owner, rule)
 
     monkeypatch.setattr(quadrature, "_eval_panels", recording)
-    monkeypatch.setattr(quadrature, "_CHUNK_PANELS", 7)
+    monkeypatch.setattr(quadrature, "_CHUNK_NODES", 15 * 7)
     many = quadrature.integrate_many(_lockstep_owner, spans, _LOCKSTEP_CFG)
     assert [_result_bits(r) for r in many] == [_result_bits(r) for r in alone]
     assert split and max(split) > 1
 
 
 @pytest.mark.parametrize("run", [
-    lambda: eval_G(5e3, 1.0, 1e4),      # a lone real-axis owner of about 7 500 panels per half
+    lambda: eval_G(5e3, 1.0, 1e4),      # a lone real-axis owner of 2 501 G10K21 panels
     lambda: quadrature.integrate_many(_lockstep_owner, [(0.0, 1.5, x, spots)
                                                          for x, _, spots in _LOCKSTEP],
                                       _LOCKSTEP_CFG),
@@ -609,18 +646,18 @@ def test_chunked_multi_owner_sweep_is_integrate_finite_per_owner(monkeypatch):
 ], ids=["eval_G", "lockstep", "calibrate-quick"])
 def test_no_integrand_call_exceeds_the_chunk(monkeypatch, run):
     # every sweep, single or shared, reaches the integrand in chunks of at
-    # most _CHUNK_PANELS panels, so its temporaries do not grow with the sweep
+    # most _CHUNK_NODES nodes, so its temporaries do not grow with the sweep
     sweeps, nodes, real = [], [], quadrature._eval_panels
 
-    def recording(fn, lo, hi, owner=None):
+    def recording(fn, lo, hi, owner, rule):
         def counted(t, *k):
             nodes.append(len(t))
             return fn(t, *k)
 
-        sweeps.append(len(lo))
-        return real(counted, lo, hi, owner)
+        sweeps.append(len(lo) * len(rule.xgk))
+        return real(counted, lo, hi, owner, rule)
 
     monkeypatch.setattr(quadrature, "_eval_panels", recording)
     run()
-    assert max(sweeps) > quadrature._CHUNK_PANELS  # some sweep needs more than one chunk
-    assert max(nodes) <= 15 * quadrature._CHUNK_PANELS
+    assert max(sweeps) > quadrature._CHUNK_NODES  # some sweep needs more than one chunk
+    assert max(nodes) <= quadrature._CHUNK_NODES == 3840

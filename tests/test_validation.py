@@ -89,7 +89,8 @@ def test_quad_config_refuses_non_integer_max_panels(bad):
 
 
 def test_quad_config_accepts_integer_max_panels():
-    assert eval_H(50.0, 1.0, QuadConfig(max_panels=30)).converged is False
+    # x = 90: the fold's G10K21 mesh needs more than 30 panels (at x = 50 it fits)
+    assert eval_H(90.0, 1.0, QuadConfig(max_panels=30)).converged is False
 
 
 @pytest.mark.parametrize("rho", [1e-200, 5e-7])

@@ -1,10 +1,13 @@
+import dataclasses
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import goodfun.zeros as zeros_mod
-from goodfun import DomainError, eval_H, find_zeros, quadrature
+from goodfun import DomainError, ZeroRecord, eval_H, find_zeros, quadrature
 
 
 def test_three_zeros_on_short_window():
@@ -113,22 +116,22 @@ def test_oracle_calls_per_window(monkeypatch):
 def test_row_sums_per_sweep(monkeypatch):
     # a cost tripwire: every chunk of a sweep takes its four weighted row
     # sums in four np.vecdot calls, however many owners it holds.
-    # find_zeros(1, 10, 13) evaluates 3 to 40 points per batch in 6 sweeps,
-    # one per batch and refinement round, of 7 chunks: the 334-panel sweep
-    # of the subscans takes two.  Summing each owner's rows apart took 320
-    # calls.
+    # find_zeros(1, 10, 13) evaluates 3 to 23 points per batch in 6 sweeps,
+    # one per batch (no owner refines), of one chunk each: the subscans'
+    # 138 G10K21 panels fit a chunk of 182 (their 334 G7K15 panels took two).
+    # Summing each owner's rows apart took 320 calls.
     sweeps, chunks, row_sums = [], [], []
     real_sweep, real_eval_panels = quadrature._sweep, quadrature._eval_panels
     real_vecdot = np.vecdot
 
-    def sweep(fn, owners, lo, hi, sizes):
+    def sweep(fn, owners, lo, hi, sizes, rule):
         sweeps.append(len(lo))
-        return real_sweep(fn, owners, lo, hi, sizes)
+        return real_sweep(fn, owners, lo, hi, sizes, rule)
 
-    def eval_panels(fn, lo, hi, owner=None):
-        if len(lo) <= quadrature._CHUNK_PANELS:  # a longer call splits itself into chunks
+    def eval_panels(fn, lo, hi, owner, rule):
+        if len(lo) <= quadrature._chunk_panels(rule):  # a longer call splits itself into chunks
             chunks.append(len(lo))
-        return real_eval_panels(fn, lo, hi, owner)
+        return real_eval_panels(fn, lo, hi, owner, rule)
 
     def vecdot(*args, **kwargs):
         row_sums.append(1)
@@ -138,8 +141,8 @@ def test_row_sums_per_sweep(monkeypatch):
     monkeypatch.setattr(quadrature, "_eval_panels", eval_panels)
     monkeypatch.setattr(np, "vecdot", vecdot)
     assert len(find_zeros(1.0, 10.0, 13.0)) == 3
-    assert len(sweeps) == 6 and len(chunks) == 7
-    assert len(row_sums) == 4 * len(chunks) == 28
+    assert len(sweeps) == 6 and len(chunks) == 6
+    assert len(row_sums) == 4 * len(chunks) == 24
 
 
 def _bisect(h, lo, hi):
@@ -214,3 +217,51 @@ def test_refinement_ends_where_floats_are_sparser_than_the_bracket_width(monkeyp
     assert abs(x0 - (1e6 + 2.0 / 3.0)) < 1e-3
     lo, hi = eval_H(x0 - 1e-9, 1.0).h, eval_H(x0 + 1e-9, 1.0).h
     assert (lo > 0.0) != (hi > 0.0)
+
+
+def test_zeros_at_a_large_rho_on_the_contour(caplog):
+    # |H| ~ 1/rho^2 at rho = 1e30; the contour's error claim falls as fast,
+    # so no grid point is ambiguous in sign
+    with caplog.at_level("WARNING", logger="goodfun.zeros"):
+        records = find_zeros(1e30, 150.0, 153.0)
+    assert [round(r.x_zero - 2.0 / 3.0) for r in records] == [150, 151, 152]
+    assert all(abs(r.x_zero - (round(r.x_zero - 2.0 / 3.0) + 2.0 / 3.0)) < 1e-3
+               for r in records)
+    assert caplog.records == []
+
+
+def test_zeros_cost_tripwire(fevals):
+    # 40 fold points (5 on the grid, 23 in subscans, 12 Brent steps) of 6
+    # G10K21 panels each, none refined; 8 775 evaluations on G7K15 panels of
+    # a quarter period
+    assert fevals(find_zeros, 1.0, 10.0, 13.0) == 5040
+
+
+def test_zero_record_keeps_its_bracket_as_two_floats():
+    r = ZeroRecord(x_zero=10.6, bracket=(10.1, 11.2), rho=1.0, residual=1e-17)
+    assert r.bracket == (10.1, 11.2) and (r.bracket_lo, r.bracket_hi) == r.bracket
+    assert r == ZeroRecord(10.6, (10.1, 11.2), 1.0, 1e-17, "brent")
+    assert r != ZeroRecord(10.6, (10.1, 11.3), 1.0, 1e-17)
+    assert hash(r) == hash(ZeroRecord(10.6, (10.1, 11.2), 1.0, 1e-17))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        r.x_zero = 10.7
+    with pytest.raises(DomainError, match="ordered"):
+        ZeroRecord(10.6, (11.2, 10.1), 1.0, 0.0)
+    with pytest.raises(DomainError, match="outside"):
+        ZeroRecord(11.5, (10.1, 11.2), 1.0, 0.0)
+
+
+def test_a_retained_zero_record_holds_no_tuple():
+    # each record costs its own slots and a list entry; a bracket tuple
+    # would add 56 bytes a record
+    xs = [10.0 + k / 1024.0 for k in range(1000)]
+    los, his = [x - 0.5 for x in xs], [x + 0.5 for x in xs]
+    size = sys.getsizeof(ZeroRecord(xs[0], (los[0], his[0]), 1.0, 0.0))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = [ZeroRecord(x, (lo, hi), 1.0, 0.0) for x, lo, hi in zip(xs, los, his)]
+        per_record = (tracemalloc.get_traced_memory()[0] - before) / len(kept)
+    finally:
+        tracemalloc.stop()
+    assert size <= per_record <= size + 16
