@@ -246,7 +246,9 @@ def build_parser() -> argparse.ArgumentParser:
     quad.add_argument("--rel-tol", type=float, default=None,
                       help="relative quadrature tolerance (default 1e-10)")
     quad.add_argument("--max-panels", type=int, default=None,
-                      help="panel budget (default 200000)")
+                      help="panel budget per integral (default 200000); a result that "
+                           "needs more is flagged unconverged, and an integral's "
+                           "breakpoints alone may exceed it")
     fmt = argparse.ArgumentParser(add_help=False)
     group = fmt.add_mutually_exclusive_group()
     group.add_argument("--json", action="store_true",

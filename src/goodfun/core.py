@@ -103,8 +103,12 @@ class QuadConfig:
     abs_tol, rel_tol
         Target absolute / relative error for an integral.
     max_panels
-        Hard cap on the number of panels; when hit, results are returned
-        with an honest error estimate and ``converged=False``.
+        Panel budget of one integral.  A mesh over it is coarsened to fit,
+        and refinement stops at it; the result then comes with an honest
+        error estimate and ``converged=False``.  It is not a hard cap:
+        breakpoints are never merged, so an integral whose breakpoints
+        alone (its ends and hot-spot ladders, or a tail ray's fixed
+        points) make more panels keeps them all.
     """
 
     abs_tol: float = 1e-12

@@ -1,37 +1,43 @@
 """Adaptive Gauss-Kronrod quadrature for the oscillatory Good integrands.
 
-Three entry points:
+One engine (``_integrals``) runs every integral.  It takes an integrand
+fn(t, k) of owners k = 0, 1, ..., each owner's breakpoints and panel cap,
+the tolerances (``QuadConfig``) and a nested Gauss-Kronrod pair
+(``Rule``), whose difference is the per-panel error estimate.  It splits
+each owner's segments into equal panels no longer than its cap, a
+fraction of the local oscillation period (``_meshes``: anti-aliasing, a
+priori), evaluates every owner's panels in one sweep (``_sweep``), and
+ends each owner that meets its target there (``_start``).  The others
+refine worst-panel-first (``_rounds``) in lockstep (``core.lockstep``):
+each round evaluates the split halves of all of them in one sweep.
+
+Three doors lead to it.  Each validates its inputs, adapts its integrand
+to fn(t, k) once and builds each owner's breakpoints and cap:
 
 ``integrate_finite``
-    A finite interval, with a priori mesh control: panels never exceed a
-    fraction of the local oscillation period (anti-aliasing), and panels
-    are refined geometrically toward declared hot spots (the integrand
-    peaks of width ~rho at the interval endpoints).  On top of that mesh
-    an ordinary worst-panel-first adaptive loop runs a nested Gauss-Kronrod
-    pair (a ``Rule``), whose difference is the per-panel error estimate.
-
+    One integral of an ``Integrand`` over a finite interval.  Its
+    breakpoints are the ends and a geometric ladder toward each declared
+    hot spot (the integrand peaks of width ~rho at the endpoints).
 ``integrate_many``
     Many such integrals ("owners") at once, each with its own interval,
-    oscillation scale, hot spots and mesh, and bit-identical to one
-    ``integrate_finite`` call each.  Up to ``_ALONE_OWNERS`` (2) owners
-    it makes exactly those calls, by this module's name, so a tracer that
-    wraps ``integrate_finite`` sees a single point's integrals: one on
-    ``good``'s real-axis fold, two rays on its contour.  From three
-    owners on they share sweeps: the meshes are built in one vectorised
-    pass, and the first round evaluates all owners in one sweep.  Every
-    step of a sweep, the weighted row sums included (``np.vecdot``,
-    which sums each row alone), works panel by panel, so a panel gives
-    the same bits at any place in a sweep; the totals run on each
-    owner's panels alone.  An owner that meets its target on its first
-    sweep is done; the rest refine in lockstep (``core.lockstep``): each
-    round gathers the split halves of all of them into one sweep.
-
+    oscillation scale and hot spots, sharing every sweep.  Up to
+    ``_ALONE_OWNERS`` (2) owners it calls ``integrate_finite`` once per
+    owner instead, by this module's name, so that a tracer which wraps
+    ``integrate_finite`` sees a single point's integrals: one on
+    ``good``'s real-axis fold, two rays on its contour.
 ``integrate_tail``
     The semi-infinite interval [0, inf) for an integrand bounded by the
     envelope exp(-rate t^3) of a declared decay rate, the decay of a cubic
-    phase on its steepest-descent ray.  Integrates [0, T] adaptively and
-    bounds the truncated tail in closed form from the envelope; the
-    returned error includes both contributions.
+    phase on its steepest-descent ray.  [0, T] runs on the engine, on
+    breakpoints that track the decay; the truncated tail is bounded in
+    closed form from the envelope, and the returned error includes both.
+
+Every step of a sweep, the weighted row sums included (``np.vecdot``,
+which sums each row alone), works panel by panel, so a panel gives the
+same bits at any place in a sweep, and each owner's totals run on its own
+panels in ascending order.  So a result does not depend on the door it
+came through or on the owners that shared its sweeps: every owner of
+``integrate_many`` is bit-identical to its own ``integrate_finite`` call.
 
 Two pairs, each with the panel cap it is trusted on, a fraction of the
 period 2*pi/(1 + nu) of the oscillation scale nu (``Integrand``), are
@@ -53,54 +59,39 @@ chosen by keyword (``rule=``):
     op sets (seeds 1-10), a seeded grid of 120 fold points (x in
     (2, 100), rho in [1e-3, 2]) and ``eval_G(x/2, 1, x)``,
     ``anger_J(x/2, x)``, ``eval_Q(0, 2, x)`` and ``eval_G(x, 1, x)`` at
-    x = 1e3, 1e4 and 1e5.  At 1.0 period (2 of the fastest phase) 242 of
-    the 7 638, 2 of the 120 and all 12 calls refine, and the calls take
-    more evaluations than at 0.75; at 1.25, 3 672, 39 and 12.  Per
-    panel the pair costs 21 evaluations where G7K15 costs 15 on a third
-    of the length: 0.47 times the evaluations, 11 453 instead of
-    21 748 per zeros-small-x op (seeds 1-3).
+    x = 1e3, 1e4 and 1e5; at 1.0 period (2 of the fastest phase) 242 of
+    the 7 638, 2 of the 120 and all 12 calls refine.  That is 0.47 times
+    G7K15's evaluations: 21 per panel where it takes 15 on a third.
 
-Cost of one integral: the integrand runs on 15 or 21 nodes per panel, and the
-rest is a fixed set-up that hardly grows with the panel count up to a
-few hundred panels.  It is the breakpoints and the mesh (in Python floats
-below ``_SMALL_MESH`` panels, in numpy above), one first sweep
+Cost of one integral: the integrand runs on 15 or 21 nodes per panel, and
+the rest is a fixed set-up that hardly grows with the panel count up to a
+few hundred panels: the breakpoints and the mesh, one first sweep
 (``_eval_panels``: about 25 numpy calls on arrays of one entry per panel,
 four of them ``np.vecdot`` row sums) and the three sums of the
-convergence test (``_start``); an integral that misses its target runs
-``_rounds``, the refinement loop, where each round adds a sweep over
-the split halves and about 20 more small numpy calls.  A contour
-ray of ``good`` has 1-45 panels, so the fixed part is most of its cost:
-the 16-panel ray out of 0 of ``eval_H(5825.7, 0.3)`` takes about 80 us,
-its integrand about 22 us (best of 3000 calls; 2-vCPU x86 VM, Python
-3.11, numpy 2.4).  Sharing sweeps pays from three owners on: timed on
-``eval_H_many`` (30 random (x, rho) per size, best of 60 calls alternating
-both ways, same VM), a contour point's two rays ran 10-15% slower shared
-than one by one, two points' four rays 18-25% faster and 16 rays about
-2x faster; on the fold (20 random sets per size, best of 40 calls), two
-points ran about 4% faster shared, three 18% and eight 31%.  Every
-sweep, single or shared, runs in chunks of at most ``_CHUNK_NODES``
-(3 840) integrand nodes, 256 G7K15 or 182 G10K21 panels, one integrand
-call and four row-sum calls each, so the integrand's temporaries stay a
-few hundred kB however long the sweep: a process running
-``eval_G(5e4, 1, 1e5)``, one real-axis integral of 25 001 G10K21
-panels, peaks at 31 MB, 29 MB of it the imports (35 MB with its 75 002
-G7K15 panels, 83 MB when one call per sweep took two halves of that
-size), and on G7K15 the large real-axis integrals ``eval_G(5e3, 1,
-1e4)``, ``anger_J(5e3, 1e4)`` and ``eval_Q(0, 2, 1e4)`` ran 3-15%
-faster chunked than in one call (fresh processes, best of 20 calls).
-G10K21 takes those three from 12.4, 15.0 and 12.4 ms to 4.4, 5.2 and
-4.1 ms, and ``eval_G(5e4, 1, 1e5)`` from 122 to 46 ms (best of 3, one
-process per tree, same VM).  The row sums still cost more than a
-BLAS product: ``np.vecdot`` takes about 8 us for the real rows of a
-256-panel chunk, ``gemv`` about 3 us.
+convergence test (``_start``); each refinement round adds a sweep over
+the split halves and about 20 more small numpy calls.  A contour ray of
+``good`` has 1-45 panels, so the fixed part is most of its cost: the
+16-panel ray out of 0 of ``eval_H(5825.7, 0.3)`` takes about 80 us, its
+integrand about 22 us (best of 3000 calls; 2-vCPU x86 VM, Python 3.11,
+numpy 2.4).  Sharing sweeps pays from
+three owners on: timed on ``eval_H_many`` (30 random (x, rho) per size,
+best of 60 calls alternating both ways, same VM), a contour point's two
+rays ran 10-15% slower shared than one by one, two points' four rays
+18-25% faster and 16 rays about 2x faster; on the fold (20 random sets
+per size, best of 40 calls), two points ran about 4% faster shared, three
+18% and eight 31%.  Every sweep reaches the integrand in chunks of at
+most ``_CHUNK_NODES`` (3 840) nodes, 256 G7K15 or 182 G10K21 panels, one
+integrand call and four row-sum calls each, so the integrand's
+temporaries stay a few hundred kB however long the sweep: a process
+running ``eval_G(5e4, 1, 1e5)``, one real-axis integral of 25 001 G10K21
+panels, peaks at 31 MB, 29 MB of it the imports.  The row sums still
+cost more than a BLAS product: ``np.vecdot`` takes about 8 us for the
+real rows of a 256-panel chunk, ``gemv`` about 3 us.
 
 The error estimate is a heuristic (nested-rule difference, conservatively
 damped), not a rigorous enclosure; it normally overestimates the true
 error, which is the honest side to err on for an oracle.  Ground truth in
 tests therefore comes from refinement studies and closed forms.
-
-Panels are evaluated in vectorized chunks; the final summation runs in
-ascending panel order, so results are bit-reproducible.
 """
 from __future__ import annotations
 
@@ -127,25 +118,21 @@ __all__ = [
     "integrate_tail",
 ]
 
-# Gauss 7 / Kronrod 15 nodes and weights on [-1, 1] (QUADPACK values).
-_XGK = np.array([
-    -0.991455371120812639206854697526329,
-    -0.949107912342758524526189684047851,
-    -0.864864423359769072789712788640926,
-    -0.741531185599394439863864773280788,
-    -0.586087235467691130294144838258730,
-    -0.405845151377397166906606412076961,
-    -0.207784955007898467600689403773245,
-    0.0,
-    0.207784955007898467600689403773245,
-    0.405845151377397166906606412076961,
-    0.586087235467691130294144838258730,
-    0.741531185599394439863864773280788,
-    0.864864423359769072789712788640926,
-    0.949107912342758524526189684047851,
+# QUADPACK's Gauss-Kronrod pairs by halves: the Kronrod nodes in (0, 1] in
+# descending order, then 0, with their weights; the Gauss nodes are the
+# second, fourth, ... of them, with the weights in the third table
+# (qk15: Gauss 7 / Kronrod 15, so 0 is a Gauss node)
+_XK15_HALF = (
     0.991455371120812639206854697526329,
-])
-_WGK = np.array([
+    0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926,
+    0.741531185599394439863864773280788,
+    0.586087235467691130294144838258730,
+    0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245,
+    0.0,
+)
+_WK15_HALF = (
     0.022935322010529224963732008058970,
     0.063092092629978553290700663189204,
     0.104790010322250183839876322541518,
@@ -154,27 +141,14 @@ _WGK = np.array([
     0.190350578064785409913256402421014,
     0.204432940075298892414161999234649,
     0.209482141084727828012999174891714,
-    0.204432940075298892414161999234649,
-    0.190350578064785409913256402421014,
-    0.169004726639267902826583426598550,
-    0.140653259715525918745189590510238,
-    0.104790010322250183839876322541518,
-    0.063092092629978553290700663189204,
-    0.022935322010529224963732008058970,
-])
-_WG = np.array([
+)
+_WG7_HALF = (
     0.129484966168869693270611432679082,
     0.279705391489276667901467771423780,
     0.381830050505118944950369775488975,
     0.417959183673469387755102040816327,
-    0.381830050505118944950369775488975,
-    0.279705391489276667901467771423780,
-    0.129484966168869693270611432679082,
-])
-
-# Gauss 10 / Kronrod 21 (QUADPACK qk21): the nodes in (0, 1] in descending
-# order, then 0, with their Kronrod weights; the Gauss nodes are the second,
-# fourth, ... of them, with the weights _WG10_HALF
+)
+# qk21: Gauss 10 / Kronrod 21, so 0 is a Kronrod node only
 _XK21_HALF = (
     0.995657163025808080735527280689003,
     0.973906528517171720077964012084452,
@@ -225,13 +199,18 @@ class Rule(NamedTuple):
     factor: float
 
 
+def _rule(xk: tuple, wk: tuple, wg: tuple, factor: float) -> Rule:
+    """The Rule of a pair given by halves (the tables above), each mirrored about 0."""
+    gauss_at_0 = len(xk) % 2 == 0  # 0, the last Kronrod node, is then one of the even-numbered
+    return Rule(np.array([-v for v in xk[:-1]] + list(xk[::-1])), np.array(wk[:-1] + wk[::-1]),
+                np.array((wg[:-1] if gauss_at_0 else wg) + wg[::-1]), factor)
+
+
 # half a period of the fastest phase per panel: the contour rays and
 # integrate_tail, whose values calibration froze into the constants
-G7K15 = Rule(_XGK, _WGK, _WG, 0.25)
+G7K15 = _rule(_XK15_HALF, _WK15_HALF, _WG7_HALF, 0.25)
 # 1.5 periods per panel: the real-axis integrals (module docstring)
-G10K21 = Rule(np.array([-v for v in _XK21_HALF[:-1]] + list(reversed(_XK21_HALF))),
-              np.array(_WK21_HALF[:-1] + _WK21_HALF[::-1]),
-              np.array(_WG10_HALF + _WG10_HALF[::-1]), 0.75)
+G10K21 = _rule(_XK21_HALF, _WK21_HALF, _WG10_HALF, 0.75)
 
 # integrand nodes per call: every sweep is evaluated in chunks of at most this
 # many, 256 panels of G7K15 or 182 of G10K21.  Larger chunks gain little speed
@@ -240,12 +219,16 @@ G10K21 = Rule(np.array([-v for v in _XK21_HALF[:-1]] + list(reversed(_XK21_HALF)
 # process's peak RSS by 0.6 MB, at 256 by 0.3 MB.
 _CHUNK_NODES = 3840
 _MAX_ROUNDS = 500
-# integrate_many integrates up to this many owners one by one (module docstring)
+# integrate_many makes one integrate_finite call per owner up to this many
+# owners so that a tracer which wraps integrate_finite by name (the
+# benchmark's, which CI checks) counts a single point's integrals; the
+# results are the engine's either way, bit for bit
 _ALONE_OWNERS = 2
-# a single integral's mesh of fewer panels than this is built in Python
-# floats (see _subdivide); both ways cost 35-45 us from about 190 panels of a 14-segment
-# ladder and about 200-250 of one or two segments, and the numpy way stays
-# near that cost, while the Python way grows to ~130 us at 1000 panels
+# a lone owner's mesh of fewer panels than this is built in Python floats
+# (_small_mesh: 6-18 us for a contour ray, where the vectorised pass takes
+# about 60 us); both cost 35-45 us from about 190 panels of a 14-segment
+# ladder and 200-250 of one or two segments, beyond which the vectorised
+# pass stays near that cost and the Python way grows to ~130 us at 1000 panels
 _SMALL_MESH = 192
 _DEFAULT_CFG = QuadConfig()  # immutable; built once, not on every call
 _EPS = float(np.finfo(np.float64).eps)
@@ -269,9 +252,10 @@ class Integrand:
     """Evaluation contract for the quadrature routines.
 
     fn
-        Vectorized callable mapping an ndarray of abscissae to real or
-        complex values; must be finite everywhere on the integration
-        domain for valid parameters.
+        Vectorized callable mapping an ndarray of abscissae to an array of
+        as many real or complex values (else :class:`DomainError`); must
+        be finite everywhere on the integration domain for valid
+        parameters.
     osc_frequency
         Oscillation scale nu: half the worst-case phase rate.  The mesh
         caps panels at ``rule.factor * 2*pi/(1 + nu)`` for the rule the
@@ -310,7 +294,8 @@ def _eval_panels(fn, lo: np.ndarray, hi: np.ndarray, owner: Optional[np.ndarray]
     panels and floored at the 50*eps*resabs roundoff level.
 
     ``fn`` gets the nodes, and with ``owner`` (the owner of each panel,
-    for a sweep over several owners) also the owner of each node.  Every
+    for a sweep over several owners) also the owner of each node; it must
+    return one value per node (``_one_per_node``).  Every
     step works on each panel alone: the elementwise arithmetic, and the
     four weighted row sums, which ``np.vecdot`` takes row by row.  So a
     panel comes out the same at any place in a batch, and any batch of
@@ -335,7 +320,7 @@ def _eval_panels(fn, lo: np.ndarray, hi: np.ndarray, owner: Optional[np.ndarray]
     c = 0.5 * (lo + hi)
     hw = 0.5 * (hi - lo)
     nodes = (c[:, None] + hw[:, None] * rule.xgk).reshape(-1)
-    vals = np.asarray(fn(nodes) if owner is None else fn(nodes, np.repeat(owner, size)))
+    vals = _one_per_node(fn(nodes) if owner is None else fn(nodes, np.repeat(owner, size)), nodes)
     m = vals.reshape(n, size)
     abs_rows = np.vecdot(rule.wgk, np.abs(m))
     if not math.isfinite(abs_rows.max()):
@@ -351,6 +336,15 @@ def _eval_panels(fn, lo: np.ndarray, hi: np.ndarray, owner: Optional[np.ndarray]
         damped = resasc * np.minimum(1.0, (200.0 * d / resasc) ** 1.5)
     e = np.where(resasc > 0.0, damped, d)
     return kronrod, np.maximum(e, 50.0 * _EPS * resabs), resabs
+
+
+def _one_per_node(values, nodes: np.ndarray) -> np.ndarray:
+    """``values`` as an array; DomainError unless it holds one value per node."""
+    values = np.asarray(values)
+    if values.shape != nodes.shape:
+        raise DomainError(f"integrand contract: fn must return one value per node, got shape "
+                          f"{values.shape} for {nodes.size} nodes")
+    return values
 
 
 def _ordered_sum(lo: np.ndarray, values: np.ndarray) -> complex:
@@ -384,10 +378,9 @@ def _rounds(lo: np.ndarray, hi: np.ndarray, val: np.ndarray, err: np.ndarray,
 
     The one refinement loop, as a generator that returns the QuadResult:
     each round it yields the halves (lo, hi) of the panels it splits and
-    is sent back their ``_eval_panels`` triple.  Every integral's rounds
-    run through ``core.lockstep``: a lone one's (``_integrate``) sweep
-    just its own halves, and ``integrate_many`` sweeps the halves of all
-    its unconverged owners together.
+    is sent back their ``_eval_panels`` triple.  The engine
+    (``_integrals``) runs the rounds of all its unconverged owners through
+    ``core.lockstep``, their halves in one sweep per round.
     """
     converged = False
     for _ in range(_MAX_ROUNDS):
@@ -439,24 +432,8 @@ def _osc_cap(osc_frequency: float, rule: Rule) -> float:
     return rule.factor * 2.0 * math.pi / (1.0 + abs(osc_frequency))
 
 
-def _subdivide(points: Sequence[float], cap: float, max_panels: int):
-    """One owner's mesh (``_meshes``) as its edges: (edges, ok).
-
-    Without a cap the points are the mesh.  A mesh of fewer than
-    _SMALL_MESH panels is built in Python floats (``_small_mesh``), whose
-    set-up is a few microseconds; a larger one by ``_meshes``.  Both
-    round alike, so the mesh does not depend on the path.
-    """
-    if not math.isfinite(cap):  # e.g. an integrate_tail ray: 1-2 us; _small_mesh takes 8-20
-        return np.array(points, dtype=np.float64), len(points) - 1 <= max_panels
-    if cap > 0.0 and (points[-1] - points[0]) / cap < _SMALL_MESH:
-        return _small_mesh(points, cap, max_panels)
-    lo, hi, _, (ok,) = _meshes([points], [cap], max_panels)
-    return np.append(lo, hi[-1]), ok
-
-
 def _small_mesh(points: Sequence[float], cap: float, max_panels: int):
-    """``_subdivide``'s mesh in Python floats, for a finite cap > 0 and few panels."""
+    """A lone owner's mesh (``_meshes``) in Python floats, for a finite cap > 0: (edges, ok)."""
     seg = [b - a for a, b in pairwise(points)]
     counts = [max(1, math.ceil(s / cap)) for s in seg]
     total = sum(counts)
@@ -494,6 +471,25 @@ def _breakpoints(points: List[float], hot_spots: Tuple[HotSpot, ...]) -> List[fl
 
 
 def _meshes(points: List[List[float]], caps: List[float], max_panels: int):
+    """Every owner's mesh: (lo, hi, sizes, oks), as ``_vector_meshes`` defines it.
+
+    A lone owner's mesh without a cap (inf) is its breakpoints, and one of
+    fewer than _SMALL_MESH panels comes from ``_small_mesh``; the three
+    paths agree bit for bit.
+    """
+    if len(points) == 1:
+        p, cap = points[0], caps[0]
+        if not math.isfinite(cap):  # e.g. an integrate_tail ray: 1-2 us
+            edges, ok = np.array(p, dtype=np.float64), len(p) - 1 <= max_panels
+        elif cap > 0.0 and (p[-1] - p[0]) / cap < _SMALL_MESH:
+            edges, ok = _small_mesh(p, cap, max_panels)
+        else:
+            return _vector_meshes(points, caps, max_panels)
+        return edges[:-1], edges[1:], [len(edges) - 1], [ok]
+    return _vector_meshes(points, caps, max_panels)
+
+
+def _vector_meshes(points: List[List[float]], caps: List[float], max_panels: int):
     """Every owner's mesh in one vectorised pass: (lo, hi, sizes, oks).
 
     Owner k's mesh splits the segments between its breakpoints points[k]
@@ -573,6 +569,32 @@ def _sweep(fn, owners: Sequence[int], lo: np.ndarray, hi: np.ndarray, sizes: Seq
             for p0, p1 in pairwise(accumulate(sizes, initial=0))]
 
 
+def _integrals(fn, points: List[List[float]], caps: List[float], cfg: QuadConfig,
+               rule: Rule) -> List[QuadResult]:
+    """The engine (module docstring): owner k integrates t -> fn(t, k) over its
+    breakpoints points[k], on panels no longer than caps[k]; one QuadResult per owner.
+    """
+    lo, hi, sizes, oks = _meshes(points, caps, cfg.max_panels)
+    results, rounds, p1 = _sweep(fn, range(len(sizes)), lo, hi, sizes, rule), {}, 0
+    for k, (size, ok) in enumerate(zip(sizes, oks)):
+        p0, p1 = p1, p1 + size
+        results[k] = r = _start(lo[p0:p1], hi[p0:p1], results[k], cfg, ok)
+        if not isinstance(r, QuadResult):
+            rounds[k] = r
+    if rounds:
+        def sweep(ks: List[int], halves: list) -> list:
+            if len(ks) == 1:  # a lone owner's halves, as they are: no copy
+                (lo_k, hi_k), = halves
+                return _sweep(fn, ks, lo_k, hi_k, [len(lo_k)], rule)
+            los, his = zip(*halves)
+            return _sweep(fn, ks, np.concatenate(los), np.concatenate(his),
+                          [len(h) for h in los], rule)
+
+        for k, r in lockstep(rounds, sweep).items():
+            results[k] = r
+    return results
+
+
 def integrate_many(fn: Callable[[np.ndarray, object], np.ndarray],
                    spans: Sequence[Tuple[float, float, float, Tuple[HotSpot, ...]]],
                    cfg: Optional[QuadConfig] = None, *, rule: Rule = G7K15) -> List[QuadResult]:
@@ -581,18 +603,11 @@ def integrate_many(fn: Callable[[np.ndarray, object], np.ndarray],
     Owner k integrates t -> fn(t, k) over [a, b] with oscillation scale
     ``osc`` and hot spots ``spots``, where (a, b, osc, spots) = spans[k].
     ``fn`` gets k as an int, or, in a sweep over several owners, as an
-    int array with the owner of each node, in ascending order.  Each
-    result is bit-identical to
-    ``integrate_finite(Integrand(lambda t: fn(t, k), osc, spots), a, b, cfg, rule=rule)``.
-
-    Every mesh is built in one vectorised pass (``_meshes``).  The first
-    round then evaluates all owners in one sweep (``_sweep``), in chunks
-    of at most _CHUNK_NODES nodes with one integrand call each.  An
-    owner that meets its target there is done (``_start``); the rest
-    refine in lockstep (``core.lockstep``), the split halves of all of
-    them in one such sweep per round.  A call of at most
-    _ALONE_OWNERS owners, where that costs more than it saves, makes one
-    ``integrate_finite`` call per owner instead, after the same checks.
+    int array with the owner of each node, in ascending order, and
+    returns one value per node.  Each result is bit-identical to
+    ``integrate_finite(Integrand(lambda t: fn(t, k), osc, spots), a, b, cfg, rule=rule)``,
+    which is the call made for each owner of a call of at most
+    _ALONE_OWNERS owners.
     """
     cfg = cfg or _DEFAULT_CFG
     for a, b, osc, _ in spans:
@@ -608,21 +623,7 @@ def integrate_many(fn: Callable[[np.ndarray, object], np.ndarray],
         key = a, b, spots  # one lookup per owner that shares a ladder: HotSpots hash in Python
         points.append(ladders.get(key) or ladders.setdefault(key, _breakpoints([a, b], spots)))
         caps.append(_osc_cap(osc, rule))
-    lo, hi, sizes, oks = _meshes(points, caps, cfg.max_panels)
-    offsets = list(accumulate(sizes, initial=0))
-    firsts = _sweep(fn, range(len(spans)), lo, hi, sizes, rule)
-    results = [_start(lo[p0:p1], hi[p0:p1], first, cfg, ok)
-               for p0, p1, first, ok in zip(offsets, offsets[1:], firsts, oks)]
-
-    def sweep(ks: List[int], halves: list) -> list:
-        los, his = zip(*halves)
-        return _sweep(fn, ks, np.concatenate(los), np.concatenate(his), [len(h) for h in los],
-                      rule)
-
-    rounds = {k: r for k, r in enumerate(results) if not isinstance(r, QuadResult)}
-    for k, r in lockstep(rounds, sweep).items():
-        results[k] = r
-    return results
+    return _integrals(fn, points, caps, cfg, rule)
 
 
 def integrate_finite(f: Integrand, a: float, b: float,
@@ -638,18 +639,9 @@ def integrate_finite(f: Integrand, a: float, b: float,
     require_finite("a", a)
     require_above("b", b, a)
     _require_osc(f.osc_frequency)
-    return _integrate(f.fn, [a, b], f.osc_frequency, f.hot_spots, cfg or _DEFAULT_CFG, rule)
-
-
-def _integrate(fn, points: List[float], osc: float, hot_spots: Tuple[HotSpot, ...],
-               cfg: QuadConfig, rule: Rule) -> QuadResult:
-    """One integral over [points[0], points[-1]]: its mesh, the first sweep, its ``_rounds``."""
-    edges, ok = _subdivide(_breakpoints(points, hot_spots), _osc_cap(osc, rule), cfg.max_panels)
-    lo, hi = edges[:-1], edges[1:]
-    rounds = _start(lo, hi, _eval_panels(fn, lo, hi, None, rule), cfg, ok)
-    if isinstance(rounds, QuadResult):
-        return rounds
-    return lockstep({0: rounds}, lambda _, halves: [_eval_panels(fn, *halves[0], None, rule)])[0]
+    one = f.fn
+    return _integrals(lambda t, k: one(t), [_breakpoints([a, b], f.hot_spots)],
+                      [_osc_cap(f.osc_frequency, rule)], cfg or _DEFAULT_CFG, rule)[0]
 
 
 def _tail(rate: float, big_t: float) -> float:
@@ -675,9 +667,9 @@ def _cutoff(rate: float, eps: float) -> float:
 
 
 def _checked(fn, rate: float):
-    def wrapper(t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t)
-        v = np.asarray(fn(t))
+    """``fn`` as the engine's fn(t, k), its values checked against the envelope exp(-rate t^3)."""
+    def wrapper(t: np.ndarray, k: int) -> np.ndarray:
+        v = _one_per_node(fn(t), t)
         env = np.exp(-rate * t ** 3)
         excess = np.abs(v) - 1.1 * env
         if (excess > 0.0).any():
@@ -723,6 +715,6 @@ def integrate_tail(g: Integrand, rate: float,
     cfg = cfg or _DEFAULT_CFG
     big_t = _cutoff(rate, cfg.abs_tol / 2.0)
     tail = _tail(rate, big_t)
-    res = _integrate(_checked(g.fn, rate), _ray_points(big_t), g.osc_frequency, g.hot_spots,
-                     cfg, G7K15)
+    res, = _integrals(_checked(g.fn, rate), [_breakpoints(_ray_points(big_t), g.hot_spots)],
+                      [_osc_cap(g.osc_frequency, G7K15)], cfg, G7K15)
     return QuadResult(res.value, res.err + tail, res.converged, res.panels)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from unittest import mock
 
@@ -39,6 +40,15 @@ def test_rules_are_exact_to_their_degrees(rule, kronrod, gauss):
     # odd powers integrate to 0 by symmetry at any degree
     assert error(rule.xgk, rule.wgk, kronrod + 2 - kronrod % 2) > 1e-13
     assert error(gauss_nodes, rule.wg, gauss + 2 - gauss % 2) > 1e-7
+
+
+def test_rule_tables_keep_their_bytes():
+    # both pairs are mirrored from half tables; these are QUADPACK's values as
+    # binary64, the bytes every calibrated constant was frozen with
+    tables = b"".join(a.tobytes() for rule in (quadrature.G7K15, quadrature.G10K21)
+                      for a in (rule.xgk, rule.wgk, rule.wg))
+    assert hashlib.sha256(tables).hexdigest() == (
+        "480c78fb903bd809b83334f44e7b927355d63aef873e31b6c03791db8d9ac676")
 
 
 def test_each_rule_fills_a_chunk_of_3840_nodes():
@@ -133,6 +143,35 @@ def test_single_nonfinite_node_raises_naming_it(bad, node, dtype):
     assert str(exc.value).endswith(f"first at t={seen[0]!r}")
 
 
+@pytest.mark.parametrize("values", [lambda t: 0.5, lambda t: np.exp(-t[1:] ** 3),
+                                    lambda t: np.exp(-t ** 3)[:, None]],
+                         ids=["scalar", "one-short", "column"])
+@pytest.mark.parametrize("door", [
+    lambda f: integrate_finite(Integrand(f), 0.0, 1.0),
+    lambda f: integrate_tail(Integrand(f), 1.0),
+    lambda f: quadrature.integrate_many(lambda t, k: f(t), [(0.0, 1.0, 0.0, ())]),
+    lambda f: quadrature.integrate_many(lambda t, k: f(t), [(0.0, 1.0, 0.0, ())] * 3),
+], ids=["finite", "tail", "many-alone", "many-shared"])
+def test_integrand_must_return_one_value_per_node(door, values):
+    with pytest.raises(DomainError, match="^integrand contract: fn must return one value per node"):
+        door(values)
+
+
+def test_every_door_runs_the_one_engine(monkeypatch):
+    owners, real = [], quadrature._integrals
+
+    def counting(fn, points, caps, cfg, rule):
+        owners.append(len(points))
+        return real(fn, points, caps, cfg, rule)
+
+    monkeypatch.setattr(quadrature, "_integrals", counting)
+    integrate_finite(Integrand(np.cos), 0.0, 1.0)
+    integrate_tail(Integrand(lambda t: np.exp(-t ** 3)), 1.0)
+    quadrature.integrate_many(lambda t, k: np.cos(t), [(0.0, 1.0, 0.0, ())] * 2)
+    quadrature.integrate_many(lambda t, k: np.cos(t), [(0.0, 1.0, 0.0, ())] * 3)
+    assert owners == [1, 1, 1, 1, 3]
+
+
 def _peak_that_stops(calls):
     """A sharp peak (8 calls to converge) whose second call raises StopIteration."""
     def fn(t, *owner):
@@ -198,9 +237,14 @@ def test_panel_budget_flag_without_an_oscillation_cap():
     # the ray's breakpoints alone (17 panels) exceed a budget of 5
     assert i_lambda_oracle(1 / 6, QuadConfig(max_panels=5)).converged is False
     assert i_lambda_oracle(1 / 6, QuadConfig(max_panels=17)).converged is True
-    edges, ok = quadrature._subdivide([0.0, 1.0, 2.0, 3.0], math.inf, 2)
-    assert not ok and edges.tolist() == [0.0, 1.0, 2.0, 3.0]
-    assert quadrature._subdivide([0.0, 1.0, 2.0, 3.0], math.inf, 3)[1]
+    for mesh in (_one_owner(quadrature._meshes), _one_owner(quadrature._vector_meshes)):
+        edges, ok = mesh([0.0, 1.0, 2.0, 3.0], math.inf, 2)
+        assert not ok and edges.tolist() == [0.0, 1.0, 2.0, 3.0]
+        assert mesh([0.0, 1.0, 2.0, 3.0], math.inf, 3)[1]
+    # a hot-spot ladder's breakpoints exceed it too: the budget is not a hard cap
+    peak = Integrand(lambda t: 1.0 / (1e-12 + t * t), hot_spots=(HotSpot(0.0, 1e-6),))
+    res = integrate_finite(peak, 0.0, 1.0, QuadConfig(max_panels=5))
+    assert res.panels == 23 and not res.converged
 
 
 def test_tail_poisson_kernel_frequency():
@@ -262,8 +306,8 @@ def test_envelope_within_ten_percent_tolerated():
     assert abs(res.value - 1.05 * CUBIC_EXP_INTEGRAL) <= 1.1 * res.err
 
 
-def _subdivide_by_linspace(points, cap, max_panels):
-    """The per-segment np.linspace mesh that _subdivide must reproduce."""
+def _mesh_by_linspace(points, cap, max_panels):
+    """The per-segment np.linspace mesh that every mesh builder must reproduce."""
     points = np.asarray(points, dtype=np.float64)
     seg = np.diff(points)
     counts = np.maximum(1, np.ceil(seg / cap).astype(np.int64))
@@ -285,26 +329,28 @@ def _ray_points_by_numpy(big_t):
 
 
 def _recorded_meshes(monkeypatch, *calls):
-    """(points, cap, max_panels) of every mesh the calls build."""
+    """(points, cap, max_panels) of every owner's mesh the calls build, lone or batched."""
     meshes = []
-    subdivide = quadrature._subdivide
+    real = quadrature._meshes
 
-    def recording(points, cap, max_panels):
-        meshes.append((list(points), cap, max_panels))
-        return subdivide(points, cap, max_panels)
+    def recording(points, caps, max_panels):
+        meshes.extend((list(p), cap, max_panels) for p, cap in zip(points, caps))
+        return real(points, caps, max_panels)
 
-    monkeypatch.setattr(quadrature, "_subdivide", recording)
+    monkeypatch.setattr(quadrature, "_meshes", recording)
     for call in calls:
         call()
     monkeypatch.undo()
     return meshes
 
 
-def _one_mesh(points, cap, max_panels):
-    """``_meshes`` of one owner, as its edges and flag."""
-    lo, hi, sizes, (ok,) = quadrature._meshes([list(points)], [cap], max_panels)
-    assert sizes == [len(lo)] and lo[1:].tobytes() == hi[:-1].tobytes()
-    return np.append(lo, hi[-1]), ok
+def _one_owner(meshes):
+    """``meshes`` (the entry ``_meshes`` or the vectorised pass) of one owner: (edges, ok)."""
+    def mesh(points, cap, max_panels):
+        lo, hi, sizes, (ok,) = meshes([list(points)], [cap], max_panels)
+        assert sizes == [len(lo)] and lo[1:].tobytes() == hi[:-1].tobytes()
+        return np.append(lo, hi[-1]), ok
+    return mesh
 
 
 @pytest.mark.parametrize("max_panels", [200_000, 50])
@@ -322,21 +368,22 @@ def test_mesh_is_the_linspace_mesh(x, rho, max_panels, monkeypatch):
         meshes += [(points, quadrature._osc_cap(freq, rule), max_panels)
                    for rule in (quadrature.G10K21, quadrature.G7K15)]
     # the contour rays of H and of Anger's J (one capped segment, or a hot-spot
-    # ladder), and the uncapped ray of integrate_tail
+    # ladder), lone and in a batch, and the uncapped ray of integrate_tail
     cfg = QuadConfig(max_panels=max_panels)
     x_ray = good.X_C + 100.0 * x
     lam = max(x, 1.0) * rho ** 3 / 6.0
     meshes += _recorded_meshes(monkeypatch, lambda: eval_H(x_ray, rho, cfg),
                                lambda: anger_J(x_ray, x_ray, cfg),
+                               lambda: good.eval_H_many([x_ray, x_ray + 0.5], rho, cfg),
                                lambda: i_lambda_oracle(lam, cfg))
     tail_points = _ray_points_by_numpy(quadrature._cutoff(lam, cfg.abs_tol / 2.0))
     assert np.array(meshes[-1][0]).tobytes() == tail_points.tobytes()
     for points, cap, budget in meshes:
-        paths = [quadrature._subdivide, _one_mesh]
+        paths = [_one_owner(quadrature._meshes), _one_owner(quadrature._vector_meshes)]
         if not math.isfinite(cap):  # without a cap the breakpoints are the mesh
             ref, ref_ok = np.array(points), len(points) - 1 <= budget
         else:
-            ref, ref_ok = _subdivide_by_linspace(points, cap, budget)
+            ref, ref_ok = _mesh_by_linspace(points, cap, budget)
             if (points[-1] - points[0]) / cap < 10 * quadrature._SMALL_MESH:
                 paths.append(quadrature._small_mesh)  # either path, whatever the size
         for mesh in paths:
@@ -348,23 +395,24 @@ def test_mesh_is_the_linspace_mesh(x, rho, max_panels, monkeypatch):
 def test_rounded_steps_that_overtake_a_segment_end_are_dropped():
     # doubles near 1e16 are 2 apart, so steps of 0.5 round onto one another
     points, cap = [1e16, 1e16 + 4.0, 1e16 + 8.0], 0.5
-    ref, _ = _subdivide_by_linspace(points, cap, 200_000)
+    ref, _ = _mesh_by_linspace(points, cap, 200_000)
     assert len(ref) < 17
-    for mesh in (quadrature._small_mesh, _one_mesh):
+    for mesh in (quadrature._small_mesh, _one_owner(quadrature._meshes),
+                 _one_owner(quadrature._vector_meshes)):
         edges, ok = mesh(points, cap, 200_000)
         assert ok and edges.tobytes() == ref.tobytes()
 
 
-def test_subdivide_caps_counts_beyond_int64():
+def test_mesh_caps_counts_beyond_int64():
     # 1.6e30 panels at this cap: the count must not wrap in the int64 cast
-    edges, ok = quadrature._subdivide([0.0, 1.5707963], 1e-30, 200_000)
+    edges, ok = _one_owner(quadrature._meshes)([0.0, 1.5707963], 1e-30, 200_000)
     assert not ok
     assert 2 <= len(edges) <= 200_001 and np.all(np.diff(edges) > 0.0)
-    one, one_ok = _one_mesh([0.0, 1.5707963], 1e-30, 200_000)
+    one, one_ok = _one_owner(quadrature._vector_meshes)([0.0, 1.5707963], 1e-30, 200_000)
     assert not one_ok and one.tobytes() == edges.tobytes()
 
 
-# owners of one _meshes batch, each needing its own handling: (points, cap)
+# owners of one vectorised mesh pass, each needing its own handling: (points, cap)
 _MIXED_MESHES = [
     ([0.0, 0.5, 1.5707963], 0.01),                # plain: 158 panels
     ([0.0, 1.0, 2.0, 3.0], math.inf),             # no cap: the breakpoints
@@ -382,11 +430,12 @@ def test_meshes_of_a_mixed_batch_are_each_owners_own(shift):
     assert len(lo) == len(hi) == sum(sizes) and np.all(hi > lo)
     offsets = np.cumsum([0] + sizes)
     for (p, cap), p0, p1, ok in zip(owners, offsets, offsets[1:], oks):
-        edges, one_ok = _one_mesh(p, cap, 1000)
+        edges, one_ok = _one_owner(quadrature._vector_meshes)(p, cap, 1000)
         assert np.append(lo[p0:p1], hi[p1 - 1]).tobytes() == edges.tobytes()
         assert ok == one_ok
+        assert _one_owner(quadrature._meshes)(p, cap, 1000)[0].tobytes() == edges.tobytes()
         if cap > 1e-30:  # the linspace reference's int64 cast wraps beyond int64
-            ref, ref_ok = (_subdivide_by_linspace(p, cap, 1000) if math.isfinite(cap)
+            ref, ref_ok = (_mesh_by_linspace(p, cap, 1000) if math.isfinite(cap)
                            else (np.array(p), True))
             assert edges.tobytes() == ref.tobytes() and ok == ref_ok
     assert [ok for (_, cap), ok in zip(owners, oks)] == [
