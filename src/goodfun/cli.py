@@ -2,14 +2,15 @@
 
 Single evaluations print JSON to stdout; tables are written as CSV
 (header row, comma separators, '.' decimal, LF line endings, numbers at
-17 significant digits).  Every output file is accompanied by a manifest
-sidecar ``<out>.manifest.json`` recording the command, its parameters,
-the hash of the constants file in effect, and the quadrature tolerances;
-identical manifests (up to timestamp) reproduce bit-identical numeric
-output.
+17 significant digits).  Every table, and the file of ``eval --out``, gets
+a manifest sidecar ``<out>.manifest.json``: the command, its parameters,
+the SHA-256 of the constants file ("missing" if eval or zeros cannot read
+it), the tolerances, the goodfun, numpy and Python versions, and a
+timestamp; identical manifests (up to timestamp) reproduce bit-identical
+numeric output.  calibrate's constants file carries a note line instead.
 
-Exit codes: 0 ok, 2 domain error, 3 tolerance failure (suppressed by
---best-effort).
+Exit codes: 0 ok, 1 error (an unreadable or unwritable file among them),
+2 domain error, 3 tolerance failure (suppressed by --best-effort).
 """
 from __future__ import annotations
 
@@ -18,16 +19,17 @@ import dataclasses
 import hashlib
 import json
 import math
+import platform
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from . import __version__
 from . import constants as constants_mod
-from .constants import Constants, load_constants, save_constants
+from .constants import Constants, load_constants, parse_constants, save_constants
 from .core import DomainError, EvalResult, GoodFunError, QuadConfig
 from .calibrate import calibrate
 from .good import eval_G, eval_H, eval_H_many, eval_Q
@@ -43,45 +45,32 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    command: str
-    parameters: Dict[str, object]
-    constants_file_hash: str
-    tolerances: Dict[str, float]
-    timestamp: str
-
-    @classmethod
-    def build(cls, command: str, parameters: Dict[str, object], cfg: QuadConfig,
-              constants_path: Path) -> "RunManifest":
-        try:
-            digest = hashlib.sha256(constants_path.read_bytes()).hexdigest()
-        except OSError:
-            digest = "missing"
-        return cls(command=command, parameters=dict(parameters),
-                   constants_file_hash=digest,
-                   tolerances=dataclasses.asdict(cfg),
-                   timestamp=datetime.now(timezone.utc).isoformat())
-
-    def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), sort_keys=True, indent=2)
+def _table(header: Sequence[str], rows: List[Sequence[str]], as_json: bool) -> str:
+    """CSV lines (the header, then the rows), or a JSON list of one object per row."""
+    if as_json:
+        return json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
+    return "".join(",".join(line) + "\n" for line in (header, *rows))
 
 
-def _write_table(args, command: str, parameters: Dict[str, object], cfg: QuadConfig,
-                 header: Sequence[str], rows: List[Sequence[str]]) -> Path:
-    """Write the table (``--out``, else ``<command>.csv``/``.json``) and its manifest."""
-    manifest = RunManifest.build(command, parameters, cfg, _constants_path(args))
-    path = Path(args.out or f"{command}.{'json' if args.json else 'csv'}")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        if args.json:
-            fh.write(json.dumps([dict(zip(header, row)) for row in rows],
-                                indent=2) + "\n")
-        else:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(row) + "\n")
-    Path(str(path) + ".manifest.json").write_text(manifest.to_json() + "\n",
-                                                  encoding="utf-8")
+def _manifest(command: str, parameters: Dict[str, object], cfg: QuadConfig,
+              constants_bytes: Optional[bytes]) -> Dict[str, object]:
+    """What a run's numbers depend on, and when it ran; ``None`` bytes hash as "missing"."""
+    return {"command": command, "parameters": parameters,
+            "constants_file_hash": ("missing" if constants_bytes is None
+                                    else hashlib.sha256(constants_bytes).hexdigest()),
+            "tolerances": dataclasses.asdict(cfg),
+            "timestamp": datetime.now(timezone.utc).isoformat(),
+            "versions": {"goodfun": __version__, "numpy": np.__version__,
+                         "python": platform.python_version()}}
+
+
+def _write(args, text: str, manifest: Dict[str, object]) -> str:
+    """Write ``text`` to ``--out`` (a table's default: ``<command>.csv``/``.json``)
+    and ``manifest`` to ``<path>.manifest.json``."""
+    path = args.out or f"{manifest['command']}.{'json' if args.json else 'csv'}"
+    Path(path).write_text(text, encoding="utf-8", newline="")
+    Path(path + ".manifest.json").write_text(
+        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8", newline="")
     return path
 
 
@@ -91,9 +80,15 @@ def _cfg_from_args(args) -> QuadConfig:
 
 
 def _constants_path(args) -> Path:
-    if args.constants_file:
-        return Path(args.constants_file)
-    return constants_mod.default_constants_path()
+    return Path(args.constants_file or constants_mod.default_constants_path())
+
+
+def _constants_bytes_if_readable(args) -> Optional[bytes]:
+    """The constants file's bytes for eval and zeros, which do not use them; None if unreadable."""
+    try:
+        return _constants_path(args).read_bytes()
+    except OSError:
+        return None
 
 
 def cmd_eval(args) -> int:
@@ -115,25 +110,19 @@ def cmd_eval(args) -> int:
             raise DomainError("eval --fn Q requires --gamma, --xi and --x")
         inputs = {"gamma": args.gamma, "xi": args.xi, "x": args.x}
         r = eval_Q(args.gamma, args.xi, args.x, cfg)
-    manifest = RunManifest.build("eval", {"fn": fn, **inputs}, cfg, _constants_path(args))
-    record = {
-        "function": fn,
-        "inputs": inputs,
-        "value": r.value,
-        "error_estimate": r.error_estimate,
-        "method": r.method,
-        "converged": r.converged,
-        "manifest": dataclasses.asdict(manifest),
-    }
+    manifest = _manifest("eval", {"fn": fn, **inputs}, cfg, _constants_bytes_if_readable(args))
     if args.csv:
-        header = ["function", "value", "error_estimate", "method", "converged"]
-        row = [fn, _fmt(r.value), _fmt(r.error_estimate), r.method, str(r.converged).lower()]
-        text = ",".join(header) + "\n" + ",".join(row)
+        text = _table(["function", "value", "error_estimate", "method", "converged"],
+                      [[fn, _fmt(r.value), _fmt(r.error_estimate), r.method,
+                        str(r.converged).lower()]], False)
     else:
-        text = json.dumps(record, sort_keys=True, indent=2)
-    print(text)
+        record = {"function": fn, "inputs": inputs, "value": r.value,
+                  "error_estimate": r.error_estimate, "method": r.method,
+                  "converged": r.converged, "manifest": manifest}
+        text = json.dumps(record, sort_keys=True, indent=2) + "\n"
+    print(text, end="")
     if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
+        _write(args, text, manifest)
     if not r.converged and not args.best_effort:
         return EXIT_TOLERANCE
     return EXIT_OK
@@ -155,7 +144,8 @@ def _log_grid(text: str, name: str, points: int) -> np.ndarray:
 
 def cmd_compare(args) -> int:
     cfg = _cfg_from_args(args)
-    consts = load_constants(_constants_path(args))
+    constants_bytes = _constants_path(args).read_bytes()
+    consts = parse_constants(constants_bytes)
     xs = _log_grid(args.x_range, "--x-range", args.points)
     header = ["x", "rho", "s", "u", "regime", "oracle", "approx",
               "err_claimed", "err_actual", "flag"]
@@ -173,8 +163,9 @@ def cmd_compare(args) -> int:
         rows.append([_fmt(x), _fmt(args.rho), _fmt(regime.s), _fmt(regime.u),
                      regime.kind.value, _fmt(oracle.h), _fmt(approx.value),
                      _fmt(approx.error_estimate), _fmt(err_actual), flag])
-    out = _write_table(args, "compare", {"rho": args.rho, "x_range": args.x_range,
-                                         "points": args.points}, cfg, header, rows)
+    out = _write(args, _table(header, rows, args.json),
+                 _manifest("compare", {"rho": args.rho, "x_range": args.x_range,
+                                       "points": args.points}, cfg, constants_bytes))
     print(f"wrote {out} ({len(rows)} rows); max err_actual/err_claimed = {worst:.6g}")
     if flagged and not args.best_effort:
         return EXIT_TOLERANCE
@@ -187,28 +178,30 @@ def cmd_zeros(args) -> int:
     header = ["x_zero", "bracket_lo", "bracket_hi", "rho", "residual", "method"]
     rows = [[_fmt(r.x_zero), _fmt(r.bracket[0]), _fmt(r.bracket[1]), _fmt(r.rho),
              _fmt(r.residual), r.method] for r in records]
-    out = _write_table(args, "zeros", {"rho": args.rho, "xmin": args.xmin,
-                                       "xmax": args.xmax}, cfg, header, rows)
+    out = _write(args, _table(header, rows, args.json),
+                 _manifest("zeros", {"rho": args.rho, "xmin": args.xmin, "xmax": args.xmax},
+                           cfg, _constants_bytes_if_readable(args)))
     print(f"wrote {out} ({len(rows)} zeros)")
     return EXIT_OK
 
 
 def cmd_scan(args) -> int:
     cfg = _cfg_from_args(args)
-    consts = load_constants(_constants_path(args))
+    constants_bytes = _constants_path(args).read_bytes()
+    consts = parse_constants(constants_bytes)
     rhos = _log_grid(args.rho_range, "--rho-range", args.points)
     header = ["rho", "x", "alpha", "eta", "s", "u", "regime", "main_term",
               "err_claimed"]
     rows = []
     for rho in map(float, rhos):
         r = corollary_path_main(args.alpha, args.eta, rho, cfg=cfg, constants=consts)
-        rows.append([_fmt(rho), _fmt(args.eta * rho ** (-args.alpha)),
-                     _fmt(args.alpha), _fmt(args.eta), _fmt(r.regime.s),
-                     _fmt(r.regime.u), r.regime.kind.value, _fmt(r.value),
-                     _fmt(r.error_estimate)])
-    out = _write_table(args, "scan", {"alpha": args.alpha, "eta": args.eta,
-                                      "rho_range": args.rho_range,
-                                      "points": args.points}, cfg, header, rows)
+        rows.append([_fmt(rho), _fmt(r.regime.x), _fmt(args.alpha), _fmt(args.eta),
+                     _fmt(r.regime.s), _fmt(r.regime.u), r.regime.kind.value,
+                     _fmt(r.value), _fmt(r.error_estimate)])
+    out = _write(args, _table(header, rows, args.json),
+                 _manifest("scan", {"alpha": args.alpha, "eta": args.eta,
+                                    "rho_range": args.rho_range, "points": args.points},
+                           cfg, constants_bytes))
     print(f"wrote {out} ({len(rows)} rows)")
     return EXIT_OK
 
@@ -309,7 +302,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except GoodFunError as exc:
+    except (GoodFunError, OSError) as exc:  # OSError: a file that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

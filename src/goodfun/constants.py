@@ -69,7 +69,13 @@ def default_constants_path() -> Path:
     return Path(str(resources.files("goodfun").joinpath("data/constants.txt")))
 
 
-def parse_constants(text: str) -> Constants:
+def parse_constants(text: Union[str, bytes]) -> Constants:
+    """Parse the file format above; bytes that are not UTF-8 text are a DomainError."""
+    if isinstance(text, bytes):
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DomainError(f"constants file is not UTF-8 text: {exc}") from exc
     values: dict[str, float] = {}
     known = {f.name for f in fields(Constants)}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -106,7 +112,7 @@ def format_constants(constants: Constants, note: str = "") -> str:
 def load_constants(path: Optional[Union[str, Path]] = None) -> Constants:
     """Load constants from ``path`` or from the active default location."""
     p = Path(path) if path is not None else default_constants_path()
-    return parse_constants(p.read_text(encoding="utf-8"))
+    return parse_constants(p.read_bytes())
 
 
 def save_constants(constants: Constants, path: Union[str, Path], note: str = "") -> None:

@@ -16,7 +16,7 @@ import numbers
 from typing import Optional
 
 from .anger import anger_J
-from .core import (DomainError, EvalResult, QuadConfig, require_above,
+from .core import (DomainError, EvalResult, PrecisionError, QuadConfig, require_above,
                    require_at_least, require_finite)
 from .good import eval_G
 
@@ -47,7 +47,7 @@ def series_partial_sum(gamma: float, rho: float, x: float, K: int,
     The error estimate is the weighted Anger errors plus the geometric tail
     bound from |J_nu| <= 1: tail <= (2/(rho beta)) exp(-(K+2) t) / (1 - exp(-2t)).
     Shifted orders gamma - k may be negative; the Anger integral extends
-    verbatim.
+    verbatim.  A rho for which t rounds to 0 raises :class:`PrecisionError`.
     """
     if not isinstance(K, numbers.Integral) or K < 2 or K % 2 != 0:
         raise DomainError(f"K must be an even integer >= 2, got {K!r}")
@@ -56,6 +56,8 @@ def series_partial_sum(gamma: float, rho: float, x: float, K: int,
     require_finite("x", x)
     beta = math.sqrt(1.0 + rho * rho)
     t = math.log(rho + beta)
+    if t == 0.0:  # rho below ~1.1e-16: the tail bound would divide by 1 - exp(-2t) = 0
+        raise PrecisionError(f"rho = {rho!r} is too small: rho + sqrt(1 + rho^2) rounds to 1")
     j = anger_J(gamma, -x, cfg)
     total, err, converged = j.value, j.error_estimate, j.converged
     for k in range(2, K + 1, 2):

@@ -72,15 +72,12 @@ def i_lambda_oracle(lam: float, cfg: Optional[QuadConfig] = None) -> QuadResult:
     u = e^{i pi/6} t turns it into
     e^{i pi/6} int_0^inf exp(-lam t^3) / (1 + e^{i pi/3} t^2) dt,
     whose integrand does not oscillate and decays like exp(-lam t^3).
+    As |1 + e^{i pi/3} t^2| >= 1, integrate_tail's envelope check refuses a wrong rotation.
     """
     require_above("lam", lam, 0.0)
 
     def fn(t: np.ndarray) -> np.ndarray:
-        denom = 1.0 + _ROT * t * t
-        # cannot happen analytically (|denom| >= 1); guards rotation sign bugs
-        if np.any(np.abs(denom) < 0.5):
-            raise NumericalError("rotated denominator dipped below 0.5")
-        return np.exp(-lam * t ** 3) / denom
+        return np.exp(-lam * t ** 3) / (1.0 + _ROT * t * t)
 
     res = integrate_tail(Integrand(fn), lam, cfg)
     return QuadResult(_ROT_HALF * res.value, res.err, res.converged, res.panels)

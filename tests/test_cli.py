@@ -163,6 +163,100 @@ def test_eval_csv_format(capsys):
                                                           abs=1e-12)
 
 
+@pytest.mark.parametrize("fmt", ["--json", "--csv"])
+def test_eval_out_writes_the_printed_text_and_a_manifest(fmt, tmp_path, capsys):
+    out = tmp_path / "e.txt"
+    code, stdout, _ = run(capsys, "eval", "--fn", "H", "--x", "0", "--rho", "1", fmt,
+                          "--out", str(out))
+    assert code == 0
+    assert out.read_text(encoding="utf-8") == stdout
+    manifest = json.loads((tmp_path / "e.txt.manifest.json").read_text())
+    assert manifest["command"] == "eval"
+    assert manifest["parameters"] == {"fn": "H", "x": 0.0, "rho": 1.0}
+    assert set(manifest["versions"]) == {"goodfun", "numpy", "python"}
+    assert manifest["versions"]["numpy"] == np.__version__
+    if fmt == "--json":
+        assert json.loads(stdout)["manifest"] == manifest
+
+
+def test_manifest_hashes_the_bytes_compare_parsed(tmp_path, capsys, monkeypatch):
+    import hashlib
+    import pathlib
+
+    custom = tmp_path / "alt.txt"
+    custom.write_text(constants_mod.format_constants(load_constants(), note="copy"),
+                      encoding="utf-8")
+    opened = []
+    path_open = pathlib.Path.open
+    monkeypatch.setattr(pathlib.Path, "open",
+                        lambda self, *a, **k: opened.append(self) or path_open(self, *a, **k))
+    code, _, _ = run(capsys, "compare", "--rho", "1", "--x-range", "1e2:1e3", "--points", "2",
+                     "--constants-file", str(custom), "--out", str(tmp_path / "c.csv"))
+    monkeypatch.undo()
+    assert code == 0
+    assert opened.count(custom) == 1
+    manifest = json.loads((tmp_path / "c.csv.manifest.json").read_text())
+    assert manifest["constants_file_hash"] == hashlib.sha256(custom.read_bytes()).hexdigest()
+
+
+_MISSING_CONSTANTS = [
+    ["compare", "--rho", "1", "--x-range", "1e2:1e3", "--points", "2"],
+    ["scan", "--alpha", "2", "--eta", "1", "--rho-range", "1e-3:1e-2", "--points", "2"],
+]
+
+
+@pytest.mark.parametrize("via_env", [False, True])
+@pytest.mark.parametrize("argv", _MISSING_CONSTANTS)
+def test_an_unreadable_constants_file_is_an_error_line(argv, via_env, tmp_path, capsys,
+                                                       monkeypatch):
+    missing = tmp_path / "missing.txt"
+    if via_env:
+        monkeypatch.setenv("GOODFUN_CONSTANTS", str(missing))
+    else:
+        argv = [*argv, "--constants-file", str(missing)]
+    code, _, err = run(capsys, *argv, "--out", str(tmp_path / "t.csv"))
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1 and "missing.txt" in err
+    assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("argv", _MISSING_CONSTANTS)
+def test_a_constants_file_that_is_not_utf8_is_a_domain_error(argv, tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe c_h_small = 1\n")
+    code, _, err = run(capsys, *argv, "--constants-file", str(bad),
+                       "--out", str(tmp_path / "t.csv"))
+    assert code == 2
+    assert err.startswith("domain error:") and "UTF-8" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--fn", "H", "--x", "0", "--rho", "1"],
+    ["zeros", "--rho", "1", "--xmin", "10", "--xmax", "11"],
+])
+def test_commands_without_constants_record_an_unreadable_file_as_missing(argv, tmp_path,
+                                                                         capsys):
+    out = tmp_path / "o.txt"
+    code, _, _ = run(capsys, *argv, "--constants-file", str(tmp_path / "missing.txt"),
+                     "--out", str(out))
+    assert code == 0
+    manifest = json.loads((tmp_path / "o.txt.manifest.json").read_text())
+    assert manifest["constants_file_hash"] == "missing"
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--fn", "H", "--x", "0", "--rho", "1"],
+    ["zeros", "--rho", "1", "--xmin", "10", "--xmax", "11"],
+    _MISSING_CONSTANTS[0],
+    _MISSING_CONSTANTS[1],
+    ["calibrate", "--quick"],
+])
+def test_an_out_in_a_missing_directory_is_an_error_line(argv, tmp_path, capsys):
+    code, _, err = run(capsys, *argv, "--out", str(tmp_path / "no" / "t.csv"))
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_scan_json_format(tmp_path, capsys):
     out = tmp_path / "scan.json"
     code, _, _ = run(capsys, "scan", "--alpha", "1", "--eta", "0.5",

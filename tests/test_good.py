@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goodfun import (DomainError, PrecisionError, QuadConfig, anger_J, bounds_H,
-                     eval_G, eval_H, eval_H_many, eval_Q, h_asym_large)
+                     eval_G, eval_H, eval_H_many, eval_Q, h_approx, h_asym_large)
 from goodfun import good, quadrature
 from goodfun.good import RHO_MIN, X_C
 
@@ -380,6 +380,22 @@ def test_compare_points_keep_their_bits_under_the_large_rho_bound():
     assert len(rows) == 168
     assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == (
         "decab3d69f78822730c87154886886d14fcb214def17435ebd4a59000f3cbee1")
+
+
+def test_compare_points_keep_their_approx_bits():
+    # the approx column of the same 168 points, 117 of them through cubic_tail
+    _repo_root_on_path()
+    from perfbench import workloads
+
+    compare = workloads.WORKLOADS["compare-wide-x"]
+    points = [p for seed in (1, 2, 3) for p in workloads.ops(compare, seed)]
+    rows = []
+    for x, rho in points:
+        a = h_approx(x, rho)
+        rows.append(f"{a.value.hex()} {a.error_estimate.hex()} {a.converged}")
+    assert len(rows) == 168
+    assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == (
+        "3b8cf32f611c2021cb86f337615105ac3c6a94a469646ba60be46fa37cef3bac")
 
 
 def test_fold_is_within_its_claim_of_the_long_double_reference():

@@ -2,8 +2,8 @@ import math
 
 import pytest
 
-from goodfun import (DomainError, QuadConfig, eval_G, eval_Q, ode_residual, q_from_g,
-                     series_partial_sum)
+from goodfun import (DomainError, PrecisionError, QuadConfig, eval_G, eval_Q, ode_residual,
+                     q_from_g, series_partial_sum)
 
 
 def test_ode_residual_small_at_canonical_points():
@@ -83,6 +83,14 @@ def test_series_passes_on_an_unconverged_anger_term():
     s = series_partial_sum(1.0, 1.0, 1.0, 4, QuadConfig(max_panels=2))
     assert not s.converged
     assert s.error_estimate > _tail_bound(1.0, 4) > 0.0086
+
+
+def test_series_refuses_a_rho_that_vanishes_beside_one():
+    # 1 + rho rounds to 1, so t = 0 and the tail bound would divide by zero
+    with pytest.raises(PrecisionError, match="rho = 1e-16"):
+        series_partial_sum(0.0, 1e-16, 1.0, 2)
+    s = series_partial_sum(0.0, 1.2e-16, 1.0, 2)
+    assert math.isfinite(s.value) and _tail_bound(1.2e-16, 2) <= s.error_estimate < math.inf
 
 
 def test_q_from_g_matches_direct_q():

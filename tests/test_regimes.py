@@ -5,11 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from goodfun import (Constants, DomainError, Integrand, PrecisionError, QuadConfig,
-                     RegimeKind, anger_diag_asym, anger_reflected_asym, anger_shifted_asym,
-                     classify, corollary_path_main, cubic_tail, eval_H, h_approx,
-                     h_asym_large, h_asym_small, i_lambda_asym,
+from goodfun import (Constants, DomainError, EnvelopeViolated, Integrand, PrecisionError,
+                     QuadConfig, RegimeKind, anger_diag_asym, anger_reflected_asym,
+                     anger_shifted_asym, classify, corollary_path_main, cubic_tail, eval_H,
+                     h_approx, h_asym_large, h_asym_small, i_lambda_asym,
                      i_lambda_oracle, integrate_finite, load_constants, two_term_expansion)
+from goodfun import regimes
 from goodfun.calibrate import good_amplitude_problem
 from goodfun.constants import GAMMA_THIRD
 from goodfun.core import cos_pi
@@ -117,6 +118,17 @@ def test_i_lambda_asym_values():
     assert r.error_estimate == pytest.approx(1.0 / 3000.0, rel=1e-15)
     assert cmath.phase(r.value) == pytest.approx(math.pi / 6.0, rel=1e-15)
     assert r.method == "asymptotic" and r.regime is None
+
+
+@pytest.mark.parametrize("rot", [-regimes._ROT, -1.0, cmath.exp(0.9j * math.pi),
+                                 cmath.exp(2j * math.pi / 3.0)])
+@pytest.mark.parametrize("lam", [1e-3, 0.05, 1.0, 30.0])
+def test_i_lambda_oracle_refuses_a_wrong_rotation(rot, lam, monkeypatch):
+    # each puts the denominator's minimum modulus below 1/1.1, so the rotated
+    # integrand leaves its envelope exp(-lam t^3) by more than 10% at some t in [0.7, 1]
+    monkeypatch.setattr(regimes, "_ROT", rot)
+    with pytest.raises(EnvelopeViolated):
+        i_lambda_oracle(lam)
 
 
 # up to 1e300: the ray's cut-off must shrink like lam^(-1/3), or from
