@@ -16,7 +16,8 @@ stationary point of th -> th - sin th:
 The remainder constants are calibrated by sweep (see goodfun.calibrate)
 and frozen in the constants file; the theory proves only their existence.
 
-The oracle ``anger_J`` integrates on [0, pi] at a cost that grows like
+The oracle ``anger_J`` integrates on the real axis, folded onto
+[0, pi/2] as G, Q and H are (``good._fold``), at a cost that grows like
 |nu| + |x|, except in the band these laws live in: from |x| = X_C on,
 orders with ||nu| - |x|| <= |x|^(1/3) go along calH's steepest-descent
 contour (``good._contours``), whose cost does not grow with x.
@@ -34,8 +35,8 @@ from .constants import (GAMMA_THIRD, GAMMA_TWO_THIRDS, SQRT3, Constants,
                         get_constants)
 from .core import (DomainError, EvalResult, QuadConfig, cos_pi, require_above,
                    require_finite, require_phase, sin_pi)
-from .good import X_C, _contours
-from .quadrature import G10K21, Integrand, QuadResult, integrate_finite
+from .good import X_C, _contours, _fold
+from .quadrature import QuadResult
 
 __all__ = ["anger_J", "anger_diag_asym", "anger_reflected_asym",
            "anger_shifted_asym"]
@@ -44,14 +45,18 @@ _K_MAX = 10 ** 6
 
 
 def _real_axis(nu: float, x: float, cfg: Optional[QuadConfig]) -> EvalResult:
-    """J_nu(x) by quadrature on [0, pi]; cost grows like |nu| + |x|."""
-    def fn(th: np.ndarray) -> np.ndarray:
-        return np.cos(nu * th - x * np.sin(th))
+    """J_nu(x) by the fold on the real axis (``good._fold``); cost grows like |nu| + |x|."""
+    cn, sn = cos_pi(nu), sin_pi(nu)
 
-    f = Integrand(fn, osc_frequency=0.5 * (abs(nu) + abs(x)))
-    res = integrate_finite(f, 0.0, math.pi, cfg, rule=G10K21)
-    return EvalResult(value=res.value.real / math.pi, error_estimate=res.err / math.pi,
-                      method="oracle", converged=res.converged)
+    def fn(u: np.ndarray, _k) -> np.ndarray:
+        # th = u, and th = pi - u: cos(pi*nu - (nu*u + x*sin u))
+        s = np.sin(u)
+        w = nu * u + x * s
+        return np.cos(nu * u - x * s) + cn * np.cos(w) + sn * np.sin(w)
+
+    res, = _fold(fn, [0.5 * (abs(nu) + abs(x))], (), cfg)
+    return EvalResult(value=res.value.real, error_estimate=res.err, method="oracle",
+                      converged=res.converged)
 
 
 def _on_contour(nu: float, x: float) -> bool:
@@ -91,7 +96,8 @@ def anger_J(nu: float, x: float, cfg: Optional[QuadConfig] = None) -> EvalResult
     """
     require_finite("nu", nu)
     require_finite("x", x)
-    require_phase("nu*th - x*sin(th)", nu, -x, math.pi)
+    # nu*u - x*sin u on one half, nu*u + x*sin u on the other: one of them adds
+    require_phase("nu*th -+ x*sin(th)", abs(nu), abs(x), math.pi / 2.0)
     if not _on_contour(nu, x):
         return _real_axis(nu, x, cfg)
     x_a, k, turn = _calA_point(nu, x)

@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import hashlib
 import json
 import math
+import os
 import platform
 import sys
 from datetime import datetime, timezone
@@ -298,6 +300,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # the subgrid constants sit below the shipped ones; never replace them
         parser.error("calibrate --quick needs --out (it would overwrite the constants file)")
     try:
+        if args.out is not None and not Path(args.out).parent.is_dir():
+            # before the command computes anything, with the error its write would raise
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out)
         return args.func(args)
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)

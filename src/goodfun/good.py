@@ -12,13 +12,15 @@ as one complex integral, which halves the quadrature work and enforces
 H = Re calH by construction.  The module also provides the explicit
 a-priori bounds on |H| and its first derivatives.
 
-On the real axis the G and H integrals are folded by th -> pi - u onto
-[0, pi/2] and evaluated as one integral per point, whose integrand sums
-both halves at the same node (``_fold``).  The folded form keeps both
-integrand peaks at an exactly representable endpoint (the peak at
-th = pi sits a sliver below the nearest double, which at rho = 1e-3
-already costs ~1e-10 of mass) and turns the constant phase at pi into
-cos/sin(pi*gamma) factors that reduce exactly modulo 2.  From |x| = X_C
+On the real axis the G, Q and H integrals, and ``anger.anger_J`` off
+its band, are folded by th -> pi - u onto [0, pi/2] and evaluated as one
+integral per point, whose integrand sums both halves at the same node
+(``_fold``).  The folded form keeps the integrand peaks of G and H at an
+exactly representable endpoint (the peak at th = pi sits a sliver below
+the nearest double, which at rho = 1e-3 already costs ~1e-10 of mass),
+turns the constant phase at pi into cos/sin(pi*gamma) factors that
+reduce exactly modulo 2, and takes half the panels of a mesh of [0, pi]
+at the same oscillation scale.  From |x| = X_C
 on, calH is integrated along a contour in the upper half-plane instead
 (``_contours``), at a cost that does not grow with x.
 
@@ -45,8 +47,7 @@ import numpy as np
 
 from .core import (EvalResult, PrecisionError, QuadConfig, cos_pi, require_above,
                    require_at_least, require_finite, require_phase, sin_pi)
-from .quadrature import (G10K21, HotSpot, Integrand, QuadResult, integrate_finite,
-                         integrate_many)
+from .quadrature import G10K21, HotSpot, QuadResult, integrate_many
 
 __all__ = ["HValue", "HBounds", "eval_G", "eval_Q", "eval_H", "eval_H_many", "bounds_H",
            "RHO_MIN", "X_C"]
@@ -62,9 +63,12 @@ RHO_MIN = 1e-6
 # rho = 1e-3; 0.9-0.98 and 0.6 times at x = 200; 0.97-1.12 and 0.7 times at
 # x = 250; 1.1-1.3 and 0.8 times at x = 300; at rho = 1e-3 the two meet
 # near x = 400 (best of 200 calls, three runs; 2-vCPU x86 VM, numpy 2.4).
-# On G7K15 panels of a quarter period they met near x = 130.  X_C stays at
-# 100: moving it would move the compare rows and zeros windows between it
-# and the new crossover onto the other path.
+# On G7K15 panels of a quarter period they met near x = 130.  anger_J's
+# fold in its band (nu = +-x, x +- x^(1/3)) takes 0.5, 0.6-0.65, 0.7-0.76
+# and 0.95-1.0 times the contour's time at x = 100, 150, 200 and 300, and
+# 1.15-1.6 times at 400 (best of 200, two runs).  X_C stays at 100: moving
+# it would move the compare rows, zeros windows and calibration points
+# between it and the new crossover onto the other path.
 X_C = 100.0
 
 
@@ -151,17 +155,19 @@ def _require_x_rho(x: float, rho: float) -> float:
     return x
 
 
-def _fold(fn: _OwnerFn, oscs: Sequence[float], rho: float,
+def _fold(fn: _OwnerFn, oscs: Sequence[float], spots: Tuple[HotSpot, ...],
           cfg: Optional[QuadConfig]) -> List[QuadResult]:
     """(1/pi) int_0^pi f(th) dth as one integral int_0^{pi/2} f(u) + f(pi - u) du, per point.
 
+    The real axis of all four oracles: calH (``_real_axis``), G
+    (``eval_G``), Q (``eval_Q``) and J (``anger._real_axis``).
     ``fn(u, k)`` returns point k's f(u) + f(pi - u), both halves at the
     same node, and ``oscs[k]`` is the larger oscillation scale of the
-    two.  Both halves peak at u = 0 with width rho.  Every point is one
-    owner of one ``integrate_many`` call on G10K21, converged against its
-    own value.
+    two.  ``spots`` are the peaks of both halves in u, the same for every
+    point: (0, rho) for calH and G, (0, ~sqrt(2 (xi - 1))) for Q, none
+    for J.  Every point is one owner of one ``integrate_many`` call on
+    G10K21, converged against its own value.
     """
-    spots = (HotSpot(0.0, rho),)
     return [QuadResult(r.value / math.pi, r.err / math.pi, r.converged, r.panels)
             for r in integrate_many(fn, [(0.0, _HALF_PI, o, spots) for o in oscs], cfg,
                                     rule=G10K21)]
@@ -379,7 +385,7 @@ def eval_G(gamma: float, rho: float, x: float,
         w = gamma * u - x * s
         return (np.cos(gamma * u + x * s) + cg * np.cos(w) + sg * np.sin(w)) / (rho2 + s * s)
 
-    res, = _fold(fn, [0.5 * (abs(gamma) + abs(x))], rho, cfg)
+    res, = _fold(fn, [0.5 * (abs(gamma) + abs(x))], (HotSpot(0.0, rho),), cfg)
     return EvalResult(value=res.value.real, error_estimate=res.err, method="oracle",
                       converged=res.converged)
 
@@ -393,18 +399,21 @@ def eval_Q(gamma: float, xi: float, x: float,
     if math.sqrt(xi * xi - 1.0) < RHO_MIN:
         raise PrecisionError(f"xi = {xi} is too close to 1: sqrt(xi^2 - 1) is below {RHO_MIN}")
     require_finite("x", x)
-    require_phase("gamma*th + x*sin(th)", gamma, x, math.pi)
+    require_phase("gamma*th +- x*sin(th)", gamma, abs(x), _HALF_PI)
+    cg, sg = cos_pi(gamma), sin_pi(gamma)
 
-    def fn(th: np.ndarray) -> np.ndarray:
-        return np.cos(gamma * th + x * np.sin(th)) / (xi - np.cos(th))
+    def fn(u: np.ndarray, _k) -> np.ndarray:
+        # th = u over xi - cos u, and th = pi - u over xi + cos u, as in eval_G
+        s, c = np.sin(u), np.cos(u)
+        w = gamma * u - x * s
+        return (np.cos(gamma * u + x * s) / (xi - c)
+                + (cg * np.cos(w) + sg * np.sin(w)) / (xi + c))
 
-    # the denominator dips to xi - 1 at th = 0 with parabolic width
-    width = min(math.sqrt(2.0 * (xi - 1.0)), 1.0)
-    f = Integrand(fn, osc_frequency=0.5 * (abs(gamma) + abs(x)),
-                  hot_spots=(HotSpot(0.0, width),))
-    res = integrate_finite(f, 0.0, math.pi, cfg, rule=G10K21)
-    return EvalResult(value=res.value.real / math.pi, error_estimate=res.err / math.pi,
-                      method="oracle", converged=res.converged)
+    # only the th = 0 half peaks: xi - cos u dips to xi - 1 with parabolic width
+    spot = HotSpot(0.0, min(math.sqrt(2.0 * (xi - 1.0)), 1.0))
+    res, = _fold(fn, [0.5 * (gamma + abs(x))], (spot,), cfg)
+    return EvalResult(value=res.value.real, error_estimate=res.err, method="oracle",
+                      converged=res.converged)
 
 
 def _real_axis(xs: Sequence[float], rho: float, cfg: Optional[QuadConfig]) -> List[QuadResult]:
@@ -436,7 +445,7 @@ def _real_axis(xs: Sequence[float], rho: float, cfg: Optional[QuadConfig]) -> Li
         z.imag *= r
         return z
 
-    return _fold(fn, [abs(x) for x in xs], rho, cfg)  # the left half's scale, twice the right's
+    return _fold(fn, [abs(x) for x in xs], (HotSpot(0.0, rho),), cfg)  # the left half's scale
 
 
 def eval_H(x: float, rho: float, cfg: Optional[QuadConfig] = None) -> HValue:

@@ -258,7 +258,8 @@ def test_real_axis_holds_its_claim_at_large_x(nu, ref):
 
 
 def test_real_axis_converges_off_the_band_at_2e5():
-    # 100 001 G10K21 panels fit the default budget of 200 000; G7K15 needed
-    # about 300 000, was coarsened to the budget and returned converged=False
+    # the fold's 50 001 G10K21 panels (100 001 on [0, pi]) fit the default
+    # budget of 200 000; G7K15 on [0, pi] needed about 300 000, was coarsened
+    # to the budget and returned converged=False
     r = anger_J(1e5, 2e5)
     assert r.converged and r.error_estimate < 1e-13

@@ -257,6 +257,20 @@ def test_an_out_in_a_missing_directory_is_an_error_line(argv, tmp_path, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [["calibrate"], ["calibrate", "--quick"],
+                                  ["zeros", "--rho", "1", "--xmin", "10", "--xmax", "13"]])
+def test_an_out_in_a_missing_directory_fails_before_computing(argv, tmp_path, capsys,
+                                                              monkeypatch):
+    from goodfun import cli
+    for name in ("calibrate", "find_zeros"):
+        monkeypatch.setattr(cli, name, lambda *a, **k: pytest.fail("computed before --out"))
+    out = tmp_path / "no" / "q.txt"
+    code, _, err = run(capsys, *argv, "--out", str(out))
+    assert code == 1
+    assert err == f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
+    assert not (tmp_path / "no").exists()
+
+
 def test_scan_json_format(tmp_path, capsys):
     out = tmp_path / "scan.json"
     code, _, _ = run(capsys, "scan", "--alpha", "1", "--eta", "0.5",

@@ -62,12 +62,15 @@ def test_require_phase_accepts_finite_terms(a, b, length):
 @pytest.mark.parametrize("call", [
     lambda: eval_G(1e308, 1.0, 1e308),
     lambda: eval_G(1e308, 1.0, -1e308),   # the folded right half adds
-    lambda: eval_Q(1e308, 2.0, 1.0),
+    lambda: eval_Q(1e308, 2.0, 1e308),
     lambda: anger_J(1e308, 1e308),
-    lambda: anger_J(1e308, 0.0),
-], ids=["eval_G", "eval_G-negative-x", "eval_Q", "anger_J", "anger_J-x=0"])
+    lambda: anger_J(1.5e308, 0.0),
+    lambda: anger_J(5e307, 1.5e308),      # nu*u + x*sin u on the folded half
+], ids=["eval_G", "eval_G-negative-x", "eval_Q", "anger_J", "anger_J-x=0", "anger_J-fold"])
 def test_oracles_refuse_a_phase_beyond_binary64(call):
-    # before numpy overflows (a RuntimeWarning, then NumericalError)
+    # before numpy overflows (a RuntimeWarning, then NumericalError); every
+    # real-axis oracle sums both halves of [0, pi] on [0, pi/2], so it is the
+    # phase on [0, pi/2] with both terms added that must stay finite
     with pytest.raises(PrecisionError, match="overflows binary64"):
         call()
 

@@ -12,6 +12,7 @@ from goodfun import (DomainError, PrecisionError, QuadConfig, anger_J, bounds_H,
                      eval_G, eval_H, eval_H_many, eval_Q, h_approx, h_asym_large)
 from goodfun import good, quadrature
 from goodfun.good import RHO_MIN, X_C
+from goodfun.identities import q_from_g
 
 # pinned by independent high-precision quadrature (30-digit working precision)
 G_2_1_3 = 0.339022902852306367
@@ -80,6 +81,37 @@ def test_q_pinned_values():
     assert abs(r.value - Q_1_SQRT2_2) <= max(r.error_estimate, 1e-12)
     r = eval_Q(5.0, 1.01, 10.0)
     assert abs(r.value - Q_5_101_10) <= max(r.error_estimate, 1e-11)
+
+
+def _q_unfolded(gamma, xi, x):
+    """Q_{gamma,xi}(x) as one integral over the whole of [0, pi], on the fold's rule."""
+    def fn(th):
+        return np.cos(gamma * th + x * np.sin(th)) / (xi - np.cos(th))
+
+    f = quadrature.Integrand(fn, osc_frequency=0.5 * (gamma + abs(x)),
+                             hot_spots=(quadrature.HotSpot(0.0, min(math.sqrt(2 * (xi - 1)), 1)),))
+    r = quadrature.integrate_finite(f, 0.0, math.pi, rule=quadrature.G10K21)
+    return r.value.real / math.pi, r.err / math.pi
+
+
+@pytest.mark.parametrize("x", [10.0, 1e3, 1e4])
+@pytest.mark.parametrize("gamma,xi", [(0.0, 2.0), (0.0, 1.001), (5.0, 1.5), (50.0, 3.0)])
+def test_q_fold_agrees_with_the_unfolded_integral(gamma, xi, x):
+    r = eval_Q(gamma, xi, x)
+    ref, ref_err = _q_unfolded(gamma, xi, x)
+    assert r.converged
+    assert abs(r.value - ref) <= r.error_estimate + ref_err
+
+
+def test_folds_converge_at_1e6_under_the_default_budget():
+    # the fold halves the panels of a [0, pi] mesh: Q's 166 668 fit the
+    # budget of 200 000, J's 250 000 at |nu| + |x| = 1.5e6 are coarsened to
+    # it but keep a claim near their actual error (1.1e-3 unfolded)
+    x = 1e6
+    q, ref = eval_Q(0.0, 2.0, x), q_from_g(0.0, 2.0, x)
+    assert q.converged and ref.converged
+    assert abs(q.value - ref.value) <= q.error_estimate + ref.error_estimate
+    assert anger_J(x / 2, x).error_estimate < 1e-10
 
 
 def test_q_requires_xi():
@@ -510,6 +542,8 @@ _ONE_POINT = {
     "eval_H contour x<0": lambda cfg: eval_H(-250.0, 1e-3, cfg),
     "anger_J contour": lambda cfg: anger_J(1e3, 1e3, cfg),
     "eval_G": lambda cfg: eval_G(2.0, 1.0, 3.0, cfg),
+    "eval_Q": lambda cfg: eval_Q(1.0, 2.0, 3.0, cfg),
+    "anger_J fold": lambda cfg: anger_J(50.0, 200.0, cfg),
     "eval_H_many fold": lambda cfg: eval_H_many([3.5], 0.5, cfg),
     "eval_H_many contour": lambda cfg: eval_H_many([1e4], 0.5, cfg),
 }

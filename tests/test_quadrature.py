@@ -444,7 +444,7 @@ def test_meshes_of_a_mixed_batch_are_each_owners_own(shift):
 
 @pytest.mark.parametrize("call", [
     lambda cfg: eval_G(1e20, 1.0, 3.0, cfg),      # ~5e19 panels per half
-    lambda cfg: anger_J(5e307, 1.5e308, cfg),     # |nu| + |x| overflows: cap 0
+    lambda cfg: anger_J(1e20, 3.0, cfg),          # ~1.7e19 panels on the fold
 ], ids=["eval_G", "anger_J"])
 def test_mesh_beyond_binary64_counts_is_coarsened_and_flagged(call):
     res = call(QuadConfig(max_panels=1000))
