@@ -12,17 +12,23 @@ as one complex integral, which halves the quadrature work and enforces
 H = Re calH by construction.  The module also provides the explicit
 a-priori bounds on |H| and its first derivatives.
 
-On the real axis the G, Q and H integrals, and ``anger.anger_J`` off
-its band, are folded by th -> pi - u onto [0, pi/2] and evaluated as one
-integral per point, whose integrand sums both halves at the same node
-(``_fold``).  The folded form keeps the integrand peaks of G and H at an
-exactly representable endpoint (the peak at th = pi sits a sliver below
-the nearest double, which at rho = 1e-3 already costs ~1e-10 of mass),
-turns the constant phase at pi into cos/sin(pi*gamma) factors that
-reduce exactly modulo 2, and takes half the panels of a mesh of [0, pi]
-at the same oscillation scale.  From |x| = X_C
-on, calH is integrated along a contour in the upper half-plane instead
-(``_contours``), at a cost that does not grow with x.
+G, Q and Anger's J are one integral with three amplitudes a,
+
+    F_a(gamma, x) = (1/pi) int_0^pi a(th) cos(gamma*th + x*sin th) dth,
+
+G's a = 1/(rho^2 + sin^2 th), Q's a = 1/(xi - cos th), and J's a = 1,
+J_nu(x) = F_1(nu, -x).  On the real axis it is written once
+(``_real_fold``), and ``eval_G``, ``eval_Q`` and ``anger_J`` off its band
+each give only their amplitude.  F_a and calH are folded by th -> pi - u
+onto [0, pi/2] and evaluated as one integral per point, whose integrand
+sums both halves at the same node (``_fold``).  The folded form keeps
+the integrand peaks of G and H at an exactly representable endpoint (the
+peak at th = pi sits a sliver below the nearest double, which at
+rho = 1e-3 already costs ~1e-10 of mass), turns the constant phase at pi
+into cos/sin(pi*gamma) factors that reduce exactly modulo 2, and takes
+half the panels of a mesh of [0, pi] at the same oscillation scale.
+From |x| = X_C on, calH is integrated along a contour in the upper
+half-plane instead (``_contours``), at a cost that does not grow with x.
 
 That contour is one primitive (``_rays``) for the phase x*(th + sin th),
 with any amplitude that has no pole between [0, pi] and the contour.
@@ -97,41 +103,43 @@ _HALF_PI = math.pi / 2.0
 
 
 def _require_rho(rho: float) -> None:
+    """Refuse a rho below RHO_MIN, or one whose square overflows (rho >~ 1.34e154).
+
+    At such a rho, G and H would read 0 +- 0 and the Good amplitude's
+    bounds would all be 0.
+    """
     require_above("rho", rho, 0.0)
     if rho < RHO_MIN:
         raise PrecisionError(
             f"rho = {rho} is below {RHO_MIN}; the integrand peak ~1/rho^2 "
             "exhausts binary64 headroom"
         )
-
-
-def _require_rho2(rho: float) -> None:
-    """Refuse a rho whose square overflows (rho >~ 1.34e154): G and H would read 0 +- 0."""
     if rho * rho == math.inf:
         raise PrecisionError(f"rho = {rho!r}: rho^2 overflows binary64")
 
 
-_OwnerFn = Callable[[np.ndarray, object], np.ndarray]
+_OwnerFn = Callable[..., np.ndarray]
 
 
 def _by_owner(first: _OwnerFn, second: _OwnerFn, n: int) -> _OwnerFn:
-    """One owner function of two: fn(x, k) is first(x, k) for k < n, else second(x, k - n).
+    """One owner function of two: fn(*nodes, k) is first(*nodes, k) for k < n, else
+    second(*nodes, k - n).
 
-    x holds the nodes, an array or a tuple of arrays.  ``integrate_many``
-    hands a sweep's owners over in ascending order, so ``first``'s nodes
-    come before ``second``'s, and each runs on its own slice of x.
+    ``nodes`` are one or more node arrays of the same length.
+    ``integrate_many`` hands a sweep's owners over in ascending order, so
+    ``first``'s nodes come before ``second``'s, and each runs on its own
+    slice of every node array.
     """
-    def fn(x, k):
+    def fn(*args):
+        k = args[-1]  # args[-1] costs less than unpacking *nodes, k
         if not isinstance(k, np.ndarray):
-            return first(x, k) if k < n else second(x, k - n)
+            return first(*args) if k < n else second(*args[:-1], k - n)
         cut = int(np.searchsorted(k, n))
         if cut in (0, len(k)):  # a sweep of one function's owners
-            return first(x, k) if cut else second(x, k - n)
-        if isinstance(x, np.ndarray):
-            head, tail = x[:cut], x[cut:]
-        else:
-            head, tail = tuple(a[:cut] for a in x), tuple(a[cut:] for a in x)
-        return np.concatenate([first(head, k[:cut]), second(tail, k[cut:] - n)])
+            return first(*args) if cut else second(*args[:-1], k - n)
+        nodes = args[:-1]
+        return np.concatenate([first(*[a[:cut] for a in nodes], k[:cut]),
+                               second(*[a[cut:] for a in nodes], k[cut:] - n)])
 
     return fn
 
@@ -151,7 +159,6 @@ def _require_x_rho(x: float, rho: float) -> float:
     """x as a float, after the checks of one ``eval_H(x, rho)`` call, in its order."""
     x = require_finite("x", x)
     _require_rho(rho)
-    _require_rho2(rho)
     return x
 
 
@@ -159,18 +166,41 @@ def _fold(fn: _OwnerFn, oscs: Sequence[float], spots: Tuple[HotSpot, ...],
           cfg: Optional[QuadConfig]) -> List[QuadResult]:
     """(1/pi) int_0^pi f(th) dth as one integral int_0^{pi/2} f(u) + f(pi - u) du, per point.
 
-    The real axis of all four oracles: calH (``_real_axis``), G
-    (``eval_G``), Q (``eval_Q``) and J (``anger._real_axis``).
-    ``fn(u, k)`` returns point k's f(u) + f(pi - u), both halves at the
-    same node, and ``oscs[k]`` is the larger oscillation scale of the
-    two.  ``spots`` are the peaks of both halves in u, the same for every
-    point: (0, rho) for calH and G, (0, ~sqrt(2 (xi - 1))) for Q, none
-    for J.  Every point is one owner of one ``integrate_many`` call on
+    The real axis of all four oracles: calH (``_real_axis``), and G, Q and
+    J (``_real_fold``).  ``fn(u, k)`` returns point k's f(u) + f(pi - u),
+    both halves at the same node, and ``oscs[k]`` is the larger
+    oscillation scale of the two.  ``spots`` are the peaks of both halves
+    in u, the same for every point: (0, rho) for calH and G,
+    (0, ~sqrt(2 (xi - 1))) for Q, none for J.  Every point is one owner of one ``integrate_many`` call on
     G10K21, converged against its own value.
     """
     return [QuadResult(r.value / math.pi, r.err / math.pi, r.converged, r.panels)
             for r in integrate_many(fn, [(0.0, _HALF_PI, o, spots) for o in oscs], cfg,
                                     rule=G10K21)]
+
+
+def _real_fold(gamma: float, x: float, amplitude: Callable[..., np.ndarray],
+               spots: Tuple[HotSpot, ...], cfg: Optional[QuadConfig]) -> EvalResult:
+    """F_a(gamma, x) = (1/pi) int_0^pi a(th) cos(gamma*th + x*sin th) dth by the fold.
+
+    At each node u of [0, pi/2], with s = sin u, the phases of both halves
+    are computed once: c0 = cos(gamma*u + x*s) at th = u, and
+    c1 + s1 = cos(pi*gamma - (gamma*u - x*s)) at th = pi - u, as
+    c1 = cos(pi*gamma) cos(gamma*u - x*s) and s1 = sin(pi*gamma) sin(gamma*u - x*s)
+    with the phase at pi reduced exactly modulo 2.  ``amplitude(u, s, c0,
+    c1, s1)`` returns a(u) c0 + a(pi - u) (c1 + s1), and ``spots`` are a's
+    peaks in u (``_fold``).  The caller checks that the phase stays finite.
+    """
+    cg, sg = cos_pi(gamma), sin_pi(gamma)
+
+    def fn(u: np.ndarray, _k) -> np.ndarray:
+        s = np.sin(u)
+        w = gamma * u - x * s
+        return amplitude(u, s, np.cos(gamma * u + x * s), cg * np.cos(w), sg * np.sin(w))
+
+    res, = _fold(fn, [0.5 * (abs(gamma) + abs(x))], spots, cfg)
+    return EvalResult(value=res.value.real, error_estimate=res.err, method="oracle",
+                      converged=res.converged)
 
 
 # The contour runs where |exp(i x g)| <= exp(-_DECAY), g(th) = th + sin th.
@@ -252,7 +282,7 @@ def _anger_connector_bound(x: float, k: float) -> float:
     return length * math.exp(abs(k) * w1.imag - min(decay_0, decay_1)) / math.pi
 
 
-_RayFn = Callable[[Tuple[np.ndarray, np.ndarray, np.ndarray], object], np.ndarray]
+_RayFn = Callable[[np.ndarray, np.ndarray, np.ndarray, object], np.ndarray]
 _RayPoint = Tuple[float, complex, float, Tuple[HotSpot, ...], float]
 
 
@@ -278,7 +308,7 @@ def _rays(points: Sequence[_RayPoint], integrand: _RayFn,
     are not integrated: ``connector``, the caller's bound on them for its
     amplitude, is added to the error instead.
 
-    ``integrand((z, w, s), k)`` returns exp(z) a(th) for point k (an int,
+    ``integrand(z, w, s, k)`` returns exp(z) a(th) for point k (an int,
     or an int array in a sweep over several points), given
     z = i x (g(th) - g(th at the ray's start)), the offset w of th from
     that start, and s = sin w; on the ray into pi, a(th) is taken
@@ -293,12 +323,12 @@ def _rays(points: Sequence[_RayPoint], integrand: _RayFn,
     def fn_0(t: np.ndarray, k) -> np.ndarray:
         w = t * _DIR_0
         s = np.sin(w)
-        return integrand((1j * x_of(k) * (w + s), w, s), k)
+        return integrand(1j * x_of(k) * (w + s), w, s, k)
 
     def fn_pi(t: np.ndarray, k) -> np.ndarray:
         # th = pi + w: g = pi + (w - sin w) and sin^2 th = sin^2 w
         w = t * _DIR_PI
-        return integrand((1j * x_of(k) * _w_minus_sin(w), w, np.sin(w)), k)
+        return integrand(1j * x_of(k) * _w_minus_sin(w), w, np.sin(w), k)
 
     # half the largest real phase rate x |Re(dir * g')| on each ray: at t = 0
     # on the first, at the far end on the second (1 - cos w = 2 sin^2(w/2))
@@ -349,12 +379,10 @@ def _contours(pairs: Sequence[Tuple[float, float]], points: Sequence[Tuple[float
 
     ik_of, rho2_of = _of(ik), _of(rho2)
 
-    def calA(zws, o):
-        z, w, _ = zws
+    def calA(z, w, _s, o):
         return np.exp(z + ik_of(o) * w)
 
-    def calH(zws, o):
-        z, _, s = zws
+    def calH(z, _w, s, o):
         return np.exp(z) / (rho2_of(o) + s * s)
 
     n = len(pairs)
@@ -371,23 +399,12 @@ def eval_G(gamma: float, rho: float, x: float,
     relation needs it at gamma - 1 when gamma < 1.
     """
     require_finite("gamma", gamma)
-    require_finite("x", x)
-    _require_rho(rho)
-    _require_rho2(rho)
+    x = _require_x_rho(x, rho)
     # gamma*th + x*sin th on one half, gamma*u - x*sin u on the other: one of them adds
     require_phase("gamma*th +- x*sin(th)", abs(gamma), abs(x), _HALF_PI)
     rho2 = rho * rho
-    cg, sg = cos_pi(gamma), sin_pi(gamma)
-
-    def fn(u: np.ndarray, _k) -> np.ndarray:
-        # th = u, and th = pi - u: cos(pi*gamma - (gamma*u - x*sin u))
-        s = np.sin(u)
-        w = gamma * u - x * s
-        return (np.cos(gamma * u + x * s) + cg * np.cos(w) + sg * np.sin(w)) / (rho2 + s * s)
-
-    res, = _fold(fn, [0.5 * (abs(gamma) + abs(x))], (HotSpot(0.0, rho),), cfg)
-    return EvalResult(value=res.value.real, error_estimate=res.err, method="oracle",
-                      converged=res.converged)
+    return _real_fold(gamma, x, lambda u, s, c0, c1, s1: (c0 + c1 + s1) / (rho2 + s * s),
+                      (HotSpot(0.0, rho),), cfg)
 
 
 def eval_Q(gamma: float, xi: float, x: float,
@@ -400,20 +417,14 @@ def eval_Q(gamma: float, xi: float, x: float,
         raise PrecisionError(f"xi = {xi} is too close to 1: sqrt(xi^2 - 1) is below {RHO_MIN}")
     require_finite("x", x)
     require_phase("gamma*th +- x*sin(th)", gamma, abs(x), _HALF_PI)
-    cg, sg = cos_pi(gamma), sin_pi(gamma)
 
-    def fn(u: np.ndarray, _k) -> np.ndarray:
-        # th = u over xi - cos u, and th = pi - u over xi + cos u, as in eval_G
-        s, c = np.sin(u), np.cos(u)
-        w = gamma * u - x * s
-        return (np.cos(gamma * u + x * s) / (xi - c)
-                + (cg * np.cos(w) + sg * np.sin(w)) / (xi + c))
+    def amplitude(u, _s, c0, c1, s1):
+        c = np.cos(u)
+        return c0 / (xi - c) + (c1 + s1) / (xi + c)
 
     # only the th = 0 half peaks: xi - cos u dips to xi - 1 with parabolic width
     spot = HotSpot(0.0, min(math.sqrt(2.0 * (xi - 1.0)), 1.0))
-    res, = _fold(fn, [0.5 * (gamma + abs(x))], (spot,), cfg)
-    return EvalResult(value=res.value.real, error_estimate=res.err, method="oracle",
-                      converged=res.converged)
+    return _real_fold(gamma, x, amplitude, (spot,), cfg)
 
 
 def _real_axis(xs: Sequence[float], rho: float, cfg: Optional[QuadConfig]) -> List[QuadResult]:

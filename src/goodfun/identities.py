@@ -46,8 +46,11 @@ def series_partial_sum(gamma: float, rho: float, x: float, K: int,
 
     The error estimate is the weighted Anger errors plus the geometric tail
     bound from |J_nu| <= 1: tail <= (2/(rho beta)) exp(-(K+2) t) / (1 - exp(-2t)).
-    Shifted orders gamma - k may be negative; the Anger integral extends
-    verbatim.  A rho for which t rounds to 0 raises :class:`PrecisionError`.
+    t is computed as asinh(rho) and 1 - exp(-2t) as -expm1(-2t), which
+    keep their digits as rho -> 0, where log(rho + beta) and 1 - exp(-2t)
+    cancel.  Shifted orders gamma - k may be negative; the Anger integral
+    extends verbatim.  A rho whose tail bound (~1/rho^2) overflows,
+    rho <~ 7.5e-155, raises :class:`PrecisionError`.
     """
     if not isinstance(K, numbers.Integral) or K < 2 or K % 2 != 0:
         raise DomainError(f"K must be an even integer >= 2, got {K!r}")
@@ -55,9 +58,10 @@ def series_partial_sum(gamma: float, rho: float, x: float, K: int,
     require_finite("gamma", gamma)
     require_finite("x", x)
     beta = math.sqrt(1.0 + rho * rho)
-    t = math.log(rho + beta)
-    if t == 0.0:  # rho below ~1.1e-16: the tail bound would divide by 1 - exp(-2t) = 0
-        raise PrecisionError(f"rho = {rho!r} is too small: rho + sqrt(1 + rho^2) rounds to 1")
+    t = math.asinh(rho)
+    tail = 2.0 / (rho * beta) * math.exp(-(K + 2) * t) / -math.expm1(-2.0 * t)
+    if tail == math.inf:  # rho <~ 7.5e-155; 1/(rho beta) overflows from ~5.6e-309 on
+        raise PrecisionError(f"rho = {rho!r} is too small: the tail bound ~1/rho^2 overflows")
     j = anger_J(gamma, -x, cfg)
     total, err, converged = j.value, j.error_estimate, j.converged
     for k in range(2, K + 1, 2):
@@ -66,7 +70,6 @@ def series_partial_sum(gamma: float, rho: float, x: float, K: int,
         total += w * (jp.value + jm.value)
         err += w * (jp.error_estimate + jm.error_estimate)
         converged = converged and jp.converged and jm.converged
-    tail = 2.0 / (rho * beta) * math.exp(-(K + 2) * t) / (1.0 - math.exp(-2.0 * t))
     return EvalResult(value=total / (rho * beta), error_estimate=tail + err / (rho * beta),
                       method="identity", converged=converged)
 

@@ -274,7 +274,6 @@ _HUGE_RHO = {
     1e50: (1e-100, 1.02e-200, 2.04e-200, 8.159999983e-200),
     1e77: (1e-154, 1.02e-308, 2.04e-308, 8.159999983e-308),
     1e154: (1e-308, 0.0, 0.0, 0.0),
-    1e200: (0.0, 0.0, 0.0, 0.0),
 }
 
 
@@ -287,6 +286,14 @@ def test_good_amplitude_bounds_stay_finite_at_huge_rho(rho):
     assert all(math.isfinite(v) and v >= 0.0 for v in got)
     # abs=0: a bound is 0 exactly where the grid's was
     assert got == pytest.approx(_HUGE_RHO[rho], rel=1e-6, abs=0.0)
+
+
+@pytest.mark.parametrize("rho", [1e155, 1e200])
+def test_good_amplitude_problem_refuses_a_rho_whose_square_overflows(rho):
+    # 1/rho^2 would read 0, and so would every bound: a zero error claim
+    # for a non-zero amplitude
+    with pytest.raises(PrecisionError, match="rho\\^2 overflows"):
+        cal.good_amplitude_problem(rho)
 
 
 def test_full_calibration_reproduces_the_packaged_file_bit_for_bit():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from goodfun import (DomainError, PrecisionError, QuadConfig, anger_J, bounds_H,
                      eval_G, eval_H, eval_H_many, eval_Q, h_approx, h_asym_large)
 from goodfun import good, quadrature
+from goodfun.core import cos_pi, sin_pi
 from goodfun.good import RHO_MIN, X_C
 from goodfun.identities import q_from_g
 
@@ -606,3 +607,92 @@ def test_eval_H_many_validates_every_point_first(monkeypatch):
         eval_H_many([1.0, math.nan], 1e-7)
     with pytest.raises(DomainError, match="^rho"):
         eval_H_many((x for x in [1.0, 2.0]), 0.0)
+
+
+# The fold integrands of G, Q and J as they were written before _real_fold,
+# one closure each: _real_fold must reproduce them bit for bit.
+def _fold_reference(fn, osc, spots):
+    res, = good._fold(fn, [osc], spots, None)
+    return res.value.real, res.err, res.converged
+
+
+def _g_reference(gamma, rho, x):
+    rho2, cg, sg = rho * rho, cos_pi(gamma), sin_pi(gamma)
+
+    def fn(u, _k):
+        s = np.sin(u)
+        w = gamma * u - x * s
+        return (np.cos(gamma * u + x * s) + cg * np.cos(w) + sg * np.sin(w)) / (rho2 + s * s)
+
+    return _fold_reference(fn, 0.5 * (abs(gamma) + abs(x)), (quadrature.HotSpot(0.0, rho),))
+
+
+def _q_reference(gamma, xi, x):
+    cg, sg = cos_pi(gamma), sin_pi(gamma)
+
+    def fn(u, _k):
+        s, c = np.sin(u), np.cos(u)
+        w = gamma * u - x * s
+        return (np.cos(gamma * u + x * s) / (xi - c)
+                + (cg * np.cos(w) + sg * np.sin(w)) / (xi + c))
+
+    spot = quadrature.HotSpot(0.0, min(math.sqrt(2.0 * (xi - 1.0)), 1.0))
+    return _fold_reference(fn, 0.5 * (gamma + abs(x)), (spot,))
+
+
+def _j_reference(nu, x):
+    cn, sn = cos_pi(nu), sin_pi(nu)
+
+    def fn(u, _k):
+        s = np.sin(u)
+        w = nu * u + x * s
+        return np.cos(nu * u - x * s) + cn * np.cos(w) + sn * np.sin(w)
+
+    return _fold_reference(fn, 0.5 * (abs(nu) + abs(x)), ())
+
+
+def _hex(r):
+    return r.value.hex(), r.error_estimate.hex(), r.converged
+
+
+def _hex_reference(ref):
+    value, err, converged = ref
+    return value.hex(), err.hex(), converged
+
+
+@pytest.mark.parametrize("x", [0.5, 10.0, 99.9, 1e3, 1e4])
+def test_real_fold_keeps_the_bits_of_each_hand_written_fold(x):
+    for rho in (1e-3, 1.0):
+        for gamma in (x / 2, -2.0, 2 * x + 0.3):
+            assert _hex(eval_G(gamma, rho, x)) == _hex_reference(_g_reference(gamma, rho, x))
+    for xi in (1.001, 3.0):
+        for gamma in (x / 2, 2 * x + 0.3):  # Q's order is >= 0
+            assert _hex(eval_Q(gamma, xi, x)) == _hex_reference(_q_reference(gamma, xi, x))
+    for nu in (x / 2, 2 * x):  # off J's band: on the fold at every x
+        for sx in (x, -x):
+            assert _hex(anger_J(nu, sx)) == _hex_reference(_j_reference(nu, sx))
+
+
+@pytest.mark.parametrize("arrays", [1, 3])
+def test_by_owner_hands_each_function_its_slice_of_every_node_array(arrays):
+    def first(*args):
+        *nodes, k = args
+        return sum(nodes) * 10.0 + k
+
+    def second(*args):
+        *nodes, k = args
+        return np.prod(nodes, axis=0) - k
+
+    n, rng = 3, np.random.default_rng(7)
+    k = np.array([0, 1, 1, 2, 3, 4, 4, 5])
+    nodes = [rng.standard_normal(len(k)) for _ in range(arrays)]
+    fn = good._by_owner(first, second, n)
+    cut = 4  # owners 0-2 are first's, 3-5 second's 0-2
+    head, tail = [a[:cut] for a in nodes], [a[cut:] for a in nodes]
+    want = np.concatenate([first(*head, k[:cut]), second(*tail, k[cut:] - n)])
+    assert np.array_equal(fn(*nodes, k), want)
+    # a sweep of one function's owners, and one owner
+    assert np.array_equal(fn(*head, k[:cut]), first(*head, k[:cut]))
+    assert np.array_equal(fn(*tail, k[cut:]), second(*tail, k[cut:] - n))
+    assert np.array_equal(fn(*nodes, 2), first(*nodes, 2))
+    assert np.array_equal(fn(*nodes, 4), second(*nodes, 1))

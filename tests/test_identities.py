@@ -25,10 +25,13 @@ def test_ode_residual_rejects_bad_step():
 
 
 def _tail_bound(rho, K):
-    """The geometric bound on the series terms beyond K, from |J_nu| <= 1."""
+    """The geometric bound on the series terms beyond K, from |J_nu| <= 1.
+
+    (2/(rho beta)) e^{-(K+2) t} / (1 - e^{-2t}) with e^{-t} = 1/(rho + beta)
+    and 1 - e^{-2t} = 2 rho/(rho + beta): free of cancellation at every rho.
+    """
     beta = math.sqrt(1.0 + rho * rho)
-    t = math.log(rho + beta)
-    return 2.0 / (rho * beta) * math.exp(-(K + 2) * t) / (1.0 - math.exp(-2.0 * t))
+    return (beta + rho) ** -(K + 1) / beta / rho / rho
 
 
 def test_series_exact_at_origin():
@@ -87,11 +90,24 @@ def test_series_passes_on_an_unconverged_anger_term():
 
 
 def test_series_refuses_a_rho_that_vanishes_beside_one():
-    # 1 + rho rounds to 1, so t = 0 and the tail bound would divide by zero
-    with pytest.raises(PrecisionError, match="rho = 1e-16"):
-        series_partial_sum(0.0, 1e-16, 1.0, 2)
-    s = series_partial_sum(0.0, 1.2e-16, 1.0, 2)
-    assert math.isfinite(s.value) and _tail_bound(1.2e-16, 2) <= s.error_estimate < math.inf
+    # the tail bound ~1/rho^2 overflows below rho ~ 7.5e-155, and 1/(rho beta)
+    # too below ~5.6e-309; rho + beta rounding to 1 (rho <~ 1.1e-16) is no limit
+    for rho in (7e-155, 1e-200, 1e-310):
+        with pytest.raises(PrecisionError, match=f"rho = {rho!r} is too small"):
+            series_partial_sum(0.0, rho, 1.0, 2)
+    for rho in (7.5e-155, 1e-100, 1e-16):
+        s = series_partial_sum(0.0, rho, 1.0, 2)
+        assert math.isfinite(s.value) and math.isfinite(s.error_estimate)
+        assert s.error_estimate >= (1.0 - 1e-14) * _tail_bound(rho, 2)
+
+
+@pytest.mark.parametrize("rho", [1.2e-16, 1e-15])
+def test_series_claims_its_tail_bound_at_a_tiny_rho(rho):
+    # log(rho + beta) rounds to 2.2e-16 at 1.2e-16 and 1 - exp(-2t) cancels:
+    # that bound read 0.54 (0.90 at 1e-15) of the accurate one.  The slack
+    # is the rounding of the two forms of the bound, a few ulps.
+    s = series_partial_sum(0.0, rho, 1.0, 2)
+    assert s.error_estimate >= (1.0 - 1e-14) * _tail_bound(rho, 2)
 
 
 def test_q_from_g_matches_direct_q():
