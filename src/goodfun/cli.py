@@ -178,7 +178,7 @@ def cmd_zeros(args) -> int:
     cfg = _cfg_from_args(args)
     records = find_zeros(args.rho, args.xmin, args.xmax, cfg)
     header = ["x_zero", "bracket_lo", "bracket_hi", "rho", "residual", "method"]
-    rows = [[_fmt(r.x_zero), _fmt(r.bracket[0]), _fmt(r.bracket[1]), _fmt(r.rho),
+    rows = [[_fmt(r.x_zero), _fmt(r.bracket_lo), _fmt(r.bracket_hi), _fmt(r.rho),
              _fmt(r.residual), r.method] for r in records]
     out = _write(args, _table(header, rows, args.json),
                  _manifest("zeros", {"rho": args.rho, "xmin": args.xmin, "xmax": args.xmax},

@@ -9,10 +9,11 @@ rewrites the file.
 
 File format: UTF-8 text, one ``key = value`` pair per line, ``#`` starts
 a comment, keys as in :class:`Constants`.  The environment variable
-``GOODFUN_CONSTANTS`` overrides the file path.
+``GOODFUN_CONSTANTS`` overrides the file path, which ``get_constants()`` reads once.
 """
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass, fields
@@ -119,19 +120,15 @@ def save_constants(constants: Constants, path: Union[str, Path], note: str = "")
     Path(path).write_text(format_constants(constants, note), encoding="utf-8")
 
 
-_cached: Optional[Constants] = None
+@functools.cache
+def _default_constants() -> Constants:
+    """The constants of the active default file, loaded on first use."""
+    return load_constants()
 
 
 def get_constants(constants: Optional[Constants] = None) -> Constants:
     """Resolve an explicit Constants, else the cached default file."""
-    global _cached
-    if constants is not None:
-        return constants
-    if _cached is None:
-        _cached = load_constants()
-    return _cached
+    return _default_constants() if constants is None else constants
 
 
-def clear_cache() -> None:
-    global _cached
-    _cached = None
+clear_cache = _default_constants.cache_clear

@@ -95,6 +95,7 @@ tests therefore comes from refinement studies and closed forms.
 """
 from __future__ import annotations
 
+import cmath
 import math
 import operator
 from dataclasses import dataclass
@@ -354,11 +355,14 @@ def _ordered_sum(lo: np.ndarray, values: np.ndarray) -> complex:
 
 def _estimate(total: complex, err: np.ndarray, resabs: np.ndarray,
               cfg: QuadConfig) -> Tuple[float, float]:
-    """(est, target): an integral has converged once its estimate est is at most target."""
+    """(est, target), converged once est <= target; NumericalError unless both sums are finite."""
+    est = float(_sum(err))
+    if not (cmath.isfinite(total) and math.isfinite(est)):
+        raise NumericalError(f"integral leaves binary64: sum {total!r}, error estimate {est!r}")
     # per-panel estimates are floored at 50*eps*resabs, so the global
     # target keeps a 2x headroom over that floor to guarantee progress
     floor = 100.0 * _EPS * float(_sum(resabs))
-    return float(_sum(err)), max(cfg.abs_tol, cfg.rel_tol * abs(total), floor)
+    return est, max(cfg.abs_tol, cfg.rel_tol * abs(total), floor)
 
 
 def _start(lo: np.ndarray, hi: np.ndarray, first, cfg: QuadConfig, mesh_ok: bool):
@@ -393,9 +397,7 @@ def _rounds(lo: np.ndarray, hi: np.ndarray, val: np.ndarray, err: np.ndarray,
         # split every panel whose estimate exceeds its share of the target,
         # worst first, as many as the budget allows
         share = target / (2.0 * len(lo))
-        candidates = np.nonzero(err > share)[0]
-        if len(candidates) == 0:
-            candidates = np.array([int(np.argmax(err))])
+        candidates = np.nonzero(err > share)[0]  # not empty: est > target is finite
         if len(candidates) > room:
             worst = np.argsort(err[candidates], kind="stable")[::-1][:room]
             candidates = candidates[worst]

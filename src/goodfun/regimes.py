@@ -27,6 +27,7 @@ self-contained asymptotic law for I(lam) live here as well.
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
 from typing import Optional
 
@@ -37,7 +38,7 @@ from .core import (DomainError, EvalResult, NumericalError, PrecisionError, Quad
                    Regime, RegimeKind, cos_pi, require_above, require_at_least,
                    require_finite, sin_pi)
 from .good import HValue, eval_H
-from .quadrature import Integrand, QuadResult, integrate_tail
+from .quadrature import _DEFAULT_CFG, Integrand, QuadResult, integrate_tail
 
 __all__ = ["cubic_tail", "i_lambda_oracle", "i_lambda_asym", "h_asym_large",
            "h_asym_small", "classify", "h_approx", "corollary_path_main"]
@@ -73,8 +74,14 @@ def i_lambda_oracle(lam: float, cfg: Optional[QuadConfig] = None) -> QuadResult:
     e^{i pi/6} int_0^inf exp(-lam t^3) / (1 + e^{i pi/3} t^2) dt,
     whose integrand does not oscillate and decays like exp(-lam t^3).
     As |1 + e^{i pi/3} t^2| >= 1, integrate_tail's envelope check refuses a wrong rotation.
+    Where rel_tol times the law's |I| ~ Gamma(1/3)/(3 lam^(1/3)) is below abs_tol (lam >~ 7e5 at
+    the defaults), it is the absolute tolerance (at least 2**-1022): the ray is not cut short.
     """
     require_above("lam", lam, 0.0)
+    base = cfg or _DEFAULT_CFG
+    tol = max(base.rel_tol * GAMMA_THIRD / (3.0 * lam ** (1.0 / 3.0)), 2.0 ** -1022)
+    if tol < base.abs_tol:
+        cfg = dataclasses.replace(base, abs_tol=tol)
 
     def fn(t: np.ndarray) -> np.ndarray:
         return np.exp(-lam * t ** 3) / (1.0 + _ROT * t * t)

@@ -27,7 +27,7 @@ scanned on a coarse subgrid and every sign change found is refined (a
 multi-zero interval is logged).  The grid reaches one point beyond each
 end of [x_min, x_max] so that zeros near the edges stay bracketed, but
 the subgrid is evaluated, and its sign changes refined, only on the
-sub-intervals that meet the window.
+sub-intervals that meet the window.  Each zero comes back as a ``ZeroRecord``.
 """
 from __future__ import annotations
 
@@ -36,7 +36,7 @@ import math
 import sys
 from dataclasses import dataclass
 from itertools import pairwise
-from typing import Dict, Generator, List, Optional, Tuple
+from typing import ClassVar, Dict, Generator, List, Optional, Tuple
 
 from .core import DomainError, QuadConfig, lockstep, require_above
 # eval_H is not called here but stays importable from this module: the CI
@@ -52,15 +52,14 @@ _ZERO_TOL = 1e-9        # residual |H(x0)| above _ZERO_TOL + err is logged
 _BRACKET_WIDTH = 1e-10  # refinement stops once the bracket is this narrow
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class ZeroRecord:
     """A refined zero with its confirming bracket and oracle residual.
 
-    Built as ``ZeroRecord(x_zero, bracket=(lo, hi), rho, residual)``.
     Slotted, with the bracket in two float slots that the ``bracket``
     property pairs again, so that a caller who keeps many records holds
-    no tuple per record: 80 bytes a record (200 with its five floats),
-    where the slotted record with a bracket tuple took 72 + 56.
+    no tuple per record: 72 bytes a record (192 with its five floats).
+    ``method`` is the refinement, always Brent's, so a class constant.
     """
 
     x_zero: float
@@ -68,18 +67,13 @@ class ZeroRecord:
     bracket_hi: float
     rho: float
     residual: float
-    method: str
+    method: ClassVar[str] = "brent"
 
-    def __init__(self, x_zero: float, bracket: Tuple[float, float], rho: float,
-                 residual: float, method: str = "brent") -> None:
-        lo, hi = bracket
-        if not lo < hi:
-            raise DomainError(f"bracket must be ordered, got {bracket}")
-        if not lo <= x_zero <= hi:
-            raise DomainError(f"x_zero {x_zero} outside bracket {bracket}")
-        for name, value in (("x_zero", x_zero), ("bracket_lo", lo), ("bracket_hi", hi),
-                            ("rho", rho), ("residual", residual), ("method", method)):
-            object.__setattr__(self, name, value)
+    def __post_init__(self) -> None:
+        if not self.bracket_lo < self.bracket_hi:
+            raise DomainError(f"bracket must be ordered, got {self.bracket}")
+        if not self.bracket_lo <= self.x_zero <= self.bracket_hi:
+            raise DomainError(f"x_zero {self.x_zero} outside bracket {self.bracket}")
 
     @property
     def bracket(self) -> Tuple[float, float]:
@@ -221,8 +215,7 @@ def find_zeros(rho: float, x_min: float, x_max: float,
             residual = abs(hv.h)
             if residual > _ZERO_TOL + hv.err:
                 logger.warning("residual %.3e above zero_tol+err at x=%.12g", residual, x0)
-            records.append(ZeroRecord(x_zero=x0, bracket=(xa, xb), rho=rho,
-                                      residual=residual))
+            records.append(ZeroRecord(x0, xa, xb, rho, residual))
             found_here += 1
         if found_here > 1:
             logger.warning("interval (%s, %s) contains %d zeros", xa, xb, found_here)

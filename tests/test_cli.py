@@ -308,6 +308,19 @@ def test_zeros_table(tmp_path, capsys):
         assert float(row["x_zero"]) == pytest.approx(m + 2 / 3, abs=0.05)
 
 
+def test_zeros_table_keeps_its_bits(tmp_path, capsys):
+    out = tmp_path / "z.csv"
+    code, _, _ = run(capsys, "zeros", "--rho", "1", "--xmin", "10", "--xmax", "13",
+                     "--out", str(out))
+    assert code == 0
+    assert out.read_text(encoding="utf-8").splitlines() == [
+        "x_zero,bracket_lo,bracket_hi,rho,residual,method",
+        "10.631256968225827,10.166666666666666,11.166666666666666,1,1.9137044123401372e-12,brent",
+        "11.63227196421102,11.166666666666666,12.166666666666666,1,1.8062624038662123e-12,brent",
+        "12.633213114799224,12.166666666666666,13.166666666666666,1,1.6850335743355544e-12,brent",
+    ]
+
+
 def test_scan_main_term_column(tmp_path, capsys):
     out = tmp_path / "s.csv"
     code, _, _ = run(capsys, "scan", "--alpha", "2", "--eta", "1",

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from goodfun import calibrate, good, quadrature
+from goodfun import calibrate, constants, good, quadrature
 from goodfun import (DomainError, EnvelopeViolated, HotSpot, Integrand, NumericalError,
                      QuadConfig, anger_J, eval_G, eval_H, i_lambda_oracle, integrate_finite,
                      integrate_tail)
@@ -207,6 +207,16 @@ def test_finite_values_whose_sum_overflows_do_not_raise():
     assert np.all(np.isinf(k15.real))
 
 
+@pytest.mark.parametrize("value", [4e307, 1e308])
+def test_an_integral_whose_sum_leaves_binary64_raises(value):
+    # finite values on [0, 10] whose panels sum to inf (4e307) or to inf
+    # with a nan estimate (1e308)
+    f = Integrand(lambda t: np.full_like(t, value), osc_frequency=40.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError, match="binary64"):
+            integrate_finite(f, 0.0, 10.0)
+
+
 def test_bad_bounds_raise():
     with pytest.raises(DomainError):
         integrate_finite(Integrand(np.sin), 1.0, 1.0)
@@ -376,7 +386,11 @@ def test_mesh_is_the_linspace_mesh(x, rho, max_panels, monkeypatch):
                                lambda: anger_J(x_ray, x_ray, cfg),
                                lambda: good.eval_H_many([x_ray, x_ray + 0.5], rho, cfg),
                                lambda: i_lambda_oracle(lam, cfg))
-    tail_points = _ray_points_by_numpy(quadrature._cutoff(lam, cfg.abs_tol / 2.0))
+    # the ray is cut where its tail bound meets half the absolute tolerance,
+    # rel_tol times |I(lam)| ~ Gamma(1/3)/(3 lam^(1/3)) where that is below abs_tol
+    tail_tol = min(cfg.abs_tol,
+                   cfg.rel_tol * constants.GAMMA_THIRD / (3.0 * lam ** (1.0 / 3.0)))
+    tail_points = _ray_points_by_numpy(quadrature._cutoff(lam, tail_tol / 2.0))
     assert np.array(meshes[-1][0]).tobytes() == tail_points.tobytes()
     for points, cap, budget in meshes:
         paths = [_one_owner(quadrature._meshes), _one_owner(quadrature._vector_meshes)]

@@ -57,6 +57,20 @@ def test_i_lambda_oracle_tiny_tolerance():
     assert abs(res.value - math.pi / 2.0) <= 3.0 * (lam / 2.0) ** (1.0 / 3.0) + res.err
 
 
+@pytest.mark.parametrize("lam", [1e30, 1e36, 1e100, 1e300])
+def test_i_lambda_oracle_keeps_its_relative_accuracy_at_huge_lambda(lam):
+    # the one-term law's rest 1/(3 lam) is ~1e-20 of it and less here
+    oracle, law = i_lambda_oracle(lam), i_lambda_asym(lam)
+    assert abs(oracle.value - law.value) <= 1e-9 * abs(law.value)
+    assert oracle.converged and abs(oracle.value - law.value) <= oracle.err
+
+
+def test_i_lambda_oracle_takes_a_relative_target_below_the_normal_doubles():
+    # rel_tol |I| ~ 9e-351 underflows; the tolerance stops at the smallest normal double
+    oracle, law = i_lambda_oracle(1e300, QuadConfig(rel_tol=1e-250)), i_lambda_asym(1e300)
+    assert oracle.converged and abs(oracle.value - law.value) <= 1e-13 * abs(law.value)
+
+
 @pytest.mark.parametrize("lam,pin", [(1.0, V_1), (6.0, V_6), (100.0, V_100)])
 def test_cubic_tail_pinned_values(lam, pin):
     v = cubic_tail(lam)

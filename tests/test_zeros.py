@@ -230,6 +230,20 @@ def test_zeros_at_a_large_rho_on_the_contour(caplog):
     assert caplog.records == []
 
 
+def test_zeros_keep_their_bits():
+    # x_zero, bracket_lo, bracket_hi and residual of the three zeros on [10, 13]
+    pins = [("0x1.543341d03cdd8p+3", "0x1.4555555555555p+3", "0x1.6555555555555p+3",
+             "0x1.0d5477c37a376p-39"),
+            ("0x1.743b926a0ed93p+3", "0x1.6555555555555p+3", "0x1.8555555555555p+3",
+             "0x1.fc6aec4b490d1p-40"),
+            ("0x1.944348266ec03p+3", "0x1.8555555555555p+3", "0x1.a555555555555p+3",
+             "0x1.da4b7719f3c74p-40")]
+    records = find_zeros(1.0, 10.0, 13.0)
+    assert [(r.x_zero.hex(), r.bracket_lo.hex(), r.bracket_hi.hex(), r.residual.hex())
+            for r in records] == pins
+    assert all(r.rho == 1.0 and r.method == "brent" for r in records)
+
+
 def test_zeros_cost_tripwire(fevals):
     # 40 fold points (5 on the grid, 23 in subscans, 12 Brent steps) of 6
     # G10K21 panels each, none refined; 8 775 evaluations on G7K15 panels of
@@ -238,17 +252,17 @@ def test_zeros_cost_tripwire(fevals):
 
 
 def test_zero_record_keeps_its_bracket_as_two_floats():
-    r = ZeroRecord(x_zero=10.6, bracket=(10.1, 11.2), rho=1.0, residual=1e-17)
+    r = ZeroRecord(x_zero=10.6, bracket_lo=10.1, bracket_hi=11.2, rho=1.0, residual=1e-17)
     assert r.bracket == (10.1, 11.2) and (r.bracket_lo, r.bracket_hi) == r.bracket
-    assert r == ZeroRecord(10.6, (10.1, 11.2), 1.0, 1e-17, "brent")
-    assert r != ZeroRecord(10.6, (10.1, 11.3), 1.0, 1e-17)
-    assert hash(r) == hash(ZeroRecord(10.6, (10.1, 11.2), 1.0, 1e-17))
+    assert r == ZeroRecord(10.6, 10.1, 11.2, 1.0, 1e-17) and r.method == "brent"
+    assert r != ZeroRecord(10.6, 10.1, 11.3, 1.0, 1e-17)
+    assert hash(r) == hash(ZeroRecord(10.6, 10.1, 11.2, 1.0, 1e-17))
     with pytest.raises(dataclasses.FrozenInstanceError):
         r.x_zero = 10.7
     with pytest.raises(DomainError, match="ordered"):
-        ZeroRecord(10.6, (11.2, 10.1), 1.0, 0.0)
+        ZeroRecord(10.6, 11.2, 10.1, 1.0, 0.0)
     with pytest.raises(DomainError, match="outside"):
-        ZeroRecord(11.5, (10.1, 11.2), 1.0, 0.0)
+        ZeroRecord(11.5, 10.1, 11.2, 1.0, 0.0)
 
 
 def test_a_retained_zero_record_holds_no_tuple():
@@ -256,11 +270,12 @@ def test_a_retained_zero_record_holds_no_tuple():
     # would add 56 bytes a record
     xs = [10.0 + k / 1024.0 for k in range(1000)]
     los, his = [x - 0.5 for x in xs], [x + 0.5 for x in xs]
-    size = sys.getsizeof(ZeroRecord(xs[0], (los[0], his[0]), 1.0, 0.0))
+    size = sys.getsizeof(ZeroRecord(xs[0], los[0], his[0], 1.0, 0.0))
+    assert size == 72
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        kept = [ZeroRecord(x, (lo, hi), 1.0, 0.0) for x, lo, hi in zip(xs, los, his)]
+        kept = [ZeroRecord(x, lo, hi, 1.0, 0.0) for x, lo, hi in zip(xs, los, his)]
         per_record = (tracemalloc.get_traced_memory()[0] - before) / len(kept)
     finally:
         tracemalloc.stop()
