@@ -51,7 +51,7 @@ from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tup
 
 import numpy as np
 
-from .core import (EvalResult, PrecisionError, QuadConfig, cos_pi, require_above,
+from .core import (EvalResult, PrecisionError, QuadConfig, _reduce_mod2, cos_pi, require_above,
                    require_at_least, require_finite, require_phase, sin_pi)
 from .quadrature import G10K21, HotSpot, QuadResult, integrate_many
 
@@ -64,12 +64,14 @@ RHO_MIN = 1e-6
 
 # From this |x| on, eval_H integrates along the complex contour, whose cost
 # does not depend on x; below it, along the real axis, whose cost grows
-# like x.  Per point, the G10K21 fold takes 0.6-0.67 times the contour's
-# wall time at x = 100 for rho in [0.05, 1] and 0.44-0.47 times at
-# rho = 1e-3; 0.9-0.98 and 0.6 times at x = 200; 0.97-1.12 and 0.7 times at
-# x = 250; 1.1-1.3 and 0.8 times at x = 300; at rho = 1e-3 the two meet
-# near x = 400 (best of 200 calls, three runs; 2-vCPU x86 VM, numpy 2.4).
-# On G7K15 panels of a quarter period they met near x = 130.  anger_J's
+# like x.  Per point, the G10K21 fold (three cosines and sines a node,
+# ``_real_axis``) takes 0.57-0.58 times the contour's wall time at x = 100
+# for rho in [0.05, 1] and 0.40 times at rho = 1e-3; 0.79-0.80 and 0.54
+# times at x = 200; 0.88-0.91 and 0.61 times at x = 250; 0.99-1.07 and
+# 0.68 times at x = 300; at rho = 1e-3, 0.82 times at x = 400 (best of 200
+# calls, three runs; 2-vCPU x86 VM, numpy 2.4).  With four a node the fold
+# met the contour near x = 300 for rho in [0.05, 1] and near 400 at
+# rho = 1e-3; on G7K15 panels of a quarter period near x = 130.  anger_J's
 # fold in its band (nu = +-x, x +- x^(1/3)) takes 0.5, 0.6-0.65, 0.7-0.76
 # and 0.95-1.0 times the contour's time at x = 100, 150, 200 and 300, and
 # 1.15-1.6 times at 400 (best of 200, two runs).  X_C stays at 100: moving
@@ -430,33 +432,36 @@ def eval_Q(gamma: float, xi: float, x: float,
 def _real_axis(xs: Sequence[float], rho: float, cfg: Optional[QuadConfig]) -> List[QuadResult]:
     """calH(x, rho) for each x of xs by the fold on the real axis; cost grows like |x|.
 
-    Both exponentials of the integrand are built in real arithmetic:
-    exp(i phi) of the real phase phi as cos phi + i sin phi, and the
-    division by the real rho^2 + sin^2 u as a scaling of both parts by
-    its reciprocal, which is what numpy's complex exp and complex
-    division compute for these operands, at less cost.
+    With s = sin u, the two halves at th = u and th = pi - u are one product,
+
+        e^{ix(u + s)} + e^{i pi x} e^{ix(s - u)} = 2 e^{i pi r} e^{ixs} cos(xu - pi r),  r = x/2,
+
+    so a node takes three cosines and sines of large arguments (xs twice,
+    xu - pi r once) and no complex product, and e^{i pi r} multiplies the
+    integral once per point.  r is reduced exactly modulo 2 (``_reduce_mod2``)
+    and the phase is taken as x*u - pi*r: under the 1/rho^2 peak at u = 0,
+    where x*u is small, its only rounding is pi*r's (~4e-16), where
+    x*(u - pi/2) would round u - pi/2 first and multiply that by x (~1e-14
+    at x = 100).  The real amplitude 2 cos(xu - pi r)/(rho^2 + s^2) scales
+    both parts of e^{ixs}, which is built in real arithmetic as cos + i sin.
     """
     rho2 = rho * rho
     x_of = _of(xs)
-    # e^{i pi x}, reduced exactly mod 2
-    phase_pi_of = _of([complex(cos_pi(x), sin_pi(x)) for x in xs])
-
-    def cis(phi: np.ndarray) -> np.ndarray:
-        z = np.empty(phi.shape, np.complex128)
-        z.real, z.imag = np.cos(phi), np.sin(phi)
-        return z
+    pi_r = [math.pi * _reduce_mod2(0.5 * x) for x in xs]
+    pi_r_of = _of(pi_r)
 
     def fn(u: np.ndarray, k) -> np.ndarray:
-        # th = u, and th = pi - u: exp(i x (pi - u + sin u)); over rho^2 + s^2 in place
         s = np.sin(u)
         x = x_of(k)
-        z = cis(x * (u + s)) + phase_pi_of(k) * cis(x * (s - u))
-        r = 1.0 / (rho2 + s * s)
-        z.real *= r
-        z.imag *= r
+        phase = x * s
+        a = np.cos(x * u - pi_r_of(k)) * (2.0 / (rho2 + s * s))
+        z = np.empty(u.shape, np.complex128)
+        z.real, z.imag = a * np.cos(phase), a * np.sin(phase)
         return z
 
-    return _fold(fn, [abs(x) for x in xs], (HotSpot(0.0, rho),), cfg)  # the left half's scale
+    res = _fold(fn, [abs(x) for x in xs], (HotSpot(0.0, rho),), cfg)  # the left half's scale
+    return [QuadResult(complex(math.cos(p), math.sin(p)) * q.value, q.err, q.converged, q.panels)
+            for q, p in zip(res, pi_r)]
 
 
 def eval_H(x: float, rho: float, cfg: Optional[QuadConfig] = None) -> HValue:
@@ -474,15 +479,17 @@ def eval_H_many(xs: Iterable[float], rho: float,
                 cfg: Optional[QuadConfig] = None) -> List[HValue]:
     """``[eval_H(x, rho, cfg) for x in xs]``, bit for bit, in shared quadrature sweeps.
 
-    Every x (and rho) is validated before any integral runs, and the
-    first invalid one raises what ``eval_H`` would raise.  The points of
+    Every x, and rho once, is validated before any integral runs, in the
+    order of ``eval_H`` point by point, so the first failure raises what
+    that would.  The points of
     each branch (the fold below X_C, the contour, conjugated for x < 0,
     from it on) go through one ``integrate_many`` call, with one owner per
     point on the fold and two (its rays) on the contour.  That call shares
     its sweeps from three owners on: one mesh build and a few integrand
     calls for all of them, refinement rounds included.
     """
-    xs = [_require_x_rho(x, rho) for x in xs]
+    # rho once, after the first x, where the first eval_H call checks it
+    xs = [require_finite("x", x) if i else _require_x_rho(x, rho) for i, x in enumerate(xs)]
     near = [x for x in xs if abs(x) < X_C]
     far = [(abs(x), rho) for x in xs if abs(x) >= X_C]
     # a branch without points is skipped whole: its set-up is a few us per call

@@ -69,7 +69,11 @@ few hundred panels: the breakpoints and the mesh, one first sweep
 (``_eval_panels``: about 25 numpy calls on arrays of one entry per panel,
 four of them ``np.vecdot`` row sums) and the three sums of the
 convergence test (``_start``); each refinement round adds a sweep over
-the split halves and about 20 more small numpy calls.  A contour ray of
+the split halves and about 20 more small numpy calls.  A call of several
+owners pays the mesh per panel layout where a few layouts repeat
+(``_layouts``: a ``find_zeros`` batch of 3-23 fold points has 1-3), and
+the three sums per run of neighbouring owners with equal panel counts
+(one row-wise reduction each), not per owner.  A contour ray of
 ``good`` has 1-45 panels, so the fixed part is most of its cost: the
 16-panel ray out of 0 of ``eval_H(5825.7, 0.3)`` takes about 80 us, its
 integrand about 22 us (best of 3000 calls; 2-vCPU x86 VM, Python 3.11,
@@ -99,7 +103,7 @@ import cmath
 import math
 import operator
 from dataclasses import dataclass
-from itertools import accumulate, chain, pairwise
+from itertools import accumulate, chain, groupby, pairwise
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -231,6 +235,10 @@ _ALONE_OWNERS = 2
 # ladder and 200-250 of one or two segments, beyond which the vectorised
 # pass stays near that cost and the Python way grows to ~130 us at 1000 panels
 _SMALL_MESH = 192
+# a multi-owner call builds each panel layout it repeats as a lone owner's
+# mesh (about 10 us for a zeros fold) while it has at most this many
+# layouts; more cost more than its one vectorised pass (45 us + 1.3 us an owner)
+_SHARED_LAYOUTS = 4
 _DEFAULT_CFG = QuadConfig()  # immutable; built once, not on every call
 _EPS = float(np.finfo(np.float64).eps)
 # ndarray.sum's pairwise sum, without its Python wrapper: it runs three times per integral
@@ -353,26 +361,54 @@ def _ordered_sum(lo: np.ndarray, values: np.ndarray) -> complex:
     return complex(values[order].sum())
 
 
-def _estimate(total: complex, err: np.ndarray, resabs: np.ndarray,
+def _estimate(total: complex, est: float, abs_sum: float,
               cfg: QuadConfig) -> Tuple[float, float]:
-    """(est, target), converged once est <= target; NumericalError unless both sums are finite."""
-    est = float(_sum(err))
+    """(est, target) from the sums of an owner's panel values, estimates and resabs.
+
+    Converged once est <= target; NumericalError unless the first two sums are finite.
+    """
     if not (cmath.isfinite(total) and math.isfinite(est)):
         raise NumericalError(f"integral leaves binary64: sum {total!r}, error estimate {est!r}")
     # per-panel estimates are floored at 50*eps*resabs, so the global
     # target keeps a 2x headroom over that floor to guarantee progress
-    floor = 100.0 * _EPS * float(_sum(resabs))
+    floor = 100.0 * _EPS * abs_sum
     return est, max(cfg.abs_tol, cfg.rel_tol * abs(total), floor)
 
 
-def _start(lo: np.ndarray, hi: np.ndarray, first, cfg: QuadConfig, mesh_ok: bool):
-    """The QuadResult of a mesh whose first sweep ``first`` meets its target, else ``_rounds``."""
+def _start(lo: np.ndarray, hi: np.ndarray, sizes: Sequence[int], oks: Sequence[bool],
+           first, cfg: QuadConfig) -> list:
+    """Per owner, the QuadResult of a mesh whose first sweep meets its target, else ``_rounds``.
+
+    lo, hi and the arrays of ``first``, the (kronrod, err, resabs) of the
+    first sweep, hold every owner's panels back to back, sizes[k] of
+    owner k's.  Each run of neighbouring owners with equal panel counts
+    takes its three sums in one row sum each, ``np.add.reduce`` over the
+    rows of the run's block, which sums each row pairwise in ascending
+    panel order as the row's own ``ndarray.sum`` does, bit for bit.  A
+    lone owner, and a run of one, takes that sum itself, which costs less
+    than a reduction over rows (1.4 against 2.5 us on 40 complex values).
+    """
     val, err, resabs = first
-    total = complex(_sum(val))  # in ascending panel order, as _ordered_sum would sum
-    est, target = _estimate(total, err, resabs, cfg)
-    if est <= target:
-        return QuadResult(total, est, mesh_ok, len(lo))
-    return _rounds(lo, hi, val, err, resabs, total, est, target, cfg, mesh_ok)
+    if len(sizes) == 1:
+        sums = [complex(_sum(val))], [float(_sum(err))], [float(_sum(resabs))]
+    else:
+        sums, p0 = ([], [], []), 0
+        for size, run in groupby(sizes):
+            n = len(list(run))
+            p1 = p0 + n * size
+            for out, a in zip(sums, first):
+                out += ([_sum(a[p0:p1]).item()] if n == 1 else
+                        _sum(a[p0:p1].reshape(n, size), axis=1).tolist())
+            p0 = p1
+    results, q0 = [], 0
+    for size, ok, total, est, abs_sum in zip(sizes, oks, *sums):
+        q1 = q0 + size
+        est, target = _estimate(total, est, abs_sum, cfg)
+        results.append(QuadResult(total, est, ok, size) if est <= target else
+                       _rounds(lo[q0:q1], hi[q0:q1], val[q0:q1], err[q0:q1], resabs[q0:q1],
+                               total, est, target, cfg, ok))
+        q0 = q1
+    return results
 
 
 def _rounds(lo: np.ndarray, hi: np.ndarray, val: np.ndarray, err: np.ndarray,
@@ -413,7 +449,7 @@ def _rounds(lo: np.ndarray, hi: np.ndarray, val: np.ndarray, err: np.ndarray,
         err = np.concatenate([err[keep], nerr])
         resabs = np.concatenate([resabs[keep], nres])
         total = _ordered_sum(lo, val)
-        est, target = _estimate(total, err, resabs, cfg)
+        est, target = _estimate(total, float(_sum(err)), float(_sum(resabs)), cfg)
     return QuadResult(total, est, converged and mesh_ok, len(lo))
 
 
@@ -477,7 +513,10 @@ def _meshes(points: List[List[float]], caps: List[float], max_panels: int):
 
     A lone owner's mesh without a cap (inf) is its breakpoints, and one of
     fewer than _SMALL_MESH panels comes from ``_small_mesh``; the three
-    paths agree bit for bit.
+    paths agree bit for bit.  Several owners pay per panel layout where
+    layouts repeat (``_layouts``): each layout's mesh is built once, as a
+    lone owner's, and copied to every owner on it.  Where none repeats,
+    they take one vectorised pass.
     """
     if len(points) == 1:
         p, cap = points[0], caps[0]
@@ -488,7 +527,47 @@ def _meshes(points: List[List[float]], caps: List[float], max_panels: int):
         else:
             return _vector_meshes(points, caps, max_panels)
         return edges[:-1], edges[1:], [len(edges) - 1], [ok]
-    return _vector_meshes(points, caps, max_panels)
+    layouts = _layouts(points, caps)
+    if layouts is None:
+        return _vector_meshes(points, caps, max_panels)
+    meshes = {}
+    for key, p, cap in zip(layouts, points, caps):
+        if key not in meshes:
+            meshes[key] = _meshes([p], [cap], max_panels)
+    own = [meshes[key] for key in layouts]
+    return (np.concatenate([m[0] for m in own]), np.concatenate([m[1] for m in own]),
+            [m[2][0] for m in own], [m[3][0] for m in own])
+
+
+def _layouts(points: List[List[float]], caps: List[float]) -> Optional[list]:
+    """Each owner's panel layout, where a few layouts repeat; else None.
+
+    A layout is a breakpoint ladder (the list object: ``integrate_many``
+    hands owners of equal ends and hot spots the same one) and its
+    segment counts ceil(length/cap), as ``_vector_meshes`` computes them.
+    An owner's mesh depends on its cap only through those counts, so
+    owners on one layout have one mesh.  None where no layout repeats,
+    where there are more than _SHARED_LAYOUTS, or where a count is no
+    Python int (an inf or nan quotient): the vectorised pass then costs
+    less, or is the one that handles it.  The fold owners of a
+    ``find_zeros`` batch (3-23 points) share their ladder and fall on 1-3
+    layouts; the rays of a contour batch have a ladder each, or nearly.
+    """
+    ladders = len({id(p) for p in points})  # at least one layout each
+    if ladders == len(points) or ladders > _SHARED_LAYOUTS:
+        return None
+    segs, keys, seen = {}, [], set()
+    try:
+        for p, cap in zip(points, caps):
+            seg = segs.get(id(p)) or segs.setdefault(id(p), [b - a for a, b in pairwise(p)])
+            key = id(p), tuple([math.ceil(s / cap) or 1 for s in seg])
+            seen.add(key)
+            if len(seen) > _SHARED_LAYOUTS:
+                return None
+            keys.append(key)
+    except (OverflowError, ValueError, ZeroDivisionError):
+        return None
+    return keys if len(seen) < len(keys) else None
 
 
 def _vector_meshes(points: List[List[float]], caps: List[float], max_panels: int):
@@ -554,7 +633,7 @@ def _vector_meshes(points: List[List[float]], caps: List[float], max_panels: int
 
 def _sweep(fn, owners: Sequence[int], lo: np.ndarray, hi: np.ndarray, sizes: Sequence[int],
            rule: Rule):
-    """[(kronrod, err, resabs) of owner j's panels for each j]; lo and hi hold them back to back.
+    """(kronrod, err, resabs) of every panel; lo and hi hold the owners' panels back to back.
 
     owners[j] (ascending) has the next sizes[j] panels.  They are one
     ``_eval_panels`` call, with the owner as an int for a lone owner, else
@@ -565,10 +644,8 @@ def _sweep(fn, owners: Sequence[int], lo: np.ndarray, hi: np.ndarray, sizes: Seq
     """
     if len(owners) == 1:
         k = owners[0]
-        return [_eval_panels(lambda t: fn(t, k), lo, hi, None, rule)]
-    kronrod, err, resabs = _eval_panels(fn, lo, hi, np.repeat(owners, sizes), rule)
-    return [(kronrod[p0:p1], err[p0:p1], resabs[p0:p1])
-            for p0, p1 in pairwise(accumulate(sizes, initial=0))]
+        return _eval_panels(lambda t: fn(t, k), lo, hi, None, rule)
+    return _eval_panels(fn, lo, hi, np.repeat(owners, sizes), rule)
 
 
 def _integrals(fn, points: List[List[float]], caps: List[float], cfg: QuadConfig,
@@ -577,20 +654,22 @@ def _integrals(fn, points: List[List[float]], caps: List[float], cfg: QuadConfig
     breakpoints points[k], on panels no longer than caps[k]; one QuadResult per owner.
     """
     lo, hi, sizes, oks = _meshes(points, caps, cfg.max_panels)
-    results, rounds, p1 = _sweep(fn, range(len(sizes)), lo, hi, sizes, rule), {}, 0
-    for k, (size, ok) in enumerate(zip(sizes, oks)):
-        p0, p1 = p1, p1 + size
-        results[k] = r = _start(lo[p0:p1], hi[p0:p1], results[k], cfg, ok)
+    results = _start(lo, hi, sizes, oks, _sweep(fn, range(len(sizes)), lo, hi, sizes, rule), cfg)
+    rounds = {}
+    for k, r in enumerate(results):
         if not isinstance(r, QuadResult):
             rounds[k] = r
     if rounds:
         def sweep(ks: List[int], halves: list) -> list:
             if len(ks) == 1:  # a lone owner's halves, as they are: no copy
                 (lo_k, hi_k), = halves
-                return _sweep(fn, ks, lo_k, hi_k, [len(lo_k)], rule)
+                return [_sweep(fn, ks, lo_k, hi_k, [len(lo_k)], rule)]
             los, his = zip(*halves)
-            return _sweep(fn, ks, np.concatenate(los), np.concatenate(his),
-                          [len(h) for h in los], rule)
+            sizes = [len(h) for h in los]
+            val, err, resabs = _sweep(fn, ks, np.concatenate(los), np.concatenate(his), sizes,
+                                      rule)
+            return [(val[p0:p1], err[p0:p1], resabs[p0:p1])
+                    for p0, p1 in pairwise(accumulate(sizes, initial=0))]
 
         for k, r in lockstep(rounds, sweep).items():
             results[k] = r
@@ -647,8 +726,14 @@ def integrate_finite(f: Integrand, a: float, b: float,
 
 
 def _tail(rate: float, big_t: float) -> float:
-    """Bound on int_T^inf exp(-rate t^3) dt: exp(-rate T^3)/(3 rate T^2)."""
-    return math.exp(-rate * big_t ** 3) / (3.0 * rate * big_t ** 2)
+    """Bound on int_T^inf exp(-rate t^3) dt: exp(-rate T^3)/(3 rate T^2).
+
+    3 rate overflows from rate ~6e307 on; there the 3 divides last.
+    """
+    three_rate = 3.0 * rate
+    if three_rate == math.inf:
+        return math.exp(-rate * big_t ** 3) / (rate * big_t ** 2) / 3.0
+    return math.exp(-rate * big_t ** 3) / (three_rate * big_t ** 2)
 
 
 def _cutoff(rate: float, eps: float) -> float:

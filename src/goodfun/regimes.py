@@ -97,7 +97,9 @@ def i_lambda_asym(lam: float) -> EvalResult:
     |1/(1 + e^{i pi/3} t^2) - 1| <= t^2 on the rotated ray.
     """
     require_above("lam", lam, 0.0)
-    rest = 1.0 / (3.0 * lam)
+    three_lam = 3.0 * lam
+    # 3 lam overflows from lam ~6e307 on; there the 3 divides last
+    rest = 1.0 / three_lam if three_lam < math.inf else 1.0 / lam / 3.0
     if rest == math.inf:  # lam <~ 1.9e-309
         raise DomainError(f"lam must be large enough that 1/(3 lam) is finite, got {lam!r}")
     main = _ROT_HALF * GAMMA_THIRD / (3.0 * lam ** (1.0 / 3.0))

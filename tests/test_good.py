@@ -40,8 +40,12 @@ def test_h_equals_g_on_diagonal(x, rho):
     assert abs(hv.h - g.value) <= hv.err + g.error_estimate + 1e-13
 
 
-@pytest.mark.parametrize("rho", [1e-3, 0.05, 1.0, 2.0])
-@pytest.mark.parametrize("x", [-77.5, 0.5, 3.5, 17.25, 63.0, math.nextafter(X_C, 0.0)])
+# the last two sit at rho ~ 1e-3, where calH's fold takes its phase at pi
+# under the 1/rho^2 peak and needs it exact (``good._real_axis``)
+@pytest.mark.parametrize("x,rho", [(x, rho) for x in (-77.5, 0.5, 3.5, 17.25, 63.0,
+                                                      math.nextafter(X_C, 0.0))
+                                   for rho in (1e-3, 0.05, 1.0, 2.0)]
+                         + [(55.464, 0.001286), (75.667, 0.001417)])
 def test_g_on_its_diagonal_matches_the_fold_of_h(x, rho):
     # G's real cosine fold and calH's complex fold are independent codes
     hv = eval_H(x, rho)
@@ -269,7 +273,7 @@ def test_largest_rho_values_keep_their_bits():
     near, far = eval_H_many([5.0, 150.0], 1e150)
     g = eval_G(2.0, 1e150, 3.0)
     assert [near.h_complex.real.hex(), near.h_complex.imag.hex(), near.err.hex()] == [
-        "-0x1.662990598755bp-999", "0x1.039600b92bcc5p-999", "0x0.00000a6af152ep-1022"]
+        "-0x1.6629905987559p-999", "0x1.039600b92bcc3p-999", "0x0.00000a6aec8d0p-1022"]
     # the contour point's error is its rays' plus a connector bound that falls
     # like 1/rho^2, as H does (it read 2^-576 when it fell like 1/rho)
     assert [far.h_complex.real.hex(), far.h_complex.imag.hex(), far.err.hex()] == [
@@ -486,6 +490,74 @@ def test_eval_H_many_covers_refinement_and_coarsening():
     # with 30 panels: the G10K21 fold of x = 50 fits its mesh of 26
     coarse = eval_H_many([90.0, -99.0], 1e-3, _MANY_CFGS[2])
     assert not any(hv.converged for hv in coarse)
+
+
+def _recorded(monkeypatch, name):
+    """Record what quadrature.<name> returns, call by call, while it runs as it is."""
+    out, real = [], getattr(quadrature, name)
+
+    def recording(*args):
+        out.append(real(*args))
+        return out[-1]
+
+    monkeypatch.setattr(quadrature, name, recording)
+    return out
+
+
+def _many_is_one_by_one(xs, rho, cfg=None, *logs):
+    """Check eval_H_many(xs) against eval_H point by point; the logs as the batch left them."""
+    many = eval_H_many(xs, rho, cfg)
+    seen = [list(log) for log in logs]
+    assert [_bits(hv) for hv in many] == [_bits(eval_H(x, rho, cfg)) for x in xs]
+    return seen
+
+
+def test_fold_points_on_one_layout_share_one_mesh(monkeypatch):
+    # 24 fold points 1/8 apart: one ladder and equal segment counts, so the
+    # batch's mesh is one lone owner's, copied 24 times
+    layouts, meshes = _recorded(monkeypatch, "_layouts"), _recorded(monkeypatch, "_meshes")
+    layouts, meshes = _many_is_one_by_one([20.0 + j / 8 for j in range(24)], 0.5, None,
+                                          layouts, meshes)
+    assert [len(set(keys)) for keys in layouts] == [1]
+    assert [len(m[2]) for m in meshes] == [1, 24]  # the layout's mesh, then the batch's
+
+
+@pytest.mark.parametrize("xs", [[150.0, 300.0, 1e3, 5e3, 2e4], [150.0, 150.0, 1e3]])
+def test_contour_rays_of_equal_panel_counts_keep_their_bits(monkeypatch, xs):
+    # the rays out of 0 of x = 300 .. 2e4 have 16 panels each on four
+    # ladders: one run of equal sizes in _start, on four layouts; a point
+    # given twice shares its two rays' layouts
+    meshes, = _many_is_one_by_one(xs, 0.5, None, _recorded(monkeypatch, "_meshes"))
+    sizes = meshes[-1][2]
+    assert len(sizes) == 2 * len(xs) and len(set(sizes)) < len(sizes)
+
+
+def test_owners_that_refine_out_of_panel_count_order_keep_their_bits(monkeypatch):
+    # lockstep must hand the rays to _by_owner in ascending owner order,
+    # whatever their panel counts
+    refined, real = [], quadrature._rounds
+
+    def rounds(lo, *args):
+        refined.append(len(lo))
+        return real(lo, *args)
+
+    monkeypatch.setattr(quadrature, "_rounds", rounds)
+    refined, = _many_is_one_by_one([90.0, 5e3, 10.0, 150.0, 60.0, 1e4, 3.0, 300.0, 45.5], 1e-3,
+                                   QuadConfig(abs_tol=1e-15, rel_tol=1e-14), refined)
+    assert len(refined) >= 4 and refined != sorted(refined)
+
+
+def test_a_batch_longer_than_a_chunk_keeps_its_bits(monkeypatch):
+    meshes, = _many_is_one_by_one([88.0 + j / 4 for j in range(12)], 0.5, None,
+                                  _recorded(monkeypatch, "_meshes"))
+    assert sum(meshes[-1][2]) > quadrature._chunk_panels(quadrature.G10K21)
+
+
+def test_eval_H_many_checks_rho_once(monkeypatch):
+    calls, real = [], good._require_rho
+    monkeypatch.setattr(good, "_require_rho", lambda rho: calls.append(rho) or real(rho))
+    eval_H_many([3.0, 50.0, 150.0, -1e3], 0.5)
+    assert calls == [0.5]
 
 
 @pytest.mark.parametrize("cap", [1, 20])

@@ -10,7 +10,7 @@ from goodfun import (Constants, DomainError, EnvelopeViolated, Integrand, Precis
                      anger_shifted_asym, classify, corollary_path_main, cubic_tail, eval_H,
                      h_approx, h_asym_large, h_asym_small, i_lambda_asym,
                      i_lambda_oracle, integrate_finite, load_constants, two_term_expansion)
-from goodfun import regimes
+from goodfun import quadrature, regimes
 from goodfun.calibrate import good_amplitude_problem
 from goodfun.constants import GAMMA_THIRD
 from goodfun.core import cos_pi
@@ -63,6 +63,18 @@ def test_i_lambda_oracle_keeps_its_relative_accuracy_at_huge_lambda(lam):
     oracle, law = i_lambda_oracle(lam), i_lambda_asym(lam)
     assert abs(oracle.value - law.value) <= 1e-9 * abs(law.value)
     assert oracle.converged and abs(oracle.value - law.value) <= oracle.err
+
+
+def test_tail_bounds_hold_where_three_lambda_overflows():
+    # 3 lam, and the ray's 3 rate, overflow from lam ~6e307: both bounds read 0 there
+    lam = 1e308
+    oracle, law = i_lambda_oracle(lam), i_lambda_asym(lam)
+    assert law.error_estimate == 1.0 / lam / 3.0 > 0.0
+    # the oracle lies ~9.3e-114 from the law, whose rest is ~3e-309
+    assert oracle.converged and abs(oracle.value - law.value) <= oracle.err
+    # below the overflow every bound keeps its bits
+    assert i_lambda_asym(5e307).error_estimate == 1.0 / (3.0 * 5e307)
+    assert quadrature._tail(1e300, 1e-100) == math.exp(-1e300 * 1e-300) / (3.0 * 1e300 * 1e-200)
 
 
 def test_i_lambda_oracle_takes_a_relative_target_below_the_normal_doubles():
