@@ -20,8 +20,8 @@ J is the paper's oscillatory integral
 F_a(gamma, x) = (1/pi) int_0^pi a(th) cos(gamma*th + x*sin th) dth at the
 unit amplitude, J_nu(x) = F_1(nu, -x); G and Q are the same integral with
 the amplitudes 1/(rho^2 + sin^2 th) and 1/(xi - cos th).  The oracle
-``anger_J`` integrates it on the real axis, folded onto [0, pi/2] as G and
-Q are (``good._real_fold``), at a cost that grows like |nu| + |x|, except
+``anger_J`` integrates it on the real axis, folded onto [0, pi/2] as G, Q
+and H are (``good._real_fold``), at a cost that grows like |nu| + |x|, except
 in the band these laws live in: from |x| = X_C on, orders with
 ||nu| - |x|| <= |x|^(1/3) go along calH's steepest-descent contour
 (``good._contours``), whose cost does not grow with x.
@@ -33,11 +33,13 @@ import numbers
 from dataclasses import replace
 from typing import Optional, Tuple
 
+import numpy as np
+
 from .constants import (GAMMA_THIRD, GAMMA_TWO_THIRDS, SQRT3, Constants,
                         get_constants)
 from .core import (DomainError, EvalResult, QuadConfig, cos_pi, require_above,
                    require_finite, require_phase, sin_pi)
-from .good import X_C, _contours, _real_fold
+from .good import X_C, _contours, _oracle, _real_fold
 from .quadrature import QuadResult
 
 __all__ = ["anger_J", "anger_diag_asym", "anger_reflected_asym",
@@ -48,7 +50,8 @@ _K_MAX = 10 ** 6
 
 def _real_axis(nu: float, x: float, cfg: Optional[QuadConfig]) -> EvalResult:
     """J_nu(x) = F_1(nu, -x) on the fold (``good._real_fold``); cost grows like |nu| + |x|."""
-    return _real_fold(nu, -x, lambda u, s, c0, c1, s1: c0 + c1 + s1, (), cfg)
+    fold = _real_fold([(nu, -x)], lambda _u, _s, p, m: 2.0 * np.cos(p) * np.cos(m), (), cfg)
+    return _oracle(fold)
 
 
 def _on_contour(nu: float, x: float) -> bool:

@@ -12,21 +12,21 @@ as one complex integral, which halves the quadrature work and enforces
 H = Re calH by construction.  The module also provides the explicit
 a-priori bounds on |H| and its first derivatives.
 
-G, Q and Anger's J are one integral with three amplitudes a,
+G, Q, Anger's J and calH are one integral with four amplitudes a,
 
     F_a(gamma, x) = (1/pi) int_0^pi a(th) cos(gamma*th + x*sin th) dth,
 
-G's a = 1/(rho^2 + sin^2 th), Q's a = 1/(xi - cos th), and J's a = 1,
-J_nu(x) = F_1(nu, -x).  On the real axis it is written once
-(``_real_fold``), and ``eval_G``, ``eval_Q`` and ``anger_J`` off its band
-each give only their amplitude.  F_a and calH are folded by th -> pi - u
-onto [0, pi/2] and evaluated as one integral per point, whose integrand
-sums both halves at the same node (``_fold``).  The folded form keeps
-the integrand peaks of G and H at an exactly representable endpoint (the
-peak at th = pi sits a sliver below the nearest double, which at
-rho = 1e-3 already costs ~1e-10 of mass), turns the constant phase at pi
-into cos/sin(pi*gamma) factors that reduce exactly modulo 2, and takes
-half the panels of a mesh of [0, pi] at the same oscillation scale.
+G's a = 1/(rho^2 + sin^2 th), Q's a = 1/(xi - cos th), J's a = 1 with
+J_nu(x) = F_1(nu, -x), and calH is G's at gamma = x with e^{i(...)} for
+the cosine.  On the real axis it is written once (``_real_fold``), folded
+by th -> pi - u onto [0, pi/2]: one integral per point, whose integrand
+sums both halves at the same node, where their phases are P + M and
+P - M, P = x*sin u + pi*r and M = gamma*u - pi*r with r = gamma/2
+reduced exactly modulo 2.  Each caller gives only its amplitude of
+(P, M).  The fold keeps the peaks of G and H at an exactly representable
+endpoint (the peak at th = pi sits a sliver below the nearest double,
+which at rho = 1e-3 already costs ~1e-10 of mass) and takes half the
+panels of a mesh of [0, pi] at the same oscillation scale.
 From |x| = X_C on, calH is integrated along a contour in the upper
 half-plane instead (``_contours``), at a cost that does not grow with x.
 
@@ -64,19 +64,20 @@ RHO_MIN = 1e-6
 
 # From this |x| on, eval_H integrates along the complex contour, whose cost
 # does not depend on x; below it, along the real axis, whose cost grows
-# like x.  Per point, the G10K21 fold (three cosines and sines a node,
-# ``_real_axis``) takes 0.57-0.58 times the contour's wall time at x = 100
-# for rho in [0.05, 1] and 0.40 times at rho = 1e-3; 0.79-0.80 and 0.54
-# times at x = 200; 0.88-0.91 and 0.61 times at x = 250; 0.99-1.07 and
-# 0.68 times at x = 300; at rho = 1e-3, 0.82 times at x = 400 (best of 200
-# calls, three runs; 2-vCPU x86 VM, numpy 2.4).  With four a node the fold
-# met the contour near x = 300 for rho in [0.05, 1] and near 400 at
-# rho = 1e-3; on G7K15 panels of a quarter period near x = 130.  anger_J's
-# fold in its band (nu = +-x, x +- x^(1/3)) takes 0.5, 0.6-0.65, 0.7-0.76
-# and 0.95-1.0 times the contour's time at x = 100, 150, 200 and 300, and
-# 1.15-1.6 times at 400 (best of 200, two runs).  X_C stays at 100: moving
-# it would move the compare rows, zeros windows and calibration points
-# between it and the new crossover onto the other path.
+# like x.  Per point, calH's G10K21 fold (three cosines and sines a node,
+# ``_real_fold``) takes 0.51-0.61 times the contour's wall time at x = 100
+# for rho in [0.05, 1] and 0.42 times at rho = 1e-3; 0.80-0.82 and 0.55-0.57
+# times at x = 200; 0.91-1.01 and 0.56-0.63 times at x = 250; 1.01-1.09 and
+# 0.70 times at x = 300; at rho = 1e-3, 0.84-0.85 times at x = 400.  With
+# four a node the fold met the contour near x = 300 for rho in [0.05, 1]
+# and near 400 at rho = 1e-3; on G7K15 panels of a quarter period near
+# x = 130.  anger_J's fold in its band (nu = +-x, x +- x^(1/3)), at two
+# cosines a node, takes 0.40-0.54, 0.57-0.63, 0.67-0.72, 0.82-0.91 and
+# 0.98-1.10 times the contour's time at x = 100, 150, 200, 300 and 400
+# (best of 400 calls timed alternately with the contour, three runs; 2-vCPU
+# x86 VM, numpy 2.4).  X_C stays at 100: moving it would move the compare
+# rows, zeros windows and calibration points between it and the new
+# crossover onto the other path.
 X_C = 100.0
 
 
@@ -164,43 +165,48 @@ def _require_x_rho(x: float, rho: float) -> float:
     return x
 
 
-def _fold(fn: _OwnerFn, oscs: Sequence[float], spots: Tuple[HotSpot, ...],
-          cfg: Optional[QuadConfig]) -> List[QuadResult]:
-    """(1/pi) int_0^pi f(th) dth as one integral int_0^{pi/2} f(u) + f(pi - u) du, per point.
+_Amplitude = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
-    The real axis of all four oracles: calH (``_real_axis``), and G, Q and
-    J (``_real_fold``).  ``fn(u, k)`` returns point k's f(u) + f(pi - u),
-    both halves at the same node, and ``oscs[k]`` is the larger
-    oscillation scale of the two.  ``spots`` are the peaks of both halves
-    in u, the same for every point: (0, rho) for calH and G,
-    (0, ~sqrt(2 (xi - 1))) for Q, none for J.  Every point is one owner of one ``integrate_many`` call on
-    G10K21, converged against its own value.
+
+def _real_fold(points: Sequence[Tuple[float, float]], amplitude: _Amplitude,
+               spots: Tuple[HotSpot, ...], cfg: Optional[QuadConfig]) -> List[QuadResult]:
+    """(1/pi) int_0^pi f(th) dth at each (gamma, x) of ``points``, folded onto [0, pi/2].
+
+    The real axis of all four oracles, as int_0^{pi/2} f(u) + f(pi - u) du.
+    At a node u, with s = sin u and r = gamma/2 reduced exactly modulo 2
+    (``_reduce_mod2``), P = x*s + pi*r and M = gamma*u - pi*r, the phase
+    gamma*th + x*sin th is P + M at th = u and P - M at th = pi - u, modulo
+    2 pi.  ``amplitude(u, s, P, M)`` returns f(u) + f(pi - u):
+    2 cos P cos M a(u) where a is symmetric (G, J), 2 cos M e^{iP} a(u) for
+    calH, and cos(P + M) a(u) + cos(P - M) a(pi - u) for Q's asymmetric a,
+    whose peak sits where P + M ~ 0 and its cosine keeps full accuracy.
+    pi*gamma/2 itself rounds at ulp(gamma); pi*r keeps one rounding
+    (~4e-16) at any gamma.  And M is not gamma*(u - pi/2): under the
+    1/rho^2 peak at u = 0, where the halves cancel near odd gamma, that
+    would round u - pi/2 and multiply the rounding by gamma.
+
+    ``spots`` are the peaks of both halves in u, the same for every
+    point: (0, rho) for calH and G, (0, ~sqrt(2 (xi - 1))) for Q, none for
+    J.  The oscillation scale is (|gamma| + |x|)/2, half the larger phase
+    rate.  Each point is one owner of one ``integrate_many`` call on
+    G10K21, converged against its own value.  The caller checks that the
+    phase stays finite.
     """
+    gamma_of, x_of = _of([g for g, _ in points]), _of([x for _, x in points])
+    pi_r_of = _of([math.pi * _reduce_mod2(0.5 * g) for g, _ in points])
+
+    def fn(u: np.ndarray, k) -> np.ndarray:
+        s, pi_r = np.sin(u), pi_r_of(k)
+        return amplitude(u, s, x_of(k) * s + pi_r, gamma_of(k) * u - pi_r)
+
+    spans = [(0.0, _HALF_PI, 0.5 * (abs(g) + abs(x)), spots) for g, x in points]
     return [QuadResult(r.value / math.pi, r.err / math.pi, r.converged, r.panels)
-            for r in integrate_many(fn, [(0.0, _HALF_PI, o, spots) for o in oscs], cfg,
-                                    rule=G10K21)]
+            for r in integrate_many(fn, spans, cfg, rule=G10K21)]
 
 
-def _real_fold(gamma: float, x: float, amplitude: Callable[..., np.ndarray],
-               spots: Tuple[HotSpot, ...], cfg: Optional[QuadConfig]) -> EvalResult:
-    """F_a(gamma, x) = (1/pi) int_0^pi a(th) cos(gamma*th + x*sin th) dth by the fold.
-
-    At each node u of [0, pi/2], with s = sin u, the phases of both halves
-    are computed once: c0 = cos(gamma*u + x*s) at th = u, and
-    c1 + s1 = cos(pi*gamma - (gamma*u - x*s)) at th = pi - u, as
-    c1 = cos(pi*gamma) cos(gamma*u - x*s) and s1 = sin(pi*gamma) sin(gamma*u - x*s)
-    with the phase at pi reduced exactly modulo 2.  ``amplitude(u, s, c0,
-    c1, s1)`` returns a(u) c0 + a(pi - u) (c1 + s1), and ``spots`` are a's
-    peaks in u (``_fold``).  The caller checks that the phase stays finite.
-    """
-    cg, sg = cos_pi(gamma), sin_pi(gamma)
-
-    def fn(u: np.ndarray, _k) -> np.ndarray:
-        s = np.sin(u)
-        w = gamma * u - x * s
-        return amplitude(u, s, np.cos(gamma * u + x * s), cg * np.cos(w), sg * np.sin(w))
-
-    res, = _fold(fn, [0.5 * (abs(gamma) + abs(x))], spots, cfg)
+def _oracle(results: List[QuadResult]) -> EvalResult:
+    """The oracle ``EvalResult`` of a one-point, real-valued ``_real_fold``."""
+    (res,) = results
     return EvalResult(value=res.value.real, error_estimate=res.err, method="oracle",
                       converged=res.converged)
 
@@ -405,8 +411,9 @@ def eval_G(gamma: float, rho: float, x: float,
     # gamma*th + x*sin th on one half, gamma*u - x*sin u on the other: one of them adds
     require_phase("gamma*th +- x*sin(th)", abs(gamma), abs(x), _HALF_PI)
     rho2 = rho * rho
-    return _real_fold(gamma, x, lambda u, s, c0, c1, s1: (c0 + c1 + s1) / (rho2 + s * s),
-                      (HotSpot(0.0, rho),), cfg)
+    return _oracle(_real_fold([(gamma, x)],
+                              lambda _u, s, p, m: np.cos(p) * np.cos(m) * (2.0 / (rho2 + s * s)),
+                              (HotSpot(0.0, rho),), cfg))
 
 
 def eval_Q(gamma: float, xi: float, x: float,
@@ -420,48 +427,26 @@ def eval_Q(gamma: float, xi: float, x: float,
     require_finite("x", x)
     require_phase("gamma*th +- x*sin(th)", gamma, abs(x), _HALF_PI)
 
-    def amplitude(u, _s, c0, c1, s1):
+    def amplitude(u, _s, p, m):
         c = np.cos(u)
-        return c0 / (xi - c) + (c1 + s1) / (xi + c)
+        return np.cos(p + m) / (xi - c) + np.cos(p - m) / (xi + c)
 
     # only the th = 0 half peaks: xi - cos u dips to xi - 1 with parabolic width
     spot = HotSpot(0.0, min(math.sqrt(2.0 * (xi - 1.0)), 1.0))
-    return _real_fold(gamma, x, amplitude, (spot,), cfg)
+    return _oracle(_real_fold([(gamma, x)], amplitude, (spot,), cfg))
 
 
-def _real_axis(xs: Sequence[float], rho: float, cfg: Optional[QuadConfig]) -> List[QuadResult]:
-    """calH(x, rho) for each x of xs by the fold on the real axis; cost grows like |x|.
-
-    With s = sin u, the two halves at th = u and th = pi - u are one product,
-
-        e^{ix(u + s)} + e^{i pi x} e^{ix(s - u)} = 2 e^{i pi r} e^{ixs} cos(xu - pi r),  r = x/2,
-
-    so a node takes three cosines and sines of large arguments (xs twice,
-    xu - pi r once) and no complex product, and e^{i pi r} multiplies the
-    integral once per point.  r is reduced exactly modulo 2 (``_reduce_mod2``)
-    and the phase is taken as x*u - pi*r: under the 1/rho^2 peak at u = 0,
-    where x*u is small, its only rounding is pi*r's (~4e-16), where
-    x*(u - pi/2) would round u - pi/2 first and multiply that by x (~1e-14
-    at x = 100).  The real amplitude 2 cos(xu - pi r)/(rho^2 + s^2) scales
-    both parts of e^{ixs}, which is built in real arithmetic as cos + i sin.
-    """
+def _calH(rho: float) -> _Amplitude:
+    """calH's amplitude 2 cos M e^{iP}/(rho^2 + s^2), e^{iP} built in real arithmetic."""
     rho2 = rho * rho
-    x_of = _of(xs)
-    pi_r = [math.pi * _reduce_mod2(0.5 * x) for x in xs]
-    pi_r_of = _of(pi_r)
 
-    def fn(u: np.ndarray, k) -> np.ndarray:
-        s = np.sin(u)
-        x = x_of(k)
-        phase = x * s
-        a = np.cos(x * u - pi_r_of(k)) * (2.0 / (rho2 + s * s))
-        z = np.empty(u.shape, np.complex128)
-        z.real, z.imag = a * np.cos(phase), a * np.sin(phase)
+    def amplitude(_u, s, p, m):
+        a = np.cos(m) * (2.0 / (rho2 + s * s))
+        z = np.empty(s.shape, np.complex128)
+        z.real, z.imag = a * np.cos(p), a * np.sin(p)
         return z
 
-    res = _fold(fn, [abs(x) for x in xs], (HotSpot(0.0, rho),), cfg)  # the left half's scale
-    return [QuadResult(complex(math.cos(p), math.sin(p)) * q.value, q.err, q.converged, q.panels)
-            for q, p in zip(res, pi_r)]
+    return amplitude
 
 
 def eval_H(x: float, rho: float, cfg: Optional[QuadConfig] = None) -> HValue:
@@ -490,10 +475,10 @@ def eval_H_many(xs: Iterable[float], rho: float,
     """
     # rho once, after the first x, where the first eval_H call checks it
     xs = [require_finite("x", x) if i else _require_x_rho(x, rho) for i, x in enumerate(xs)]
-    near = [x for x in xs if abs(x) < X_C]
+    near = [(x, x) for x in xs if abs(x) < X_C]
     far = [(abs(x), rho) for x in xs if abs(x) >= X_C]
     # a branch without points is skipped whole: its set-up is a few us per call
-    near_res = iter(_real_axis(near, rho, cfg) if near else ())
+    near_res = iter(_real_fold(near, _calH(rho), (HotSpot(0.0, rho),), cfg) if near else ())
     far_res = iter(_contours((), far, cfg)[1] if far else ())
     out = []
     for x in xs:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from typing import Optional
 
 from .anger import anger_J
@@ -27,11 +28,18 @@ def ode_residual(gamma: float, rho: float, x: float, h_step: float,
                  cfg: Optional[QuadConfig] = None) -> float:
     """Central-difference residual of G'' - rho^2 G + J_gamma(-x) at x.
 
-    Decays like O(h^2) until the quadrature-noise floor O(err/h^2).
+    Decays like O(h^2) until the quadrature-noise floor O(err/h^2).  A step
+    whose square leaves binary64's normal range, or that x +- h_step rounds
+    away (G'' would read 0), raises :class:`PrecisionError`.
     """
     require_above("h_step", h_step, 0.0)
+    x, h2 = require_finite("x", x), h_step * h_step
+    if not sys.float_info.min <= h2 < math.inf:
+        raise PrecisionError(f"h_step = {h_step!r}: h_step^2 = {h2!r} leaves binary64")
+    if x + h_step == x or x - h_step == x:
+        raise PrecisionError(f"h_step = {h_step!r} rounds away in x +- h_step at x = {x!r}")
     g = lambda xx: eval_G(gamma, rho, xx, cfg).value
-    second = (g(x + h_step) - 2.0 * g(x) + g(x - h_step)) / (h_step * h_step)
+    second = (g(x + h_step) - 2.0 * g(x) + g(x - h_step)) / h2
     j = anger_J(gamma, -x, cfg).value
     return abs(second - rho * rho * g(x) + j)
 

@@ -41,17 +41,33 @@ def test_h_equals_g_on_diagonal(x, rho):
 
 
 # the last two sit at rho ~ 1e-3, where calH's fold takes its phase at pi
-# under the 1/rho^2 peak and needs it exact (``good._real_axis``)
+# under the 1/rho^2 peak and needs it exact (``good._real_fold``)
 @pytest.mark.parametrize("x,rho", [(x, rho) for x in (-77.5, 0.5, 3.5, 17.25, 63.0,
                                                       math.nextafter(X_C, 0.0))
                                    for rho in (1e-3, 0.05, 1.0, 2.0)]
                          + [(55.464, 0.001286), (75.667, 0.001417)])
 def test_g_on_its_diagonal_matches_the_fold_of_h(x, rho):
-    # G's real cosine fold and calH's complex fold are independent codes
+    # one fold, two amplitudes: G's real 2 cos P cos M and calH's complex
+    # 2 cos M e^{iP}, with their own cosines
     hv = eval_H(x, rho)
     g = eval_G(x, rho, x)
     assert hv.converged and g.converged
     assert abs(hv.h - g.value) <= hv.err + g.error_estimate
+
+
+# G on its diagonal 3.1e-4 below the odd order 17, at rho = 3.4e-6: the
+# fold's halves cancel under the 1/rho^2 peak at u = 0 to ~1e-11 of it.
+# Pinned by 30-digit quadrature (mpmath, 45 and 60 digits agree).
+G_NEAR_ODD = -16.46165969850036583
+
+
+def test_g_near_an_odd_order_holds_its_claim():
+    # with the phase at pi as cos/sin(pi gamma) factors it read 7.0e-12 off
+    # under a claim of 2.2e-13
+    x = 16.999690029499867
+    r = eval_G(x, 3.430654821215887e-06, x)
+    assert r.converged
+    assert abs(r.value - G_NEAR_ODD) <= r.error_estimate
 
 
 def test_g_pinned_value_and_magnitude_bound():
@@ -273,7 +289,7 @@ def test_largest_rho_values_keep_their_bits():
     near, far = eval_H_many([5.0, 150.0], 1e150)
     g = eval_G(2.0, 1e150, 3.0)
     assert [near.h_complex.real.hex(), near.h_complex.imag.hex(), near.err.hex()] == [
-        "-0x1.6629905987559p-999", "0x1.039600b92bcc3p-999", "0x0.00000a6aec8d0p-1022"]
+        "-0x1.6629905987559p-999", "0x1.039600b92bcc3p-999", "0x0.00000a6aee244p-1022"]
     # the contour point's error is its rays' plus a connector bound that falls
     # like 1/rho^2, as H does (it read 2^-576 when it fell like 1/rho)
     assert [far.h_complex.real.hex(), far.h_complex.imag.hex(), far.err.hex()] == [
@@ -290,11 +306,17 @@ def test_tiny_rho_refused_by_default():
 
 # -- the complex contour used from |x| = X_C on ------------------------------
 
+def _fold_h(x, rho):
+    """calH(x, rho) on the real-axis fold, which eval_H takes below X_C only."""
+    r, = good._real_fold([(x, x)], good._calH(rho), (quadrature.HotSpot(0.0, rho),), None)
+    return r
+
+
 @pytest.mark.parametrize("rho", [1e-3, 1e-2, 0.1, 1.0, 2.0])
 @pytest.mark.parametrize("x", [1e2, 1e3, 1e4, 1e5])
 def test_contour_agrees_with_real_axis(x, rho):
     _, (c,) = good._contours((), [(x, rho)], None)
-    r, = good._real_axis([x], rho, None)
+    r = _fold_h(x, rho)
     assert c.converged and r.converged
     assert abs(c.value - r.value) <= c.err + r.err
 
@@ -302,7 +324,7 @@ def test_contour_agrees_with_real_axis(x, rho):
 @pytest.mark.parametrize("rho", [1e-3, 0.05, 1.0, 2.0])
 @pytest.mark.parametrize("x", [X_C, 113.9, 157.25, 201.5, 250.125, 300.0])
 def test_fold_agrees_with_the_contour_past_x_c(x, rho):
-    r, = good._real_axis([x], rho, None)
+    r = _fold_h(x, rho)
     _, (c,) = good._contours((), [(x, rho)], None)
     assert c.converged and r.converged
     assert abs(c.value - r.value) <= c.err + r.err
@@ -682,10 +704,12 @@ def test_eval_H_many_validates_every_point_first(monkeypatch):
 
 
 # The fold integrands of G, Q and J as they were written before _real_fold,
-# one closure each: _real_fold must reproduce them bit for bit.
+# one closure each, with the phase at th = pi - u as three cosines and sines:
+# an independent reference for _real_fold's P +- M form.
 def _fold_reference(fn, osc, spots):
-    res, = good._fold(fn, [osc], spots, None)
-    return res.value.real, res.err, res.converged
+    res, = quadrature.integrate_many(fn, [(0.0, math.pi / 2, osc, spots)],
+                                     rule=quadrature.G10K21)
+    return res.value.real / math.pi, res.err / math.pi, res.converged
 
 
 def _g_reference(gamma, rho, x):
@@ -723,26 +747,25 @@ def _j_reference(nu, x):
     return _fold_reference(fn, 0.5 * (abs(nu) + abs(x)), ())
 
 
-def _hex(r):
-    return r.value.hex(), r.error_estimate.hex(), r.converged
-
-
-def _hex_reference(ref):
+def _within_claims(r, ref):
     value, err, converged = ref
-    return value.hex(), err.hex(), converged
+    assert r.converged and converged
+    assert abs(r.value - value) <= r.error_estimate + err
 
 
+# _real_fold's P +- M phases round apart from these three-cosine ones: the
+# two agree within their summed claims (to 0.026 of them on these points)
 @pytest.mark.parametrize("x", [0.5, 10.0, 99.9, 1e3, 1e4])
 def test_real_fold_keeps_the_bits_of_each_hand_written_fold(x):
     for rho in (1e-3, 1.0):
         for gamma in (x / 2, -2.0, 2 * x + 0.3):
-            assert _hex(eval_G(gamma, rho, x)) == _hex_reference(_g_reference(gamma, rho, x))
+            _within_claims(eval_G(gamma, rho, x), _g_reference(gamma, rho, x))
     for xi in (1.001, 3.0):
         for gamma in (x / 2, 2 * x + 0.3):  # Q's order is >= 0
-            assert _hex(eval_Q(gamma, xi, x)) == _hex_reference(_q_reference(gamma, xi, x))
+            _within_claims(eval_Q(gamma, xi, x), _q_reference(gamma, xi, x))
     for nu in (x / 2, 2 * x):  # off J's band: on the fold at every x
         for sx in (x, -x):
-            assert _hex(anger_J(nu, sx)) == _hex_reference(_j_reference(nu, sx))
+            _within_claims(anger_J(nu, sx), _j_reference(nu, sx))
 
 
 @pytest.mark.parametrize("arrays", [1, 3])

@@ -32,6 +32,41 @@ def _unused_imports(tree: ast.Module) -> set:
     return bound - used
 
 
+def _private_names(tree: ast.Module) -> set:
+    """Private names a module binds at its top level: defs, classes and assignments."""
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return {name for name in bound if name.startswith("_") and not name.startswith("__")}
+
+
+def _reads(stem: str, tree: ast.Module) -> set:
+    """(module, name) pairs that module ``stem`` reads.
+
+    A name it reads bare is its own (or one it imported); ``from .m import
+    name`` and ``m.name`` read module m's.
+    """
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add((stem, node.id))
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            read.add((node.value.id, node.attr))
+        elif isinstance(node, ast.ImportFrom) and node.level and node.module:
+            read.update((node.module.split(".")[-1], alias.name) for alias in node.names)
+    return read
+
+
+def _unread(trees: dict) -> set:
+    """(module, name) of each private top-level name that no module of ``trees`` reads."""
+    read = set().union(*(_reads(stem, tree) for stem, tree in trees.items()))
+    return {(stem, name) for stem, tree in trees.items() for name in _private_names(tree)} - read
+
+
 def test_the_package_has_modules():
     assert {"good", "anger", "zeros", "__init__"} <= {m.stem for m in MODULES}
 
@@ -47,3 +82,18 @@ def test_a_dead_import_is_seen():
     assert _unused_imports(tree) == {"np", "pi"}
     tree = ast.parse("from math import pi, tau as _tau\n__all__ = [n for n in dir()]\n")
     assert _unused_imports(tree) == {"_tau"}
+
+
+def test_every_private_name_is_read_by_some_module():
+    assert _unread({path.stem: ast.parse(path.read_text(), filename=str(path))
+                    for path in MODULES}) == set()
+
+
+def test_an_unread_private_name_is_seen():
+    tree = ast.parse("_A = 1\n_B, C = 2, _A\n_T: int = 0\n__all__ = []\n"
+                     "def _f(): return _g\ndef _g(): pass\nclass _K: pass\n")
+    assert _unread({"m": tree}) == {("m", "_B"), ("m", "_T"), ("m", "_f"), ("m", "_K")}
+    # another module reads _f by importing it and _K as an attribute; its own
+    # _B, read there, is not m's
+    other = ast.parse("from .m import _f\nfrom . import m\n_B = m._K\n_B\n")
+    assert _unread({"m": tree, "n": other}) == {("m", "_B"), ("m", "_T")}

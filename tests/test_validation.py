@@ -10,7 +10,8 @@ from goodfun import (AmplitudeBounds, DomainError, EvalResult, Integrand, Precis
                      anger_shifted_asym, bounds_H, classify, corollary_path_main, cubic_tail,
                      eval_G, eval_H, eval_Q, expansion_with_conjugation, find_zeros, h_approx,
                      h_asym_large, h_asym_small, i_lambda_asym, i_lambda_oracle,
-                     integrate_tail, q_from_g, series_partial_sum, two_term_expansion)
+                     integrate_tail, ode_residual, q_from_g, series_partial_sum,
+                     two_term_expansion)
 from goodfun.calibrate import good_amplitude_problem, unit_amplitude_problem
 
 _UNIT = unit_amplitude_problem()
@@ -47,6 +48,8 @@ CASES = [
      {"rho": (0.0, -1.0), "x_min": (2.0, 1.0), "x_max": (10.0, 9.0)}),
     (q_from_g, {"gamma": 1.0, "xi": 2.0, "x": 1.0},
      {"gamma": (-0.5,), "xi": (1.0, 0.5), "x": ()}),
+    (ode_residual, {"gamma": 1.0, "rho": 1.0, "x": 1.0, "h_step": 1e-3},
+     {"gamma": (), "rho": (0.0, -1.0), "x": (), "h_step": (0.0, -1.0)}),
     (series_partial_sum, {"gamma": 1.0, "rho": 1.0, "x": 1.0, "K": 2},
      {"gamma": (), "rho": (0.0, -1.0), "x": (), "K": (7, 0, 1.5, 4.0)}),
     # takes eval_H's rho rules; rho = 0 divided by zero and rho = -1 gave rho = 1's bounds
@@ -71,7 +74,30 @@ def test_entry_point_refuses_bad_parameter(fn, kwargs, name, bad):
 
 # every other entry point returns a value with its error as an EvalResult
 _OTHER_RESULT_TYPES = {eval_H, bounds_H, classify, find_zeros, i_lambda_oracle, integrate_tail,
-                       AmplitudeBounds, good_amplitude_problem}
+                       AmplitudeBounds, good_amplitude_problem, ode_residual}
+
+
+# (entry point, keyword arguments binary64 cannot serve, what the PrecisionError says)
+PRECISION_CASES = [
+    # h^2 underflows (the difference quotient divided by zero), or is subnormal
+    (ode_residual, {"gamma": 1.0, "rho": 1.0, "x": 1.0, "h_step": 1e-170}, "leaves binary64"),
+    (ode_residual, {"gamma": 1.0, "rho": 1.0, "x": 1.0, "h_step": 1e-160}, "leaves binary64"),
+    # x +- h rounds to x, and G'' read 0
+    (ode_residual, {"gamma": 1.0, "rho": 1.0, "x": 1e6, "h_step": 1e-12}, "rounds away"),
+    (ode_residual, {"gamma": 1.0, "rho": 1.0, "x": -1e6, "h_step": 1e-11}, "rounds away"),
+    # h^2 overflows, and G'' read 0 again
+    (ode_residual, {"gamma": 1.0, "rho": 1.0, "x": 1.0, "h_step": 1e300}, "leaves binary64"),
+]
+
+
+@pytest.mark.parametrize("fn, kwargs, what", [
+    pytest.param(fn, kwargs, what,
+                 id=f"{fn.__name__}-" + ",".join(f"{k}={v!r}" for k, v in kwargs.items()))
+    for fn, kwargs, what in PRECISION_CASES
+])
+def test_entry_point_refuses_what_binary64_cannot_serve(fn, kwargs, what):
+    with pytest.raises(PrecisionError, match=what):
+        fn(**kwargs)
 
 
 @pytest.mark.parametrize("fn, kwargs", [

@@ -233,11 +233,11 @@ def test_zeros_at_a_large_rho_on_the_contour(caplog):
 def test_zeros_keep_their_bits():
     # x_zero, bracket_lo, bracket_hi and residual of the three zeros on [10, 13]
     pins = [("0x1.543341d03cdd8p+3", "0x1.4555555555555p+3", "0x1.6555555555555p+3",
-             "0x1.0d57800000000p-39"),
+             "0x1.0d575f55e1debp-39"),
             ("0x1.743b926a0ed92p+3", "0x1.6555555555555p+3", "0x1.8555555555555p+3",
-             "0x1.fc1c000000000p-40"),
+             "0x1.fc19c106539d1p-40"),
             ("0x1.944348266ec03p+3", "0x1.8555555555555p+3", "0x1.a555555555555p+3",
-             "0x1.da49000000000p-40")]
+             "0x1.da4d60067e123p-40")]
     records = find_zeros(1.0, 10.0, 13.0)
     assert [(r.x_zero.hex(), r.bracket_lo.hex(), r.bracket_hi.hex(), r.residual.hex())
             for r in records] == pins
