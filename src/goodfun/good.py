@@ -65,19 +65,18 @@ RHO_MIN = 1e-6
 # From this |x| on, eval_H integrates along the complex contour, whose cost
 # does not depend on x; below it, along the real axis, whose cost grows
 # like x.  Per point, calH's G10K21 fold (three cosines and sines a node,
-# ``_real_fold``) takes 0.51-0.61 times the contour's wall time at x = 100
-# for rho in [0.05, 1] and 0.42 times at rho = 1e-3; 0.80-0.82 and 0.55-0.57
-# times at x = 200; 0.91-1.01 and 0.56-0.63 times at x = 250; 1.01-1.09 and
-# 0.70 times at x = 300; at rho = 1e-3, 0.84-0.85 times at x = 400.  With
-# four a node the fold met the contour near x = 300 for rho in [0.05, 1]
-# and near 400 at rho = 1e-3; on G7K15 panels of a quarter period near
-# x = 130.  anger_J's fold in its band (nu = +-x, x +- x^(1/3)), at two
-# cosines a node, takes 0.40-0.54, 0.57-0.63, 0.67-0.72, 0.82-0.91 and
-# 0.98-1.10 times the contour's time at x = 100, 150, 200, 300 and 400
-# (best of 400 calls timed alternately with the contour, three runs; 2-vCPU
-# x86 VM, numpy 2.4).  X_C stays at 100: moving it would move the compare
-# rows, zeros windows and calibration points between it and the new
-# crossover onto the other path.
+# ``_real_fold``) takes 0.59-0.65 times the G10K21 contour's wall time at
+# x = 100 for rho in [0.05, 1] and 0.59-0.60 times at rho = 1e-3;
+# 0.71-0.77 and 0.67-0.69 at x = 150; 0.76-0.86 and 0.76-0.77 at 200;
+# 0.92-0.99 and 0.87 at 250; 1.01-1.10 and 0.95-0.96 at 300; 1.24-1.35 and
+# 1.14-1.15 at 400.  anger_J's fold in its band (nu = +-x, x +- x^(1/3)),
+# at two cosines a node, takes 0.53-0.59, 0.64-0.68, 0.74-0.77,
+# 0.81-0.85, 0.89-0.94 and 1.07-1.14 times the contour's time at x = 100,
+# 150, 200, 250, 300 and 400 (best of 400 calls timed alternately with the
+# contour, three runs; 2-vCPU x86 VM, numpy 2.4).  So the fold meets the
+# contour near x = 300 for calH and 330 for J.  X_C stays at 100: moving
+# it would move the compare rows, zeros windows and calibration points
+# between it and the crossover onto the other path.
 X_C = 100.0
 
 
@@ -321,7 +320,24 @@ def _rays(points: Sequence[_RayPoint], integrand: _RayFn,
     z = i x (g(th) - g(th at the ray's start)), the offset w of th from
     that start, and s = sin w; on the ray into pi, a(th) is taken
     without its constant factor ``at_pi``.  ``osc`` is half the
-    amplitude's own phase rate, added to the phase's on each ray.
+    amplitude's own phase rate, added to each ray's scale.
+
+    The rays run on G10K21, with a panel cap from each ray's own geometry
+    rather than from its oscillation.  In its natural variable a ray does
+    not depend on x: tau = x t out of 0, where exp(i x g) ~ exp(2 i tau
+    e^{i pi/4}) decays as fast as it turns, and tau = (x/6)^(1/3) t into
+    pi, where it is ~ exp(-tau^3), the cubic valley.  The scales x and
+    3 (x/6)^(1/3) (half the exponent's modulus rate 2 x at 0; three times
+    the valley's inverse width) make G10K21's cap 0.75 * 2 pi/(1 + scale)
+    split the rays, 25 sqrt 2 and 50^(1/3) long in tau, into 8 and 3
+    panels at every x >= X_C, plus the hot-spot ladder, which depends on
+    x only through x rho and (x/6)^(1/3) rho.  There they meet their
+    target on the first sweep: no refinement round on the 168 points of
+    the benchmark's compare sets, nor on a grid of 435 calH and 570 calA
+    points (x from 100 to 1e9, rho from 1e-3 to 1e22, orders across the
+    band).  With 2 panels into pi, 84 and 396 of those refine; out of 0,
+    the scale of the oscillation alone, x/sqrt 2 (a cap of 6.66 in tau),
+    took 29 refinement rounds on 2 317 points of a dense x rho grid.
 
     The geometry the connector bounds rely on (Re P0 < pi/2 < Re P1,
     Im P0 < Im P1) holds for every x >= X_C.
@@ -338,15 +354,13 @@ def _rays(points: Sequence[_RayPoint], integrand: _RayFn,
         w = t * _DIR_PI
         return integrand(1j * x_of(k) * _w_minus_sin(w), w, np.sin(w), k)
 
-    # half the largest real phase rate x |Re(dir * g')| on each ray: at t = 0
-    # on the first, at the far end on the second (1 - cos w = 2 sin^2(w/2))
+    # each ray's scale from its own geometry (docstring)
     spans_0, spans_pi = [], []
     for x, _, o, spots, _ in points:
         p0, w1 = _contour_ends(x)
-        spans_0.append((0.0, abs(p0), x * _DIR_0.real + o, spots))
-        spans_pi.append((0.0, abs(w1), x * abs((_DIR_PI * cmath.sin(0.5 * w1) ** 2).real) + o,
-                         spots))
-    rays = integrate_many(_by_owner(fn_0, fn_pi, n), spans_0 + spans_pi, cfg)
+        spans_0.append((0.0, abs(p0), x + o, spots))
+        spans_pi.append((0.0, abs(w1), 3.0 * (x / 6.0) ** (1.0 / 3.0) + o, spots))
+    rays = integrate_many(_by_owner(fn_0, fn_pi, n), spans_0 + spans_pi, cfg, rule=G10K21)
     out = []
     for (x, a, _, _, connector), r0, rp in zip(points, rays[:n], rays[n:]):
         # e^{i pi x}, reduced exactly mod 2, times the amplitude's factor at pi
@@ -363,7 +377,9 @@ def _contours(pairs: Sequence[Tuple[float, float]], points: Sequence[Tuple[float
     """(calA at each (x, k) of ``pairs``, calH at each (x, rho) of ``points``), x >= X_C.
 
     Every pair and point is one point of a single ``_rays`` call, the
-    calA ones first, so a batch integrates them all in shared sweeps.
+    calA ones first, so a batch integrates them all in shared sweeps, on
+    G10K21 panels laid out by each ray's geometry.  calA adds its own
+    phase rate |k|/2 to the rays' scales.
 
     calA's amplitude e^{i k th} is entire, so its contour needs no
     residue and no hot spot; on the ray into pi it is e^{i pi k} e^{i k w}.

@@ -46,22 +46,26 @@ chosen by keyword (``rule=``):
 ``G7K15`` (the default)
     QUADPACK's 7/15-point pair (qk15), exact to degree 22, on panels of a
     quarter of that period: half a period of the fastest phase.
-    ``good``'s contour rays (calH, calA) and ``integrate_tail`` run on
-    it; so every contour and cubic-tail value, and the calibrated
-    constants frozen from them, keep their bits.
+    ``integrate_tail`` runs on it, so every cubic-tail value keeps its
+    bits.  A tail panel is set by its breakpoints, not by the cap, so
+    G10K21 there takes 21 nodes where 15 do and saves no refinement (a
+    trial with it was slower).
 ``G10K21``
     QUADPACK's 10/21-point pair (qk21; Piessens et al., *QUADPACK*, 1983),
     exact to degree 31, on panels of 0.75 of that period: 1.5 periods of
     the fastest phase.  The real-axis integrals run on it: ``good``'s
-    fold (H below X_C, and G), ``good.eval_Q`` and ``anger``'s real axis.
-    At that cap it meets its target on the first sweep everywhere it was
-    tried: the 7 638 fold integrals of the benchmark's zeros-small-x
-    op sets (seeds 1-10), a seeded grid of 120 fold points (x in
-    (2, 100), rho in [1e-3, 2]) and ``eval_G(x/2, 1, x)``,
-    ``anger_J(x/2, x)``, ``eval_Q(0, 2, x)`` and ``eval_G(x, 1, x)`` at
-    x = 1e3, 1e4 and 1e5; at 1.0 period (2 of the fastest phase) 242 of
-    the 7 638, 2 of the 120 and all 12 calls refine.  That is 0.47 times
-    G7K15's evaluations: 21 per panel where it takes 15 on a third.
+    fold (H below X_C, and G), ``good.eval_Q`` and ``anger``'s real axis;
+    and ``good``'s contour rays (calH, calA), whose scale nu comes from
+    each ray's own geometry (``good._rays``).  At that cap it meets its
+    target on the first sweep everywhere it was tried: the 7 638 fold
+    integrals of the benchmark's zeros-small-x op sets (seeds 1-10), a
+    seeded grid of 120 fold points (x in (2, 100), rho in [1e-3, 2]),
+    ``eval_G(x/2, 1, x)``, ``anger_J(x/2, x)``, ``eval_Q(0, 2, x)`` and
+    ``eval_G(x, 1, x)`` at x = 1e3, 1e4 and 1e5, and the contour rays of
+    the 168 points of the benchmark's compare-wide-x sets (seeds 1-3); at
+    1.0 period (2 of the fastest phase) 242 of the 7 638, 2 of the 120
+    and all 12 calls refine.  That is 0.47 times G7K15's evaluations: 21
+    per panel where it takes 15 on a third.
 
 Cost of one integral: the integrand runs on 15 or 21 nodes per panel, and
 the rest is a fixed set-up that hardly grows with the panel count up to a
@@ -74,10 +78,10 @@ owners pays the mesh per panel layout where a few layouts repeat
 (``_layouts``: a ``find_zeros`` batch of 3-23 fold points has 1-3), and
 the three sums per run of neighbouring owners with equal panel counts
 (one row-wise reduction each), not per owner.  A contour ray of
-``good`` has 1-45 panels, so the fixed part is most of its cost: the
-16-panel ray out of 0 of ``eval_H(5825.7, 0.3)`` takes about 80 us, its
-integrand about 22 us (best of 3000 calls; 2-vCPU x86 VM, Python 3.11,
-numpy 2.4).  Sharing sweeps pays from
+``good`` has 3-26 panels, so the fixed part is most of its cost: the
+8-panel ray out of 0 of ``eval_H(5825.7, 0.3)`` takes about 72 us, its
+integrand about 17 us, and its 4-panel ray into pi 86 us (best of 3000
+calls; 2-vCPU x86 VM, Python 3.11, numpy 2.4).  Sharing sweeps pays from
 three owners on: timed on ``eval_H_many`` (30 random (x, rho) per size,
 best of 60 calls alternating both ways, same VM), a contour point's two
 rays ran 10-15% slower shared than one by one, two points' four rays
@@ -94,8 +98,11 @@ real rows of a 256-panel chunk, ``gemv`` about 3 us.
 
 The error estimate is a heuristic (nested-rule difference, conservatively
 damped), not a rigorous enclosure; it normally overestimates the true
-error, which is the honest side to err on for an oracle.  Ground truth in
-tests therefore comes from refinement studies and closed forms.
+error, which is the honest side to err on for an oracle.  It does not
+see rounding, which both rules of a pair share; where the rounding of
+many nodes at large |t| and fast phase can exceed it, the returned error
+is raised to a probabilistic rounding level (``_rounding``).  Ground
+truth in tests therefore comes from refinement studies and closed forms.
 """
 from __future__ import annotations
 
@@ -211,10 +218,10 @@ def _rule(xk: tuple, wk: tuple, wg: tuple, factor: float) -> Rule:
                 np.array((wg[:-1] if gauss_at_0 else wg) + wg[::-1]), factor)
 
 
-# half a period of the fastest phase per panel: the contour rays and
-# integrate_tail, whose values calibration froze into the constants
+# half a period of the fastest phase per panel: integrate_tail
 G7K15 = _rule(_XK15_HALF, _WK15_HALF, _WG7_HALF, 0.25)
-# 1.5 periods per panel: the real-axis integrals (module docstring)
+# 1.5 periods per panel: the real-axis integrals and the contour rays
+# (module docstring)
 G10K21 = _rule(_XK21_HALF, _WK21_HALF, _WG10_HALF, 0.75)
 
 # integrand nodes per call: every sweep is evaluated in chunks of at most this
@@ -375,8 +382,44 @@ def _estimate(total: complex, est: float, abs_sum: float,
     return est, max(cfg.abs_tol, cfg.rel_tol * abs(total), floor)
 
 
+def _reach(points: Sequence[float], osc_frequency: float, rule: Rule) -> float:
+    """2 max|t| (1 + 2 nu)/sqrt(n): an owner's rounding scale (``_rounding``).
+
+    A node t rounds by about eps |t|, and the integrand's value by that
+    times its rate, at most 2 nu for the phase and about 1 for the
+    amplitude; the phase, up to 2 nu |t|, rounds by as much.  Taken as
+    independent, these relative errors of about eps |t| (1 + 2 nu) add
+    like the 2-norm of the weighted values |w f| they multiply, not like
+    their sum: a probabilistic estimate (Higham & Mary, SIAM J. Sci.
+    Comput. 41, 2019), here at twice that size.  A panel's row holds
+    n = len(rule.xgk) nodes, whose 2-norm is about resabs/sqrt(n).
+    """
+    t = max(abs(points[0]), abs(points[-1]))
+    # t * nu first: nu alone may be near float max where t is tiny (a contour ray)
+    return 2.0 * (t + 2.0 * (t * abs(osc_frequency))) / math.sqrt(len(rule.xgk))
+
+
+def _rounding(reach: float, lo: np.ndarray, hi: np.ndarray, resabs: np.ndarray) -> float:
+    """An owner's rounding level: eps * reach * the 2-norm of (|t|/max|t|) * resabs.
+
+    |t| is each panel's max(|lo|, |hi|), so a peak at t = 0 (the fold's)
+    adds little.  The nested-rule difference does not see this rounding,
+    which both rules share: the unfolded Good integrand over [0, pi] at
+    x = 1e4 (300k G7K15 nodes, its peak 1/rho^2 at pi) is 1.4e-14 to
+    1.6e-9 off at rho = 2 to 1e-3, where that difference claims 7.8e-15
+    to 3.5e-11.  The caller asks only where reach > 50 sqrt(panels): the
+    level of evenly spread values can exceed the 50*eps*resabs panel floor
+    summed into the estimate only there.  So no contour ray of ``good``
+    (reach <= 31) and no fold of oscillation scale below 448 computes it.
+    """
+    t = np.maximum(np.abs(lo), np.abs(hi))
+    spread = t * resabs
+    norm = math.sqrt(float(np.vecdot(spread, spread)))
+    return _EPS * reach * (norm if norm < math.inf else float(_sum(spread))) / float(t.max())
+
+
 def _start(lo: np.ndarray, hi: np.ndarray, sizes: Sequence[int], oks: Sequence[bool],
-           first, cfg: QuadConfig) -> list:
+           reaches: Sequence[float], first, cfg: QuadConfig) -> list:
     """Per owner, the QuadResult of a mesh whose first sweep meets its target, else ``_rounds``.
 
     lo, hi and the arrays of ``first``, the (kronrod, err, resabs) of the
@@ -401,18 +444,22 @@ def _start(lo: np.ndarray, hi: np.ndarray, sizes: Sequence[int], oks: Sequence[b
                         _sum(a[p0:p1].reshape(n, size), axis=1).tolist())
             p0 = p1
     results, q0 = [], 0
-    for size, ok, total, est, abs_sum in zip(sizes, oks, *sums):
+    for size, ok, reach, total, est, abs_sum in zip(sizes, oks, reaches, *sums):
         q1 = q0 + size
         est, target = _estimate(total, est, abs_sum, cfg)
-        results.append(QuadResult(total, est, ok, size) if est <= target else
-                       _rounds(lo[q0:q1], hi[q0:q1], val[q0:q1], err[q0:q1], resabs[q0:q1],
-                               total, est, target, cfg, ok))
+        if est > target:
+            results.append(_rounds(lo[q0:q1], hi[q0:q1], val[q0:q1], err[q0:q1], resabs[q0:q1],
+                                   total, est, target, reach, cfg, ok))
+        else:
+            if reach * reach > 2500.0 * size:
+                est = max(est, _rounding(reach, lo[q0:q1], hi[q0:q1], resabs[q0:q1]))
+            results.append(QuadResult(total, est, ok, size))
         q0 = q1
     return results
 
 
 def _rounds(lo: np.ndarray, hi: np.ndarray, val: np.ndarray, err: np.ndarray,
-            resabs: np.ndarray, total: complex, est: float, target: float,
+            resabs: np.ndarray, total: complex, est: float, target: float, reach: float,
             cfg: QuadConfig, mesh_ok: bool):
     """The worst-panel-first loop of one integral, from the first sweep of its mesh (``_start``).
 
@@ -450,6 +497,8 @@ def _rounds(lo: np.ndarray, hi: np.ndarray, val: np.ndarray, err: np.ndarray,
         resabs = np.concatenate([resabs[keep], nres])
         total = _ordered_sum(lo, val)
         est, target = _estimate(total, float(_sum(err)), float(_sum(resabs)), cfg)
+    if reach * reach > 2500.0 * len(lo):
+        est = max(est, _rounding(reach, lo, hi, resabs))
     return QuadResult(total, est, converged and mesh_ok, len(lo))
 
 
@@ -648,13 +697,15 @@ def _sweep(fn, owners: Sequence[int], lo: np.ndarray, hi: np.ndarray, sizes: Seq
     return _eval_panels(fn, lo, hi, np.repeat(owners, sizes), rule)
 
 
-def _integrals(fn, points: List[List[float]], caps: List[float], cfg: QuadConfig,
+def _integrals(fn, points: List[List[float]], oscs: List[float], cfg: QuadConfig,
                rule: Rule) -> List[QuadResult]:
     """The engine (module docstring): owner k integrates t -> fn(t, k) over its
-    breakpoints points[k], on panels no longer than caps[k]; one QuadResult per owner.
+    breakpoints points[k], at oscillation scale oscs[k]; one QuadResult per owner.
     """
-    lo, hi, sizes, oks = _meshes(points, caps, cfg.max_panels)
-    results = _start(lo, hi, sizes, oks, _sweep(fn, range(len(sizes)), lo, hi, sizes, rule), cfg)
+    lo, hi, sizes, oks = _meshes(points, [_osc_cap(o, rule) for o in oscs], cfg.max_panels)
+    reaches = [_reach(p, o, rule) for p, o in zip(points, oscs)]
+    results = _start(lo, hi, sizes, oks, reaches,
+                     _sweep(fn, range(len(sizes)), lo, hi, sizes, rule), cfg)
     rounds = {}
     for k, r in enumerate(results):
         if not isinstance(r, QuadResult):
@@ -699,12 +750,11 @@ def integrate_many(fn: Callable[[np.ndarray, object], np.ndarray],
         return [integrate_finite(Integrand(lambda t, k=k: fn(t, k), osc, spots), a, b, cfg,
                                  rule=rule)
                 for k, (a, b, osc, spots) in enumerate(spans)]
-    points, caps, ladders = [], [], {}
-    for a, b, osc, spots in spans:
+    points, ladders = [], {}
+    for a, b, _, spots in spans:
         key = a, b, spots  # one lookup per owner that shares a ladder: HotSpots hash in Python
         points.append(ladders.get(key) or ladders.setdefault(key, _breakpoints([a, b], spots)))
-        caps.append(_osc_cap(osc, rule))
-    return _integrals(fn, points, caps, cfg, rule)
+    return _integrals(fn, points, [osc for _, _, osc, _ in spans], cfg, rule)
 
 
 def integrate_finite(f: Integrand, a: float, b: float,
@@ -722,7 +772,7 @@ def integrate_finite(f: Integrand, a: float, b: float,
     _require_osc(f.osc_frequency)
     one = f.fn
     return _integrals(lambda t, k: one(t), [_breakpoints([a, b], f.hot_spots)],
-                      [_osc_cap(f.osc_frequency, rule)], cfg or _DEFAULT_CFG, rule)[0]
+                      [f.osc_frequency], cfg or _DEFAULT_CFG, rule)[0]
 
 
 def _tail(rate: float, big_t: float) -> float:
@@ -803,5 +853,5 @@ def integrate_tail(g: Integrand, rate: float,
     big_t = _cutoff(rate, cfg.abs_tol / 2.0)
     tail = _tail(rate, big_t)
     res, = _integrals(_checked(g.fn, rate), [_breakpoints(_ray_points(big_t), g.hot_spots)],
-                      [_osc_cap(g.osc_frequency, G7K15)], cfg, G7K15)
+                      [g.osc_frequency], cfg, G7K15)
     return QuadResult(res.value, res.err + tail, res.converged, res.panels)

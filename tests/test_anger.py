@@ -207,9 +207,9 @@ def test_contour_converges_at_large_x(x):
 @pytest.mark.parametrize("k", [0, 5])
 @pytest.mark.parametrize("sign", [1, -1])
 def test_contour_cost_does_not_grow_with_x(fevals, sign, k):
-    # anchored at 1e5: at smaller x the oscillation cap gives the ray into pi
-    # more starting panels, and it can take one split less (330 fevals at
-    # x = 1e3 against 345 from 1e5 to 1e15)
+    # anchored at 1e5, where the G7K15 rays' oscillation cap stopped giving
+    # the ray into pi more starting panels (330 fevals at x = 1e3 against 345
+    # from 1e5 to 1e15); the G10K21 rays take 231 (8 + 3 panels) at any x
     ref = fevals(anger_J, 1e5 + k, sign * 1e5)
     for x in (1e7, 1e9):
         assert 0 < fevals(anger_J, x + k, sign * x) <= ref

@@ -112,13 +112,13 @@ def test_calibrate_equals_its_point_by_point_reference(quick):
 def test_quick_calibration_integrates_each_point_once(monkeypatch):
     owners, real_many, real_finite = [], quadrature.integrate_many, quadrature.integrate_finite
 
-    def many(fn, spans, *args):
+    def many(fn, spans, *args, **kwargs):
         owners.append(len(spans))
-        return real_many(fn, spans, *args)
+        return real_many(fn, spans, *args, **kwargs)
 
-    def finite(f, a, b, cfg=None):
+    def finite(f, a, b, cfg=None, **kwargs):
         owners.append(1)
-        return real_finite(f, a, b, cfg)
+        return real_finite(f, a, b, cfg, **kwargs)
 
     # every oracle integral of good and anger (the contour rays and the
     # real-axis fold) runs through good's integrate_many, and a call of one
@@ -152,19 +152,21 @@ def _sweeps(monkeypatch, quick):
 
 
 def test_calibration_sweep_counts(monkeypatch):
-    # a cost tripwire.  quick: the batch's 26 rays in one 317-panel
-    # first-round sweep of two chunks, two refinement rounds and cubic_tail's
-    # one integral.  full: 152 rays in one 1556-panel first-round sweep of
-    # seven chunks, two rounds, two off-band anger_J and five cubic_tail
-    # integrals.  Integrating each point or each rho apart took 19 and 103.
-    assert _sweeps(monkeypatch, True) == 5
-    assert _sweeps(monkeypatch, False) == 16
+    # a cost tripwire.  quick: the batch's 26 rays in one 188-panel G10K21
+    # sweep of two chunks, which meets every target (no refinement round),
+    # and cubic_tail's one integral.  full: 152 rays in one 923-panel sweep
+    # of six chunks, no round, two off-band anger_J and five cubic_tail
+    # integrals.  On G7K15 rays they took a 317- and a 1556-panel sweep,
+    # two rounds each: 5 and 16.  Integrating each point or each rho apart
+    # took 19 and 103.
+    assert _sweeps(monkeypatch, True) == 3
+    assert _sweeps(monkeypatch, False) == 13
 
 
 def test_calibration_row_sums_per_sweep(monkeypatch):
-    # a cost tripwire: the quick calibration's 5 chunks take four np.vecdot
+    # a cost tripwire: the quick calibration's 3 chunks take four np.vecdot
     # row sums each, whatever their owner count; summing each owner's rows
-    # apart took 140 calls
+    # apart took 140 calls (on G7K15 rays, 5 chunks)
     row_sums, real = [], np.vecdot
 
     def counting(*args, **kwargs):
@@ -173,7 +175,7 @@ def test_calibration_row_sums_per_sweep(monkeypatch):
 
     monkeypatch.setattr(np, "vecdot", counting)
     cal.calibrate(quick=True)
-    assert len(row_sums) == 4 * 5
+    assert len(row_sums) == 4 * 3
 
 
 def _unconverged(r):
