@@ -382,35 +382,28 @@ def _estimate(total: complex, est: float, abs_sum: float,
     return est, max(cfg.abs_tol, cfg.rel_tol * abs(total), floor)
 
 
-def _reach(points: Sequence[float], osc_frequency: float, rule: Rule) -> float:
-    """2 max|t| (1 + 2 nu)/sqrt(n): an owner's rounding scale (``_rounding``).
-
-    A node t rounds by about eps |t|, and the integrand's value by that
-    times its rate, at most 2 nu for the phase and about 1 for the
-    amplitude; the phase, up to 2 nu |t|, rounds by as much.  Taken as
-    independent, these relative errors of about eps |t| (1 + 2 nu) add
-    like the 2-norm of the weighted values |w f| they multiply, not like
-    their sum: a probabilistic estimate (Higham & Mary, SIAM J. Sci.
-    Comput. 41, 2019), here at twice that size.  A panel's row holds
-    n = len(rule.xgk) nodes, whose 2-norm is about resabs/sqrt(n).
-    """
-    t = max(abs(points[0]), abs(points[-1]))
-    # t * nu first: nu alone may be near float max where t is tiny (a contour ray)
-    return 2.0 * (t + 2.0 * (t * abs(osc_frequency))) / math.sqrt(len(rule.xgk))
-
-
 def _rounding(reach: float, lo: np.ndarray, hi: np.ndarray, resabs: np.ndarray) -> float:
     """An owner's rounding level: eps * reach * the 2-norm of (|t|/max|t|) * resabs.
 
-    |t| is each panel's max(|lo|, |hi|), so a peak at t = 0 (the fold's)
-    adds little.  The nested-rule difference does not see this rounding,
-    which both rules share: the unfolded Good integrand over [0, pi] at
-    x = 1e4 (300k G7K15 nodes, its peak 1/rho^2 at pi) is 1.4e-14 to
-    1.6e-9 off at rho = 2 to 1e-3, where that difference claims 7.8e-15
-    to 3.5e-11.  The caller asks only where reach > 50 sqrt(panels): the
-    level of evenly spread values can exceed the 50*eps*resabs panel floor
-    summed into the estimate only there.  So no contour ray of ``good``
-    (reach <= 31) and no fold of oscillation scale below 448 computes it.
+    reach = 2 max|t| (1 + 2 nu)/sqrt(n) (``_integrals``).  A node t rounds
+    by about eps |t|, and the integrand's value by that times its rate, at
+    most 2 nu for the phase and about 1 for the amplitude; the phase, up to
+    2 nu |t|, rounds by as much.  Taken as independent, these relative
+    errors of about eps |t| (1 + 2 nu) add like the 2-norm of the weighted
+    values |w f| they multiply, not like their sum: a probabilistic
+    estimate (Higham & Mary, SIAM J. Sci. Comput. 41, 2019), here at twice
+    that size.  A panel's row of n = len(rule.xgk) nodes has a 2-norm of
+    about resabs/sqrt(n), and |t| is its max(|lo|, |hi|), so a peak at
+    t = 0 (the fold's) adds little.
+
+    The nested-rule difference does not see this rounding, which both
+    rules share: the unfolded Good integrand over [0, pi] at x = 1e4 (300k
+    G7K15 nodes, its peak 1/rho^2 at pi) is 1.4e-14 to 1.6e-9 off at
+    rho = 2 to 1e-3, where that difference claims 7.8e-15 to 3.5e-11.  The
+    caller asks only where reach > 50 sqrt(panels): the level of evenly
+    spread values can exceed the 50*eps*resabs panel floor summed into the
+    estimate only there.  So no contour ray of ``good`` (reach <= 31) and
+    no fold of oscillation scale below 448 computes it.
     """
     t = np.maximum(np.abs(lo), np.abs(hi))
     spread = t * resabs
@@ -703,7 +696,11 @@ def _integrals(fn, points: List[List[float]], oscs: List[float], cfg: QuadConfig
     breakpoints points[k], at oscillation scale oscs[k]; one QuadResult per owner.
     """
     lo, hi, sizes, oks = _meshes(points, [_osc_cap(o, rule) for o in oscs], cfg.max_panels)
-    reaches = [_reach(p, o, rule) for p, o in zip(points, oscs)]
+    # each owner's reach (``_rounding``); t * nu first, since nu alone may be
+    # near float max where t is tiny (a contour ray)
+    c = 2.0 / math.sqrt(len(rule.xgk))
+    reaches = [c * (t + 2.0 * (t * abs(o)))
+               for t, o in zip([max(-p[0], p[-1]) for p in points], oscs)]
     results = _start(lo, hi, sizes, oks, reaches,
                      _sweep(fn, range(len(sizes)), lo, hi, sizes, rule), cfg)
     rounds = {}

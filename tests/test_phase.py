@@ -132,6 +132,24 @@ def test_good_amplitude_engine_vs_oracle(rho, x):
     assert abs(res.value - via_h) <= res.err + math.pi * hv.err
 
 
+@pytest.mark.parametrize("rho", [1e-3, 0.1])
+def test_unfolded_good_integral_claims_its_rounding(rho):
+    # 300k G7K15 nodes at x = 1e4, the peak 1/rho^2 at t = pi: the nested
+    # rules share the nodes' rounding and claimed 3.5e-11 and 3.5e-13 for
+    # errors of 1.6e-9 and 9.1e-13; the rounding level covers them
+    x, rho2 = 1e4, rho * rho
+
+    def fn(t):
+        s = np.sin(t)
+        return np.exp(1j * x * (t - s)) / (rho2 + s * s)
+
+    res = integrate_finite(Integrand(fn, osc_frequency=x, hot_spots=(HotSpot(math.pi, rho),)),
+                           0.0, math.pi)
+    hv = eval_H(x, rho)
+    via_h = math.pi * complex(cos_pi(x), sin_pi(x)) * hv.h_complex.conjugate()
+    assert res.converged and abs(res.value - via_h) <= res.err + math.pi * hv.err
+
+
 def test_first_term_dominance_trend():
     # with f'(0) != 0 the first/second term ratio grows like x^(1/3)
     prob = exp_problem(1)
