@@ -110,8 +110,8 @@ import cmath
 import math
 import operator
 from dataclasses import dataclass
-from itertools import accumulate, chain, groupby, pairwise
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from itertools import accumulate, chain, groupby, pairwise, repeat
+from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -383,28 +383,31 @@ def _estimate(total: complex, est: float, abs_sum: float,
 
 
 def _rounding(reach: float, lo: np.ndarray, hi: np.ndarray, resabs: np.ndarray) -> float:
-    """An owner's rounding level: eps * reach * the 2-norm of (|t|/max|t|) * resabs.
+    """An owner's rounding level: eps * reach * the 2-norm of (|t|/max|t|) * resabs, or 0.
 
-    reach = 2 max|t| (1 + 2 nu)/sqrt(n) (``_integrals``).  A node t rounds
-    by about eps |t|, and the integrand's value by that times its rate, at
-    most 2 nu for the phase and about 1 for the amplitude; the phase, up to
-    2 nu |t|, rounds by as much.  Taken as independent, these relative
-    errors of about eps |t| (1 + 2 nu) add like the 2-norm of the weighted
-    values |w f| they multiply, not like their sum: a probabilistic
-    estimate (Higham & Mary, SIAM J. Sci. Comput. 41, 2019), here at twice
-    that size.  A panel's row of n = len(rule.xgk) nodes has a 2-norm of
-    about resabs/sqrt(n), and |t| is its max(|lo|, |hi|), so a peak at
-    t = 0 (the fold's) adds little.
+    reach = 4 nu max|t|/sqrt(n) (``_integrals``).  A node t rounds by
+    about eps |t|, and the phase, of rate up to 2 nu, by that times 2 nu;
+    the phase's own value, up to 2 nu |t|, rounds by as much.  Taken as
+    independent, these relative errors of about 2 eps nu |t| add like the
+    2-norm of the weighted values |w f| they multiply, not like their
+    sum: a probabilistic estimate (Higham & Mary, SIAM J. Sci. Comput.
+    41, 2019), here at twice that size.  A panel's row of
+    n = len(rule.xgk) nodes has a 2-norm of about resabs/sqrt(n), and |t|
+    is its max(|lo|, |hi|), so a peak at t = 0 (the fold's) adds little.
+    The amplitude's own rate is not declared to the engine, so a static
+    integrand (nu = 0) gets no level however far from 0 it lies.
 
     The nested-rule difference does not see this rounding, which both
     rules share: the unfolded Good integrand over [0, pi] at x = 1e4 (300k
     G7K15 nodes, its peak 1/rho^2 at pi) is 1.4e-14 to 1.6e-9 off at
     rho = 2 to 1e-3, where that difference claims 7.8e-15 to 3.5e-11.  The
-    caller asks only where reach > 50 sqrt(panels): the level of evenly
-    spread values can exceed the 50*eps*resabs panel floor summed into the
-    estimate only there.  So no contour ray of ``good`` (reach <= 31) and
-    no fold of oscillation scale below 448 computes it.
+    level is 0 unless reach > 50 sqrt(panels): only there can the level of
+    evenly spread values exceed the 50*eps*resabs panel floor summed into
+    the estimate.  So no contour ray of ``good`` (reach <= 31) and no fold
+    of oscillation scale below 448 computes it.
     """
+    if reach * reach <= 2500.0 * len(lo):
+        return 0.0
     t = np.maximum(np.abs(lo), np.abs(hi))
     spread = t * resabs
     norm = math.sqrt(float(np.vecdot(spread, spread)))
@@ -412,7 +415,7 @@ def _rounding(reach: float, lo: np.ndarray, hi: np.ndarray, resabs: np.ndarray) 
 
 
 def _start(lo: np.ndarray, hi: np.ndarray, sizes: Sequence[int], oks: Sequence[bool],
-           reaches: Sequence[float], first, cfg: QuadConfig) -> list:
+           reaches: Iterable[float], first, cfg: QuadConfig) -> list:
     """Per owner, the QuadResult of a mesh whose first sweep meets its target, else ``_rounds``.
 
     lo, hi and the arrays of ``first``, the (kronrod, err, resabs) of the
@@ -444,8 +447,7 @@ def _start(lo: np.ndarray, hi: np.ndarray, sizes: Sequence[int], oks: Sequence[b
             results.append(_rounds(lo[q0:q1], hi[q0:q1], val[q0:q1], err[q0:q1], resabs[q0:q1],
                                    total, est, target, reach, cfg, ok))
         else:
-            if reach * reach > 2500.0 * size:
-                est = max(est, _rounding(reach, lo[q0:q1], hi[q0:q1], resabs[q0:q1]))
+            est = max(est, _rounding(reach, lo[q0:q1], hi[q0:q1], resabs[q0:q1]))
             results.append(QuadResult(total, est, ok, size))
         q0 = q1
     return results
@@ -490,9 +492,8 @@ def _rounds(lo: np.ndarray, hi: np.ndarray, val: np.ndarray, err: np.ndarray,
         resabs = np.concatenate([resabs[keep], nres])
         total = _ordered_sum(lo, val)
         est, target = _estimate(total, float(_sum(err)), float(_sum(resabs)), cfg)
-    if reach * reach > 2500.0 * len(lo):
-        est = max(est, _rounding(reach, lo, hi, resabs))
-    return QuadResult(total, est, converged and mesh_ok, len(lo))
+    return QuadResult(total, max(est, _rounding(reach, lo, hi, resabs)),
+                      converged and mesh_ok, len(lo))
 
 
 def _require_osc(osc_frequency: float) -> None:
@@ -696,11 +697,13 @@ def _integrals(fn, points: List[List[float]], oscs: List[float], cfg: QuadConfig
     breakpoints points[k], at oscillation scale oscs[k]; one QuadResult per owner.
     """
     lo, hi, sizes, oks = _meshes(points, [_osc_cap(o, rule) for o in oscs], cfg.max_panels)
-    # each owner's reach (``_rounding``); t * nu first, since nu alone may be
-    # near float max where t is tiny (a contour ray)
-    c = 2.0 / math.sqrt(len(rule.xgk))
-    reaches = [c * (t + 2.0 * (t * abs(o)))
-               for t, o in zip([max(-p[0], p[-1]) for p in points], oscs)]
+    # each owner's reach (``_rounding``), built only when the largest |t|
+    # and nu let one reach past the level's gate (a panel has reach > 50);
+    # t * nu, since nu alone may be near float max where t is tiny (a ray)
+    c = 4.0 / math.sqrt(len(rule.xgk))
+    reaches = repeat(0.0)
+    if c * float(max(hi.max(), -lo.min())) * max(map(abs, oscs)) > 50.0:
+        reaches = [c * (max(-p[0], p[-1]) * abs(o)) for p, o in zip(points, oscs)]
     results = _start(lo, hi, sizes, oks, reaches,
                      _sweep(fn, range(len(sizes)), lo, hi, sizes, rule), cfg)
     rounds = {}

@@ -124,8 +124,10 @@ def h_asym_large(x: float, rho: float,
     # reduce x before the shift: x - 1/6 itself would round at ulp(x)
     value = (GAMMA_THIRD / (3.0 * math.pi * rho * rho)
              * cos_pi(math.fmod(x, 2.0) - 1.0 / 6.0) * (6.0 / x) ** (1.0 / 3.0))
-    return EvalResult(value=value, error_estimate=err, method="asymptotic",
-                      regime=Regime(RegimeKind.LARGE_S, x, rho))
+    regime = classify(x, rho)
+    if regime.kind is not RegimeKind.LARGE_S:  # called outside its regime
+        regime = Regime(RegimeKind.LARGE_S, x, rho)
+    return EvalResult(value=value, error_estimate=err, method="asymptotic", regime=regime)
 
 
 def h_asym_small(x: float, rho: float, cfg: Optional[QuadConfig] = None,
@@ -151,17 +153,31 @@ S_LO = 0.02
 U_HI = 50.0
 RHO_CUT = 0.5
 
+# classify's last result; it holds its x and rho, so no other float takes
+# their ids, and it starts on nans of its own, which no caller can pass
+_last = Regime(RegimeKind.FIXED_POINT, float("nan"), float("nan"))
+
 
 def classify(x: float, rho: float, constants: Optional[Constants] = None) -> Regime:
     """Classify (x, rho) into the asymptotic regime used by h_approx.
 
     ``constants`` is accepted and ignored: the thresholds are the module
     constants above, not calibrated values.
+
+    Asked again for the same x and rho objects, it returns the same
+    Regime: a compare row classifies its point in ``h_approx``, in the
+    law it picks, and for its regime column, and so keeps one Regime
+    where it kept two.
     """
+    global _last
+    last = _last
+    if x is last.x and rho is last.rho:
+        return last
     require_above("x", x, 0.0)
     require_above("rho", rho, 0.0)
     r = Regime(RegimeKind.FIXED_POINT, x, rho)
     if x <= 2.0:
+        _last = r
         return r
     s = r.s
     if s >= S_HI or rho >= RHO_CUT:
@@ -172,7 +188,8 @@ def classify(x: float, rho: float, constants: Optional[Constants] = None) -> Reg
         kind = RegimeKind.SMALL_S_LARGE_U
     else:
         kind = RegimeKind.FINITE_U
-    return Regime(kind, x, rho)
+    _last = Regime(kind, x, rho)
+    return _last
 
 
 def h_approx(x: float, rho: float, cfg: Optional[QuadConfig] = None,

@@ -77,6 +77,18 @@ def test_complex_exponential():
     assert abs(res.value - 2.0j) <= max(res.err, 1e-13)
 
 
+@pytest.mark.parametrize("shift", [0.0, 1e6])
+def test_a_static_integrand_far_from_0_keeps_its_target(shift):
+    # the rounding level follows the phase (2 nu |t|): with no oscillation
+    # scale, 1/t on [1e6, 2e6] claims what it does on [1, 1e6 + 1]
+    a = 1.0 + shift
+    res = integrate_finite(Integrand(lambda t: 1.0 / (t - shift)), a, a + 1e6)
+    cfg = QuadConfig()
+    assert res.converged
+    assert res.err <= max(cfg.abs_tol, cfg.rel_tol * abs(res.value))
+    assert abs(res.value - math.log(1e6 + 1.0)) <= res.err
+
+
 def test_hot_spot_tiny_rho():
     rho = 1e-3
     f = Integrand(lambda t: 1.0 / (rho * rho + np.sin(t) ** 2),
