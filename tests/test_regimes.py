@@ -244,6 +244,29 @@ def test_classify_examples():
         classify(-1.0, 1.0)
 
 
+@pytest.mark.parametrize("x,rho", [(10.0 ** 3.5, 0.1), (1e4, 1.0), (1e4, 1e-3)])
+def test_a_compare_row_holds_one_regime(x, rho):
+    # h_approx, then classify for the row's regime column, as the compare
+    # rows are built: both hold one Regime object
+    approx = h_approx(x, rho)
+    assert classify(x, rho) is approx.regime
+    # the same values in other float objects are classified afresh, alike
+    again = classify(float(repr(x)), float(repr(rho)))
+    assert again == approx.regime and again is not approx.regime
+
+
+def test_h_asym_large_tags_large_s_outside_its_regime():
+    assert classify(1e4, 1e-3).kind is RegimeKind.FINITE_U
+    assert h_asym_large(1e4, 1e-3).regime.kind is RegimeKind.LARGE_S
+
+
+def test_classify_does_not_remember_a_refused_point():
+    nan = float("nan")
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            classify(nan, 1.0)
+
+
 def test_h_approx_routing():
     assert h_approx(1e4, 1.0).regime.kind is RegimeKind.LARGE_S
     small = h_approx(1e4, 1e-3)
