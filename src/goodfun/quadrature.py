@@ -691,18 +691,22 @@ def _sweep(fn, owners: Sequence[int], lo: np.ndarray, hi: np.ndarray, sizes: Seq
     return _eval_panels(fn, lo, hi, np.repeat(owners, sizes), rule)
 
 
+_first, _last = operator.itemgetter(0), operator.itemgetter(-1)
+
+
 def _integrals(fn, points: List[List[float]], oscs: List[float], cfg: QuadConfig,
                rule: Rule) -> List[QuadResult]:
     """The engine (module docstring): owner k integrates t -> fn(t, k) over its
     breakpoints points[k], at oscillation scale oscs[k]; one QuadResult per owner.
     """
     lo, hi, sizes, oks = _meshes(points, [_osc_cap(o, rule) for o in oscs], cfg.max_panels)
-    # each owner's reach (``_rounding``), built only when the largest |t|
-    # and nu let one reach past the level's gate (a panel has reach > 50);
-    # t * nu, since nu alone may be near float max where t is tiny (a ray)
+    # each owner's reach (``_rounding``), built only where the largest |t|
+    # and nu over the fewest panels could pass the level's gate; t * nu,
+    # since nu alone may be near float max where t is tiny (a contour ray)
     c = 4.0 / math.sqrt(len(rule.xgk))
+    bound = c * max(max(map(_last, points)), -min(map(_first, points))) * max(map(abs, oscs))
     reaches = repeat(0.0)
-    if c * float(max(hi.max(), -lo.min())) * max(map(abs, oscs)) > 50.0:
+    if bound * bound > 2500.0 * min(sizes):
         reaches = [c * (max(-p[0], p[-1]) * abs(o)) for p, o in zip(points, oscs)]
     results = _start(lo, hi, sizes, oks, reaches,
                      _sweep(fn, range(len(sizes)), lo, hi, sizes, rule), cfg)
