@@ -447,7 +447,8 @@ def _start(lo: np.ndarray, hi: np.ndarray, sizes: Sequence[int], oks: Sequence[b
             results.append(_rounds(lo[q0:q1], hi[q0:q1], val[q0:q1], err[q0:q1], resabs[q0:q1],
                                    total, est, target, reach, cfg, ok))
         else:
-            est = max(est, _rounding(reach, lo[q0:q1], hi[q0:q1], resabs[q0:q1]))
+            if reach:  # 0 where no owner of the call can pass the level's gate
+                est = max(est, _rounding(reach, lo[q0:q1], hi[q0:q1], resabs[q0:q1]))
             results.append(QuadResult(total, est, ok, size))
         q0 = q1
     return results
