@@ -404,7 +404,8 @@ def _rounding(reach: float, lo: np.ndarray, hi: np.ndarray, resabs: np.ndarray) 
     level is 0 unless reach > 50 sqrt(panels): only there can the level of
     evenly spread values exceed the 50*eps*resabs panel floor summed into
     the estimate.  So no contour ray of ``good`` (reach <= 31) and no fold
-    of oscillation scale below 448 computes it.
+    of oscillation scale up to 447 computes it (G's fold from 450 to 492
+    for rho 2 to 1e-6).
     """
     if reach * reach <= 2500.0 * len(lo):
         return 0.0
