@@ -4,13 +4,16 @@
     Q_{gamma,xi}(x)  = (1/pi) int_0^pi cos(gamma*th + x*sin th) / (xi - cos th) dth
     H(x, rho)        = G_{x,rho}(x)
 
-H is always computed through the complex variant
+``eval_H`` computes H through the complex variant
 
     calH(x, rho) = (1/pi) int_0^pi exp(i*x*(th + sin th)) / (rho^2 + sin^2 th) dth
 
 as one complex integral, which halves the quadrature work and enforces
-H = Re calH by construction.  The module also provides the explicit
-a-priori bounds on |H| and its first derivatives.
+H = Re calH by construction.  ``zeros.find_zeros``, which reads only H's
+value and error, takes them from a real oracle (``_h_many``): G's fold at
+gamma = x below X_C, two cosines a node and real panel sums, and the real
+part of calH's contour from X_C on.  The module also provides the
+explicit a-priori bounds on |H| and its first derivatives.
 
 G, Q, Anger's J and calH are one integral with four amplitudes a,
 
@@ -426,10 +429,7 @@ def eval_G(gamma: float, rho: float, x: float,
     x = _require_x_rho(x, rho)
     # gamma*th + x*sin th on one half, gamma*u - x*sin u on the other: one of them adds
     require_phase("gamma*th +- x*sin(th)", abs(gamma), abs(x), _HALF_PI)
-    rho2 = rho * rho
-    return _oracle(_real_fold([(gamma, x)],
-                              lambda _u, s, p, m: np.cos(p) * np.cos(m) * (2.0 / (rho2 + s * s)),
-                              (HotSpot(0.0, rho),), cfg))
+    return _oracle(_real_fold([(gamma, x)], _G(rho), (HotSpot(0.0, rho),), cfg))
 
 
 def eval_Q(gamma: float, xi: float, x: float,
@@ -452,6 +452,12 @@ def eval_Q(gamma: float, xi: float, x: float,
     return _oracle(_real_fold([(gamma, x)], amplitude, (spot,), cfg))
 
 
+def _G(rho: float) -> _Amplitude:
+    """G's amplitude 2 cos P cos M/(rho^2 + s^2): two cosines a node, in real arithmetic."""
+    rho2 = rho * rho
+    return lambda _u, s, p, m: np.cos(p) * np.cos(m) * (2.0 / (rho2 + s * s))
+
+
 def _calH(rho: float) -> _Amplitude:
     """calH's amplitude 2 cos M e^{iP}/(rho^2 + s^2), e^{iP} built in real arithmetic."""
     rho2 = rho * rho
@@ -463,6 +469,32 @@ def _calH(rho: float) -> _Amplitude:
         return z
 
     return amplitude
+
+
+def _branches(xs: Iterable[float], rho: float, near_amplitude: Callable[[float], _Amplitude],
+              cfg: Optional[QuadConfig]) -> Tuple[List[float], List[QuadResult]]:
+    """(the xs as floats, a result per x): the fold at gamma = x of the amplitude
+    ``near_amplitude(rho)`` below X_C, calH's contour at |x| from it on.
+
+    Every x, and rho once, is validated before any integral runs, in the
+    order of ``eval_H`` point by point, so the first failure raises what
+    that would.  The points of each branch go through one
+    ``integrate_many`` call, with one owner per point on the fold and two
+    (its rays) on the contour.  That call shares its sweeps from three
+    owners on: one mesh build and a few integrand calls for all of them,
+    refinement rounds included.
+    """
+    # rho once, after the first x, where the first eval_H call checks it
+    xs = [require_finite("x", x) if i else _require_x_rho(x, rho) for i, x in enumerate(xs)]
+    near = [(x, x) for x in xs if abs(x) < X_C]
+    far = [(abs(x), rho) for x in xs if abs(x) >= X_C]
+    # a branch without points is skipped whole: its set-up is a few us per call
+    near_res = _real_fold(near, near_amplitude(rho), (HotSpot(0.0, rho),), cfg) if near else []
+    far_res = _contours((), far, cfg)[1] if far else []
+    if not (near_res and far_res):
+        return xs, near_res or far_res
+    near_it, far_it = iter(near_res), iter(far_res)
+    return xs, [next(near_it) if abs(x) < X_C else next(far_it) for x in xs]
 
 
 def eval_H(x: float, rho: float, cfg: Optional[QuadConfig] = None) -> HValue:
@@ -480,28 +512,28 @@ def eval_H_many(xs: Iterable[float], rho: float,
                 cfg: Optional[QuadConfig] = None) -> List[HValue]:
     """``[eval_H(x, rho, cfg) for x in xs]``, bit for bit, in shared quadrature sweeps.
 
-    Every x, and rho once, is validated before any integral runs, in the
-    order of ``eval_H`` point by point, so the first failure raises what
-    that would.  The points of
-    each branch (the fold below X_C, the contour, conjugated for x < 0,
-    from it on) go through one ``integrate_many`` call, with one owner per
-    point on the fold and two (its rays) on the contour.  That call shares
-    its sweeps from three owners on: one mesh build and a few integrand
-    calls for all of them, refinement rounds included.
+    calH on the fold below X_C, and on the contour, conjugated for x < 0,
+    from it on (``_branches``).
     """
-    # rho once, after the first x, where the first eval_H call checks it
-    xs = [require_finite("x", x) if i else _require_x_rho(x, rho) for i, x in enumerate(xs)]
-    near = [(x, x) for x in xs if abs(x) < X_C]
-    far = [(abs(x), rho) for x in xs if abs(x) >= X_C]
-    # a branch without points is skipped whole: its set-up is a few us per call
-    near_res = iter(_real_fold(near, _calH(rho), (HotSpot(0.0, rho),), cfg) if near else ())
-    far_res = iter(_contours((), far, cfg)[1] if far else ())
-    out = []
-    for x in xs:
-        r = next(near_res) if abs(x) < X_C else next(far_res)
-        value = r.value.conjugate() if x <= -X_C else r.value
-        out.append(HValue(h_complex=value, err=r.err, converged=r.converged))
-    return out
+    xs, results = _branches(xs, rho, _calH, cfg)
+    return [HValue(h_complex=r.value.conjugate() if x <= -X_C else r.value, err=r.err,
+                   converged=r.converged) for x, r in zip(xs, results)]
+
+
+def _h_many(xs: Iterable[float], rho: float,
+            cfg: Optional[QuadConfig] = None) -> List[QuadResult]:
+    """H(x, rho) at each x of ``xs``, real, in shared quadrature sweeps: the oracle of
+    ``zeros.find_zeros``.
+
+    ``eval_H_many``'s validation and branches (``_branches``) with G's
+    amplitude on the fold, where H = G_{x,rho}(x): each value is
+    ``eval_G(x, rho, x).value`` below X_C and ``eval_H(x, rho).h`` from it
+    on, bit for bit, and each error that call's.  The fold then takes two
+    cosines a node where calH's takes three trigonometric calls, and its
+    panel sums stay real (``quadrature._eval_panels``).
+    """
+    return [QuadResult(r.value.real, r.err, r.converged, r.panels)
+            for r in _branches(xs, rho, _G, cfg)[1]]
 
 
 def bounds_H(x: float, rho: float) -> HBounds:

@@ -321,6 +321,13 @@ def _eval_panels(fn, lo: np.ndarray, hi: np.ndarray, owner: Optional[np.ndarray]
     row by row: it can give a row a result that depends on its position
     in the matrix.)
 
+    A real integrand's sums (kronrod, d, the row means) stay real and are
+    cast to complex once, at the return, so its resasc runs on real rows.
+    The mean is kronrod * (0.5/max(hw, 0.5e-300)): what numpy's complex
+    division by the real max(2 hw, 1e-300) computes.  So either kind of
+    integrand gets the bits of complex sums, and a complex sweep makes no
+    extra numpy call.
+
     Finiteness is tested on the weighted row sums of |values|, which the
     estimate needs anyway: a nan or inf value makes its row nan or inf,
     and with non-negative terms nothing can cancel it.  Only a non-finite
@@ -343,15 +350,16 @@ def _eval_panels(fn, lo: np.ndarray, hi: np.ndarray, owner: Optional[np.ndarray]
         bad = nodes[~np.isfinite(vals)]
         if len(bad):
             raise NumericalError(f"integrand returned a non-finite value, first at t={bad[0]!r}")
-    kronrod = (np.vecdot(rule.wgk, m) * hw).astype(np.complex128, copy=False)
+    kronrod = np.vecdot(rule.wgk, m) * hw  # real for a real integrand (docstring)
     d = np.abs(kronrod - np.vecdot(rule.wg, m[:, 1::2]) * hw)
     resabs = abs_rows * hw
-    mean = kronrod / np.maximum(2.0 * hw, 1e-300)
+    mean = kronrod * (0.5 / np.maximum(hw, 1e-300 / 2))
     resasc = np.vecdot(rule.wgk, np.abs(m - mean[:, None])) * hw
     with np.errstate(divide="ignore", invalid="ignore"):
         damped = resasc * np.minimum(1.0, (200.0 * d / resasc) ** 1.5)
     e = np.where(resasc > 0.0, damped, d)
-    return kronrod, np.maximum(e, 50.0 * _EPS * resabs), resabs
+    e = np.maximum(e, 50.0 * _EPS * resabs)
+    return kronrod.astype(np.complex128, copy=False), e, resabs
 
 
 def _one_per_node(values, nodes: np.ndarray) -> np.ndarray:
@@ -693,23 +701,28 @@ def _sweep(fn, owners: Sequence[int], lo: np.ndarray, hi: np.ndarray, sizes: Seq
     return _eval_panels(fn, lo, hi, np.repeat(owners, sizes), rule)
 
 
-_first, _last = operator.itemgetter(0), operator.itemgetter(-1)
+def _reach(a: float, b: float, osc: float) -> float:
+    """max|t| * nu on [a, b], the rounding reach over 4/sqrt(n) (``_rounding``); t * nu,
+    since nu alone may be near float max where t is tiny (a contour ray)."""
+    return (b if b > -a else -a) * abs(osc)
 
 
 def _integrals(fn, points: List[List[float]], oscs: List[float], cfg: QuadConfig,
-               rule: Rule) -> List[QuadResult]:
+               rule: Rule, top: float) -> List[QuadResult]:
     """The engine (module docstring): owner k integrates t -> fn(t, k) over its
     breakpoints points[k], at oscillation scale oscs[k]; one QuadResult per owner.
+
+    ``top`` is the largest ``_reach`` of the owners, which the door takes
+    from the ends and scales it has in hand.
     """
     lo, hi, sizes, oks = _meshes(points, [_osc_cap(o, rule) for o in oscs], cfg.max_panels)
-    # each owner's reach (``_rounding``), built only where the largest |t|
-    # and nu over the fewest panels could pass the level's gate; t * nu,
-    # since nu alone may be near float max where t is tiny (a contour ray)
+    # each owner's reach (``_rounding``), built only where the largest one
+    # over the fewest panels could pass the level's gate
     c = 4.0 / math.sqrt(len(rule.xgk))
-    bound = c * max(max(map(_last, points)), -min(map(_first, points))) * max(map(abs, oscs))
+    bound = c * top
     reaches = repeat(0.0)
     if bound * bound > 2500.0 * min(sizes):
-        reaches = [c * (max(-p[0], p[-1]) * abs(o)) for p, o in zip(points, oscs)]
+        reaches = [c * _reach(p[0], p[-1], o) for p, o in zip(points, oscs)]
     results = _start(lo, hi, sizes, oks, reaches,
                      _sweep(fn, range(len(sizes)), lo, hi, sizes, rule), cfg)
     rounds = {}
@@ -756,11 +769,14 @@ def integrate_many(fn: Callable[[np.ndarray, object], np.ndarray],
         return [integrate_finite(Integrand(lambda t, k=k: fn(t, k), osc, spots), a, b, cfg,
                                  rule=rule)
                 for k, (a, b, osc, spots) in enumerate(spans)]
-    points, ladders = [], {}
-    for a, b, _, spots in spans:
+    points, ladders, top = [], {}, 0.0
+    for a, b, osc, spots in spans:
         key = a, b, spots  # one lookup per owner that shares a ladder: HotSpots hash in Python
         points.append(ladders.get(key) or ladders.setdefault(key, _breakpoints([a, b], spots)))
-    return _integrals(fn, points, [osc for _, _, osc, _ in spans], cfg, rule)
+        reach = (b if b > -a else -a) * abs(osc)  # _reach, inline: a call would cost 0.3 us
+        if reach > top:
+            top = reach
+    return _integrals(fn, points, [osc for _, _, osc, _ in spans], cfg, rule, top)
 
 
 def integrate_finite(f: Integrand, a: float, b: float,
@@ -778,7 +794,8 @@ def integrate_finite(f: Integrand, a: float, b: float,
     _require_osc(f.osc_frequency)
     one = f.fn
     return _integrals(lambda t, k: one(t), [_breakpoints([a, b], f.hot_spots)],
-                      [f.osc_frequency], cfg or _DEFAULT_CFG, rule)[0]
+                      [f.osc_frequency], cfg or _DEFAULT_CFG, rule,
+                      _reach(a, b, f.osc_frequency))[0]
 
 
 def _tail(rate: float, big_t: float) -> float:
@@ -859,5 +876,5 @@ def integrate_tail(g: Integrand, rate: float,
     big_t = _cutoff(rate, cfg.abs_tol / 2.0)
     tail = _tail(rate, big_t)
     res, = _integrals(_checked(g.fn, rate), [_breakpoints(_ray_points(big_t), g.hot_spots)],
-                      [g.osc_frequency], cfg, G7K15)
+                      [g.osc_frequency], cfg, G7K15, _reach(0.0, big_t, g.osc_frequency))
     return QuadResult(res.value, res.err + tail, res.converged, res.panels)

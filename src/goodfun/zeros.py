@@ -9,8 +9,10 @@ where they land well inside the bracket, bisection where they do not.
 It needs no derivative; from the 1/8-wide subgrid bracket it reaches
 the 1e-10 width in typically 4 steps, where bisection takes 31.
 
-The oracle is ``eval_H_many``, which evaluates a batch of points in
-shared quadrature sweeps, bit-identical to ``eval_H`` point by point.
+The oracle is ``good._h_many``, which evaluates a batch of points in
+shared quadrature sweeps and returns H real: G's fold at gamma = x below
+X_C, bit-identical to ``eval_G(x, rho, x)`` (two cosines a node, real
+panel sums), and the real part of ``eval_H``'s contour from X_C on.
 One batch covers the grid and one the subscan points of every bracket.
 Brent's steps are sequential within one bracket, but the brackets are
 independent, so every sign change is refined in lockstep: ``_brent`` is
@@ -20,7 +22,12 @@ the batches number two plus the longest search's steps: 6 for the three
 zeros of rho = 1 on [10, 13].
 
 Grid points whose oracle value is within twice its error estimate are
-ambiguous in sign; they are skipped and logged, never forced.  Intervals
+ambiguous in sign; they are skipped and logged, never forced.  The
+oracle's error claim is read only there, at the grid points 1/6 + k, and
+in the residual warning below; the subscan and Brent's steps read signs.
+So G's under-claim near odd orders at rho below about 1e-4 (its fold's
+halves cancel under the 1/rho^2 peak) never reaches the ambiguity test:
+a grid point lies at least 1/6 from an odd order.  Intervals
 without a confirmed sign change are logged as "no bracket".  Uniqueness
 inside an interval is observed, not assumed: each bracket is first
 scanned on a coarse subgrid and every sign change found is refined (a
@@ -41,7 +48,8 @@ from typing import ClassVar, Dict, Generator, List, Optional, Tuple
 from .core import DomainError, QuadConfig, lockstep, require_above
 # eval_H is not called here but stays importable from this module: the CI
 # step "Benchmark tracer installs" checks that the tracer wraps zeros.eval_H
-from .good import HValue, eval_H, eval_H_many  # noqa: F401
+from .good import _h_many, eval_H  # noqa: F401
+from .quadrature import QuadResult
 
 __all__ = ["ZeroRecord", "find_zeros"]
 
@@ -80,8 +88,8 @@ class ZeroRecord:
         return self.bracket_lo, self.bracket_hi
 
 
-def _brent(a: float, b: float, ha: HValue, hb: HValue
-           ) -> Generator[float, HValue, Tuple[float, HValue, int, float]]:
+def _brent(a: float, b: float, ha: QuadResult, hb: QuadResult
+           ) -> Generator[float, QuadResult, Tuple[float, QuadResult, int, float]]:
     """Refine the sign change of H between a and b by Brent's method.
 
     A generator: it yields each point where it needs H and receives H
@@ -95,21 +103,21 @@ def _brent(a: float, b: float, ha: HValue, hb: HValue
     ``tol``.  Stops once the bracket is no wider than _BRACKET_WIDTH (or
     4 eps |x| beyond |x| ~ 1e5, where the floats are that sparse) or H is
     exactly 0 at b.  Returns b, the end of the final bracket with the
-    smaller |H|, its HValue, the number of points evaluated and the final
-    bracket width.
+    smaller |H|, its oracle result, the number of points evaluated and the
+    final bracket width.
     """
     c, hc = a, ha
     d = e = b - a
     calls = 0
     while True:
-        if abs(hc.h) < abs(hb.h):
+        if abs(hc.value) < abs(hb.value):
             a, b, c = b, c, b
             ha, hb, hc = hb, hc, hb
         tol = max(0.5 * _BRACKET_WIDTH, 2.0 * sys.float_info.epsilon * abs(b))
         m = 0.5 * (c - b)
-        if abs(m) <= tol or hb.h == 0.0:
+        if abs(m) <= tol or hb.value == 0.0:
             break
-        fa, fb, fc = ha.h, hb.h, hc.h
+        fa, fb, fc = ha.value, hb.value, hc.value
         if abs(e) >= tol and abs(fa) > abs(fb):
             s = fb / fa
             if a == c:
@@ -131,7 +139,7 @@ def _brent(a: float, b: float, ha: HValue, hb: HValue
         b += d if abs(d) > tol else math.copysign(tol, m)
         hb = yield b
         calls += 1
-        if (hb.h > 0.0) == (hc.h > 0.0):
+        if (hb.value > 0.0) == (hc.value > 0.0):
             c, hc = a, ha
             d = e = b - a
     return b, hb, calls, abs(c - b)
@@ -157,11 +165,11 @@ def find_zeros(rho: float, x_min: float, x_max: float,
     def meets_window(lo: float, hi: float) -> bool:
         return lo <= x_max and x_min <= hi
 
-    values: List[Optional[HValue]] = []
-    for x, hv in zip(grid, eval_H_many(grid, rho, cfg)):
-        if abs(hv.h) <= 2.0 * hv.err:
+    values: List[Optional[QuadResult]] = []
+    for x, hv in zip(grid, _h_many(grid, rho, cfg)):
+        if abs(hv.value) <= 2.0 * hv.err:
             logger.warning("ambiguous sign at x=%s (|H|=%.3e <= 2*err=%.3e); skipped",
-                           x, abs(hv.h), 2.0 * hv.err)
+                           x, abs(hv.value), 2.0 * hv.err)
             values.append(None)
         else:
             values.append(hv)
@@ -171,10 +179,10 @@ def find_zeros(rho: float, x_min: float, x_max: float,
     pairs = [(xa, fa, xb, fb) for (xa, fa), (xb, fb) in pairwise(zip(grid, values))
              if fa is not None and fb is not None]
     subs = [[xa + (xb - xa) * i / _SUBSCAN for i in range(_SUBSCAN + 1)]
-            if (fa.h > 0.0) != (fb.h > 0.0) else None for xa, fa, xb, fb in pairs]
+            if (fa.value > 0.0) != (fb.value > 0.0) else None for xa, fa, xb, fb in pairs]
     inner = [[t for t0, t, t1 in zip(sub, sub[1:], sub[2:]) if meets_window(t0, t1)]
              if sub else [] for sub in subs]
-    scanned = iter(eval_H_many([t for points in inner for t in points], rho, cfg))
+    scanned = iter(_h_many([t for points in inner for t in points], rho, cfg))
 
     # every sign change observed in a bracket is refined, all in lockstep;
     # each pair keeps its sign changes (lo, hi), which key the searches, so
@@ -188,13 +196,13 @@ def find_zeros(rho: float, x_min: float, x_max: float,
         scan = [(xa, fa)] + [(t, next(scanned)) for t in points] + [(sub[-1], fb)]
         here = []
         for (lo, f_lo), (hi, f_hi) in pairwise(scan):
-            if (f_lo.h > 0.0) == (f_hi.h > 0.0):
+            if (f_lo.value > 0.0) == (f_hi.value > 0.0):
                 continue
             here.append((lo, hi))
             if meets_window(lo, hi):
                 searches[lo, hi] = _brent(lo, hi, f_lo, f_hi)
         changes.append(here)
-    found = lockstep(searches, lambda _, xs: eval_H_many(xs, rho, cfg))
+    found = lockstep(searches, lambda _, xs: _h_many(xs, rho, cfg))
 
     records: List[ZeroRecord] = []
     for (xa, _, xb, _), here in zip(pairs, changes):
@@ -212,7 +220,7 @@ def find_zeros(rho: float, x_min: float, x_max: float,
                          x0, calls, width)
             if not x_min <= x0 <= x_max:
                 continue
-            residual = abs(hv.h)
+            residual = abs(hv.value)
             if residual > _ZERO_TOL + hv.err:
                 logger.warning("residual %.3e above zero_tol+err at x=%.12g", residual, x0)
             records.append(ZeroRecord(x0, xa, xb, rho, residual))

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -516,6 +517,24 @@ def test_contour_is_within_its_claim_of_the_long_double_reference():
     assert worst <= 1.0
 
 
+def test_zeros_oracle_is_within_its_claim_of_the_long_double_reference():
+    # as test_fold_is_within_its_claim_of_the_long_double_reference, over
+    # the same seeded grid, on find_zeros' oracle, which reads H from G's
+    # fold: the worst point reads 0.084 of its summed claims (calH's fold 0.055)
+    _repo_root_on_path()
+    from perfbench.reference import h_reference
+
+    rng = np.random.default_rng(20240523)
+    xs = rng.uniform(2.0, 100.0, 120)
+    rhos = 10.0 ** rng.uniform(-3.0, math.log10(2.0), 120)
+    worst = 0.0
+    for x, rho in zip(xs.tolist(), rhos.tolist()):
+        (r,), ref = good._h_many([x], rho), h_reference(x, rho)
+        assert r.converged
+        worst = max(worst, abs(r.value - ref.value) / (r.err + ref.err))
+    assert worst <= 1.0
+
+
 def test_fold_cost_tripwire(fevals):
     # eval_G(5e3, 1, 1e4) is one fold of 2 501 G10K21 panels on its first
     # sweep (7 502 G7K15 panels, 112 530 evaluations, at a quarter period)
@@ -723,6 +742,40 @@ def test_sharing_the_sweeps_of_one_point_moves_no_bit(monkeypatch, finite_calls,
     shared = {name: _result_bits(call(cfg)) for name, call in _ONE_POINT.items()}
     assert finite_calls == []
     assert shared == alone
+
+
+def test_zeros_oracle_is_g_below_x_c_and_eval_h_from_it():
+    # find_zeros' real oracle on seeded batches that cross X_C: G's fold at
+    # gamma = x below it, the real part of eval_H's contour from it on,
+    # value, claim and flag bit for bit
+    rng = np.random.default_rng(20261021)
+    for rho in (10.0 ** rng.uniform(-3.0, math.log10(2.0), 8)).tolist():
+        xs = (rng.uniform(2.0, X_C, 4).tolist() + rng.uniform(X_C, 300.0, 4).tolist()
+              + _AT_X_C[::2])  # X_C and the double below it
+        rng.shuffle(xs)
+        got = good._h_many(xs, rho)
+        assert len(got) == len(xs)
+        for x, r in zip(xs, got):
+            if x < X_C:
+                g = eval_G(x, rho, x)
+                want = g.value, g.error_estimate, g.converged
+            else:
+                hv = eval_H(x, rho)
+                want = hv.h, hv.err, hv.converged
+            assert type(r.value) is float
+            assert (r.value.hex(), r.err.hex(), r.converged) == (want[0].hex(), want[1].hex(),
+                                                                 want[2])
+
+
+def test_zeros_oracle_validates_as_eval_H_many():
+    # one validation path: the first bad point raises what eval_H_many raises
+    for xs, rho in [([1.0, math.nan], 1.0), ([150.0, -math.inf], 1.0), ([math.nan, 1.0], 1e-7),
+                    ([1.0, 2.0], 1e-7), ([1.0], 0.0)]:
+        with pytest.raises(Exception) as many:
+            eval_H_many(xs, rho)
+        with pytest.raises(many.type, match=re.escape(str(many.value))):
+            good._h_many(xs, rho)
+    assert good._h_many([], -1.0) == []
 
 
 def test_eval_H_many_validates_every_point_first(monkeypatch):

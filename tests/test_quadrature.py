@@ -172,9 +172,9 @@ def test_integrand_must_return_one_value_per_node(door, values):
 def test_every_door_runs_the_one_engine(monkeypatch):
     owners, real = [], quadrature._integrals
 
-    def counting(fn, points, caps, cfg, rule):
+    def counting(fn, points, caps, cfg, rule, top):
         owners.append(len(points))
-        return real(fn, points, caps, cfg, rule)
+        return real(fn, points, caps, cfg, rule, top)
 
     monkeypatch.setattr(quadrature, "_integrals", counting)
     integrate_finite(Integrand(np.cos), 0.0, 1.0)
@@ -689,6 +689,28 @@ def test_eval_panels_rows_do_not_depend_on_their_offset(complex_valued):
     for i in range(len(lo)):
         alone = quadrature._eval_panels(fn, lo[i:i + 1], hi[i:i + 1])
         assert _hex(r[i:i + 1] for r in batch) == _hex(alone)
+
+
+@pytest.mark.parametrize("rule", [quadrature.G7K15, quadrature.G10K21], ids=["G7K15", "G10K21"])
+def test_a_real_sweep_keeps_the_bits_of_its_sums_cast_to_complex(rule):
+    # a real integrand's sums stay real up to the return, its mean
+    # kronrod * (0.5/hw): the bits of the plain formula, which casts the
+    # Kronrod sums to complex first and divides them by 2 hw in numpy's
+    # complex division (a plain real division moved 3 of 247 G, Q and J
+    # claims by one ulp).  Each row sits near its own level, so that
+    # v - mean is exact and shows any ulp of the mean
+    rng = np.random.default_rng(20261021)
+    n = quadrature._chunk_panels(rule)
+    lo = rng.uniform(-5.0, 5.0, n)
+    hi = lo + 10.0 ** rng.uniform(-12.0, 0.5, n)
+    hi[::17] = lo[::17]                        # zero-length panels
+    lo[5::23], hi[5::23] = 0.0, 1e-305         # half-widths below the 0.5e-300 floor
+    level = rng.standard_normal((n, 1)) * 10.0 ** rng.uniform(-3.0, 3.0, (n, 1))
+    rows = level * (1.0 + 1e-3 * rng.standard_normal((n, len(rule.xgk))))
+    values = rows.reshape(-1)
+    got = quadrature._eval_panels(lambda t: values, lo, hi, None, rule)
+    assert got[0].dtype == np.complex128
+    assert _hex(got) == _hex(_panels_by_reference(lambda t: values, lo, hi, rule))
 
 
 def test_chunked_multi_owner_sweep_is_integrate_finite_per_owner(monkeypatch):
