@@ -50,7 +50,7 @@ _K_MAX = 10 ** 6
 
 def _real_axis(nu: float, x: float, cfg: Optional[QuadConfig]) -> EvalResult:
     """J_nu(x) = F_1(nu, -x) on the fold (``good._real_fold``); cost grows like |nu| + |x|."""
-    fold = _real_fold([(nu, -x)], lambda _u, _s, p, m: 2.0 * np.cos(p) * np.cos(m), (), cfg)
+    fold = _real_fold([(nu, -x)], lambda _u, _s, p, m: 2.0 * np.sin(p) * np.sin(m), (), cfg)
     return _oracle(fold)
 
 

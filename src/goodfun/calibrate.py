@@ -20,9 +20,9 @@ batch (``good._contours``).  Its rays are the owners of one
 refines them in lockstep.  The quick run integrates 7 calA and 6 calH
 points where the sweeps read 14 and 8, the full run 33 and 43 where they
 read 48 and 46.  Each value is bit for bit its single-point call, so the
-constants are those of calling ``anger_J`` and ``eval_H`` point by
-point.  An unconverged oracle value raises ``NumericalError`` rather than
-being frozen into a constant.
+constants are those of calling ``anger_J``, ``eval_H`` (the real part of
+calH) and the contour of calH point by point.  An unconverged oracle
+value raises ``NumericalError`` rather than being frozen into a constant.
 """
 from __future__ import annotations
 
@@ -35,7 +35,7 @@ from .anger import (_J_of_calA, _calA_point, _on_contour, anger_J, anger_diag_as
                     anger_reflected_asym, anger_shifted_asym)
 from .constants import Constants
 from .core import EvalResult, NumericalError, cos_pi, require_at_least, sin_pi
-from .good import X_C, HValue, _contours, _require_rho, _require_x_rho
+from .good import X_C, _contours, _require_rho, _require_x_rho
 from .phase import AmplitudeBounds, PhaseProblem, two_term_expansion
 from .quadrature import QuadResult
 from .regimes import h_asym_large, h_asym_small
@@ -44,9 +44,10 @@ __all__ = ["calibrate", "good_amplitude_problem",
            "sweep_anger_diag", "sweep_anger_reflected", "sweep_anger_shifted",
            "sweep_phase_engine", "sweep_h_large", "sweep_h_small"]
 
-# the oracle values a sweep reads: J_nu(x), H(x, rho) and calA(x, k)
+# the oracle values a sweep reads: J_nu(x), calH(x, rho), whose real part is
+# H(x, rho), and calA(x, k)
 _AngerOracle = Callable[[float, float], EvalResult]
-_HOracle = Callable[[float, float], HValue]
+_HOracle = Callable[[float, float], QuadResult]
 _CalAOracle = Callable[[float, float], QuadResult]
 
 # every constant 1: a law's error_estimate is then its remainder scale
@@ -147,7 +148,7 @@ def sweep_phase_engine(rhos: Sequence[float], xs: Sequence[float], H: _HOracle,
         prob = good_amplitude_problem(rho)
         for x in xs:
             h = _converged("sweep_phase_engine", (x, rho), H(x, rho))
-            worst = max(worst, _ratio(_flipped(x, h.h_complex),
+            worst = max(worst, _ratio(_flipped(x, h.value),
                                       two_term_expansion(prob, x, _UNIT)))
     unit = unit_amplitude_problem()
     for x in xs:
@@ -158,7 +159,7 @@ def sweep_phase_engine(rhos: Sequence[float], xs: Sequence[float], H: _HOracle,
 
 
 def sweep_h_large(rhos: Sequence[float], xs: Sequence[float], H: _HOracle) -> float:
-    return max(_ratio(_converged("sweep_h_large", (x, rho), H(x, rho)).h,
+    return max(_ratio(_converged("sweep_h_large", (x, rho), H(x, rho)).value.real,
                       h_asym_large(x, rho, _UNIT))
                for rho in rhos for x in xs)
 
@@ -179,7 +180,7 @@ def sweep_h_small(points: Sequence[Tuple[float, float, str]], H: _HOracle) -> fl
     # scale 1: the two limiting case forms are no law with an error_estimate
     worst = 0.0
     for x, rho, kind in points:
-        h = _converged("sweep_h_small", (x, rho), H(x, rho)).h
+        h = _converged("sweep_h_small", (x, rho), H(x, rho)).value.real
         worst = max(worst, abs(h - _case_value(kind, x, rho)))
     return worst
 
@@ -222,7 +223,7 @@ def _freeze(x: float) -> float:
 
 
 def _oracles(g: dict) -> Tuple[_AngerOracle, _HOracle, _CalAOracle]:
-    """J, H and calA read from a table of every point the sweeps on grid ``g`` read.
+    """J, calH and calA read from a table of every point the sweeps on grid ``g`` read.
 
     J is keyed by the exact (X, k) that ``anger_J`` reduces it to; a J off
     the contour band (|k| > x^(1/3)) is a plain ``anger_J`` call.  Every
@@ -244,7 +245,7 @@ def _oracles(g: dict) -> Tuple[_AngerOracle, _HOracle, _CalAOracle]:
     checked = [(require_at_least("x", _require_x_rho(x, rho), X_C), rho) for x, rho in points]
     calA_res, calH_res = _contours(pairs, checked, None)
     calA = dict(zip(pairs, calA_res))
-    calH = {p: HValue(r.value, r.err, r.converged) for p, r in zip(points, calH_res)}
+    calH = dict(zip(points, calH_res))
 
     def J(nu: float, x: float) -> EvalResult:
         if not _on_contour(nu, x):

@@ -4,36 +4,34 @@
     Q_{gamma,xi}(x)  = (1/pi) int_0^pi cos(gamma*th + x*sin th) / (xi - cos th) dth
     H(x, rho)        = G_{x,rho}(x)
 
-``eval_H`` computes H through the complex variant
+``eval_H`` and ``eval_H_many`` read H from one private batched oracle
+(``_h_many``), which ``zeros.find_zeros`` reads directly: G's fold at
+gamma = x below X_C, so that there ``eval_H(x, rho)`` is
+``eval_G(x, rho, x)`` bit for bit, and from X_C on the real part of the
+complex variant
 
     calH(x, rho) = (1/pi) int_0^pi exp(i*x*(th + sin th)) / (rho^2 + sin^2 th) dth
 
-as one complex integral, which halves the quadrature work and enforces
-H = Re calH by construction.  ``zeros.find_zeros``, which reads only H's
-value and error, takes them from a real oracle (``_h_many``): G's fold at
-gamma = x below X_C, two cosines a node and real panel sums, and the real
-part of calH's contour from X_C on.  The module also provides the
-explicit a-priori bounds on |H| and its first derivatives.
+along a contour in the upper half-plane (``_contours``), at a cost that
+does not grow with x.  The module also provides the explicit a-priori
+bounds on |H| and its first derivatives.
 
-G, Q, Anger's J and calH are one integral with four amplitudes a,
+G, Q and Anger's J are one integral with three amplitudes a,
 
     F_a(gamma, x) = (1/pi) int_0^pi a(th) cos(gamma*th + x*sin th) dth,
 
-G's a = 1/(rho^2 + sin^2 th), Q's a = 1/(xi - cos th), J's a = 1 with
-J_nu(x) = F_1(nu, -x), and calH is G's at gamma = x with e^{i(...)} for
-the cosine.  On the real axis it is written once (``_real_fold``), folded
-by th -> pi - u onto [0, pi/2]: one integral per point, whose integrand
-sums both halves at the same node, where their phases are P + M and
-P - M, P = x*sin u + pi*r and M = gamma*u - pi*r with r = gamma/2
-reduced exactly modulo 2.  Each caller gives only its amplitude of
-(P, M).  The fold keeps the peaks of G and H at an exactly representable
-endpoint (the peak at th = pi sits a sliver below the nearest double,
-which at rho = 1e-3 already costs ~1e-10 of mass) and takes half the
-panels of a mesh of [0, pi] at the same oscillation scale.
-From |x| = X_C on, calH is integrated along a contour in the upper
-half-plane instead (``_contours``), at a cost that does not grow with x.
+G's a = 1/(rho^2 + sin^2 th), Q's a = 1/(xi - cos th) and J's a = 1 with
+J_nu(x) = F_1(nu, -x).  On the real axis it is written once
+(``_real_fold``), folded by th -> pi - u onto [0, pi/2]: one integral per
+point, whose integrand sums both halves at the same node.  Each caller
+gives only its amplitude of the two phases that ``_real_fold`` builds
+with gamma/2 split exactly about the nearest half-integer.  The fold
+keeps the peaks of G and H at an exactly representable endpoint (the
+peak at th = pi sits a sliver below the nearest double, which at
+rho = 1e-3 already costs ~1e-10 of mass) and takes half the panels of a
+mesh of [0, pi] at the same oscillation scale.
 
-That contour is one primitive (``_rays``) for the phase x*(th + sin th),
+The contour is one primitive (``_rays``) for the phase x*(th + sin th),
 with any amplitude that has no pole between [0, pi] and the contour.
 Besides calH's 1/(rho^2 + sin^2 th) it carries the Anger amplitude
 e^{i k th}:
@@ -42,7 +40,7 @@ e^{i k th}:
 
 from which ``anger.anger_J`` takes J near its diagonal,
 J_{x+k}(-x) = Re calA(x, k).  ``_contours`` takes calA and calH points
-of any rho in one batch.
+of any rho in one batch, complex: ``calibrate`` reads Im calH too.
 """
 from __future__ import annotations
 
@@ -67,33 +65,28 @@ RHO_MIN = 1e-6
 
 # From this |x| on, eval_H integrates along the complex contour, whose cost
 # does not depend on x; below it, along the real axis, whose cost grows
-# like x.  Per point, calH's G10K21 fold (three cosines and sines a node,
-# ``_real_fold``) takes 0.59-0.65 times the G10K21 contour's wall time at
-# x = 100 for rho in [0.05, 1] and 0.59-0.60 times at rho = 1e-3;
-# 0.71-0.77 and 0.67-0.69 at x = 150; 0.76-0.86 and 0.76-0.77 at 200;
-# 0.92-0.99 and 0.87 at 250; 1.01-1.10 and 0.95-0.96 at 300; 1.24-1.35 and
-# 1.14-1.15 at 400.  anger_J's fold in its band (nu = +-x, x +- x^(1/3)),
-# at two cosines a node, takes 0.53-0.59, 0.64-0.68, 0.74-0.77,
-# 0.81-0.85, 0.89-0.94 and 1.07-1.14 times the contour's time at x = 100,
-# 150, 200, 250, 300 and 400 (best of 400 calls timed alternately with the
-# contour, three runs; 2-vCPU x86 VM, numpy 2.4).  So the fold meets the
-# contour near x = 300 for calH and 330 for J.  X_C stays at 100: moving
-# it would move the compare rows, zeros windows and calibration points
-# between it and the crossover onto the other path.
+# like x.  Per point, G's G10K21 fold at gamma = x (two sines a node and
+# real panel sums, ``_real_fold``) takes 0.49-0.57 times the G10K21
+# contour's wall time at x = 100.3 for rho in {1e-3, 0.05, 1}, 0.57-0.60 at
+# 150.3, 0.63-0.70 at 200.3, 0.48-0.89 at 300.3, 0.90-1.05 at 400.3 and
+# 1.09-1.21 at 500.3 (best of 2 x 200 calls; 2-vCPU x86 VM, numpy 2.4).
+# anger_J's fold in its band (nu = +-x, x +- x^(1/3)), also two trig calls
+# a node, takes 0.53-0.59, 0.64-0.68, 0.74-0.77, 0.81-0.85, 0.89-0.94 and
+# 1.07-1.14 times the contour's time at x = 100, 150, 200, 250, 300 and 400
+# (best of 400 calls timed alternately with the contour, three runs).  So
+# the fold meets the contour near x = 400 for H and 330 for J.  X_C stays
+# at 100: moving it would move the compare rows, zeros windows and
+# calibration points between it and the crossover onto the other path.
 X_C = 100.0
 
 
 @dataclass(frozen=True, slots=True)
 class HValue:
-    """H(x, rho) as the real part of the complex integral calH(x, rho)."""
+    """H(x, rho), its absolute error estimate and whether its quadrature converged."""
 
-    h_complex: complex
+    h: float
     err: float
     converged: bool = True
-
-    @property
-    def h(self) -> float:
-        return self.h_complex.real
 
 
 class HBounds(NamedTuple):
@@ -174,42 +167,57 @@ def _real_fold(points: Sequence[Tuple[float, float]], amplitude: _Amplitude,
                spots: Tuple[HotSpot, ...], cfg: Optional[QuadConfig]) -> List[QuadResult]:
     """(1/pi) int_0^pi f(th) dth at each (gamma, x) of ``points``, folded onto [0, pi/2].
 
-    The real axis of all four oracles, as int_0^{pi/2} f(u) + f(pi - u) du.
-    At a node u, with s = sin u and r = gamma/2 reduced exactly modulo 2
-    (``_reduce_mod2``), P = x*s + pi*r and M = gamma*u - pi*r, the phase
-    gamma*th + x*sin th is P + M at th = u and P - M at th = pi - u, modulo
-    2 pi.  ``amplitude(u, s, P, M)`` returns f(u) + f(pi - u):
-    2 cos P cos M a(u) where a is symmetric (G, J), 2 cos M e^{iP} a(u) for
-    calH, and cos(P + M) a(u) + cos(P - M) a(pi - u) for Q's asymmetric a,
-    whose peak sits where P + M ~ 0 and its cosine keeps full accuracy.
-    pi*gamma/2 itself rounds at ulp(gamma); pi*r keeps one rounding
-    (~4e-16) at any gamma.  And M is not gamma*(u - pi/2): under the
-    1/rho^2 peak at u = 0, where the halves cancel near odd gamma, that
-    would round u - pi/2 and multiply the rounding by gamma.
+    The real axis of all three oracles, as int_0^{pi/2} f(u) + f(pi - u) du,
+    with real values.  The phase gamma*th + x*sin th is P + M at th = u and
+    P - M at th = pi - u, modulo 2 pi, with s = sin u, P = x*s + pi*r and
+    M = gamma*u - pi*r, where r = gamma/2 reduced exactly modulo 2
+    (``_reduce_mod2``).  r is split exactly as n/2 + d, n = round(2 r),
+    |d| <= 1/4, d exact by Sterbenz, and each point gets one offset
+    a = pi*d for odd n and pi/2 + pi*d for even n.  With p = x*s + a and
+    m = a - gamma*u, 2 cos P cos M = 2 sin p sin m,
+    cos(P + M) = cos(p - m) and cos(P - M) = -cos(p + m), for either
+    parity.  ``amplitude(u, s, p, m)`` returns f(u) + f(pi - u):
+    2 sin p sin m a(u) where a is symmetric (G, J), and
+    cos(p - m) a(u) - cos(p + m) a(pi - u) for Q's asymmetric a, whose
+    peak sits where p - m ~ 0 and its cosine keeps full accuracy.
+
+    The split matters under G's 1/rho^2 peak at u = 0 near odd gamma, where
+    the halves cancel: the peak's value is 2 cos^2(pi r)/rho^2 with
+    |cos(pi r)| ~ pi |d| small.  pi*r rounds at ~1e-16 absolute, which
+    that cosine turns into 1e-16/|cos(pi r)| relative, where pi*d rounds
+    relative to itself.  pi*gamma/2 itself would round at ulp(gamma).  And
+    gamma*u is not written as gamma*(u - pi/2) plus a constant: that would
+    round u - pi/2 and multiply the rounding by gamma.
 
     ``spots`` are the peaks of both halves in u, the same for every
-    point: (0, rho) for calH and G, (0, ~sqrt(2 (xi - 1))) for Q, none for
-    J.  The oscillation scale is (|gamma| + |x|)/2, half the larger phase
-    rate.  Each point is one owner of one ``integrate_many`` call on
-    G10K21, converged against its own value.  The caller checks that the
-    phase stays finite.
+    point: (0, rho) for G, (0, ~sqrt(2 (xi - 1))) for Q, none for J.  The
+    oscillation scale is (|gamma| + |x|)/2, half the larger phase rate.
+    Each point is one owner of one ``integrate_many`` call on G10K21,
+    converged against its own value.  The caller checks that the phase
+    stays finite.
     """
+    def offset(gamma: float) -> float:
+        r = _reduce_mod2(0.5 * gamma)
+        n = round(2.0 * r)
+        pi_d = math.pi * (r - 0.5 * n)
+        return pi_d if n % 2 else _HALF_PI + pi_d
+
     gamma_of, x_of = _of([g for g, _ in points]), _of([x for _, x in points])
-    pi_r_of = _of([math.pi * _reduce_mod2(0.5 * g) for g, _ in points])
+    a_of = _of([offset(g) for g, _ in points])
 
     def fn(u: np.ndarray, k) -> np.ndarray:
-        s, pi_r = np.sin(u), pi_r_of(k)
-        return amplitude(u, s, x_of(k) * s + pi_r, gamma_of(k) * u - pi_r)
+        s, a = np.sin(u), a_of(k)
+        return amplitude(u, s, x_of(k) * s + a, a - gamma_of(k) * u)
 
     spans = [(0.0, _HALF_PI, 0.5 * (abs(g) + abs(x)), spots) for g, x in points]
-    return [QuadResult(r.value / math.pi, r.err / math.pi, r.converged, r.panels)
+    return [QuadResult(r.value.real / math.pi, r.err / math.pi, r.converged, r.panels)
             for r in integrate_many(fn, spans, cfg, rule=G10K21)]
 
 
 def _oracle(results: List[QuadResult]) -> EvalResult:
-    """The oracle ``EvalResult`` of a one-point, real-valued ``_real_fold``."""
+    """The oracle ``EvalResult`` of a one-point ``_real_fold``."""
     (res,) = results
-    return EvalResult(value=res.value.real, error_estimate=res.err, method="oracle",
+    return EvalResult(value=res.value, error_estimate=res.err, method="oracle",
                       converged=res.converged)
 
 
@@ -437,15 +445,16 @@ def eval_Q(gamma: float, xi: float, x: float,
     """Evaluate Q_{gamma,xi}(x) by adaptive quadrature (gamma >= 0, xi > 1)."""
     require_at_least("gamma", gamma, 0.0)
     require_above("xi", xi, 1.0)
-    # q_from_g's floor: xi - cos th rounds at ~1e-16 against a peak of width xi - 1
-    if math.sqrt(xi * xi - 1.0) < RHO_MIN:
+    # q_from_g's floor: xi - cos th rounds at ~1e-16 against a peak of width xi - 1;
+    # xi - 1 is exact for xi in (1, 2], so (xi - 1)(xi + 1) does not cancel
+    if math.sqrt((xi - 1.0) * (xi + 1.0)) < RHO_MIN:
         raise PrecisionError(f"xi = {xi} is too close to 1: sqrt(xi^2 - 1) is below {RHO_MIN}")
     require_finite("x", x)
     require_phase("gamma*th +- x*sin(th)", gamma, abs(x), _HALF_PI)
 
     def amplitude(u, _s, p, m):
         c = np.cos(u)
-        return np.cos(p + m) / (xi - c) + np.cos(p - m) / (xi + c)
+        return np.cos(p - m) / (xi - c) - np.cos(p + m) / (xi + c)
 
     # only the th = 0 half peaks: xi - cos u dips to xi - 1 with parabolic width
     spot = HotSpot(0.0, min(math.sqrt(2.0 * (xi - 1.0)), 1.0))
@@ -453,28 +462,37 @@ def eval_Q(gamma: float, xi: float, x: float,
 
 
 def _G(rho: float) -> _Amplitude:
-    """G's amplitude 2 cos P cos M/(rho^2 + s^2): two cosines a node, in real arithmetic."""
+    """G's amplitude 2 sin p sin m/(rho^2 + s^2): two sines a node, in real arithmetic."""
     rho2 = rho * rho
-    return lambda _u, s, p, m: np.cos(p) * np.cos(m) * (2.0 / (rho2 + s * s))
+    return lambda _u, s, p, m: np.sin(p) * np.sin(m) * (2.0 / (rho2 + s * s))
 
 
-def _calH(rho: float) -> _Amplitude:
-    """calH's amplitude 2 cos M e^{iP}/(rho^2 + s^2), e^{iP} built in real arithmetic."""
-    rho2 = rho * rho
+def eval_H(x: float, rho: float, cfg: Optional[QuadConfig] = None) -> HValue:
+    """Evaluate the restricted Good function H(x, rho) = G_{x,rho}(x): ``eval_H_many([x])``.
 
-    def amplitude(_u, s, p, m):
-        a = np.cos(m) * (2.0 / (rho2 + s * s))
-        z = np.empty(s.shape, np.complex128)
-        z.real, z.imag = a * np.cos(p), a * np.sin(p)
-        return z
-
-    return amplitude
+    |x| < X_C is integrated along the real axis, as ``eval_G(x, rho, x)``
+    and with its bits; |x| >= X_C along a complex contour (``_contours``).
+    That is one integral below X_C (the fold) and two from it on (the
+    rays), one ``integrate_finite`` call each (``integrate_many``).
+    """
+    return eval_H_many([x], rho, cfg)[0]
 
 
-def _branches(xs: Iterable[float], rho: float, near_amplitude: Callable[[float], _Amplitude],
-              cfg: Optional[QuadConfig]) -> Tuple[List[float], List[QuadResult]]:
-    """(the xs as floats, a result per x): the fold at gamma = x of the amplitude
-    ``near_amplitude(rho)`` below X_C, calH's contour at |x| from it on.
+def eval_H_many(xs: Iterable[float], rho: float,
+                cfg: Optional[QuadConfig] = None) -> List[HValue]:
+    """``[eval_H(x, rho, cfg) for x in xs]``, bit for bit, in shared quadrature sweeps
+    (``_h_many``)."""
+    return [HValue(r.value, r.err, r.converged) for r in _h_many(xs, rho, cfg)]
+
+
+def _h_many(xs: Iterable[float], rho: float,
+            cfg: Optional[QuadConfig] = None) -> List[QuadResult]:
+    """H(x, rho) at each x of ``xs``, real, in shared quadrature sweeps: the oracle of
+    ``eval_H_many`` and ``zeros.find_zeros``.
+
+    Below X_C it is G's fold at gamma = x, where H = G_{x,rho}(x), bit for
+    bit ``eval_G(x, rho, x)``; from X_C on the real part of calH's contour
+    at |x|, as calH(-x) = conj(calH(x)).
 
     Every x, and rho once, is validated before any integral runs, in the
     order of ``eval_H`` point by point, so the first failure raises what
@@ -489,51 +507,13 @@ def _branches(xs: Iterable[float], rho: float, near_amplitude: Callable[[float],
     near = [(x, x) for x in xs if abs(x) < X_C]
     far = [(abs(x), rho) for x in xs if abs(x) >= X_C]
     # a branch without points is skipped whole: its set-up is a few us per call
-    near_res = _real_fold(near, near_amplitude(rho), (HotSpot(0.0, rho),), cfg) if near else []
-    far_res = _contours((), far, cfg)[1] if far else []
+    near_res = _real_fold(near, _G(rho), (HotSpot(0.0, rho),), cfg) if near else []
+    far_res = ([QuadResult(r.value.real, r.err, r.converged, r.panels)
+                for r in _contours((), far, cfg)[1]] if far else [])
     if not (near_res and far_res):
-        return xs, near_res or far_res
+        return near_res or far_res
     near_it, far_it = iter(near_res), iter(far_res)
-    return xs, [next(near_it) if abs(x) < X_C else next(far_it) for x in xs]
-
-
-def eval_H(x: float, rho: float, cfg: Optional[QuadConfig] = None) -> HValue:
-    """Evaluate the restricted Good function H(x, rho) = Re calH(x, rho): ``eval_H_many([x])``.
-
-    |x| >= X_C is integrated along a complex contour (``_contours``), using
-    calH(-x) = conj(calH(x)); smaller |x| along the real axis.  That is
-    one integral below X_C (the fold) and two from it on (the rays), one
-    ``integrate_finite`` call each (``integrate_many``).
-    """
-    return eval_H_many([x], rho, cfg)[0]
-
-
-def eval_H_many(xs: Iterable[float], rho: float,
-                cfg: Optional[QuadConfig] = None) -> List[HValue]:
-    """``[eval_H(x, rho, cfg) for x in xs]``, bit for bit, in shared quadrature sweeps.
-
-    calH on the fold below X_C, and on the contour, conjugated for x < 0,
-    from it on (``_branches``).
-    """
-    xs, results = _branches(xs, rho, _calH, cfg)
-    return [HValue(h_complex=r.value.conjugate() if x <= -X_C else r.value, err=r.err,
-                   converged=r.converged) for x, r in zip(xs, results)]
-
-
-def _h_many(xs: Iterable[float], rho: float,
-            cfg: Optional[QuadConfig] = None) -> List[QuadResult]:
-    """H(x, rho) at each x of ``xs``, real, in shared quadrature sweeps: the oracle of
-    ``zeros.find_zeros``.
-
-    ``eval_H_many``'s validation and branches (``_branches``) with G's
-    amplitude on the fold, where H = G_{x,rho}(x): each value is
-    ``eval_G(x, rho, x).value`` below X_C and ``eval_H(x, rho).h`` from it
-    on, bit for bit, and each error that call's.  The fold then takes two
-    cosines a node where calH's takes three trigonometric calls, and its
-    panel sums stay real (``quadrature._eval_panels``).
-    """
-    return [QuadResult(r.value.real, r.err, r.converged, r.panels)
-            for r in _branches(xs, rho, _G, cfg)[1]]
+    return [next(near_it) if abs(x) < X_C else next(far_it) for x in xs]
 
 
 def bounds_H(x: float, rho: float) -> HBounds:

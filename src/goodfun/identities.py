@@ -95,7 +95,8 @@ def q_from_g(gamma: float, xi: float, x: float,
     """
     require_above("xi", xi, 1.0)
     require_at_least("gamma", gamma, 0.0)
-    rho = math.sqrt(xi * xi - 1.0)
+    # xi - 1 is exact for xi in (1, 2], where xi*xi - 1 would cancel
+    rho = math.sqrt((xi - 1.0) * (xi + 1.0))
     g0 = eval_G(gamma, rho, x, cfg)
     gp = eval_G(gamma + 1.0, rho, x, cfg)
     gm = eval_G(gamma - 1.0, rho, x, cfg)

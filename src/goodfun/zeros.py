@@ -9,11 +9,11 @@ where they land well inside the bracket, bisection where they do not.
 It needs no derivative; from the 1/8-wide subgrid bracket it reaches
 the 1e-10 width in typically 4 steps, where bisection takes 31.
 
-The oracle is ``good._h_many``, which evaluates a batch of points in
-shared quadrature sweeps and returns H real: G's fold at gamma = x below
-X_C, bit-identical to ``eval_G(x, rho, x)`` (two cosines a node, real
-panel sums), and the real part of ``eval_H``'s contour from X_C on.
-One batch covers the grid and one the subscan points of every bracket.
+The oracle is ``good._h_many``, the batched H behind ``eval_H``, read
+directly: it evaluates a batch of points in shared quadrature sweeps and
+returns H real, G's fold at gamma = x below X_C and the real part of
+calH's contour from X_C on.  One batch covers the grid and one the
+subscan points of every bracket.
 Brent's steps are sequential within one bracket, but the brackets are
 independent, so every sign change is refined in lockstep: ``_brent`` is
 a generator that yields its next point, and ``core.lockstep`` evaluates
@@ -25,16 +25,14 @@ Grid points whose oracle value is within twice its error estimate are
 ambiguous in sign; they are skipped and logged, never forced.  The
 oracle's error claim is read only there, at the grid points 1/6 + k, and
 in the residual warning below; the subscan and Brent's steps read signs.
-So G's under-claim near odd orders at rho below about 1e-4 (its fold's
-halves cancel under the 1/rho^2 peak) never reaches the ambiguity test:
-a grid point lies at least 1/6 from an odd order.  Intervals
-without a confirmed sign change are logged as "no bracket".  Uniqueness
-inside an interval is observed, not assumed: each bracket is first
-scanned on a coarse subgrid and every sign change found is refined (a
-multi-zero interval is logged).  The grid reaches one point beyond each
-end of [x_min, x_max] so that zeros near the edges stay bracketed, but
-the subgrid is evaluated, and its sign changes refined, only on the
-sub-intervals that meet the window.  Each zero comes back as a ``ZeroRecord``.
+Intervals without a confirmed sign change are logged as "no bracket".
+Uniqueness inside an interval is observed, not assumed: each bracket is
+first scanned on a coarse subgrid and every sign change found is refined
+(a multi-zero interval is logged).  The grid reaches one point beyond
+each end of [x_min, x_max] so that zeros near the edges stay bracketed,
+but the subgrid is evaluated, and its sign changes refined, only on the
+sub-intervals that meet the window.  Each zero comes back as a
+``ZeroRecord``.
 """
 from __future__ import annotations
 

@@ -69,7 +69,7 @@ def _flipped(x, c):
 
 
 def _reference(quick):
-    """calibrate(quick) point by point: one anger_J, eval_H or calA call per read."""
+    """calibrate(quick) point by point: one anger_J, eval_H, calA or calH call per read."""
     g, unit = cal._grids(quick), cal._UNIT
     diag = max(_ratio(anger_J(x, x).value, anger_diag_asym(x, unit)) for x in g["anger_xs"])
     refl = max(_ratio(anger_J(x, -x).value, anger_reflected_asym(x, unit))
@@ -80,7 +80,8 @@ def _reference(quick):
     for rho in g["engine_rhos"]:
         prob = cal.good_amplitude_problem(rho)
         for x in g["engine_xs"]:
-            engine = max(engine, _ratio(_flipped(x, eval_H(x, rho).h_complex),
+            _, (calH,) = good._contours((), [(x, rho)], None)
+            engine = max(engine, _ratio(_flipped(x, calH.value),
                                         two_term_expansion(prob, x, unit)))
     for x in g["engine_xs"]:
         (calA,), _ = good._contours([(x, 0.0)], (), None)

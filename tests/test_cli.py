@@ -315,9 +315,9 @@ def test_zeros_table_keeps_its_bits(tmp_path, capsys):
     assert code == 0
     assert out.read_text(encoding="utf-8").splitlines() == [
         "x_zero,bracket_lo,bracket_hi,rho,residual,method",
-        "10.631256968225827,10.166666666666666,11.166666666666666,1,1.9137684651774723e-12,brent",
-        "11.632271964211018,11.166666666666666,12.166666666666666,1,1.8051403748535849e-12,brent",
-        "12.633213114799224,12.166666666666666,13.166666666666666,1,1.6850534528023136e-12,brent",
+        "10.631256968225827,10.166666666666666,11.166666666666666,1,1.9137585259440926e-12,brent",
+        "11.63227196421102,11.166666666666666,12.166666666666666,1,1.806264612584741e-12,brent",
+        "12.633213114799224,12.166666666666666,13.166666666666666,1,1.6850424092096696e-12,brent",
     ]
 
 

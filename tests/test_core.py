@@ -103,7 +103,7 @@ def test_cos_pi_matches_naive_for_moderate_args():
 def test_result_types_have_no_instance_dict():
     # slotted: a caller that keeps many results pays no per-instance dict
     for obj in (EvalResult(1.0, 0.0, "oracle"), Regime(RegimeKind.LARGE_S, 10.0, 1.0),
-                HValue(1j, 0.0), QuadConfig(), load_constants()):
+                HValue(1.0, 0.0), QuadConfig(), load_constants()):
         assert not hasattr(obj, "__dict__"), type(obj).__name__
 
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goodfun import (DomainError, PrecisionError, QuadConfig, anger_J, bounds_H,
-                     eval_G, eval_H, eval_H_many, eval_Q, h_approx, h_asym_large)
+                     eval_G, eval_H, eval_H_many, eval_Q, find_zeros, h_approx, h_asym_large)
 from goodfun import good, quadrature
 from goodfun.core import cos_pi, sin_pi
 from goodfun.good import RHO_MIN, X_C
@@ -41,19 +41,18 @@ def test_h_equals_g_on_diagonal(x, rho):
     assert abs(hv.h - g.value) <= hv.err + g.error_estimate + 1e-13
 
 
-# the last two sit at rho ~ 1e-3, where calH's fold takes its phase at pi
+# the last two sit at rho ~ 1e-3, where the fold takes its phase at pi
 # under the 1/rho^2 peak and needs it exact (``good._real_fold``)
 @pytest.mark.parametrize("x,rho", [(x, rho) for x in (-77.5, 0.5, 3.5, 17.25, 63.0,
                                                       math.nextafter(X_C, 0.0))
                                    for rho in (1e-3, 0.05, 1.0, 2.0)]
                          + [(55.464, 0.001286), (75.667, 0.001417)])
 def test_g_on_its_diagonal_matches_the_fold_of_h(x, rho):
-    # one fold, two amplitudes: G's real 2 cos P cos M and calH's complex
-    # 2 cos M e^{iP}, with their own cosines
+    # below X_C, H is read from G's fold at gamma = x: one computation
     hv = eval_H(x, rho)
     g = eval_G(x, rho, x)
     assert hv.converged and g.converged
-    assert abs(hv.h - g.value) <= hv.err + g.error_estimate
+    assert (hv.h.hex(), hv.err.hex()) == (g.value.hex(), g.error_estimate.hex())
 
 
 # G on its diagonal 3.1e-4 below the odd order 17, at rho = 3.4e-6: the
@@ -69,6 +68,25 @@ def test_g_near_an_odd_order_holds_its_claim():
     r = eval_G(x, 3.430654821215887e-06, x)
     assert r.converged
     assert abs(r.value - G_NEAR_ODD) <= r.error_estimate
+
+
+# H = G_{x,rho}(x) near odd x at rho of a few 1e-6, by 45-digit mpmath
+# quadrature of the defining integral (as literals: mpmath is no dependency).
+# With pi*r in the fold's phases, rounded at ~1e-16 where the halves cancel
+# under the 1/rho^2 peak, G read 1.46, 1.23, 1.03 and 2.01 times its claim
+# away; with r split at the nearest half-integer at most 0.007 of it
+_H_NEAR_ODD = [(79.00692317396353, 1.2001393249231965e-06, 20.3713150309504504080713237371),
+               (17.00289070672595, 2.7152708497576795e-06, -8.94428656664798864680209880176),
+               (32.99120598990472, 4.578165983102747e-06, 9.31181750646074133469257142299),
+               (6.999360782853884, 1.676969596589535e-06, -6.08507289427035283541215271818)]
+
+
+@pytest.mark.parametrize("x, rho, ref", _H_NEAR_ODD)
+def test_h_near_an_odd_order_holds_its_claim(x, rho, ref):
+    g, hv = eval_G(x, rho, x), eval_H(x, rho)
+    assert g.converged and hv.converged
+    assert abs(g.value - ref) <= g.error_estimate
+    assert abs(hv.h - ref) <= hv.err
 
 
 def test_g_pinned_value_and_magnitude_bound():
@@ -154,11 +172,6 @@ def test_q_refuses_xi_below_the_rho_floor():
 def test_h_pinned_value():
     hv = eval_H(100.0, 1.0)
     assert abs(hv.h - H_100_1) <= max(hv.err, 1e-12)
-
-
-def test_h_complex_relation():
-    hv = eval_H(7.3, 0.4)
-    assert hv.h == hv.h_complex.real
 
 
 def test_h_parity_examples():
@@ -284,21 +297,21 @@ def test_overflowing_rho_squared_refused_before_any_integral(monkeypatch, rho):
 
 def test_largest_rho_values_keep_their_bits():
     # rho = 1e150, below the rho^2 overflow, on both branches of H and for G
-    # (the fold and G on G10K21; their G7K15 values, -0x1.6629905987558p-999
-    # + 0x1.039600b92bcc4p-999 i and 0x1.4d58390d427a9p-998, lie within 0.019
-    # and 0.030 of these claims)
+    # (G's fold, which H reads below X_C, on G10K21 with its phases split
+    # at the nearest half-integer; calH's fold read -0x1.6629905987559p-999
+    # +- 0x0.00000a6aee244p-1022 for H, 0.0030 of the summed claims away,
+    # and G's fold with pi*r in its phases 0x1.4d58390d427abp-998, 0.015)
     near, far = eval_H_many([5.0, 150.0], 1e150)
     g = eval_G(2.0, 1e150, 3.0)
-    assert [near.h_complex.real.hex(), near.h_complex.imag.hex(), near.err.hex()] == [
-        "-0x1.6629905987559p-999", "0x1.039600b92bcc3p-999", "0x0.00000a6aee244p-1022"]
+    assert [near.h.hex(), near.err.hex()] == [
+        "-0x1.662990598755bp-999", "0x0.00000a1f27193p-1022"]
     # the contour point's error is its rays' plus a connector bound that falls
     # like 1/rho^2, as H does (it read 2^-576 when it fell like 1/rho); on
     # G7K15 rays it read 0x1.cdd9841f7caa8p-1001 - 0x1.0600468f4e1b4p-1001 i
     # +- 0x0.000001e014860p-1022, within 0.0051 of the summed claims
-    assert [far.h_complex.real.hex(), far.h_complex.imag.hex(), far.err.hex()] == [
-        "0x1.cdd9841f7caa6p-1001", "-0x1.0600468f4e1b3p-1001", "0x0.0000013545bccp-1022"]
+    assert [far.h.hex(), far.err.hex()] == ["0x1.cdd9841f7caa6p-1001", "0x0.0000013545bccp-1022"]
     assert [g.value.hex(), g.error_estimate.hex()] == [
-        "0x1.4d58390d427abp-998", "0x0.0000042dc2e32p-1022"]
+        "0x1.4d58390d427a9p-998", "0x0.0000042dc2e32p-1022"]
     assert near.converged and far.converged and g.converged
 
 
@@ -309,25 +322,19 @@ def test_tiny_rho_refused_by_default():
 
 # -- the complex contour used from |x| = X_C on ------------------------------
 
-def _fold_h(x, rho):
-    """calH(x, rho) on the real-axis fold, which eval_H takes below X_C only."""
-    r, = good._real_fold([(x, x)], good._calH(rho), (quadrature.HotSpot(0.0, rho),), None)
-    return r
-
-
 @pytest.mark.parametrize("rho", [1e-3, 1e-2, 0.1, 1.0, 2.0])
 @pytest.mark.parametrize("x", [1e2, 1e3, 1e4, 1e5])
-def test_contour_agrees_with_real_axis(x, rho):
+def test_contour_agrees_with_real_axis(calH_fold, x, rho):
     _, (c,) = good._contours((), [(x, rho)], None)
-    r = _fold_h(x, rho)
+    r = calH_fold(x, rho)
     assert c.converged and r.converged
     assert abs(c.value - r.value) <= c.err + r.err
 
 
 @pytest.mark.parametrize("rho", [1e-3, 0.05, 1.0, 2.0])
 @pytest.mark.parametrize("x", [X_C, 113.9, 157.25, 201.5, 250.125, 300.0])
-def test_fold_agrees_with_the_contour_past_x_c(x, rho):
-    r = _fold_h(x, rho)
+def test_fold_agrees_with_the_contour_past_x_c(calH_fold, x, rho):
+    r = calH_fold(x, rho)
     _, (c,) = good._contours((), [(x, rho)], None)
     assert c.converged and r.converged
     assert abs(c.value - r.value) <= c.err + r.err
@@ -361,7 +368,6 @@ def test_contour_at_the_largest_floats(x):
 def test_contour_parity(x, rho):
     a, b = eval_H(-x, rho), eval_H(x, rho)
     assert a.h == b.h
-    assert a.h_complex == b.h_complex.conjugate()
     assert a.err == b.err and a.converged and b.converged
 
 
@@ -442,11 +448,10 @@ def test_compare_points_keep_their_bits_under_the_large_rho_bound():
     rows = []
     for x, rho in _compare_points():
         hv = eval_H(x, rho)
-        rows.append(f"{hv.h_complex.real.hex()} {hv.h_complex.imag.hex()} {hv.err.hex()} "
-                    f"{hv.converged}")
+        rows.append(f"{hv.h.hex()} {hv.err.hex()} {hv.converged}")
     assert len(rows) == 168
     assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == (
-        "ad8bc52e4a3e6401e94556b2eb4b855d2b5676bbc08a415692d43abc95c7d614")
+        "c4afe48973c478fe387cce9778315de7e117b3cb63dbec5ffec2a59b885cf322")
 
 
 def test_compare_points_keep_their_approx_bits():
@@ -499,6 +504,23 @@ def test_compare_points_meet_their_target_on_the_first_sweep(monkeypatch):
     assert len(rounds) == 0
 
 
+def test_zeros_windows_meet_their_target_on_the_first_sweep(monkeypatch):
+    # a cost tripwire on the G10K21 panel cap of the fold: no fold integral
+    # of find_zeros over the 57 windows of the benchmark's zeros-small-x sets
+    # of seeds 1-3 starts a refinement round
+    _repo_root_on_path()
+    from perfbench import workloads
+
+    started, real = [], quadrature._rounds
+    monkeypatch.setattr(quadrature, "_rounds", lambda *args: started.append(1) or real(*args))
+    zeros = workloads.WORKLOADS["zeros-small-x"]
+    windows = [w for seed in (1, 2, 3) for w in workloads.ops(zeros, seed)]
+    assert len(windows) == 57
+    for rho, x_min, x_max in windows:
+        find_zeros(rho, x_min, x_max)
+    assert started == []
+
+
 def test_contour_is_within_its_claim_of_the_long_double_reference():
     # as test_fold_is_within_its_claim_of_the_long_double_reference, on a
     # seeded grid of the contour's x in [1e2, 1e4]: the G10K21 rays must
@@ -544,7 +566,7 @@ def test_fold_cost_tripwire(fevals):
 # -- eval_H_many: many points in shared quadrature sweeps ---------------------
 
 def _bits(hv):
-    return hv.h_complex.real.hex(), hv.h_complex.imag.hex(), hv.err.hex(), hv.converged
+    return hv.h.hex(), hv.err.hex(), hv.converged
 
 
 # default tolerances; tight ones, so that owners go on into the refinement
@@ -727,7 +749,7 @@ def test_the_owner_rule_holds_per_branch(finite_calls):
 def _result_bits(r):
     if isinstance(r, list):
         return [_bits(hv) for hv in r]
-    if hasattr(r, "h_complex"):
+    if hasattr(r, "h"):
         return _bits(r)
     return r.value.hex(), r.error_estimate.hex(), r.converged
 
@@ -765,6 +787,25 @@ def test_zeros_oracle_is_g_below_x_c_and_eval_h_from_it():
             assert type(r.value) is float
             assert (r.value.hex(), r.err.hex(), r.converged) == (want[0].hex(), want[1].hex(),
                                                                  want[2])
+
+
+def test_eval_H_is_g_below_x_c_and_the_contour_from_it():
+    # one H: G's fold at gamma = x below X_C, the real part of calH's contour
+    # at |x| from it on, value, claim and flag bit for bit, on seeded points
+    # of both signs and the doubles at and next to +-X_C
+    rng = np.random.default_rng(20261022)
+    for rho in (10.0 ** rng.uniform(-6.0, math.log10(2.0), 8)).tolist():
+        for x in rng.uniform(-300.0, 300.0, 8).tolist() + _AT_X_C:
+            hv = eval_H(x, rho)
+            if abs(x) < X_C:
+                g = eval_G(x, rho, x)
+                want = g.value, g.error_estimate, g.converged
+            else:
+                _, (c,) = good._contours((), [(abs(x), rho)], None)
+                want = c.value.real, c.err, c.converged
+            assert type(hv.h) is float
+            assert (hv.h.hex(), hv.err.hex(), hv.converged) == (want[0].hex(), want[1].hex(),
+                                                                  want[2])
 
 
 def test_zeros_oracle_validates_as_eval_H_many():

@@ -128,6 +128,27 @@ def test_q_from_g_near_singular_xi():
     assert abs(r.value - q.value) <= 10.0 * (r.error_estimate + q.error_estimate)
 
 
+# Q_{gamma,xi}(x) with xi - 1 from 1e-11 to 2e-4, by 40-digit mpmath quadrature
+# of the defining integral (as literals: mpmath is no dependency).  With
+# rho = sqrt(xi*xi - 1), which cancels there, q_from_g read 239, 4.6e4, 5.2e4
+# and 11 times its claim away; with sqrt((xi - 1)(xi + 1)) at most 0.033 of it
+_Q_NEAR_ONE = [(4.012369173378607, 1.0000000000106115, 15.268153233639083,
+                217048.881529371998155958),
+               (17.01429418452637, 1.0000000020289657, -11.698131829554853,
+                15692.79821897492958824045),
+               (0.4262424712613, 1.0000000199557288, 12.918705677787045,
+                4992.413520972262622027289),
+               (4.910041544376169, 1.000156535521973, 32.881358060376485,
+                28.86156339393839974535156)]
+
+
+@pytest.mark.parametrize("gamma, xi, x, ref", _Q_NEAR_ONE)
+def test_q_from_g_near_xi_one_holds_its_claim(gamma, xi, x, ref):
+    r = q_from_g(gamma, xi, x)
+    assert r.converged
+    assert abs(r.value - ref) <= r.error_estimate
+
+
 def test_q_from_g_gamma_below_one_uses_negative_order():
     r = q_from_g(0.5, 1.5, 2.0)
     q = eval_Q(0.5, 1.5, 2.0)

@@ -6,11 +6,13 @@ import pytest
 
 from goodfun import (AmplitudeBounds, DomainError, HotSpot, HypothesisViolated,
                      Integrand, PhaseProblem, anger_diag_asym,
-                     anger_shifted_asym, check_hypotheses, eval_H,
+                     anger_shifted_asym, check_hypotheses,
                      expansion_with_conjugation, integrate_finite,
                      substitution_tau, two_term_expansion)
+from goodfun import good
 from goodfun.calibrate import good_amplitude_problem
 from goodfun.core import cos_pi, sin_pi
+from goodfun.good import X_C
 
 # int_0^pi e^{i x (t - sin t)} dt at x = 1000, pinned independently
 I_UNIT_1000 = 0.1405255535234515 + 0.0807326791282716j
@@ -111,10 +113,10 @@ def test_exp_amplitude_reproduces_shifted_anger():
                                           rel=1e-12, abs=1e-15)
 
 
-def _unfolded_good_integral(x, rho):
+def _unfolded_good_integral(calH_fold, x, rho):
     """The engine's int_0^pi exp(i x (t - sin t))/(rho^2 + sin^2 t) dt, and how far it lies
-    beyond eval_H's claim from pi e^{i pi x} conj(calH(x, rho)) (t = pi - u): the oracle
-    the calibration sweep takes from eval_H."""
+    beyond calH's claim from pi e^{i pi x} conj(calH(x, rho)) (t = pi - u): the oracle
+    the calibration sweep takes from the contour, here on the real-axis fold below X_C."""
     rho2 = rho * rho
 
     def fn(t):
@@ -123,26 +125,26 @@ def _unfolded_good_integral(x, rho):
 
     res = integrate_finite(Integrand(fn, osc_frequency=x, hot_spots=(HotSpot(math.pi, rho),)),
                            0.0, math.pi)
-    hv = eval_H(x, rho)
-    via_h = math.pi * complex(cos_pi(x), sin_pi(x)) * hv.h_complex.conjugate()
-    return res, abs(res.value - via_h) - math.pi * hv.err
+    cal = calH_fold(x, rho) if x < X_C else good._contours((), [(x, rho)], None)[1][0]
+    via_h = math.pi * complex(cos_pi(x), sin_pi(x)) * cal.value.conjugate()
+    return res, abs(res.value - via_h) - math.pi * cal.err
 
 
 @pytest.mark.parametrize("rho", [0.5, 1.0, 2.0])
 @pytest.mark.parametrize("x", [37.3, 1e2, 1e3, 1e4])
-def test_good_amplitude_engine_vs_oracle(rho, x):
+def test_good_amplitude_engine_vs_oracle(calH_fold, rho, x):
     exp = two_term_expansion(good_amplitude_problem(rho), x)
-    res, off = _unfolded_good_integral(x, rho)
+    res, off = _unfolded_good_integral(calH_fold, x, rho)
     assert abs(res.value - exp.value) <= exp.error_estimate
     assert off <= res.err
 
 
 @pytest.mark.parametrize("rho", [1e-3, 0.1])
-def test_unfolded_good_integral_claims_its_rounding(rho):
+def test_unfolded_good_integral_claims_its_rounding(calH_fold, rho):
     # 300k G7K15 nodes at x = 1e4, the peak 1/rho^2 at t = pi: the nested
     # rules share the nodes' rounding and claimed 3.5e-11 and 3.5e-13 for
     # errors of 1.6e-9 and 9.1e-13; the rounding level covers them
-    res, off = _unfolded_good_integral(1e4, rho)
+    res, off = _unfolded_good_integral(calH_fold, 1e4, rho)
     assert res.converged and off <= res.err
 
 
